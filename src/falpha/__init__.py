@@ -51,6 +51,7 @@ from falpha.physics import (
     time_of_flight,
 )
 from falpha.sets import (
+    Affine,
     FinitePoints,
     FullInterval,
     GapIFS,

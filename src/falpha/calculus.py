@@ -169,7 +169,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
         lower += lo
         count += 1
         if spread > 0.0:
-            heapq.heappush(heap, (-spread, u, v, 0))
+            heapq.heappush(heap, (-spread, u, v, 0, hi, lo))
     while upper - lower > tol and heap:
         if count >= max_components:
             raise NoConvergence(
@@ -179,8 +179,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
                 partial=IntegralResult(lower, upper, (upper + lower) / 2.0,
                                        upper - lower, depth),
             )
-        neg_spread, u, v, d = heapq.heappop(heap)
-        old_hi, old_lo, _ = _component(f, stair, u, v, level)
+        _, u, v, d, old_hi, old_lo = heapq.heappop(heap)
         upper -= old_hi
         lower -= old_lo
         # split at the largest internal gap when one is substantial,
@@ -204,7 +203,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
             lower += lo
             count += 1
             if spread > 0.0:
-                heapq.heappush(heap, (-spread, pu, pv, d + 1))
+                heapq.heappush(heap, (-spread, pu, pv, d + 1, hi, lo))
     if upper - lower > tol:
         raise NoConvergence(
             f"bracket stalled at {upper - lower:.3e}",

@@ -27,11 +27,10 @@ from falpha.physics import (
     time_of_flight,
 )
 from falpha.sets import (
+    Affine,
     FullInterval,
     GapIFS,
     Interval,
-    Scale,
-    Translate,
     net,
     spec_from_json,
 )
@@ -79,11 +78,7 @@ def _resolve_alpha(text, spec, a, b):
         # the bisection estimate brackets the order jump but rarely lands
         # on it, and the mass is 0 or infinite off the jump; for
         # self-similar sets the exact order is available, so prefer it
-        base = spec
-        while isinstance(base, (Scale, Translate)):
-            if isinstance(base, Scale) and base.factor == 0.0:
-                break
-            base = base.inner
+        base = spec.inner if isinstance(spec, Affine) else spec
         if isinstance(base, FullInterval):
             return 1.0
         if isinstance(base, GapIFS):
@@ -204,8 +199,7 @@ def _cmd_staircase(args, spec, alpha, a, b, out):
     rows = []
     for i in range(n):
         x = a + (b - a) * i / (n - 1)
-        s = stair(x)
-        rows.append((x, s, s * GAMMA_ALPHA1))
+        rows.append((x, stair(x), stair.scaled(x)))
     _emit(out, args.format, ("x", "staircase", "scaled_staircase"), rows,
           meta={"alpha": alpha})
     return 0

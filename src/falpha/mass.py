@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from falpha import _backend
 from falpha.sets import (
+    Affine,
     FullInterval,
     GapIFS,
     Scale,
@@ -136,18 +137,16 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
 
 def _coarse_scaled(spec, a, b, alpha, delta):
     """Coarse mass estimate times Gamma(alpha + 1)."""
-    if b - a <= 0.0:
-        return 0.0
-    if isinstance(spec, Translate):
-        return _coarse_scaled(spec.inner, a - spec.shift, b - spec.shift, alpha, delta)
-    if isinstance(spec, Scale):
-        lam = spec.factor
-        if lam == 0.0:
-            return 0.0
-        return lam ** alpha * _coarse_scaled(
-            spec.inner, a / lam, b / lam, alpha, delta / lam
+    if isinstance(spec, Affine):
+        lam, t = spec.scale, spec.shift
+        return lam ** alpha * _coarse_unwrapped(
+            spec.inner, (a - t) / lam, (b - t) / lam, alpha, delta / lam
         )
-    if spec.is_discrete():
+    return _coarse_unwrapped(spec, a, b, alpha, delta)
+
+
+def _coarse_unwrapped(spec, a, b, alpha, delta):
+    if b - a <= 0.0 or spec.is_discrete():
         return 0.0
     if isinstance(spec, FullInterval):
         length = min(b, spec.hi) - max(a, spec.lo)
@@ -174,7 +173,7 @@ def coarse_mass(spec, a, b, alpha, delta):
 
 
 def _is_upper_bound(spec):
-    while isinstance(spec, (Translate, Scale)):
+    if isinstance(spec, Affine):
         spec = spec.inner
     return isinstance(spec, GapIFS) and not isinstance(spec, TernaryCantor)
 
@@ -245,6 +244,16 @@ def mass(spec, a, b, alpha, ladder=None, depth=8, rel_tol=1e-3, abs_tol=1e-9,
 
 def _exact_scaled_increment(spec, u, v, alpha):
     """Gamma(alpha+1) * mass of [u, v] when a closed form applies, else None."""
+    if isinstance(spec, Affine):
+        lam, t = spec.scale, spec.shift
+        inner = _exact_unwrapped(spec.inner, (u - t) / lam, (v - t) / lam, alpha)
+        if inner is None:
+            return None
+        return lam ** alpha * inner
+    return _exact_unwrapped(spec, u, v, alpha)
+
+
+def _exact_unwrapped(spec, u, v, alpha):
     if v <= u:
         return 0.0
     if isinstance(spec, TernaryCantor):
@@ -253,17 +262,6 @@ def _exact_scaled_increment(spec, u, v, alpha):
         if abs(alpha - ALPHA) > 1e-12:
             return None
         return _backend.cantor_scaled(v) - _backend.cantor_scaled(u)
-    if isinstance(spec, Translate):
-        inner = _exact_scaled_increment(spec.inner, u - spec.shift, v - spec.shift, alpha)
-        return inner
-    if isinstance(spec, Scale):
-        lam = spec.factor
-        if lam == 0.0:
-            return 0.0
-        inner = _exact_scaled_increment(spec.inner, u / lam, v / lam, alpha)
-        if inner is None:
-            return None
-        return lam ** alpha * inner
     if spec.is_discrete():
         return 0.0
     if isinstance(spec, FullInterval):

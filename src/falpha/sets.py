@@ -3,7 +3,7 @@
 Every supported set is described by a small recursive spec: the
 middle-thirds set, a general gap-producing iterated function system on
 [0, 1], a finite point list, the harmonic cluster {0} union {1/n}, a full
-interval, and translate/scale wrappers.  All queries (interval
+interval, and one affine wrapper (shift + scale * F).  All queries (interval
 intersection, gap enumeration, finite nets, extreme points) are answered
 exactly from the structure, never by sampling.
 """
@@ -24,6 +24,7 @@ __all__ = [
     "FinitePoints",
     "HarmonicCluster",
     "FullInterval",
+    "Affine",
     "Translate",
     "Scale",
     "Subdivision",
@@ -56,6 +57,13 @@ def max_level():
     """Net/ladder depth cap, overridable via FRACTAL_CALC_MAX_LEVEL."""
     raw = os.environ.get("FRACTAL_CALC_MAX_LEVEL")
     return int(raw) if raw else DEFAULT_MAX_LEVEL
+
+
+def _finite(name, x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _check_level(level):
@@ -174,7 +182,7 @@ class GapIFS(SetSpec):
 
     def __post_init__(self):
         ratios = tuple(float(r) for r in self.ratios)
-        offsets = tuple(float(o) for o in self.offsets)
+        offsets = tuple(_finite("offsets", o) for o in self.offsets)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "offsets", offsets)
         if len(ratios) != len(offsets) or len(ratios) < 2:
@@ -333,7 +341,7 @@ class FinitePoints(SetSpec):
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
+        pts = tuple(_finite("points", p) for p in self.points)
         for p, q in zip(pts, pts[1:]):
             if not p < q:
                 raise ValueError("points must be strictly sorted")
@@ -448,7 +456,7 @@ class FullInterval(SetSpec):
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not _finite("lo", self.lo) < _finite("hi", self.hi):
             raise ValueError("need lo < hi")
 
     def hull(self):
@@ -478,106 +486,88 @@ class FullInterval(SetSpec):
         return (self.hi - self.lo) / 2 ** level
 
 
-_ORIGIN = FinitePoints((0.0,))
-
-
 @dataclass(frozen=True)
-class Translate(SetSpec):
-    """The set F + shift."""
+class Affine(SetSpec):
+    """The set shift + scale * F, for an unwrapped F, a finite scale > 0
+    and a finite shift.
+
+    Queries map each point into F by x -> (x - shift) / scale and each
+    answer back by y -> y * scale + shift.  Build it with ``Scale`` and
+    ``Translate``: they fold into an existing Affine, so a spec has at
+    most one wrapper layer.
+    """
 
     inner: SetSpec
+    scale: float
     shift: float
+
+    def __post_init__(self):
+        if (isinstance(self.inner, Affine) or not 0.0 < self.scale < math.inf
+                or not math.isfinite(self.shift)):
+            raise ValueError(
+                "Affine needs an unwrapped spec, a finite scale > 0 and a "
+                f"finite shift, got scale {self.scale!r}, shift {self.shift!r}"
+            )
 
     def hull(self):
         h = self.inner.hull()
         if h is None:
             return None
-        return (h[0] + self.shift, h[1] + self.shift)
+        return (h[0] * self.scale + self.shift, h[1] * self.scale + self.shift)
 
     def _isect(self, lo, hi, depth=0):
-        return self.inner._isect(lo - self.shift, hi - self.shift)
+        s, t = self.scale, self.shift
+        return self.inner._isect((lo - t) / s, (hi - t) / s)
 
     def extremes_in(self, lo, hi):
-        e = self.inner.extremes_in(lo - self.shift, hi - self.shift)
+        s, t = self.scale, self.shift
+        e = self.inner.extremes_in((lo - t) / s, (hi - t) / s)
         if e is None:
             return None
-        return (e[0] + self.shift, e[1] + self.shift)
+        return (e[0] * s + t, e[1] * s + t)
 
     def _raw_gaps(self, lo, hi, min_len):
-        raw = self.inner._raw_gaps(lo - self.shift, hi - self.shift, min_len)
-        return [(u + self.shift, v + self.shift) for u, v in raw]
+        s, t = self.scale, self.shift
+        raw = self.inner._raw_gaps((lo - t) / s, (hi - t) / s, min_len / s)
+        return [(u * s + t, v * s + t) for u, v in raw]
 
     def net_points(self, level, lo, hi):
-        pts = self.inner.net_points(level, lo - self.shift, hi - self.shift)
-        return [p + self.shift for p in pts]
+        s, t = self.scale, self.shift
+        pts = self.inner.net_points(level, (lo - t) / s, (hi - t) / s)
+        return [p * s + t for p in pts]
 
     def resolution(self, level):
-        return self.inner.resolution(level)
+        return self.inner.resolution(level) * self.scale
 
     def is_discrete(self):
         return self.inner.is_discrete()
 
 
-@dataclass(frozen=True)
-class Scale(SetSpec):
-    """The set factor * F; factor 0 collapses everything to {0}."""
+def _affine(spec, scale, shift):
+    """shift + scale * spec with an Affine spec folded in; a zero scale
+    leaves the single point {shift}."""
+    if isinstance(spec, Affine):
+        spec, scale, shift = spec.inner, spec.scale * scale, spec.shift * scale + shift
+    if scale == 0.0:
+        return FinitePoints((shift,))
+    return Affine(spec, scale, shift)
 
-    inner: SetSpec
-    factor: float
 
-    def __post_init__(self):
-        if self.factor < 0.0:
-            raise ValueError("scale factor must be nonnegative")
+def _factor(scale):
+    scale = _finite("scale", scale)
+    if scale < 0.0:
+        raise ValueError(f"scale must be nonnegative, got {scale!r}")
+    return scale
 
-    def _eff(self):
-        return _ORIGIN if self.factor == 0.0 else None
 
-    def hull(self):
-        eff = self._eff()
-        if eff is not None:
-            return eff.hull()
-        h = self.inner.hull()
-        if h is None:
-            return None
-        return (h[0] * self.factor, h[1] * self.factor)
+def Scale(spec, factor):
+    """The set factor * F for a factor >= 0; factor 0 is the point {0}."""
+    return _affine(spec, _factor(factor), 0.0)
 
-    def _isect(self, lo, hi, depth=0):
-        eff = self._eff()
-        if eff is not None:
-            return eff._isect(lo, hi)
-        return self.inner._isect(lo / self.factor, hi / self.factor)
 
-    def extremes_in(self, lo, hi):
-        eff = self._eff()
-        if eff is not None:
-            return eff.extremes_in(lo, hi)
-        e = self.inner.extremes_in(lo / self.factor, hi / self.factor)
-        if e is None:
-            return None
-        return (e[0] * self.factor, e[1] * self.factor)
-
-    def _raw_gaps(self, lo, hi, min_len):
-        eff = self._eff()
-        if eff is not None:
-            return eff._raw_gaps(lo, hi, min_len)
-        f = self.factor
-        raw = self.inner._raw_gaps(lo / f, hi / f, min_len / f)
-        return [(u * f, v * f) for u, v in raw]
-
-    def net_points(self, level, lo, hi):
-        eff = self._eff()
-        if eff is not None:
-            return eff.net_points(level, lo, hi)
-        f = self.factor
-        return [p * f for p in self.inner.net_points(level, lo / f, hi / f)]
-
-    def resolution(self, level):
-        if self.factor == 0.0:
-            return 0.0
-        return self.inner.resolution(level) * self.factor
-
-    def is_discrete(self):
-        return self.factor == 0.0 or self.inner.is_discrete()
+def Translate(spec, shift):
+    """The set F + shift."""
+    return _affine(spec, 1.0, _finite("translate", shift))
 
 
 def intersects(spec, interval):
@@ -637,7 +627,10 @@ def spec_from_json(obj):
     """Build a SetSpec from the JSON description format.
 
     {"type": "cantor" | "gap_ifs" | "finite" | "harmonic" | "interval", ...}
-    with optional "scale" and "translate" keys (scale applied first).
+    with optional "scale" and "translate" keys for the set
+    translate + scale * F (scale applied first).  A scale of 0 gives the
+    single point {translate}; a negative scale and non-finite numbers are
+    rejected with ValueError.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("set spec must be an object with a 'type' key")
@@ -654,21 +647,17 @@ def spec_from_json(obj):
         spec = FullInterval(float(obj["lo"]), float(obj["hi"]))
     else:
         raise ValueError(f"unknown set type {kind!r}")
-    if "scale" in obj:
-        spec = Scale(spec, float(obj["scale"]))
-    if "translate" in obj:
-        spec = Translate(spec, float(obj["translate"]))
+    if "scale" in obj or "translate" in obj:
+        spec = _affine(spec, _factor(obj.get("scale", 1.0)),
+                       _finite("translate", obj.get("translate", 0.0)))
     return spec
 
 
 def spec_to_json(spec):
     """Inverse of spec_from_json for the supported shapes."""
     wrap = {}
-    while isinstance(spec, (Translate, Scale)):
-        if isinstance(spec, Translate):
-            wrap["translate"] = wrap.get("translate", 0.0) + spec.shift
-        else:
-            wrap["scale"] = wrap.get("scale", 1.0) * spec.factor
+    if isinstance(spec, Affine):
+        wrap = {"scale": spec.scale, "translate": spec.shift}
         spec = spec.inner
     if isinstance(spec, TernaryCantor):
         base = {"type": "cantor"}

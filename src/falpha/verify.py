@@ -88,7 +88,6 @@ def _net_points(spec, level, a=0.0, b=1.0):
 
 def check_net_membership():
     """Every net point is a member; a nonempty net forces intersection."""
-    worst = 0.0
     bad = 0
     for spec in (_CANTOR, _ASYM, HarmonicCluster()):
         lo, hi = spec.hull()
@@ -126,7 +125,9 @@ def check_gaps_exact():
 
 
 def check_wrapper_commute():
-    """Translate and Scale commute with the intersection query."""
+    """The Affine wrappers built by Translate and Scale commute with the
+    intersection query: F + shift and lam * F meet a box exactly when F
+    meets the box mapped back by x -> x - shift or x -> x / lam."""
     rng = random.Random(11)
     bad = 0
     for _ in range(200):

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from falpha import calculus
 from falpha.calculus import (
     FOnF,
     NoLimit,
@@ -147,3 +148,18 @@ def test_fundamental_round_trip():
         got = integrate(f, STAIR, 0.0, 1.0, tol=5e-4,
                         max_components=60000).value
         assert got == pytest.approx(STAIR(1.0) ** n, abs=1e-3)
+
+
+def test_integrate_evaluates_each_component_once(monkeypatch):
+    seen = []
+    component = calculus._component
+
+    def record(f, stair, u, v, level):
+        seen.append((u, v))
+        return component(f, stair, u, v, level)
+
+    monkeypatch.setattr(calculus, "_component", record)
+    res = integrate(FOnF.monotone(lambda x: x), STAIR, 0.0, 1.0, tol=1e-3)
+    assert res.contains(G1)
+    assert len(seen) > 10
+    assert len(set(seen)) == len(seen)

@@ -118,6 +118,38 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "mass", "--range", "1", "0")[0] == 1
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"type": "cantor", "translate": Infinity}', "translate"),
+    ('{"type": "cantor", "scale": NaN}', "scale"),
+    ('{"type": "cantor", "scale": -Infinity}', "scale"),
+    ('{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, NaN]}',
+     "offsets"),
+    ('{"type": "gap_ifs", "ratios": [0.4, NaN], "offsets": [0.0, 0.75]}',
+     "ratios"),
+    ('{"type": "interval", "lo": 0.0, "hi": Infinity}', "hi"),
+    ('{"type": "interval", "lo": NaN, "hi": 1.0}', "lo"),
+    ('{"type": "finite", "points": [0.0, -Infinity]}', "points"),
+])
+def test_non_finite_set_parameters_exit_1(capsys, text, field):
+    code, out, err = run(capsys, "staircase", "--set", text, "--samples", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("text, tol", [
+    ('{"type": "interval", "lo": 0.0, "hi": 1.0}', 0.0),
+    ('{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}',
+     1e-12),
+])
+def test_scaled_staircase_uses_gamma_of_the_order(capsys, text, tol):
+    code, out, err = run(capsys, "staircase", "--set", text, "--alpha",
+                         "auto", "--samples", "5", "--format", "json")
+    assert code == 0
+    x, s, scaled = json.loads(out)["rows"][-1]
+    assert x == 1.0 and abs(scaled - 1.0) <= tol
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 
