@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from falpha.calculus import FOnF, derivative, integrate
@@ -48,6 +49,18 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _finite(text):
+    """argparse type for float options: NaN and infinities are rejected,
+    and argparse names the option in the message."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
 
 
 def _fmt(x):
@@ -133,7 +146,7 @@ def _build_parser():
         p.add_argument("--alpha", default=alpha_default,
                        help=f"order in (0, 1] or 'auto' "
                             f"(default: {alpha_default})")
-        p.add_argument("--range", nargs=2, type=float, default=[0.0, 1.0],
+        p.add_argument("--range", nargs=2, type=_finite, default=[0.0, 1.0],
                        metavar=("A", "B"), help="interval endpoints "
                        "(default: 0 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -150,12 +163,12 @@ def _build_parser():
 
     p = sub.add_parser("dimension", help="order-jump and box dimension")
     common(p)
-    p.add_argument("--tol", type=float, default=0.02)
+    p.add_argument("--tol", type=_finite, default=0.02)
 
     p = sub.add_parser("integrate", help="staircase-weighted integral")
     common(p)
     p.add_argument("--f", choices=sorted(_FUNCTIONS), default="x")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_finite, default=1e-4)
 
     p = sub.add_parser("differentiate",
                        help="staircase-quotient derivative at net points")
@@ -163,7 +176,7 @@ def _build_parser():
     p.add_argument("--f", choices=sorted(_FUNCTIONS), default="stair")
     p.add_argument("--level", type=int, default=3,
                    help="net level for evaluation points (default: 3)")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_finite, default=1e-3)
 
     p = sub.add_parser("cantor-g",
                        help="closed-form first moment on the middle-thirds set")
@@ -173,16 +186,16 @@ def _build_parser():
 
     p = sub.add_parser("diffusion", help="density table for fractal time")
     common(p)
-    p.add_argument("--time", nargs="+", type=float, default=[1.0 / 3.0, 1.0],
+    p.add_argument("--time", nargs="+", type=_finite, default=[1.0 / 3.0, 1.0],
                    help="evaluation times (default: 1/3 1)")
-    p.add_argument("--x", nargs=3, type=float, default=[-2.0, 2.0, 0.25],
+    p.add_argument("--x", nargs=3, type=_finite, default=[-2.0, 2.0, 0.25],
                    metavar=("LO", "HI", "STEP"), help="space grid")
 
     p = sub.add_parser("friction", help="velocity and travel-time table")
     common(p)
-    p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--kappa", type=float, default=0.5)
+    p.add_argument("--v0", type=_finite, default=1.0)
+    p.add_argument("--x0", type=_finite, default=0.0)
+    p.add_argument("--kappa", type=_finite, default=0.5)
     p.add_argument("--samples", type=int, default=16)
 
     p = sub.add_parser("verify", help="run the property suite")

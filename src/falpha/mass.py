@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from falpha import _backend
+from falpha.cantor import ALPHA
 from falpha.sets import (
     Affine,
     FullInterval,
@@ -257,8 +258,6 @@ def _exact_unwrapped(spec, u, v, alpha):
     if v <= u:
         return 0.0
     if isinstance(spec, TernaryCantor):
-        from falpha.cantor import ALPHA
-
         if abs(alpha - ALPHA) > 1e-12:
             return None
         return _backend.cantor_scaled(v) - _backend.cantor_scaled(u)

@@ -137,6 +137,25 @@ def test_non_finite_set_parameters_exit_1(capsys, text, field):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("mass", "--range", "nan", "1"), "--range"),
+    (("staircase", "--range", "0", "inf"), "--range"),
+    (("friction", "--kappa", "nan"), "--kappa"),
+    (("friction", "--v0", "inf"), "--v0"),
+    (("friction", "--x0=-inf"), "--x0"),
+    (("integrate", "--tol", "nan"), "--tol"),
+    (("dimension", "--tol", "inf"), "--tol"),
+    (("differentiate", "--tol", "nan"), "--tol"),
+    (("diffusion", "--x", "-1", "1", "nan"), "--x"),
+    (("diffusion", "--time", "nan"), "--time"),
+])
+def test_non_finite_numeric_options_exit_1(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and option in err and "finite" in err
+
+
 @pytest.mark.parametrize("text, tol", [
     ('{"type": "interval", "lo": 0.0, "hi": 1.0}', 0.0),
     ('{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}',

@@ -321,3 +321,20 @@ def test_coarse_mass_scales_by_lambda_to_the_order(base, wraps, lam, p, q, k):
     got = coarse_mass(Scale(spec, lam), lam * a, lam * b, alpha, lam * delta)
     # the gap IFS descent closes with a tile once a piece is below 1e-13
     assert abs(got - want) <= 2.0 * (1e-13 * lam) ** alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=_gap_ifs(), wraps=_WRAPS, ps=st.lists(
+    st.floats(-0.1, 1.1), min_size=3, max_size=3))
+def test_staircase_is_monotone_and_additive(base, wraps, ps):
+    spec, scale, _ = _wrap(base, wraps)
+    alpha = similarity_order(base.ratios)
+    stair = StaircaseEvaluator(spec, alpha)
+    h0, h1 = spec.hull()
+    x, y, z = (h0 + (h1 - h0) * p for p in sorted(ps))
+    # the gap IFS descent closes with a tile once a piece is below 1e-13
+    bound = 2.0 * (1e-13 * scale) ** alpha
+    assert stair(y) - stair(x) >= -bound
+    assert stair(z) - stair(y) >= -bound
+    inc = stair.increment
+    assert abs(inc(x, y) + inc(y, z) - inc(x, z)) <= bound
