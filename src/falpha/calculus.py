@@ -137,6 +137,11 @@ def _component(f, stair, u, v, level):
     return (m_hi * ds, m_lo * ds, (m_hi - m_lo) * ds)
 
 
+def _check_tol(tol):
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
     """Certified bracket for the staircase-weighted integral of f.
 
@@ -144,6 +149,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
     bisects whichever component contributes most to the bracket width,
     until upper - lower <= tol.
     """
+    _check_tol(tol)
     if a == b:
         return IntegralResult(0.0, 0.0, 0.0, 0.0, 0)
     if b < a:
@@ -271,6 +277,7 @@ def _side_quotients(f, stair, x, sign, tol, max_level, r0):
 
 def derivative(f, stair, x, tol=1e-3, max_level=40, r0=1.0):
     """Staircase-quotient derivative of f at x; exactly 0 off F."""
+    _check_tol(tol)
     spec = stair.spec
     if not spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)

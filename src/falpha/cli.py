@@ -206,13 +206,21 @@ def _build_parser():
     return top
 
 
+def _table_points(a, b, samples):
+    """max(2, samples) evenly spaced points from a to b; a range so wide
+    that a point overflows is rejected."""
+    n = max(2, samples)
+    xs = [a + (b - a) * i / (n - 1) for i in range(n)]
+    if not all(map(math.isfinite, xs)):
+        raise _UsageError(f"range {a!r} to {b!r} is too wide: its table "
+                          "points overflow")
+    return xs
+
+
 def _cmd_staircase(args, spec, alpha, a, b, out):
     stair = StaircaseEvaluator(spec, alpha, a0=a)
-    n = max(2, args.samples)
-    rows = []
-    for i in range(n):
-        x = a + (b - a) * i / (n - 1)
-        rows.append((x, stair(x), stair.scaled(x)))
+    rows = [(x, stair(x), stair.scaled(x))
+            for x in _table_points(a, b, args.samples)]
     _emit(out, args.format, ("x", "staircase", "scaled_staircase"), rows,
           meta={"alpha": alpha})
     return 0
@@ -294,10 +302,8 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
 def _cmd_friction(args, spec, alpha, a, b, out):
     params = FrictionParams(spec, alpha, v0=args.v0, x0=args.x0,
                             kappa=args.kappa)
-    n = max(2, args.samples)
     rows = []
-    for i in range(n):
-        x = args.x0 + (b - args.x0) * i / (n - 1)
+    for x in _table_points(args.x0, b, args.samples):
         v = friction_velocity(params, x)
         t = time_of_flight(params, x, tol=1e-6)
         rows.append((x, v, t))

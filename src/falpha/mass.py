@@ -102,7 +102,7 @@ def _ifs_full(spec, alpha, delta, memo):
     if got is not None:
         return got
     acc = 0.0
-    for o, r in spec._maps:
+    for r in spec.ratios:
         acc += r ** alpha * _ifs_full(spec, alpha, delta / r, memo)
     memo[key] = acc
     return acc
@@ -120,9 +120,7 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
         # below float resolution in global coordinates; close out with a tile
         return _tile_cost(b - a, delta, alpha)
     acc = 0.0
-    for o, r in spec._maps:
-        s0 = o + r * h0
-        s1 = o + r * h1
+    for o, r, s0, s1 in spec._copies:
         ov0 = max(a, s0)
         ov1 = min(b, s1)
         if ov1 <= ov0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from falpha.calculus import FOnF, derivative, integrate
+from falpha.calculus import FOnF, _check_tol, derivative, integrate
 from falpha.mass import StaircaseEvaluator
 from falpha.sets import Interval, gaps
 
@@ -109,6 +109,8 @@ class FrictionParams:
             raise ValueError("initial velocity must be positive")
         if (self.kappa is None) == (self.k is None):
             raise ValueError("give exactly one of kappa or k")
+        if self.kappa is not None and not self.kappa >= 0.0:
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
         if self.stair is None:
             self.stair = StaircaseEvaluator(self.medium_set, self.alpha,
                                             a0=self.x0)
@@ -154,6 +156,7 @@ def _adaptive_simpson(fn, a, b, tol, depth=0, max_depth=24, fa=None, fm=None,
 def time_of_flight(params, x, v_floor=None, tol=1e-9):
     """Travel time from x0 to x: quadrature of 1/v, exact on gaps of the
     medium (v constant there), adaptive elsewhere."""
+    _check_tol(tol)
     x0 = params.x0
     if x < x0:
         raise ValueError("x must be at least x0")

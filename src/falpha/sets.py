@@ -5,7 +5,8 @@ middle-thirds set, a general gap-producing iterated function system on
 [0, 1], a finite point list, the harmonic cluster {0} union {1/n}, a full
 interval, and one affine wrapper (shift + scale * F).  All queries (interval
 intersection, gap enumeration, finite nets, extreme points) are answered
-exactly from the structure, never by sampling.
+exactly from the structure, never by sampling; a gap IFS walks down its
+copies in local coordinates, with a 1e-15 slack for float drift.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ __all__ = [
 
 DEFAULT_MAX_LEVEL = 16
 
-# scale cutoff for degenerate (single point) interval queries: once the
-# recursion has zoomed in by this factor the query point sits within float
-# resolution of the set and counts as a member
+# scale cutoff for degenerate (single point) interval queries: once a walk
+# down the copies has zoomed in by this factor the query point sits within
+# float resolution of the set and counts as a member
 _POINT_SCALE = 1e-12
-# depth at which an extreme-point search has pinned its target to below
-# float resolution
+# depth cap of an extreme-point walk: its target is then below float resolution
 _EXTREME_DEPTH = 80
 
 
@@ -145,8 +145,9 @@ class SetSpec:
         """(min F, max F) or None when the set is empty."""
         raise NotImplementedError
 
-    def _isect(self, lo, hi, depth=0):
-        raise NotImplementedError
+    def _isect(self, lo, hi):
+        """True when F meets [lo, hi]; overridden only by cheaper tests."""
+        return self.extremes_in(lo, hi) is not None
 
     def extremes_in(self, lo, hi):
         """(min, max) of F intersected with [lo, hi], or None if empty."""
@@ -197,8 +198,11 @@ class GapIFS(SetSpec):
                 raise ValueError("copy spans must be sorted and interior-disjoint")
 
     @cached_property
-    def _maps(self):
-        return tuple(zip(self.offsets, self.ratios))
+    def _copies(self):
+        """(offset, ratio, span start, span end) of each copy."""
+        h0, h1 = self._hull
+        return tuple((o, r, o + r * h0, o + r * h1)
+                     for o, r in zip(self.offsets, self.ratios))
 
     @cached_property
     def _hull(self):
@@ -215,60 +219,72 @@ class GapIFS(SetSpec):
     def hull(self):
         return self._hull
 
-    def _isect(self, lo, hi, scale=1.0):
+    def _isect(self, lo, hi):
+        # one walk down the copies: a query strictly inside one meets no other
         h0, h1 = self._hull
-        # rejection slack: float drift accumulated while zooming in is of
-        # order ulp/scale in local coordinates (1e-15 in global units)
-        eps = 1e-15 / scale
-        if hi < h0 - eps or lo > h1 + eps:
-            return False
-        if lo <= h0 or hi >= h1:
-            # query contains a hull endpoint, which belongs to F
-            return True
-        if scale < _POINT_SCALE:
-            return True
-        for o, r in self._maps:
-            s0 = o + r * h0
-            s1 = o + r * h1
-            if hi < s0 - eps or lo > s1 + eps:
-                continue
-            if lo <= s0 or hi >= s1:
-                return True
-            if self._isect((lo - o) / r, (hi - o) / r, scale * r):
-                return True
-        return False
+        scale = 1.0
+        while True:
+            # rejection slack: float drift accumulated while zooming in is
+            # of order ulp/scale in local coordinates (1e-15 in global units)
+            eps = 1e-15 / scale
+            if hi < h0 - eps or lo > h1 + eps:
+                return False
+            if lo <= h0 or hi >= h1 or scale < _POINT_SCALE:
+                return True  # hull ends belong to F
+            for o, r, s0, s1 in self._copies:
+                if hi < s0 - eps or lo > s1 + eps:
+                    continue
+                if lo <= s0 or hi >= s1:
+                    return True
+                lo, hi, scale = (lo - o) / r, (hi - o) / r, scale * r
+                break
+            else:
+                return False
 
     def extremes_in(self, lo, hi):
         if not self._isect(lo, hi):
             return None
-        return (self._extreme(lo, hi, 0, True), self._extreme(lo, hi, 0, False))
+        return (self._extreme(lo, hi, True), self._extreme(lo, hi, False))
 
-    def _extreme(self, lo, hi, depth, want_min):
-        """Extreme point of F within [lo, hi]; assumes the overlap is nonempty."""
+    def _extreme(self, lo, hi, want_min):
+        """Least (want_min) or greatest point of F in [lo, hi], which must
+        pass _isect: one walk down the first copy met in the search order."""
         h0, h1 = self._hull
-        if want_min and lo <= h0:
-            return h0
-        if not want_min and hi >= h1:
-            return h1
-        maps = self._maps if want_min else tuple(reversed(self._maps))
-        for o, r in maps:
-            s0 = o + r * h0
-            s1 = o + r * h1
-            if hi < s0 or lo > s1:
-                continue
-            ov0 = max(lo, s0)
-            ov1 = min(hi, s1)
-            if not self._isect(ov0, ov1):
-                continue
-            if want_min and lo <= s0:
-                return s0
-            if not want_min and hi >= s1:
-                return s1
-            if depth >= _EXTREME_DEPTH or s1 - s0 <= 1e-15 * max(1.0, abs(s1)):
-                return ov0 if want_min else ov1
-            return o + r * self._extreme((ov0 - o) / r, (ov1 - o) / r, depth + 1, want_min)
-        # unreachable when the caller checked intersection; fall back safely
-        return lo if want_min else hi
+        copies = self._copies if want_min else self._copies[::-1]
+        path = []
+        scale = 1.0
+        while True:
+            if lo <= h0 if want_min else hi >= h1:
+                x = h0 if want_min else h1
+                break
+            # a copy the query misses by no more than the slack of _isect
+            # (above its cutoff) is missed through float drift alone; its
+            # nearer end wins unless the copy met lies within the slack too
+            eps = 1e-15 / scale if scale >= _POINT_SCALE else 0.0
+            near = None
+            for o, r, s0, s1 in copies:
+                if not (hi < s0 or lo > s1):
+                    break
+                if near is None and not (hi < s0 - eps or lo > s1 + eps):
+                    near = s1 if lo > s1 else s0
+            else:
+                # below the cutoff, drift or a gap too fine for _isect can
+                # leave the query outside every copy: keep its own end
+                x = (lo if want_min else hi) if near is None else near
+                break
+            if lo <= s0 if want_min else hi >= s1:
+                end = s0 if want_min else s1
+                x = end if near is None or abs(end - near) <= eps else near
+                break
+            if len(path) >= _EXTREME_DEPTH or s1 - s0 <= 1e-15 * max(1.0, abs(s1)):
+                x = max(lo, s0) if want_min else min(hi, s1)
+                break
+            path.append((o, r))
+            lo, hi = (max(lo, s0) - o) / r, (min(hi, s1) - o) / r
+            scale *= r
+        for o, r in reversed(path):  # the deepest level first
+            x = o + r * x
+        return x
 
     def _raw_gaps(self, lo, hi, min_len):
         if min_len <= 0.0:
@@ -277,24 +293,19 @@ class GapIFS(SetSpec):
             )
         h0, h1 = self._hull
         width = h1 - h0
-        maps = self._maps
+        copies = self._copies
         out = []
         stack = [(0.0, 1.0)]
         while stack:
             off, sc = stack.pop()
-            for i in range(len(maps) - 1):
-                o0, r0 = maps[i]
-                o1, r1 = maps[i + 1]
-                u = off + sc * (o0 + r0 * h1)
-                v = off + sc * (o1 + r1 * h0)
+            for left, right in zip(copies, copies[1:]):
+                u, v = off + sc * left[3], off + sc * right[2]
                 if v - u >= min_len and u < hi and v > lo:
                     out.append((u, v))
-            for o, r in maps:
+            for o, r, s0, s1 in copies:
                 if sc * r * width <= min_len:
                     continue  # no gap inside this copy can reach min_len
-                c0 = off + sc * (o + r * h0)
-                c1 = off + sc * (o + r * h1)
-                if c1 <= lo or c0 >= hi:
+                if off + sc * s1 <= lo or off + sc * s0 >= hi:
                     continue
                 stack.append((off + sc * o, sc * r))
         out.sort()
@@ -317,7 +328,7 @@ class GapIFS(SetSpec):
                 if lo <= p1 <= hi:
                     out.add(p1)
                 continue
-            for o, r in self._maps:
+            for o, r, _, _ in self._copies:
                 stack.append((off + sc * o, sc * r, d + 1))
         return sorted(out)
 
@@ -351,10 +362,6 @@ class FinitePoints(SetSpec):
         if not self.points:
             return None
         return (self.points[0], self.points[-1])
-
-    def _isect(self, lo, hi, depth=0):
-        i = bisect.bisect_left(self.points, lo)
-        return i < len(self.points) and self.points[i] <= hi
 
     def extremes_in(self, lo, hi):
         i = bisect.bisect_left(self.points, lo)
@@ -399,11 +406,6 @@ class HarmonicCluster(SetSpec):
         if n_min > n_max:
             return None
         return (n_min, n_max)
-
-    def _isect(self, lo, hi, depth=0):
-        if lo <= 0.0 <= hi:
-            return True
-        return self._n_range(lo, hi) is not None
 
     def extremes_in(self, lo, hi):
         rng = self._n_range(lo, hi)
@@ -462,9 +464,6 @@ class FullInterval(SetSpec):
     def hull(self):
         return (self.lo, self.hi)
 
-    def _isect(self, lo, hi, depth=0):
-        return not (hi < self.lo or lo > self.hi)
-
     def extremes_in(self, lo, hi):
         a = max(lo, self.lo)
         b = min(hi, self.hi)
@@ -515,7 +514,7 @@ class Affine(SetSpec):
             return None
         return (h[0] * self.scale + self.shift, h[1] * self.scale + self.shift)
 
-    def _isect(self, lo, hi, depth=0):
+    def _isect(self, lo, hi):
         s, t = self.scale, self.shift
         return self.inner._isect((lo - t) / s, (hi - t) / s)
 

@@ -126,6 +126,15 @@ def test_derivative_no_limit_on_mismatched_sides():
         derivative(FOnF.net_sampled(jumpy), STAIR, 0.25)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_non_positive_tol_rejected(tol):
+    f = FOnF.monotone(lambda x: x)
+    with pytest.raises(ValueError, match="tol"):
+        integrate(f, STAIR, 0.0, 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        derivative(f, STAIR, 1.0 / 3.0, tol=tol)
+
+
 def test_check_f_continuity():
     # the staircase is Holder of order alpha, so shrink delta accordingly
     rep = check_f_continuity(

@@ -156,6 +156,16 @@ def test_non_finite_numeric_options_exit_1(capsys, argv, option):
     assert err.startswith("error:") and option in err and "finite" in err
 
 
+@pytest.mark.parametrize("command", ["staircase", "friction"])
+def test_overflowing_table_points_exit_1(capsys, command):
+    # (b - a) * i overflows before the division by n - 1
+    code, out, err = run(capsys, command, "--range", "0", "1e308",
+                         "--samples", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "too wide" in err
+
+
 @pytest.mark.parametrize("text, tol", [
     ('{"type": "interval", "lo": 0.0, "hi": 1.0}', 0.0),
     ('{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}',

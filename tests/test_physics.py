@@ -132,9 +132,13 @@ def test_friction_param_validation():
         FrictionParams(C, ALPHA, v0=0.0, kappa=0.5)
     with pytest.raises(ValueError):
         FrictionParams(C, ALPHA, v0=1.0)  # neither kappa nor k
+    with pytest.raises(ValueError, match="kappa"):
+        FrictionParams(C, ALPHA, v0=1.0, kappa=-5.0)
     p = FrictionParams(C, ALPHA, v0=1.0, kappa=0.5)
     with pytest.raises(ValueError):
         friction_velocity(p, -1.0)
+    with pytest.raises(ValueError, match="tol"):
+        time_of_flight(p, 0.5, tol=0.0)
 
 
 def test_stall():

@@ -1,7 +1,10 @@
 """Set specifications: membership, gaps, nets, wrappers, serialization."""
 
+import bisect
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +111,81 @@ def test_finite_points():
     assert FinitePoints(()).hull() is None
     with pytest.raises(ValueError):
         FinitePoints((0.5, 0.5))
+
+
+def _cantor_grid_ends(n):
+    """Ends, in units of 3^-n, of the level-n construction intervals
+    [a, a + 1] of the middle-thirds set: a has n ternary digits 0 or 2."""
+    starts = [sum(d * 3 ** i for i, d in enumerate(ds))
+              for ds in itertools.product((0, 2), repeat=n)]
+    return sorted({e for a in starts for e in (a, a + 1)})
+
+
+def _cantor_grid_extremes(ends, k, m):
+    """Exact (min, max) of the middle-thirds set within [k, m] (units of
+    3^-n, k <= m), or None.  The level-n intervals cover the set with both
+    ends in it, and no grid point lies strictly inside one, so the extremes
+    are the first and last interval ends in [k, m]."""
+    i = bisect.bisect_left(ends, k)
+    j = bisect.bisect_right(ends, m)
+    return None if i >= j else (ends[i], ends[j - 1])
+
+
+def _assert_extremes_near(got, want, unit):
+    # the walk rounds once per level: a few ulps in all
+    assert got is not None
+    for g, w in zip(got, want):
+        assert abs(Fraction(g) - w * unit) <= Fraction(2, 10 ** 15)
+
+
+def test_cantor_extremes_match_an_exact_oracle_on_triadic_grids():
+    # every [k, m] * 3^-n for n <= 4 and, for n = 5 and 6, the degenerate
+    # [x, x] and those at most three grid steps wide (the deepest walks)
+    for n in range(6 + 1):
+        unit = Fraction(1, 3 ** n)
+        ends = _cantor_grid_ends(n)
+        for k in range(3 ** n + 1):
+            top = 3 ** n if n <= 4 else min(k + 3, 3 ** n)
+            for m in range(k, top + 1):
+                lo, hi = float(k * unit), float(m * unit)
+                want = _cantor_grid_extremes(ends, k, m)
+                assert C._isect(lo, hi) == (want is not None), (n, k, m)
+                got = C.extremes_in(lo, hi)
+                if want is None:
+                    assert got is None, (n, k, m)
+                else:
+                    _assert_extremes_near(got, want, unit)
+    # queries inside the middle third (u, u + width) removed from each
+    # interval of the level before
+    for level in range(1, 6 + 1):
+        width = Fraction(1, 3 ** level)
+        for a in _cantor_grid_ends(level - 1)[::2]:
+            u = (3 * a + 1) * width
+            for p, q in ((1e-6, 2e-6), (0.5, 0.5), (0.3, 0.7),
+                         (1 - 2e-6, 1 - 1e-6)):
+                lo = float(u + width * Fraction(p))
+                hi = float(u + width * Fraction(q))
+                assert C.extremes_in(lo, hi) is None and not C._isect(lo, hi)
+    # members with infinite ternary expansions
+    for x in (Fraction(1, 4), Fraction(3, 4), Fraction(1, 10), Fraction(9, 10)):
+        assert C._isect(float(x), float(x))
+        _assert_extremes_near(C.extremes_in(float(x), float(x)), (x, x), 1)
+
+
+def test_extremes_in_checks_membership_once(monkeypatch):
+    calls = []
+    isect = GapIFS._isect
+
+    def counted(self, lo, hi, *rest):
+        calls.append((lo, hi))
+        return isect(self, lo, hi, *rest)
+
+    monkeypatch.setattr(GapIFS, "_isect", counted)
+    x = Fraction(3, 4) - Fraction(3, 4) / 9 ** 10  # ends 0.2020...20 (base 3)
+    assert x == sum(Fraction(2, 3 ** i) for i in range(1, 21, 2))
+    got = C.extremes_in(float(x), float(x))
+    assert len(calls) == 1
+    _assert_extremes_near(got, (x, x), 1)
 
 
 def test_full_interval():
