@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import Interval, Subdivision, gaps, net
+from falpha.sets import Interval, Subdivision, _reject_nan, gaps, net
 
 __all__ = [
     "FOnF",
@@ -31,6 +31,11 @@ __all__ = [
     "derivative",
     "check_f_continuity",
 ]
+
+# net level that samples F for non-monotone extremes and continuity checks
+_NET_LEVEL = 10
+# rungs r0 * 3^-k of the one-sided quotient ladder of ``derivative``
+_QUOTIENT_RUNGS = 40
 
 
 class UnboundedHint(ValueError):
@@ -79,7 +84,7 @@ class FOnF:
         return FOnF(fn, ("net-sampled",))
 
 
-def sup_inf_on(f, spec, interval, level=10):
+def sup_inf_on(f, spec, interval, level=_NET_LEVEL):
     """(sup, inf) of f over F intersected with the interval; (0, 0) when
     the intersection is empty."""
     ext = spec.extremes_in(interval.lo, interval.hi)
@@ -103,7 +108,7 @@ def sup_inf_on(f, spec, interval, level=10):
     raise UnboundedHint(f"unknown bound hint {kind!r}")
 
 
-def upper_lower_sums(f, stair, subdivision, level=10):
+def upper_lower_sums(f, stair, subdivision):
     """Upper and lower staircase-weighted sums of f over the subdivision."""
     upper = 0.0
     lower = 0.0
@@ -111,7 +116,7 @@ def upper_lower_sums(f, stair, subdivision, level=10):
         ds = stair(v) - stair(u)
         if ds == 0.0:
             continue
-        m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v), level)
+        m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v))
         upper += m_hi * ds
         lower += m_lo * ds
     return (upper, lower)
@@ -129,11 +134,11 @@ class IntegralResult:
         return self.lower - slack <= target <= self.upper + slack
 
 
-def _component(f, stair, u, v, level):
+def _component(f, stair, u, v):
     ds = stair(v) - stair(u)
     if ds == 0.0:
         return (0.0, 0.0, 0.0)
-    m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v), level)
+    m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v))
     return (m_hi * ds, m_lo * ds, (m_hi - m_lo) * ds)
 
 
@@ -142,7 +147,7 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
-def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
+def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     """Certified bracket for the staircase-weighted integral of f.
 
     Splits at gap endpoints first (gap components cost nothing), then
@@ -150,10 +155,12 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
     until upper - lower <= tol.
     """
     _check_tol(tol)
+    _reject_nan("a", a)
+    _reject_nan("b", b)
     if a == b:
         return IntegralResult(0.0, 0.0, 0.0, 0.0, 0)
     if b < a:
-        res = integrate(f, stair, b, a, tol, max_components, level)
+        res = integrate(f, stair, b, a, tol, max_components)
         return IntegralResult(-res.upper, -res.lower, -res.value,
                               res.gap, res.refinement_depth)
     spec = stair.spec
@@ -170,7 +177,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
     depth = 0
     count = 0
     for u, v in zip(pts, pts[1:]):
-        hi, lo, spread = _component(f, stair, u, v, level)
+        hi, lo, spread = _component(f, stair, u, v)
         upper += hi
         lower += lo
         count += 1
@@ -204,7 +211,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000, level=10):
         for (pu, pv) in pieces:
             if pv <= pu:
                 continue
-            hi, lo, spread = _component(f, stair, pu, pv, level)
+            hi, lo, spread = _component(f, stair, pu, pv)
             upper += hi
             lower += lo
             count += 1
@@ -228,7 +235,7 @@ class DerivativeResult:
     residual: float
 
 
-def _side_quotients(f, stair, x, sign, tol, max_level, r0):
+def _side_quotients(f, stair, x, sign, tol, r0):
     """Quotient ladder on one side of x.
 
     Returns ("converged", value, residual), ("no-limit", residual), or
@@ -241,7 +248,7 @@ def _side_quotients(f, stair, x, sign, tol, max_level, r0):
     quots = []
     last_y = None
     r = r0
-    for k in range(max_level):
+    for k in range(_QUOTIENT_RUNGS):
         r = r0 * 3.0 ** -k
         if r <= eps:
             break
@@ -275,14 +282,15 @@ def _side_quotients(f, stair, x, sign, tol, max_level, r0):
     return ("degenerate", None)
 
 
-def derivative(f, stair, x, tol=1e-3, max_level=40, r0=1.0):
+def derivative(f, stair, x, tol=1e-3, r0=1.0):
     """Staircase-quotient derivative of f at x; exactly 0 off F."""
     _check_tol(tol)
+    _reject_nan("x", x)
     spec = stair.spec
     if not spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)
-    left = _side_quotients(f, stair, x, -1, tol, max_level, r0)
-    right = _side_quotients(f, stair, x, +1, tol, max_level, r0)
+    left = _side_quotients(f, stair, x, -1, tol, r0)
+    right = _side_quotients(f, stair, x, +1, tol, r0)
     if left[0] == "no-limit" or right[0] == "no-limit":
         raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
     l_ok = left[0] == "converged"
@@ -310,7 +318,7 @@ class ContinuityReport:
 
 
 def check_f_continuity(f, spec, x, eps_ladder=(1e-1, 1e-2, 1e-3),
-                       delta_of_eps=None, level=10):
+                       delta_of_eps=None):
     """Necessary-condition check that f(x) is the limit of f through F.
 
     For each eps, every net point y != x within delta(eps) of x must have
@@ -324,7 +332,7 @@ def check_f_continuity(f, spec, x, eps_ladder=(1e-1, 1e-2, 1e-3),
     fx = f(x)
     for eps in eps_ladder:
         delta = delta_of_eps(eps)
-        for y in net(spec, level, Interval(x - delta, x + delta)):
+        for y in net(spec, _NET_LEVEL, Interval(x - delta, x + delta)):
             if y == x:
                 continue
             if abs(f(y) - fx) > eps:

@@ -8,6 +8,7 @@ calculus property suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,17 +99,17 @@ def g_series(y):
     return _backend.g_series_scaled(y) / GAMMA_ALPHA1
 
 
-def g1_fixed_point(terms=200):
+def g1_fixed_point():
     """Re-derive g(1) from the series with g(1) kept symbolic.
 
     Each term of the series at y = 1 splits into a known part
     T_{n-1}(1)/2^n and a self-referential part g(1)/6^n; summing gives
     g(1) = A + B*g(1), solved here for g(1).  Returns a value that should
-    reproduce 1/(2*Gamma(alpha+1)).
+    reproduce 1/(2*Gamma(alpha+1)).  The first 200 terms are summed.
     """
     a_sum = 0.0
     b_sum = 0.0
-    for n in range(1, terms + 1):
+    for n in range(1, 201):
         trunc = 1.0 - 3.0 ** (1 - n)  # T_{n-1}(1)
         a_sum += trunc / 2.0 ** n
         b_sum += 6.0 ** -n
@@ -141,31 +142,22 @@ def power_rule_integral(n, x_hi):
     return _staircase(x_hi) ** (n + 1) / (n + 1)
 
 
-_BOUND_CACHE = {}
-
-
-def power_bound_constants(level=8):
+@functools.cache
+def power_bound_constants():
     """Constants (a, b) with a x^alpha <= S(x) <= b x^alpha on (0, 1],
-    fitted over the level-n net and asserted globally."""
-    got = _BOUND_CACHE.get(level)
-    if got is None:
-        pts = [p for p in net(_CANTOR, level, Interval(0.0, 1.0)) if p > 0.0]
-        ratios = [_staircase(p) / p ** ALPHA for p in pts]
-        # gap plateaus push the ratio below the net-point envelope: between
-        # net points x in (p, q) has S(x) >= S(p), x <= q, so the global
-        # lower constant is min over plateaus of S(p)/q^alpha
-        plateau = [
-            _staircase(p) / q ** ALPHA
-            for p, q in zip(pts, pts[1:])
-        ]
-        got = (min(min(ratios), min(plateau)), max(ratios))
-        _BOUND_CACHE[level] = got
-    return got
+    fitted over the level-8 net and asserted globally."""
+    pts = [p for p in net(_CANTOR, 8, Interval(0.0, 1.0)) if p > 0.0]
+    ratios = [_staircase(p) / p ** ALPHA for p in pts]
+    # gap plateaus push the ratio below the net-point envelope: between
+    # net points x in (p, q) has S(x) >= S(p), x <= q, so the global
+    # lower constant is min over plateaus of S(p)/q^alpha
+    plateau = [_staircase(p) / q ** ALPHA for p, q in zip(pts, pts[1:])]
+    return (min(min(ratios), min(plateau)), max(ratios))
 
 
-def staircase_power_bounds(x, level=8):
+def staircase_power_bounds(x):
     """(a x^alpha, b x^alpha) bracketing the staircase at x in (0, 1]."""
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    a, b = power_bound_constants(level)
+    a, b = power_bound_constants()
     return (a * x ** ALPHA, b * x ** ALPHA)

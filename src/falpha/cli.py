@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from falpha.calculus import FOnF, derivative, integrate
@@ -45,7 +46,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse flavor whose usage failures exit with code 1, not 2."""
+    """argparse flavor whose usage failures exit with code 1, not 2, and
+    which reads a negative number with an exponent (-1e-3) as a value,
+    not as an option flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise _UsageError(message)

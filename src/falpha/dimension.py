@@ -56,10 +56,9 @@ def _classify(est, zero_floor=1e-9):
     return "inconclusive"
 
 
-def gamma_dimension(spec, a, b, tol=0.02, alpha_floor=1e-3, depth=8,
-                    box_depth=12):
-    """Bisection estimate of the order at which the mass jumps from
-    infinite to zero; also reports the box-counting slope."""
+def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
+    """Bisection estimate, over [1e-3, 1], of the order at which the mass
+    jumps from infinite to zero; also reports the box-counting slope."""
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     if not spec._isect(a, b):
@@ -67,11 +66,11 @@ def gamma_dimension(spec, a, b, tol=0.02, alpha_floor=1e-3, depth=8,
     trace = []
 
     def probe(alpha):
-        verdict = _classify(mass(spec, a, b, alpha, depth=depth))
+        verdict = _classify(mass(spec, a, b, alpha))
         trace.append((alpha, verdict))
         return verdict
 
-    lo = alpha_floor
+    lo = 1e-3
     hi = 1.0
     dim = None
     top = probe(hi)
@@ -118,13 +117,13 @@ def box_counts(spec, a, b, max_depth=12):
     return counts
 
 
-def box_dimension(spec, a, b, max_depth=12, min_depth=3):
+def box_dimension(spec, a, b, max_depth=12):
     """Least-squares slope of ln N versus ln(1/delta) over the base-3
-    box ladder."""
+    box ladder from depth 3 to max_depth."""
     counts = box_counts(spec, a, b, max_depth)
     pts = [
         (k * math.log(3.0), math.log(counts[k]))
-        for k in range(min_depth, max_depth + 1)
+        for k in range(3, max_depth + 1)
         if counts[k] > 0
     ]
     if len(pts) < 2:

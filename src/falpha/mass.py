@@ -20,6 +20,10 @@ the recursive structure of each spec:
 For a gap IFS other than the middle-thirds set the result is an upper
 bound on the true infimum (arbitrary covers could in principle do
 better); MassEstimate flags this.
+
+The staircase's closed form is this cover with no mesh bound (delta =
+inf) on point sets, the interval at order 1 and a gap IFS at or above
+its order, or the digit scan on the middle-thirds set at its order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from falpha.sets import (
     Scale,
     TernaryCantor,
     Translate,
+    _reject_nan,
 )
 
 __all__ = [
@@ -51,6 +56,11 @@ __all__ = [
 ]
 
 _ZERO_FLOOR = 1e-12
+# verdict thresholds of the delta ladder in ``mass``
+_REL_TOL = 1e-3
+_ABS_TOL = 1e-9
+_CAP = 1e6
+_SLOPE_TOL = 2e-3
 
 
 class DivergingMass(ArithmeticError):
@@ -192,26 +202,20 @@ class MassEstimate:
         return math.isinf(self.value)
 
 
-def mass(spec, a, b, alpha, ladder=None, depth=8, rel_tol=1e-3, abs_tol=1e-9,
-         cap=1e6, slope_tol=2e-3):
+def mass(spec, a, b, alpha, depth=8):
     """Run coarse_mass down a shrinking delta ladder and classify the limit.
 
-    The default ladder is delta_k = (b - a) / 3^k for k = 1..depth.  The
-    verdict is ``converged`` when the last two increments are below
-    tolerance, ``diverging`` when the tail log-slope stays above
-    ``slope_tol`` per rung (geometric growth) or the values blow past
-    ``cap`` while rising, and ``inconclusive`` otherwise.
+    The ladder is delta_k = (b - a) / 3^k for k = 1..depth.  The verdict
+    is ``converged`` when the last two increments are below tolerance,
+    ``diverging`` when the tail log-slope stays above ``_SLOPE_TOL`` per
+    rung (geometric growth) or the values blow past ``_CAP`` while rising,
+    and ``inconclusive`` otherwise.
     """
     _check_alpha(alpha)
     if a > b:
         raise ValueError("need a <= b")
-    if ladder is None:
-        base = (b - a) if b > a else 1.0
-        ladder = [base / 3.0 ** k for k in range(1, depth + 1)]
-    else:
-        ladder = list(ladder)
-        if any(d2 >= d1 for d1, d2 in zip(ladder, ladder[1:])):
-            raise ValueError("ladder must be strictly decreasing")
+    base = (b - a) if b > a else 1.0
+    ladder = [base / 3.0 ** k for k in range(1, depth + 1)]
     vals = []
     prev = 0.0
     for dlt in ladder:
@@ -226,7 +230,7 @@ def mass(spec, a, b, alpha, ladder=None, depth=8, rel_tol=1e-3, abs_tol=1e-9,
     if last <= _ZERO_FLOOR:
         return MassEstimate(alpha, 0.0, trace, "converged", flag)
     if len(vals) >= 3:
-        tol = max(abs_tol, rel_tol * last)
+        tol = max(_ABS_TOL, _REL_TOL * last)
         if vals[-1] - vals[-2] <= tol and vals[-2] - vals[-3] <= tol:
             return MassEstimate(alpha, last, trace, "converged", flag)
         slopes = [
@@ -235,80 +239,63 @@ def mass(spec, a, b, alpha, ladder=None, depth=8, rel_tol=1e-3, abs_tol=1e-9,
             if v1 > 0.0 and v2 > 0.0
         ]
         recent = slopes[-3:]
-        growing = len(recent) >= 2 and all(s >= slope_tol for s in recent)
-        if growing or (last > cap and vals[-1] > vals[-2]):
+        growing = len(recent) >= 2 and all(s >= _SLOPE_TOL for s in recent)
+        if growing or (last > _CAP and vals[-1] > vals[-2]):
             return MassEstimate(alpha, math.inf, trace, "diverging", flag)
     return MassEstimate(alpha, last, trace, "inconclusive", flag)
 
 
-def _exact_scaled_increment(spec, u, v, alpha):
-    """Gamma(alpha+1) * mass of [u, v] when a closed form applies, else None."""
-    if isinstance(spec, Affine):
-        lam, t = spec.scale, spec.shift
-        inner = _exact_unwrapped(spec.inner, (u - t) / lam, (v - t) / lam, alpha)
-        if inner is None:
-            return None
-        return lam ** alpha * inner
-    return _exact_unwrapped(spec, u, v, alpha)
-
-
-def _exact_unwrapped(spec, u, v, alpha):
-    if v <= u:
-        return 0.0
-    if isinstance(spec, TernaryCantor):
-        if abs(alpha - ALPHA) > 1e-12:
-            return None
-        return _backend.cantor_scaled(v) - _backend.cantor_scaled(u)
-    if spec.is_discrete():
-        return 0.0
-    if isinstance(spec, FullInterval):
-        if alpha != 1.0:
-            return None
-        return max(0.0, min(v, spec.hi) - max(u, spec.lo))
-    if isinstance(spec, GapIFS):
-        t = sum(r ** alpha for r in spec.ratios)
-        if t < 1.0 - 1e-9:
-            return 0.0
-        if abs(t - 1.0) <= 1e-9:
-            # at the similarity order the coarse value is delta-independent
-            h0, h1 = spec._hull
-            return _ifs_partial(spec, u, v, alpha, h1 - h0, {})
-        return None
+def _closed_form(spec, alpha):
+    """(u, v) -> Gamma(alpha+1) * mass of [u, v] where a closed form
+    applies, else None: the digit scan on the middle-thirds set at its
+    order, and the cover with no mesh bound wherever that cover does not
+    depend on the mesh."""
+    lam, t, inner = ((spec.scale, spec.shift, spec.inner)
+                     if isinstance(spec, Affine) else (1.0, 0.0, spec))
+    if isinstance(inner, TernaryCantor) and abs(alpha - ALPHA) <= 1e-12:
+        w = lam ** alpha
+        cantor = _backend.cantor_scaled
+        return lambda u, v: w * (cantor((v - t) / lam) - cantor((u - t) / lam))
+    if (inner.is_discrete()
+            or (isinstance(inner, FullInterval) and alpha == 1.0)
+            or (isinstance(inner, GapIFS)
+                and sum(r ** alpha for r in inner.ratios) <= 1.0 + 1e-9)):
+        return lambda u, v: _coarse_scaled(spec, u, v, alpha, math.inf)
     return None
 
 
 class StaircaseEvaluator:
     """Cumulative mass from a fixed origin a0, as a callable of x.
 
-    Mode ``auto`` uses a closed form where one exists (middle-thirds set
-    via digit transcription; gap IFS at its similarity order; full interval
-    at order 1; point sets) and the delta-ladder limit otherwise; mode
-    ``numeric`` always uses the ladder.
+    Mode ``auto`` picks a closed form once, where one exists: the digit
+    scan on the middle-thirds set at its order, and otherwise the cover of
+    ``coarse_mass`` with no mesh bound on point sets, the interval at
+    order 1 and a gap IFS at or above its similarity order.  Elsewhere,
+    and always in mode ``numeric``, it takes the delta-ladder limit.
     """
 
-    def __init__(self, spec, alpha, a0=0.0, mode="auto", depth=8, rel_tol=1e-3):
+    def __init__(self, spec, alpha, a0=0.0, mode="auto"):
         _check_alpha(alpha)
         if mode not in ("auto", "numeric"):
             raise ValueError("mode must be 'auto' or 'numeric'")
+        _reject_nan("a0", a0)
         self.spec = spec
         self.alpha = alpha
         self.a0 = float(a0)
         self.mode = mode
-        self.depth = depth
-        self.rel_tol = rel_tol
         self._gamma = gamma_factor(alpha)
+        self._closed = _closed_form(spec, alpha) if mode == "auto" else None
         self._cache = {}
 
     def increment(self, u, v):
         """Mass of [u, v] (u <= v), nonnegative."""
         if v <= u:
             return 0.0
-        if self.mode == "auto":
-            exact = _exact_scaled_increment(self.spec, u, v, self.alpha)
-            if exact is not None:
-                return exact / self._gamma
-        est = mass(self.spec, u, v, self.alpha,
-                   depth=self.depth, rel_tol=self.rel_tol)
+        _reject_nan("u", u)
+        _reject_nan("v", v)
+        if self._closed is not None:
+            return self._closed(u, v) / self._gamma
+        est = mass(self.spec, u, v, self.alpha)
         if est.verdict == "diverging":
             raise DivergingMass(
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"
@@ -318,6 +305,7 @@ class StaircaseEvaluator:
     def value(self, x):
         got = self._cache.get(x)
         if got is None:
+            _reject_nan("x", x)
             if x >= self.a0:
                 got = self.increment(self.a0, x)
             else:
@@ -365,14 +353,14 @@ class ScalingReport:
         return self.translation_abs_error / denom
 
 
-def verify_scaling_translation(spec, a, b, alpha, lam, shift=0.5, depth=8):
+def verify_scaling_translation(spec, a, b, alpha, lam, shift=0.5):
     """Check mass(lam*F, lam*a, lam*b) = lam^alpha * mass(F, a, b) and
     mass(F + shift, a + shift, b + shift) = mass(F, a, b)."""
     if lam < 0.0:
         raise ValueError("scale factor must be nonnegative")
-    base = mass(spec, a, b, alpha, depth=depth).value
-    scaled = mass(Scale(spec, lam), lam * a, lam * b, alpha, depth=depth).value
-    moved = mass(Translate(spec, shift), a + shift, b + shift, alpha, depth=depth).value
+    base = mass(spec, a, b, alpha).value
+    scaled = mass(Scale(spec, lam), lam * a, lam * b, alpha).value
+    moved = mass(Translate(spec, shift), a + shift, b + shift, alpha).value
     return ScalingReport(
         scaled_lhs=scaled,
         scaled_rhs=lam ** alpha * base,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from falpha.calculus import FOnF, _check_tol, derivative, integrate
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import Interval, gaps
+from falpha.sets import Interval, _reject_nan, gaps
 
 __all__ = [
     "DiffusionParams",
@@ -29,6 +29,9 @@ __all__ = [
     "friction_velocity",
     "time_of_flight",
 ]
+
+# space step of the central second difference in ``diffusion_residual``
+_H_X = 1e-3
 
 
 class DegenerateTime(ArithmeticError):
@@ -68,7 +71,7 @@ def diffusion_density(params, x, t):
     return math.exp(-x * x / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
 
 
-def diffusion_residual(params, x, t, h_x=1e-3, tol=1e-3):
+def diffusion_residual(params, x, t, tol=1e-3):
     """Residual of the evolution identity at (x, t): the staircase-quotient
     time derivative of the density minus chi(t)/2 times the central second
     x-difference."""
@@ -86,9 +89,9 @@ def diffusion_residual(params, x, t, h_x=1e-3, tol=1e-3):
     lhs = derivative(FOnF.net_sampled(w_of_t), stair, t, tol=tol).value
     if stair.spec._isect(t, t):
         w0 = diffusion_density(params, x, t)
-        wp = diffusion_density(params, x + h_x, t)
-        wm = diffusion_density(params, x - h_x, t)
-        rhs = 0.5 * (wp + wm - 2.0 * w0) / (h_x * h_x)
+        wp = diffusion_density(params, x + _H_X, t)
+        wm = diffusion_density(params, x - _H_X, t)
+        rhs = 0.5 * (wp + wm - 2.0 * w0) / (_H_X * _H_X)
     else:
         rhs = 0.0
     return lhs - rhs
@@ -153,17 +156,18 @@ def _adaptive_simpson(fn, a, b, tol, depth=0, max_depth=24, fa=None, fm=None,
     )
 
 
-def time_of_flight(params, x, v_floor=None, tol=1e-9):
+def time_of_flight(params, x, tol=1e-9):
     """Travel time from x0 to x: quadrature of 1/v, exact on gaps of the
-    medium (v constant there), adaptive elsewhere."""
+    medium (v constant there), adaptive elsewhere.  A velocity at or below
+    1e-9 * v0 raises Stall."""
     _check_tol(tol)
+    _reject_nan("x", x)
     x0 = params.x0
     if x < x0:
         raise ValueError("x must be at least x0")
     if x == x0:
         return 0.0
-    if v_floor is None:
-        v_floor = 1e-9 * params.v0
+    v_floor = 1e-9 * params.v0
     elapsed = 0.0
 
     def inv_v(p):

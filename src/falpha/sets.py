@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,10 +35,10 @@ __all__ = [
     "is_point_of_change",
     "spec_from_json",
     "spec_to_json",
-    "max_level",
+    "MAX_LEVEL",
 ]
 
-DEFAULT_MAX_LEVEL = 16
+MAX_LEVEL = 16
 
 # scale cutoff for degenerate (single point) interval queries: once a walk
 # down the copies has zoomed in by this factor the query point sits within
@@ -50,13 +49,7 @@ _EXTREME_DEPTH = 80
 
 
 class ResolutionExceeded(ValueError):
-    """Requested net level is above the configured maximum."""
-
-
-def max_level():
-    """Net/ladder depth cap, overridable via FRACTAL_CALC_MAX_LEVEL."""
-    raw = os.environ.get("FRACTAL_CALC_MAX_LEVEL")
-    return int(raw) if raw else DEFAULT_MAX_LEVEL
+    """Requested net level is above MAX_LEVEL."""
 
 
 def _finite(name, x):
@@ -66,13 +59,18 @@ def _finite(name, x):
     return x
 
 
+def _reject_nan(name, x):
+    """Reject NaN: it fails every comparison, so queries would not see it."""
+    if x != x:
+        raise ValueError(f"{name} must not be NaN")
+
+
 def _check_level(level):
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if level > max_level():
+    if level > MAX_LEVEL:
         raise ResolutionExceeded(
-            f"net level {level} exceeds maximum {max_level()} "
-            "(raise FRACTAL_CALC_MAX_LEVEL to go deeper)"
+            f"net level {level} exceeds maximum {MAX_LEVEL}"
         )
 
 
@@ -607,15 +605,15 @@ def net(spec, level, interval):
     return spec.net_points(level, interval.lo, interval.hi)
 
 
-def is_point_of_change(stair, x, h_min, h0=1.0 / 3.0, eps=1e-12):
-    """1 iff ``stair`` is non-constant on (x-h, x+h) for every ladder h down
-    to h_min; the ladder ratio is 1/3 so rungs align with the construction
-    scales of the middle-thirds set."""
+def is_point_of_change(stair, x, h_min):
+    """1 iff ``stair`` rises by more than 1e-12 on (x-h, x+h) for every
+    ladder h = 3^-k down to h_min; the ladder ratio is 1/3 so rungs align
+    with the construction scales of the middle-thirds set."""
     if h_min <= 0.0:
         raise ValueError("h_min must be positive")
-    h = h0
+    h = 1.0 / 3.0
     while True:
-        if stair(x + h) - stair(x - h) <= eps:
+        if stair(x + h) - stair(x - h) <= 1e-12:
             return 0
         if h <= h_min:
             return 1

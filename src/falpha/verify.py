@@ -611,7 +611,7 @@ def acceptance_2_first_moment():
 
 
 def acceptance_3_cantor_dimension():
-    rep = gamma_dimension(_CANTOR, 0.0, 1.0, depth=8)
+    rep = gamma_dimension(_CANTOR, 0.0, 1.0)
     e1 = abs(rep.gamma_dim - ALPHA)
     e2 = abs(rep.box_dim - ALPHA)
     return CheckResult(
@@ -729,7 +729,7 @@ def acceptance_9_diffusion():
         t = rng.choice(pts)
         x = rng.uniform(-1.0, 1.0)
         worst_res = max(worst_res, abs(diffusion_residual(params, x, t)))
-    _, b = power_bound_constants(level=8)
+    _, b = power_bound_constants()
     sub = 0.0
     for t in (p for p in _net_points(_CANTOR, 8) if p > 0.0):
         sub = max(sub, diffusion_variance(params, t) - b * t ** ALPHA)

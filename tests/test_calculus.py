@@ -18,10 +18,12 @@ from falpha.calculus import (
     upper_lower_sums,
 )
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
+from falpha.dimension import similarity_order
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import Interval, Subdivision, TernaryCantor, net
+from falpha.sets import GapIFS, Interval, Subdivision, TernaryCantor, net
 
 C = TernaryCantor()
+ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
 STAIR = StaircaseEvaluator(C, ALPHA, a0=0.0)
 G1 = 1.0 / (2.0 * GAMMA_ALPHA1)
 
@@ -135,6 +137,20 @@ def test_non_positive_tol_rejected(tol):
         derivative(f, STAIR, 1.0 / 3.0, tol=tol)
 
 
+def test_derivative_rejects_nan():
+    stair = StaircaseEvaluator(ASYM, similarity_order(ASYM.ratios))
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        derivative(FOnF.monotone(stair), stair, math.nan)
+
+
+@pytest.mark.parametrize("a, b, name", [(0.0, math.nan, "b"),
+                                        (math.nan, 1.0, "a")])
+def test_integrate_rejects_nan(a, b, name):
+    f = FOnF.monotone(lambda x: x)
+    with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+        integrate(f, STAIR, a, b)
+
+
 def test_check_f_continuity():
     # the staircase is Holder of order alpha, so shrink delta accordingly
     rep = check_f_continuity(
@@ -163,9 +179,9 @@ def test_integrate_evaluates_each_component_once(monkeypatch):
     seen = []
     component = calculus._component
 
-    def record(f, stair, u, v, level):
+    def record(f, stair, u, v):
         seen.append((u, v))
-        return component(f, stair, u, v, level)
+        return component(f, stair, u, v)
 
     monkeypatch.setattr(calculus, "_component", record)
     res = integrate(FOnF.monotone(lambda x: x), STAIR, 0.0, 1.0, tol=1e-3)

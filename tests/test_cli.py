@@ -179,6 +179,23 @@ def test_scaled_staircase_uses_gamma_of_the_order(capsys, text, tol):
     assert x == 1.0 and abs(scaled - 1.0) <= tol
 
 
+@pytest.mark.parametrize("exponent, decimal", [
+    (("staircase", "--range", "-1e-3", "1", "--samples", "3"),
+     ("staircase", "--range", "-0.001", "1", "--samples", "3")),
+    (("diffusion", "--x", "-2e0", "2", "0.5", "--time", "1"),
+     ("diffusion", "--x", "-2", "2", "0.5", "--time", "1")),
+    (("friction", "--x0", "-1e-3", "--samples", "3"),
+     ("friction", "--x0", "-0.001", "--samples", "3")),
+    (("diffusion", "--time", "1e-1", "-1e-1", "--x", "-1", "1", "1"),
+     ("diffusion", "--time", "0.1", "-0.1", "--x", "-1", "1", "1")),
+])
+def test_negative_numbers_with_an_exponent_are_values(capsys, exponent,
+                                                      decimal):
+    want = run(capsys, *decimal)
+    assert want[0] == 0
+    assert run(capsys, *exponent) == want
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -24,7 +24,7 @@ C = TernaryCantor()
 
 
 def test_cantor_gamma_dimension():
-    rep = gamma_dimension(C, 0.0, 1.0, depth=8)
+    rep = gamma_dimension(C, 0.0, 1.0)
     assert abs(rep.gamma_dim - ALPHA) <= 0.02
     assert rep.bracket[0] <= rep.gamma_dim <= rep.bracket[1]
     assert rep.alpha_trace  # the probe history is reported

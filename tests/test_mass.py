@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
+from falpha.dimension import similarity_order
 from falpha.mass import (
     DivergingMass,
     StaircaseEvaluator,
@@ -204,3 +205,22 @@ def test_mass_additivity():
     whole = mass(C, 0.0, 1.0, ALPHA).value
     parts = mass(C, 0.0, 0.37, ALPHA).value + mass(C, 0.37, 1.0, ALPHA).value
     assert whole == pytest.approx(parts, rel=1e-6)
+
+
+def test_staircase_value_rejects_nan():
+    stair = StaircaseEvaluator(ASYM, similarity_order(ASYM.ratios))
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        stair.value(math.nan)
+    assert stair.value(math.inf) == stair.value(1.0)
+    with pytest.raises(ValueError, match="a0 must not be NaN"):
+        StaircaseEvaluator(ASYM, stair.alpha, a0=math.nan)
+
+
+def test_staircase_increment_rejects_nan():
+    stair = StaircaseEvaluator(ASYM, similarity_order(ASYM.ratios))
+    with pytest.raises(ValueError, match="v must not be NaN"):
+        stair.increment(0.0, math.nan)
+    with pytest.raises(ValueError, match="u must not be NaN"):
+        stair.increment(math.nan, 1.0)
+    assert stair.increment(-math.inf, math.inf) == stair.increment(0.0, 1.0)
+

@@ -141,6 +141,12 @@ def test_friction_param_validation():
         time_of_flight(p, 0.5, tol=0.0)
 
 
+def test_time_of_flight_rejects_nan():
+    p = FrictionParams(C, ALPHA, v0=1.0, kappa=0.5)
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        time_of_flight(p, math.nan)
+
+
 def test_stall():
     p = FrictionParams(C, ALPHA, v0=0.5, x0=0.0, kappa=1.0)
     with pytest.raises(Stall) as info:

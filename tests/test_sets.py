@@ -416,3 +416,56 @@ def test_staircase_is_monotone_and_additive(base, wraps, ps):
     assert stair(z) - stair(y) >= -bound
     inc = stair.increment
     assert abs(inc(x, y) + inc(y, z) - inc(x, z)) <= bound
+
+
+def _point_set(draw):
+    pts = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5,
+                        unique=True))
+    return FinitePoints(tuple(sorted(pts)))
+
+
+@st.composite
+def _closed_form_case(draw):
+    """A spec and an order at which the staircase has a closed form other
+    than the digit scan: a gap IFS at or just above its order, the
+    interval at order 1, or a point set at any order."""
+    kind = draw(st.sampled_from(("ifs", "ifs", "interval", "points",
+                                 "harmonic")))
+    if kind == "ifs":
+        base = draw(_gap_ifs())
+        # log-uniform steps from 1e-12 to 1e-8 reach the band where
+        # sum r^alpha lies within 1e-9 below 1
+        above = draw(st.one_of(
+            st.just(0.0), st.floats(-12.0, -8.0).map(lambda e: 10.0 ** e),
+            st.floats(1e-8, 0.2)))
+        alpha = min(1.0, similarity_order(base.ratios) + above)
+    elif kind == "interval":
+        base, alpha = FullInterval(0.0, 1.0), 1.0
+    else:
+        base = _point_set(draw) if kind == "points" else HarmonicCluster()
+        alpha = draw(st.floats(0.05, 1.0))
+    return base, alpha
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_closed_form_case(), wraps=_WRAPS, ps=st.lists(
+    st.floats(-0.1, 1.1), min_size=2, max_size=2))
+def test_staircase_is_the_cover_with_no_mesh_bound(case, wraps, ps):
+    base, alpha = case
+    spec, _, _ = _wrap(base, wraps)
+    h0, h1 = spec.hull()
+    u, v = (h0 + (h1 - h0) * p for p in sorted(ps))
+    got = StaircaseEvaluator(spec, alpha).increment(u, v)
+    assert got == coarse_mass(spec, u, v, alpha, math.inf)
+
+
+def test_staircase_is_zero_just_above_the_order():
+    # sum r^alpha lies in [1 - 1e-9, 1 - 1e-12): the order is above the
+    # similarity order, so the staircase is 0, as coarse_mass and mass say
+    alpha = similarity_order(ASYM.ratios) + 5e-10
+    t = sum(r ** alpha for r in ASYM.ratios)
+    assert 1.0 - 1e-9 <= t < 1.0 - 1e-12
+    assert StaircaseEvaluator(ASYM, alpha).increment(0.0, 1.0) == 0.0
+    assert coarse_mass(ASYM, 0.0, 1.0, alpha, math.inf) == 0.0
+    assert mass(ASYM, 0.0, 1.0, alpha).value == 0.0
+
