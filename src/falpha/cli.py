@@ -4,6 +4,10 @@ Subcommands parse a set description, dispatch to the library, and emit
 CSV or JSON tables.  All computation is deterministic, so identical
 invocations produce byte-identical output.
 
+``main`` may be called any number of times in one process.  The parser
+is built on the first call, not at import, and reused by every later
+call; nothing a call parses or fails on carries over to the next.
+
 Set descriptions accepted by ``--set``: the shorthands ``cantor`` and
 ``harmonic``, inline JSON in the documented format, or ``@path`` to read
 the JSON from a file.
@@ -12,6 +16,7 @@ the JSON from a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -141,7 +146,11 @@ _FUNCTIONS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first ``main`` call and shared by
+    every later one; its defaults are immutable, so no call can change
+    what the next one sees."""
     top = _Parser(prog="falpha",
                   description="Mass, staircase, and calculus on fractal "
                               "subsets of the line.")
@@ -154,7 +163,7 @@ def _build_parser():
         p.add_argument("--alpha", default=alpha_default,
                        help=f"order in (0, 1] or 'auto' "
                             f"(default: {alpha_default})")
-        p.add_argument("--range", nargs=2, type=_finite, default=[0.0, 1.0],
+        p.add_argument("--range", nargs=2, type=_finite, default=(0.0, 1.0),
                        metavar=("A", "B"), help="interval endpoints "
                        "(default: 0 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -194,9 +203,9 @@ def _build_parser():
 
     p = sub.add_parser("diffusion", help="density table for fractal time")
     common(p)
-    p.add_argument("--time", nargs="+", type=_finite, default=[1.0 / 3.0, 1.0],
+    p.add_argument("--time", nargs="+", type=_finite, default=(1.0 / 3.0, 1.0),
                    help="evaluation times (default: 1/3 1)")
-    p.add_argument("--x", nargs=3, type=_finite, default=[-2.0, 2.0, 0.25],
+    p.add_argument("--x", nargs=3, type=_finite, default=(-2.0, 2.0, 0.25),
                    metavar=("LO", "HI", "STEP"), help="space grid")
 
     p = sub.add_parser("friction", help="velocity and travel-time table")
@@ -280,7 +289,8 @@ def _cmd_cantor_g(args, out):
     rows = []
     for i in range(1, n + 1):
         y = i / n
-        rows.append((y, g_series(y), g_series(y) * GAMMA_ALPHA1))
+        g = g_series(y)
+        rows.append((y, g, g * GAMMA_ALPHA1))
     _emit(out, args.format, ("y", "g", "scaled_g"), rows,
           meta={"alpha": ALPHA, "g1": g_series(1.0)})
     return 0

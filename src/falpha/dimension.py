@@ -33,6 +33,10 @@ def similarity_order(ratios):
         return 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: later steps keep mid, or
+            # collapse both onto it, so the result is already mid
+            break
         if total(mid) > 1.0:
             lo = mid
         else:

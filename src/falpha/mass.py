@@ -202,10 +202,28 @@ class MassEstimate:
         return math.isinf(self.value)
 
 
+def _clip_infinite(spec, a, b):
+    """[a, b] with an infinite end moved onto the hull of F, never past
+    the other end, so that the ladder's rungs (b - a)/3^k stay finite;
+    finite ends are returned as they are."""
+    if math.isfinite(a) and math.isfinite(b):
+        return a, b
+    hull = spec.hull()
+    if hull is None:
+        return a, b
+    h0, h1 = hull
+    if math.isinf(a):
+        a = min(max(a, h0), h1, b)
+    if math.isinf(b):
+        b = max(min(b, h1), h0, a)
+    return a, b
+
+
 def mass(spec, a, b, alpha, depth=8):
     """Run coarse_mass down a shrinking delta ladder and classify the limit.
 
-    The ladder is delta_k = (b - a) / 3^k for k = 1..depth.  The verdict
+    The ladder is delta_k = (b - a) / 3^k for k = 1..depth, after an
+    infinite end has been moved onto the hull of F.  The verdict
     is ``converged`` when the last two increments are below tolerance,
     ``diverging`` when the tail log-slope stays above ``_SLOPE_TOL`` per
     rung (geometric growth) or the values blow past ``_CAP`` while rising,
@@ -214,6 +232,7 @@ def mass(spec, a, b, alpha, depth=8):
     _check_alpha(alpha)
     if a > b:
         raise ValueError("need a <= b")
+    a, b = _clip_infinite(spec, a, b)
     base = (b - a) if b > a else 1.0
     ladder = [base / 3.0 ** k for k in range(1, depth + 1)]
     vals = []

@@ -1,9 +1,13 @@
 """Command-line driver: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from falpha import cli
 from falpha.cli import main
 
 
@@ -205,3 +209,53 @@ def test_verify_fast_passes(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_parser_is_built_once_for_many_calls(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    for argv in (("cantor-g", "--samples", "3"),
+                 ("staircase", "--samples", "3"),
+                 ("mass", "--alpha", "x")):
+        run(capsys, *argv)
+    assert built.count("falpha") == 1
+
+
+def test_import_builds_no_parser():
+    code = ("import falpha.cli as c; "
+            "print(c._build_parser.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
+TABLES = (
+    ("staircase", "--samples", "5"),
+    ("cantor-g", "--samples", "4"),
+    ("diffusion", "--x", "-1", "1", "0.5"),
+)
+
+
+@pytest.mark.parametrize("between", [
+    ("staircase", "--range", "0"),
+    ("diffusion", "--time", "nan"),
+    ("cantor-g", "--samples", "x"),
+    ("staircase", "--range", "1", "0"),
+    ("diffusion", "--help"),
+    ("--help",),
+])
+def test_shared_parser_carries_nothing_between_calls(capsys, between):
+    first = [run(capsys, *argv) for argv in TABLES]
+    assert all(code == 0 for code, _, _ in first)
+    code, out, err = run(capsys, *between)
+    assert code == (0 if "--help" in between else 1)
+    assert [run(capsys, *argv) for argv in TABLES] == first

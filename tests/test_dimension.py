@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from falpha.cantor import ALPHA
 from falpha.dimension import (
@@ -89,3 +90,37 @@ def test_similarity_order():
     assert similarity_order((0.5, 0.5)) == 1.0
     with pytest.raises(ValueError):
         similarity_order((1.5,))
+
+
+def _similarity_order_200_steps(ratios):
+    """similarity_order's bisection run for all of its 200 steps."""
+    ratios = [float(r) for r in ratios]
+
+    def total(s):
+        return sum(r ** s for r in ratios)
+
+    lo, hi = 0.0, 1.0
+    if total(hi) >= 1.0:
+        return 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if total(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                          exclude_max=True), min_size=1, max_size=5))
+@example([1.0 / 3.0, 1.0 / 3.0])
+@example([0.5, 0.5])
+@example([0.25, 0.25])
+@example([1e-300, 0.5])
+@example([5e-324])
+@example([0.9999999999999999, 0.9999999999999999])
+def test_similarity_order_stops_early_with_the_same_bits(ratios):
+    got = similarity_order(ratios)
+    want = _similarity_order_200_steps(ratios)
+    assert got.hex() == want.hex()

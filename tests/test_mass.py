@@ -224,3 +224,18 @@ def test_staircase_increment_rejects_nan():
         stair.increment(math.nan, 1.0)
     assert stair.increment(-math.inf, math.inf) == stair.increment(0.0, 1.0)
 
+
+def test_infinite_endpoint_on_the_ladder_path_is_the_hull_end():
+    # just below the similarity order (about 0.612) there is no closed
+    # form, so every value comes from the delta ladder
+    alpha = 0.61
+    stair = StaircaseEvaluator(ASYM, alpha)
+    h0, h1 = ASYM.hull()
+    assert stair.value(math.inf) == stair.value(h1)
+    assert stair.value(-math.inf) == stair.value(h0) == 0.0
+    assert mass(ASYM, 0.0, math.inf, alpha) == mass(ASYM, 0.0, 1.0, alpha)
+    assert (mass(ASYM, -math.inf, math.inf, alpha)
+            == mass(ASYM, 0.0, 1.0, alpha))
+    # an infinite end is never moved past the other end
+    assert mass(ASYM, -math.inf, -1.0, alpha).value == 0.0
+    assert mass(ASYM, 2.0, math.inf, alpha).value == 0.0
