@@ -224,13 +224,14 @@ def _build_parser():
 
 
 def _table_points(a, b, samples):
-    """max(2, samples) evenly spaced points from a to b; a range so wide
-    that a point overflows is rejected."""
+    """max(2, samples) evenly spaced points from a to exactly b; a range
+    so wide that a point overflows is rejected."""
     n = max(2, samples)
     xs = [a + (b - a) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, xs)):
         raise _UsageError(f"range {a!r} to {b!r} is too wide: its table "
                           "points overflow")
+    xs[-1] = b  # a + (b - a) need not round to b
     return xs
 
 

@@ -4,7 +4,9 @@ The order-jump dimension is found by bisecting over alpha: below it the
 delta-ladder masses grow geometrically, above it they collapse to zero,
 and exactly at it they settle on a positive value.  A grid box-counting
 estimator is provided for comparison (counts are exact, via the
-intersection oracle, with hierarchical pruning of empty boxes).
+intersection oracle, with hierarchical pruning of empty boxes; each box
+resumes its parent's walk down the copies rather than starting again
+from the top).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from falpha.mass import mass
+from falpha.sets import Affine
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -103,21 +106,32 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
 
 def box_counts(spec, a, b, max_depth=12):
     """N_k = number of base-3 grid boxes at depth k meeting F, for
-    k = 0..max_depth; computed by pruned recursion."""
+    k = 0..max_depth; computed by pruned recursion.  Each box resumes
+    the walk down the copies from the frame in which its parent's walk
+    stopped, and cuts its three children in that frame.  A point window
+    is one box at every depth."""
+    if isinstance(spec, Affine):
+        s, t = spec.scale, spec.shift
+        spec, a, b = spec.inner, (a - t) / s, (b - t) / s
+    if a == b:
+        return [int(spec._isect(a, b))] * (max_depth + 1)
     counts = [0] * (max_depth + 1)
+    walk = spec._walk
 
-    def visit(lo, hi, d):
-        if not spec._isect(lo, hi):
+    def visit(lo, hi, scale, d):
+        frame = walk(lo, hi, scale)
+        if frame is None:
             return
         counts[d] += 1
         if d == max_depth:
             return
+        lo, hi, scale = frame
         third = (hi - lo) / 3.0
-        visit(lo, lo + third, d + 1)
-        visit(lo + third, lo + 2.0 * third, d + 1)
-        visit(hi - third, hi, d + 1)
+        visit(lo, lo + third, scale, d + 1)
+        visit(lo + third, lo + 2.0 * third, scale, d + 1)
+        visit(hi - third, hi, scale, d + 1)
 
-    visit(a, b, 0)
+    visit(a, b, 1.0, 0)
     return counts
 
 

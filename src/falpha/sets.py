@@ -147,6 +147,14 @@ class SetSpec:
         """True when F meets [lo, hi]; overridden only by cheaper tests."""
         return self.extremes_in(lo, hi) is not None
 
+    def _walk(self, lo, hi, scale):
+        """None when F misses [lo, hi], given in a frame zoomed in by
+        ``scale``; otherwise the frame (lo, hi, scale) in which the query
+        stopped, from which the query of any sub-interval of [lo, hi],
+        mapped into it, may resume.  A set with no copies to walk down
+        stops where it starts."""
+        return (lo, hi, scale) if self._isect(lo, hi) else None
+
     def extremes_in(self, lo, hi):
         """(min, max) of F intersected with [lo, hi], or None if empty."""
         raise NotImplementedError
@@ -218,26 +226,29 @@ class GapIFS(SetSpec):
         return self._hull
 
     def _isect(self, lo, hi):
-        # one walk down the copies: a query strictly inside one meets no other
+        return self._walk(lo, hi, 1.0) is not None
+
+    def _walk(self, lo, hi, scale):
+        # one walk down the copies: a query strictly inside one meets no
+        # other, and neither does any sub-query, which may resume here
         h0, h1 = self._hull
-        scale = 1.0
         while True:
             # rejection slack: float drift accumulated while zooming in is
             # of order ulp/scale in local coordinates (1e-15 in global units)
             eps = 1e-15 / scale
             if hi < h0 - eps or lo > h1 + eps:
-                return False
+                return None
             if lo <= h0 or hi >= h1 or scale < _POINT_SCALE:
-                return True  # hull ends belong to F
+                return (lo, hi, scale)  # hull ends belong to F
             for o, r, s0, s1 in self._copies:
                 if hi < s0 - eps or lo > s1 + eps:
                     continue
                 if lo <= s0 or hi >= s1:
-                    return True
+                    return (lo, hi, scale)
                 lo, hi, scale = (lo - o) / r, (hi - o) / r, scale * r
                 break
             else:
-                return False
+                return None
 
     def extremes_in(self, lo, hi):
         if not self._isect(lo, hi):

@@ -170,6 +170,20 @@ def test_overflowing_table_points_exit_1(capsys, command):
     assert err.startswith("error:") and "too wide" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("staircase", "--range", "-0.001", "1", "--samples", "2"),
+    ("friction", "--x0", "-0.001", "--samples", "2"),
+])
+def test_last_table_row_is_at_the_range_end(capsys, argv):
+    # a + (b - a) * 1 rounds to 0.9999999999999999 here
+    assert -0.001 + (1.0 - -0.001) != 1.0
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()
+            if line[:1] not in ("#", "x")]
+    assert [row[0] for row in rows] == ["-0.001", "1.0"]
+
+
 @pytest.mark.parametrize("text, tol", [
     ('{"type": "interval", "lo": 0.0, "hi": 1.0}', 0.0),
     ('{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}',

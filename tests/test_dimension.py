@@ -13,12 +13,14 @@ from falpha.dimension import (
     similarity_order,
 )
 from falpha.sets import (
+    Affine,
     FinitePoints,
     FullInterval,
     GapIFS,
     HarmonicCluster,
     Scale,
     TernaryCantor,
+    Translate,
 )
 
 C = TernaryCantor()
@@ -41,6 +43,101 @@ def test_box_counts_cantor():
     # share an endpoint with a piece also count, but no more than that
     for k in range(7):
         assert 2 ** k <= counts[k] <= 3 * 2 ** k
+
+
+def test_a_point_window_is_one_box_at_every_depth():
+    # the three children of a zero-width box are that same box
+    assert box_counts(C, 0.0, 0.0, max_depth=8) == [1] * 9
+    assert box_counts(C, 0.5, 0.5, max_depth=8) == [0] * 9
+    assert box_counts(Scale(C, 2.0), 2.0, 2.0, max_depth=4) == [1] * 5
+    assert box_dimension(C, 0.0, 0.0, max_depth=8) == 0.0
+    assert gamma_dimension(C, 0.0, 0.0).box_dim == 0.0
+
+
+def _box_counts_from_the_top(spec, a, b, max_depth):
+    """The pruned recursion in which every box walks from the top of F:
+    ``_isect`` on each box, cut in the coordinates of the unwrapped set."""
+    if isinstance(spec, Affine):
+        s, t = spec.scale, spec.shift
+        spec, a, b = spec.inner, (a - t) / s, (b - t) / s
+    counts = [0] * (max_depth + 1)
+
+    def visit(lo, hi, d):
+        if not spec._isect(lo, hi):
+            return
+        counts[d] += 1
+        if d == max_depth:
+            return
+        third = (hi - lo) / 3.0
+        visit(lo, lo + third, d + 1)
+        visit(lo + third, lo + 2.0 * third, d + 1)
+        visit(hi - third, hi, d + 1)
+
+    visit(a, b, 0)
+    return counts
+
+
+@st.composite
+def _any_set(draw):
+    """A gap IFS with 2-4 maps, some of whose copies touch, the
+    middle-thirds set, the harmonic cluster, a finite set or the
+    interval."""
+    kind = draw(st.sampled_from(("ifs", "ifs", "cantor", "harmonic",
+                                 "points", "interval")))
+    if kind == "cantor":
+        return C
+    if kind == "harmonic":
+        return HarmonicCluster()
+    if kind == "interval":
+        return FullInterval(0.0, 1.0)
+    if kind == "points":
+        pts = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5,
+                            unique=True))
+        return FinitePoints(tuple(sorted(pts)))
+    m = draw(st.integers(2, 4))
+    copies = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
+    holes = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 1.0)),
+                          min_size=m - 1, max_size=m - 1))
+    total = sum(copies) + sum(holes)
+    ratios = [c / total for c in copies]
+    offsets = [0.0]
+    for r, g in zip(ratios, holes):
+        offsets.append(offsets[-1] + r + g / total)
+    return GapIFS(tuple(ratios), tuple(offsets))
+
+
+@st.composite
+def _window(draw, hull):
+    """The hull, a run of triadic cells of it, or any sub-range."""
+    h0, h1 = hull
+    kind = draw(st.sampled_from(("hull", "triadic", "any")))
+    if kind == "hull":
+        return h0, h1
+    if kind == "triadic":
+        n = 3 ** draw(st.integers(1, 4))
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(i + 1, n))
+        return h0 + (h1 - h0) * i / n, h0 + (h1 - h0) * j / n
+    p, q = sorted(draw(st.lists(st.floats(-0.1, 1.1), min_size=2,
+                                max_size=2)))
+    return h0 + (h1 - h0) * p, h0 + (h1 - h0) * q
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=_any_set(), wraps=st.lists(
+    st.one_of(st.tuples(st.just("scale"), st.floats(0.25, 4.0)),
+              st.tuples(st.just("translate"), st.floats(-2.0, 2.0))),
+    max_size=3), depth=st.integers(0, 7))
+def test_box_counts_resume_as_if_each_box_walked_from_the_top(
+        data, base, wraps, depth):
+    spec = base
+    for kind, value in wraps:
+        spec = Scale(spec, value) if kind == "scale" else Translate(spec, value)
+    a, b = data.draw(_window(spec.hull()))
+    want = _box_counts_from_the_top(spec, a, b, depth)
+    if a == b:
+        want = [want[0]] * (depth + 1)
+    assert box_counts(spec, a, b, depth) == want
 
 
 def test_harmonic_separation():
