@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import Interval, Subdivision, _reject_nan, gaps, net
+from falpha.sets import Interval, _reject_nan, gaps, net
 
 __all__ = [
     "FOnF",

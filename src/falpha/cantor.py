@@ -1,9 +1,9 @@
 """Closed forms on the middle-thirds set.
 
-Ternary digit machinery, the exact staircase by digit transcription, the
-series for the first moment integral g(y) = integral of x over [0, y]
-against the staircase, and the power rules used as oracles by the
-calculus property suite.
+Ternary digit machinery, the exact staircase by the descent down the
+copies, the series for the first moment integral g(y) = integral of x
+over [0, y] against the staircase, and the power rules used as oracles by
+the calculus property suite.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ def ternary(y, n):
 def cantor_staircase_exact(x):
     """Gamma(alpha+1) times the staircase of the middle-thirds set at x.
 
-    Digit transcription: scan ternary digits to the first 1, emitting
-    sum (t_i/2) 2^-i, plus 2^-k at a first 1 in position k.  Divide by
-    GAMMA_ALPHA1 for the staircase itself.
+    The descent down the copies containing x, each of weight 1/2: the
+    left copy adds nothing, the right copy adds the running weight, and a
+    point in a gap stops the descent.  This equals the ternary-to-binary
+    digit transcription.  Divide by GAMMA_ALPHA1 for the staircase
+    itself.
     """
     if not -1e-12 <= x <= 1.0 + 1e-12:
         raise ValueError("x must lie in [0, 1]")

@@ -21,9 +21,11 @@ For a gap IFS other than the middle-thirds set the result is an upper
 bound on the true infimum (arbitrary covers could in principle do
 better); MassEstimate flags this.
 
-The staircase's closed form is this cover with no mesh bound (delta =
-inf) on point sets, the interval at order 1 and a gap IFS at or above
-its order, or the digit scan on the middle-thirds set at its order.
+The staircase's closed form on a gap IFS at its order is one descent
+down the copies that contain x (``_backend.stair_scaled``), with the
+weights r_i^alpha / sum r_j^alpha; on point sets, the interval at order 1
+and a gap IFS above its order it is this cover with no mesh bound (delta
+= inf), read from -inf.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 from falpha import _backend
-from falpha.cantor import ALPHA
 from falpha.sets import (
     Affine,
     FullInterval,
@@ -120,8 +121,12 @@ def _ifs_full(spec, alpha, delta, memo):
 
 def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
     h0, h1 = spec._hull
-    a = max(a, h0)
-    b = min(b, h1)
+    # an end within the slack of the set queries (1e-15 in global units)
+    # of a hull end is that end: a copy end mapped into the copy's frame
+    # can land an ulp inside the hull
+    eps = 1e-15 / scale
+    a = h0 if a <= h0 + eps else a
+    b = h1 if b >= h1 - eps else b
     if b - a <= 0.0:
         return 0.0
     if a <= h0 and b >= h1:
@@ -265,32 +270,44 @@ def mass(spec, a, b, alpha, depth=8):
 
 
 def _closed_form(spec, alpha):
-    """(u, v) -> Gamma(alpha+1) * mass of [u, v] where a closed form
-    applies, else None: the digit scan on the middle-thirds set at its
-    order, and the cover with no mesh bound wherever that cover does not
-    depend on the mesh."""
+    """x -> Gamma(alpha+1) * mass of (-inf, x] where a closed form
+    applies, else None: the descent on a gap IFS at its order, and the
+    cover with no mesh bound wherever that cover does not depend on the
+    mesh."""
     lam, t, inner = ((spec.scale, spec.shift, spec.inner)
                      if isinstance(spec, Affine) else (1.0, 0.0, spec))
-    if isinstance(inner, TernaryCantor) and abs(alpha - ALPHA) <= 1e-12:
-        w = lam ** alpha
-        cantor = _backend.cantor_scaled
-        return lambda u, v: w * (cantor((v - t) / lam) - cantor((u - t) / lam))
-    if (inner.is_discrete()
-            or (isinstance(inner, FullInterval) and alpha == 1.0)
-            or (isinstance(inner, GapIFS)
-                and sum(r ** alpha for r in inner.ratios) <= 1.0 + 1e-9)):
-        return lambda u, v: _coarse_scaled(spec, u, v, alpha, math.inf)
+
+    def cover(x):
+        return _coarse_scaled(spec, -math.inf, x, alpha, math.inf)
+
+    if isinstance(inner, GapIFS):
+        ps = [r ** alpha for r in inner.ratios]
+        total = sum(ps)
+        if total < 1.0 - 1e-12:
+            return cover  # above the order
+        if total > 1.0 + 1e-9:
+            return None
+        hull, copies = inner._hull, inner._copies
+        weights = tuple(p / total for p in ps)
+        w = (lam * (hull[1] - hull[0])) ** alpha
+        return lambda x: w * _backend.stair_scaled(
+            hull, copies, weights, (x - t) / lam)
+    if inner.is_discrete() or (isinstance(inner, FullInterval)
+                               and alpha == 1.0):
+        return cover
     return None
 
 
 class StaircaseEvaluator:
     """Cumulative mass from a fixed origin a0, as a callable of x.
 
-    Mode ``auto`` picks a closed form once, where one exists: the digit
-    scan on the middle-thirds set at its order, and otherwise the cover of
-    ``coarse_mass`` with no mesh bound on point sets, the interval at
-    order 1 and a gap IFS at or above its similarity order.  Elsewhere,
-    and always in mode ``numeric``, it takes the delta-ladder limit.
+    Mode ``auto`` picks a closed form S(x) = Gamma(alpha+1) * mass of
+    (-inf, x] once, where one exists: the descent down the copies on a
+    gap IFS at its similarity order, and the cover of ``coarse_mass``
+    with no mesh bound on point sets, the interval at order 1 and a gap
+    IFS above its order.  S(a0) is computed once; a value is then one
+    evaluation of S, and an increment two.  Elsewhere, and always in
+    mode ``numeric``, it takes the delta-ladder limit.
     """
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
@@ -304,6 +321,8 @@ class StaircaseEvaluator:
         self.mode = mode
         self._gamma = gamma_factor(alpha)
         self._closed = _closed_form(spec, alpha) if mode == "auto" else None
+        if self._closed is not None:
+            self._s0 = self._closed(self.a0)
         self._cache = {}
 
     def increment(self, u, v):
@@ -313,7 +332,8 @@ class StaircaseEvaluator:
         _reject_nan("u", u)
         _reject_nan("v", v)
         if self._closed is not None:
-            return self._closed(u, v) / self._gamma
+            # S is monotone; the max absorbs rounding when u and v are close
+            return max(0.0, self._closed(v) - self._closed(u)) / self._gamma
         est = mass(self.spec, u, v, self.alpha)
         if est.verdict == "diverging":
             raise DivergingMass(
@@ -325,7 +345,9 @@ class StaircaseEvaluator:
         got = self._cache.get(x)
         if got is None:
             _reject_nan("x", x)
-            if x >= self.a0:
+            if self._closed is not None:
+                got = (self._closed(x) - self._s0) / self._gamma
+            elif x >= self.a0:
                 got = self.increment(self.a0, x)
             else:
                 got = -self.increment(x, self.a0)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 
 from falpha.calculus import FOnF, derivative, integrate, sup_inf_on
@@ -218,7 +217,7 @@ def check_staircase_gap_constancy():
 
 
 def check_exact_vs_numeric_staircase():
-    """Ladder-limit staircase agrees with the ternary closed form."""
+    """Ladder-limit staircase agrees with the closed form."""
     numeric = StaircaseEvaluator(_CANTOR, ALPHA, a0=0.0, mode="numeric")
     worst = 0.0
     for p in _net_points(_CANTOR, 6):
@@ -243,8 +242,8 @@ def check_intermediate_value():
             else:
                 hi = mid
         worst = max(worst, abs(stair((lo + hi) / 2.0) - target))
-    # the digit-scan staircase snaps inputs at 1e-9, so values move in
-    # steps of roughly snap^alpha; the bisection cannot land closer
+    # the staircase is Hoelder of order alpha, so a bisection down to
+    # float resolution in x still leaves a residual of about ulp^alpha
     return _result("mass.intermediate-value", worst, 1e-5)
 
 

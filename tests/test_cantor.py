@@ -55,6 +55,13 @@ def test_exact_staircase_endpoints():
     assert cantor_staircase_exact(1.0 / 4.0) == pytest.approx(1.0 / 3.0)
 
 
+def test_exact_staircase_near_a_copy_end():
+    # 2/3 + 3e-10 lies in the gap (2/3 + 3^-20, 2/3 + 2 * 3^-20), where
+    # the staircase is 1/2 + 2^-20: 1e-6 above 1/2, far above float dust
+    assert abs(cantor_staircase_exact(2.0 / 3.0 + 3e-10)
+               - 0.5000009536743164) <= 1e-12
+
+
 def test_exact_staircase_vs_brute_recursion():
     for i in range(1001):
         x = i / 1000

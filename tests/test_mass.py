@@ -1,12 +1,13 @@
 """Mass functions and the integral staircase."""
 
+import importlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
-from falpha.dimension import similarity_order
+from falpha.dimension import gamma_dimension, similarity_order
 from falpha.mass import (
     DivergingMass,
     StaircaseEvaluator,
@@ -239,3 +240,30 @@ def test_infinite_endpoint_on_the_ladder_path_is_the_hull_end():
     # an infinite end is never moved past the other end
     assert mass(ASYM, -math.inf, -1.0, alpha).value == 0.0
     assert mass(ASYM, 2.0, math.inf, alpha).value == 0.0
+
+
+def test_cover_of_a_hull_off_the_unit_interval_stays_small(monkeypatch):
+    # hull [1/7, 3/4]: a copy end mapped into the copy's frame can land an
+    # ulp inside the hull, which must still count as the hull end; a cover
+    # that splits there instead recurses down to its tile cutoff
+    mass_module = importlib.import_module("falpha.mass")
+    partial = mass_module._ifs_partial
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > 500:
+            raise AssertionError("the cover split past 500 pieces")
+        return partial(*args)
+
+    monkeypatch.setattr(mass_module, "_ifs_partial", counted)
+    spec = GapIFS((0.3, 0.2), (0.1, 0.6))
+    order = similarity_order(spec.ratios)
+    assert mass(spec, 0.2, 0.3, 0.3).verdict == "diverging"
+    assert mass(spec, 0.2, 0.3, order).verdict == "converged"
+    assert mass(spec, 0.2, 0.3, 0.9).value == 0.0
+    assert abs(gamma_dimension(spec, 0.2, 0.3).gamma_dim - order) <= 0.02
+    other = GapIFS((0.4052200649393997, 0.1651378152333975),
+                   (0.053744519905400974, 0.7110239527943234))
+    est = mass(other, 0.1, 0.9, similarity_order(other.ratios))
+    assert est.verdict == "converged"

@@ -1,6 +1,7 @@
 """Set specifications: membership, gaps, nets, wrappers, serialization."""
 
 import bisect
+import importlib
 import itertools
 import json
 import math
@@ -319,14 +320,17 @@ def test_json_round_trip():
 
 @st.composite
 def _gap_ifs(draw):
-    """A gap IFS on [0, 1] with 2-4 maps: copy and gap lengths drawn as
-    weights, normalised so the copies span the unit interval."""
+    """A gap IFS with 2-4 maps: copy and gap lengths, and margins before
+    the first copy and after the last, drawn as weights and normalised to
+    fill [0, 1].  A margin moves the hull off [0, 1]."""
     m = draw(st.integers(2, 4))
     copies = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
     holes = draw(st.lists(st.floats(0.1, 1.0), min_size=m - 1, max_size=m - 1))
-    total = sum(copies) + sum(holes)
+    margin = st.one_of(st.just(0.0), st.floats(0.05, 0.5))
+    lead, tail = draw(margin), draw(margin)
+    total = lead + sum(copies) + sum(holes) + tail
     ratios = [c / total for c in copies]
-    offsets = [0.0]
+    offsets = [lead / total]
     for r, g in zip(ratios, holes):
         offsets.append(offsets[-1] + r + g / total)
     return GapIFS(tuple(ratios), tuple(offsets))
@@ -424,39 +428,201 @@ def _point_set(draw):
     return FinitePoints(tuple(sorted(pts)))
 
 
+def _unwrap(spec):
+    """(inner spec, scale, shift) of a spec with at most one Affine layer."""
+    if isinstance(spec, Affine):
+        return spec.inner, spec.scale, spec.shift
+    return spec, 1.0, 0.0
+
+
+def _exact_descent(rs, os_, ps, y):
+    """Staircase at y, scaled to rise from 0 to 1 across the hull, of the
+    self-similar measure giving copy i of the IFS with ratios ``rs`` and
+    offsets ``os_`` the share ``ps[i]``: the descent down the copies in
+    exact rational arithmetic.  It stops once the running weight is below
+    1e-20, which bounds what it leaves out."""
+    h0, h1 = os_[0] / (1 - rs[0]), os_[-1] / (1 - rs[-1])
+    val, w = Fraction(0), Fraction(1)
+    while w > 1e-20 and y > h0:
+        if y >= h1:
+            return val + w
+        for o, r, p in zip(os_, rs, ps):
+            if y < o + r * h0:
+                return val  # in a gap
+            if y <= o + r * h1:
+                y, w = (y - o) / r, w * p
+                break
+            val += w * p
+    return val
+
+
+def _exact_stair(spec, alpha, x):
+    """Gamma(alpha+1) times the mass of (-inf, x] on a gap IFS at its
+    order, or an Affine of one: the exact descent on the float parameters,
+    with the weights r_i^alpha rounded once to floats."""
+    base, lam, t = _unwrap(spec)
+    ps = [Fraction(r ** alpha) for r in base.ratios]
+    y = (Fraction(x) - Fraction(t)) / Fraction(lam)
+    got = _exact_descent([Fraction(r) for r in base.ratios],
+                         [Fraction(o) for o in base.offsets],
+                         [p / sum(ps) for p in ps], y)
+    h0, h1 = base.hull()
+    return float(got) * (lam * (h1 - h0)) ** alpha
+
+
+def _exact_point(base, head, period):
+    """The point of F with the address ``head`` followed by ``period``
+    repeated forever, as an exact rational."""
+    rs = [Fraction(r) for r in base.ratios]
+    os_ = [Fraction(o) for o in base.offsets]
+    # the fixed point of f_q1 o ... o f_qk, a map x -> c + d x
+    c, d = Fraction(0), Fraction(1)
+    for q in period:
+        c, d = c + d * os_[q], d * rs[q]
+    x = c / (1 - d)
+    for i in reversed(head):
+        x = os_[i] + rs[i] * x
+    return x
+
+
+_COPY_END_STEPS = (0.0, 1e-15, 1e-13, 1e-11, 3e-10, 1e-9)
+
+
 @st.composite
-def _closed_form_case(draw):
-    """A spec and an order at which the staircase has a closed form other
-    than the digit scan: a gap IFS at or just above its order, the
-    interval at order 1, or a point set at any order."""
-    kind = draw(st.sampled_from(("ifs", "ifs", "interval", "points",
-                                 "harmonic")))
+def _stair_points(draw, base, lam, shift):
+    """Points at which to evaluate the staircase of shift + lam * base:
+    points across the hull, copy ends of the first two levels nudged by
+    one of _COPY_END_STEPS (in the units of base) either way, and points
+    of F with addresses that never end."""
+    h0, h1 = base.hull()
+    m = len(base.ratios)
+    out = []
+    for p in draw(st.lists(st.floats(-0.1, 1.1), max_size=3)):
+        out.append(h0 + (h1 - h0) * p)
+    for _ in range(draw(st.integers(0, 3))):
+        head = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2))
+        end = _exact_point(base, head, (0,) if draw(st.booleans()) else (m - 1,))
+        step = draw(st.sampled_from(_COPY_END_STEPS)) * draw(
+            st.sampled_from((-1.0, 1.0)))
+        out.append(float(end) + step)
+    for _ in range(draw(st.integers(0, 3))):
+        head = draw(st.lists(st.integers(0, m - 1), max_size=30))
+        period = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        out.append(float(_exact_point(base, head, period)))
+    return [shift + lam * y for y in out]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.one_of(st.just(C), _gap_ifs()), wraps=_WRAPS)
+def test_staircase_matches_an_exact_descent(data, base, wraps):
+    spec, _, _ = _wrap(base, wraps)
+    _, lam, t = _unwrap(spec)
+    alpha = similarity_order(base.ratios)
+    h0 = spec.hull()[0]
+    stair = StaircaseEvaluator(spec, alpha, a0=h0 - 1.0)
+    # the bound of the other wrapped gap IFS properties; the descent's
+    # float drift and its 1e-15 slack at hull ends stay well inside it
+    bound = 2.0 * (1e-13 * lam) ** alpha
+    for x in data.draw(_stair_points(base, lam, t)):
+        assert abs(stair.scaled(x) - _exact_stair(spec, alpha, x)) <= bound, x
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(3, 4), Fraction(1, 10),
+                               Fraction(9, 10)])
+def test_cantor_staircase_at_points_with_endless_expansions(x):
+    stair = StaircaseEvaluator(C, ALPHA)
+    want = _exact_stair(C, ALPHA, float(x))
+    assert abs(stair.scaled(float(x)) - want) <= 2.0 * 1e-13 ** ALPHA
+    # the oracle itself, on the exact middle-thirds set at the rational
+    # x, against the Cantor function there
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    got = _exact_descent((third, third), (0, 2 * third), (half, half), x)
+    exact = {Fraction(1, 4): Fraction(1, 3), Fraction(3, 4): Fraction(2, 3),
+             Fraction(1, 10): Fraction(1, 5), Fraction(9, 10): Fraction(4, 5)}
+    assert abs(got - exact[x]) <= 1e-20
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.one_of(st.just(C), _gap_ifs()), wraps=_WRAPS,
+       ps=st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=3))
+def test_value_differences_are_increments(base, wraps, ps):
+    spec, _, _ = _wrap(base, wraps)
+    h0, h1 = spec.hull()
+    y, x, a0 = (h0 + (h1 - h0) * p for p in ps)
+    for origin in (min(a0, x), max(a0, x)):
+        stair = StaircaseEvaluator(spec, similarity_order(base.ratios),
+                                   a0=origin)
+        u, v = min(x, y), max(x, y)
+        diff = stair.value(v) - stair.value(u)
+        # both values are differences of staircase values up to the total
+        top = stair.increment(h0, h1)
+        assert abs(diff - stair.increment(u, v)) <= 4.0 * math.ulp(top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wraps=_WRAPS, ps=st.lists(st.floats(-0.1, 1.1), min_size=2,
+                                 max_size=2), data=st.data())
+def test_staircase_off_a_gap_ifs_at_its_order(wraps, ps, data):
+    # point sets carry no mass; the interval at order 1 has its length;
+    # a gap IFS just above its order has the cover with no mesh bound
+    kind = data.draw(st.sampled_from(("points", "harmonic", "interval",
+                                      "ifs")))
     if kind == "ifs":
-        base = draw(_gap_ifs())
+        base = data.draw(_gap_ifs())
         # log-uniform steps from 1e-12 to 1e-8 reach the band where
         # sum r^alpha lies within 1e-9 below 1
-        above = draw(st.one_of(
-            st.just(0.0), st.floats(-12.0, -8.0).map(lambda e: 10.0 ** e),
+        above = data.draw(st.one_of(
+            st.floats(-12.0, -8.0).map(lambda e: 10.0 ** e),
             st.floats(1e-8, 0.2)))
         alpha = min(1.0, similarity_order(base.ratios) + above)
     elif kind == "interval":
         base, alpha = FullInterval(0.0, 1.0), 1.0
     else:
-        base = _point_set(draw) if kind == "points" else HarmonicCluster()
-        alpha = draw(st.floats(0.05, 1.0))
-    return base, alpha
-
-
-@settings(max_examples=120, deadline=None)
-@given(case=_closed_form_case(), wraps=_WRAPS, ps=st.lists(
-    st.floats(-0.1, 1.1), min_size=2, max_size=2))
-def test_staircase_is_the_cover_with_no_mesh_bound(case, wraps, ps):
-    base, alpha = case
-    spec, _, _ = _wrap(base, wraps)
+        base = _point_set(data.draw) if kind == "points" else HarmonicCluster()
+        alpha = data.draw(st.floats(0.05, 1.0))
+    spec, lam, _ = _wrap(base, wraps)
     h0, h1 = spec.hull()
     u, v = (h0 + (h1 - h0) * p for p in sorted(ps))
     got = StaircaseEvaluator(spec, alpha).increment(u, v)
-    assert got == coarse_mass(spec, u, v, alpha, math.inf)
+    if kind in ("points", "harmonic"):
+        assert got == 0.0
+        return
+    if kind == "interval":
+        lo, hi = max(Fraction(u), Fraction(h0)), min(Fraction(v), Fraction(h1))
+        want = float(max(hi - lo, Fraction(0)))
+    else:
+        want = coarse_mass(spec, u, v, alpha, math.inf)
+    assert abs(got - want) <= 2.0 * (1e-13 * lam) ** alpha
+
+
+def test_closed_form_makes_one_descent_per_value(monkeypatch):
+    from falpha import _backend
+    mass_module = importlib.import_module("falpha.mass")
+
+    def no_cover(*args):
+        raise AssertionError("the closed form reached the cover")
+
+    calls = []
+    descent = _backend.stair_scaled
+
+    def counted(*args):
+        calls.append(args[-1])
+        return descent(*args)
+
+    monkeypatch.setattr(mass_module, "_ifs_partial", no_cover)
+    monkeypatch.setattr(_backend, "stair_scaled", counted)
+    for spec in (C, ASYM, Translate(Scale(ASYM, 2.0), -1.0)):
+        calls.clear()
+        alpha = similarity_order(_unwrap(spec)[0].ratios)
+        stair = StaircaseEvaluator(spec, alpha, a0=0.2)
+        assert len(calls) == 1  # S(a0), once
+        xs = [i / 7.0 for i in range(8)]
+        for x in xs:
+            stair.value(x)
+        assert len(calls) == 1 + len(xs)
+        for x in xs:
+            stair(x)
+        assert len(calls) == 1 + len(xs)
 
 
 def test_staircase_is_zero_just_above_the_order():
