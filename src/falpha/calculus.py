@@ -2,11 +2,11 @@
 
 The integral is a Riemann-Stieltjes-style bracket: on each subdivision
 component, the sup and inf of the integrand over the intersection with F
-are weighted by the staircase increment; refinement splits the component
-with the largest bracket contribution, preferring splits at gap endpoints
-(components inside gaps contribute nothing).  The derivative is the limit
-of increment quotients taken through points of F only, with the value
-defined as 0 off F.
+are weighted by the staircase increment.  ``integrate`` subdivides along
+the construction pieces of the set (``_bracket``), which also brackets
+the Lebesgue integral of ``physics.time_of_flight``.  The derivative is
+the limit of increment quotients taken through points of F only, with
+the value defined as 0 off F.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import Interval, _reject_nan, gaps, net
+from falpha.sets import (Affine, FullInterval, GapIFS, Interval, _reject_nan,
+                         net)
 
 __all__ = [
     "FOnF",
@@ -110,16 +111,9 @@ def sup_inf_on(f, spec, interval, level=_NET_LEVEL):
 
 def upper_lower_sums(f, stair, subdivision):
     """Upper and lower staircase-weighted sums of f over the subdivision."""
-    upper = 0.0
-    lower = 0.0
-    for u, v in subdivision.components():
-        ds = stair(v) - stair(u)
-        if ds == 0.0:
-            continue
-        m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v))
-        upper += m_hi * ds
-        lower += m_lo * ds
-    return (upper, lower)
+    sums = [_component(f, stair, u, v) for u, v in subdivision.components()]
+    return (sum((hi for hi, _ in sums), 0.0),
+            sum((lo for _, lo in sums), 0.0))
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,12 @@ class IntegralResult:
 
 
 def _component(f, stair, u, v):
+    """(upper, lower) staircase-weighted bounds of f on [u, v]."""
     ds = stair(v) - stair(u)
     if ds == 0.0:
-        return (0.0, 0.0, 0.0)
+        return (0.0, 0.0)
     m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v))
-    return (m_hi * ds, m_lo * ds, (m_hi - m_lo) * ds)
+    return (m_hi * ds, m_lo * ds)
 
 
 def _check_tol(tol):
@@ -147,85 +142,116 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
-def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
-    """Certified bracket for the staircase-weighted integral of f.
+_HALVES = GapIFS((0.5, 0.5), (0.0, 0.5))  # their attractor is [0, 1]
 
-    Splits at gap endpoints first (gap components cost nothing), then
-    bisects whichever component contributes most to the bracket width,
-    until upper - lower <= tol.
-    """
+
+def _pieces(spec, alpha):
+    """(hull, shares, scale, mean) of the construction pieces of spec, or
+    None where its staircase does not rise (point sets, the harmonic
+    cluster, a gap IFS above its order).  A piece splits into copies, or
+    halves of an interval, at the shares (start, end) of its span where
+    the copies of the hull lie; scale is the length of a unit of the
+    set's own frame.  mean, the Lebesgue mean over a piece of its rescaled
+    staircase, is by parts 1 - sum p_j f_j / (1 - sum p_j r_j) for copy
+    weights p_j, ratios r_j and start shares f_j."""
+    lam, t, inner = ((spec.scale, spec.shift, spec.inner)
+                     if isinstance(spec, Affine) else (1.0, 0.0, spec))
+    if isinstance(inner, FullInterval):
+        lam, t = lam * (inner.hi - inner.lo), t + lam * inner.lo
+        inner = _HALVES
+    if not isinstance(inner, GapIFS):
+        return None
+    total = sum(r ** alpha for r in inner.ratios)
+    if total < 1.0 - 1e-12:
+        return None
+    h0, h1 = inner._hull
+    shares = tuple(((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
+                   for _, _, s0, s1 in inner._copies)
+    ws = [r ** alpha / total for r in inner.ratios]
+    point = (sum(w * f for w, (f, _) in zip(ws, shares))
+             / (1.0 - sum(w * r for w, r in zip(ws, inner.ratios))))
+    return ((t + lam * h0, t + lam * h1), shares, lam, 1.0 - point)
+
+
+def _bracket(pieces, a, b, tol, bound, flat, max_pieces=math.inf):
+    """(lower, upper, pieces, depth) of an integral over [a, b] by a walk
+    down ``_pieces`` from the smallest piece that holds [a, b]: the piece
+    of widest bracket splits until the width is at most tol, that piece
+    is below the 1e-15 slack of the set queries, or ``max_pieces`` would
+    be passed.  ``bound(u, v, whole)`` is (upper, lower) on a piece
+    clipped to [u, v]; ``flat(u, v)`` is exact where the staircase is
+    constant: on a gap, or off the hull.  depth counts nested splits."""
+    if pieces is None:
+        return (flat(a, b), flat(a, b), 0, 0)
+    hull, shares, lam, _ = pieces
+    last = len(shares) - 1
+    exact = upper = lower = 0.0
+    count = depth = 0
+    heap = []
+
+    def kids(k0, k1):
+        # the outer copies share the ends of their parent
+        w = k1 - k0
+        return [(k0 + w * f0 if i else k0, k0 + w * f1 if i < last else k1)
+                for i, (f0, f1) in enumerate(shares)]
+
+    def split(u, v, d, spans):
+        # [u, v] as the pieces met and the flat stretches between them,
+        # the last closed by the empty span (v, v)
+        nonlocal exact, upper, lower, count
+        for k0, k1 in [*spans, (v, v)]:
+            if u < min(v, k0):
+                exact += flat(u, min(v, k0))
+            p, q = max(u, k0), min(v, k1)
+            u = max(u, q)
+            if p >= q:
+                continue
+            # a clipped piece that lies in one of its copies is that copy
+            while (p, q) != (k0, k1) and (kid := next(
+                    (c for c in kids(k0, k1) if c[0] <= p and q <= c[1]),
+                    None)):
+                k0, k1 = kid
+            hi, lo = bound(p, q, (p, q) == (k0, k1))
+            upper, lower, count = upper + hi, lower + lo, count + 1
+            if hi > lo:
+                heapq.heappush(heap, (lo - hi, k0, k1, d, hi, lo))
+
+    split(a, b, 0, [hull])
+    while heap and upper - lower > tol:
+        _, k0, k1, d, hi, lo = heap[0]
+        if k1 - k0 < 1e-15 * lam or count + last > max_pieces:
+            break
+        heapq.heappop(heap)
+        upper, lower, count = upper - hi, lower - lo, count - 1
+        depth = max(depth, d + 1)
+        split(max(a, k0), min(b, k1), d + 1, kids(k0, k1))
+    return (exact + lower, exact + upper, count, depth)
+
+
+def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
+    """Certified bracket for the staircase-weighted integral of f: a walk
+    down the construction pieces (``_bracket``) with ``_component`` on
+    each piece and nothing on a gap, until upper - lower <= tol.  Raises
+    NoConvergence when that takes more than ``max_components`` pieces, or
+    pieces below the slack of the set queries."""
     _check_tol(tol)
     _reject_nan("a", a)
     _reject_nan("b", b)
-    if a == b:
-        return IntegralResult(0.0, 0.0, 0.0, 0.0, 0)
     if b < a:
         res = integrate(f, stair, b, a, tol, max_components)
         return IntegralResult(-res.upper, -res.lower, -res.value,
                               res.gap, res.refinement_depth)
-    spec = stair.spec
-    cuts = {a, b}
-    for g in gaps(spec, Interval(a, b), min_len=(b - a) / 64.0):
-        if a < g.lo < b:
-            cuts.add(g.lo)
-        if a < g.hi < b:
-            cuts.add(g.hi)
-    pts = sorted(cuts)
-    upper = 0.0
-    lower = 0.0
-    heap = []
-    depth = 0
-    count = 0
-    for u, v in zip(pts, pts[1:]):
-        hi, lo, spread = _component(f, stair, u, v)
-        upper += hi
-        lower += lo
-        count += 1
-        if spread > 0.0:
-            heapq.heappush(heap, (-spread, u, v, 0, hi, lo))
-    while upper - lower > tol and heap:
-        if count >= max_components:
-            raise NoConvergence(
-                f"bracket still {upper - lower:.3e} wide after "
-                f"{count} components",
-                gap=upper - lower,
-                partial=IntegralResult(lower, upper, (upper + lower) / 2.0,
-                                       upper - lower, depth),
-            )
-        _, u, v, d, old_hi, old_lo = heapq.heappop(heap)
-        upper -= old_hi
-        lower -= old_lo
-        # split at the largest internal gap when one is substantial,
-        # otherwise at the midpoint
-        split = None
-        internal = gaps(spec, Interval(u, v), min_len=(v - u) / 8.0)
-        internal = [g for g in internal if u < g.lo and g.hi < v]
-        if internal:
-            g = max(internal, key=lambda g: g.length)
-            split = (g.lo, g.hi)
-        if split is None:
-            mid = (u + v) / 2.0
-            split = (mid, mid)
-        pieces = [(u, split[0]), (split[1], v)]
-        depth = max(depth, d + 1)
-        for (pu, pv) in pieces:
-            if pv <= pu:
-                continue
-            hi, lo, spread = _component(f, stair, pu, pv)
-            upper += hi
-            lower += lo
-            count += 1
-            if spread > 0.0:
-                heapq.heappush(heap, (-spread, pu, pv, d + 1, hi, lo))
+    lower, upper, count, depth = _bracket(
+        _pieces(stair.spec, stair.alpha), a, b, tol,
+        lambda u, v, whole: _component(f, stair, u, v),
+        lambda u, v: 0.0, max_components)
+    res = IntegralResult(lower, upper, (upper + lower) / 2.0,
+                         max(0.0, upper - lower), depth)
     if upper - lower > tol:
         raise NoConvergence(
-            f"bracket stalled at {upper - lower:.3e}",
-            gap=upper - lower,
-            partial=IntegralResult(lower, upper, (upper + lower) / 2.0,
-                                   upper - lower, depth),
-        )
-    gap_final = max(0.0, upper - lower)
-    return IntegralResult(lower, upper, (upper + lower) / 2.0, gap_final, depth)
+            f"bracket still {upper - lower:.3e} wide after {count} pieces",
+            gap=upper - lower, partial=res)
+    return res
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,21 @@ Diffusion with fractal time support: the density is a Gaussian in x whose
 variance is the time staircase, and the staircase-quotient time derivative
 must match half the second space derivative wherever the time support is
 hit.  Friction supported on a fractal medium: the velocity drops by the
-staircase increment times the friction coefficient, and the travel time is
-an ordinary quadrature of 1/v that is exact across gaps (where v is
-constant) and adaptive on stretches touching the medium.
+staircase increment times the friction coefficient, and the travel time,
+the integral of 1/v, is bracketed by the walk down the construction pieces
+that brackets the staircase-weighted integral.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from falpha.calculus import FOnF, _check_tol, derivative, integrate
+from falpha.calculus import (FOnF, _bracket, _check_tol, _pieces,
+                             derivative, integrate)
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import Interval, _reject_nan, gaps
+from falpha.sets import _reject_nan
 
 __all__ = [
     "DiffusionParams",
@@ -51,11 +53,10 @@ class Stall(ArithmeticError):
 class DiffusionParams:
     time_set: object
     alpha: float
-    stair: StaircaseEvaluator = None
+    stair: StaircaseEvaluator = field(init=False)
 
     def __post_init__(self):
-        if self.stair is None:
-            self.stair = StaircaseEvaluator(self.time_set, self.alpha, a0=0.0)
+        self.stair = StaircaseEvaluator(self.time_set, self.alpha, a0=0.0)
 
 
 def diffusion_variance(params, t):
@@ -105,7 +106,7 @@ class FrictionParams:
     x0: float = 0.0
     kappa: float = None     # uniform friction coefficient on the medium
     k: FOnF = None          # or a general coefficient on the medium
-    stair: StaircaseEvaluator = None
+    stair: StaircaseEvaluator = field(init=False)
 
     def __post_init__(self):
         if self.v0 <= 0.0:
@@ -114,9 +115,8 @@ class FrictionParams:
             raise ValueError("give exactly one of kappa or k")
         if self.kappa is not None and not self.kappa >= 0.0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
-        if self.stair is None:
-            self.stair = StaircaseEvaluator(self.medium_set, self.alpha,
-                                            a0=self.x0)
+        self.stair = StaircaseEvaluator(self.medium_set, self.alpha,
+                                        a0=self.x0)
 
 
 def friction_velocity(params, x):
@@ -124,74 +124,47 @@ def friction_velocity(params, x):
     if x < params.x0:
         raise ValueError("x must be at least x0")
     if params.kappa is not None:
-        # uniform coefficient: the drop is kappa times the staircase rise
-        return params.v0 - params.kappa * (
-            params.stair(x) - params.stair(params.x0)
-        )
+        # uniform coefficient: kappa times the staircase rise from x0
+        return params.v0 - params.kappa * params.stair(x)
     drop = integrate(params.k, params.stair, params.x0, x, tol=1e-6).value
     return params.v0 - drop
 
 
-def _adaptive_simpson(fn, a, b, tol, depth=0, max_depth=24, fa=None, fm=None,
-                      fb=None):
-    m = (a + b) / 2.0
-    if fa is None:
-        fa = fn(a)
-    if fm is None:
-        fm = fn(m)
-    if fb is None:
-        fb = fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    lm = (a + m) / 2.0
-    rm = (m + b) / 2.0
-    flm = fn(lm)
-    frm = fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (
-        _adaptive_simpson(fn, a, m, tol / 2.0, depth + 1, max_depth, fa, flm, fm)
-        + _adaptive_simpson(fn, m, b, tol / 2.0, depth + 1, max_depth, fm, frm, fb)
-    )
-
-
 def time_of_flight(params, x, tol=1e-9):
-    """Travel time from x0 to x: quadrature of 1/v, exact on gaps of the
-    medium (v constant there), adaptive elsewhere.  A velocity at or below
-    1e-9 * v0 raises Stall."""
+    """Travel time from x0 to x: the midpoint of a bracket, at most tol
+    wide, of the integral of 1/v by a walk down the construction pieces
+    of the medium.  A gap costs its length over v.  Under a uniform kappa
+    1/v is convex in S, so a whole piece costs between L / (v_c - (v_c -
+    v_d) m) (Jensen) and L ((1 - m) / v_c + m / v_d) (the chord), with m
+    the mean of its rescaled staircase; a clipped piece, or any piece
+    under a general k, between L / v_c and L / v_d.  If v(x) <= 1e-9 v0,
+    Stall is raised at the point where v falls to that floor, found by
+    bisection, with the walk's lower bound on the time to reach it."""
     _check_tol(tol)
     _reject_nan("x", x)
     x0 = params.x0
     if x < x0:
         raise ValueError("x must be at least x0")
-    if x == x0:
-        return 0.0
+    vel = functools.cache(lambda p: friction_velocity(params, p))
+    pieces = _pieces(params.medium_set, params.alpha)
+    m = pieces[3] if pieces and params.kappa is not None else None
+
+    def bound(u, v, whole):
+        vc, vd = vel(u), vel(v)
+        if whole and m is not None:
+            return ((v - u) * ((1.0 - m) / vc + m / vd),
+                    (v - u) / (vc - (vc - vd) * m))
+        return ((v - u) / min(vc, vd), (v - u) / max(vc, vd))
+
+    def walk(b):
+        return _bracket(pieces, x0, b, tol, bound,
+                        lambda u, v: (v - u) / vel(u))
+
     v_floor = 1e-9 * params.v0
-    elapsed = 0.0
-
-    def inv_v(p):
-        v = friction_velocity(params, p)
-        if v <= v_floor:
-            raise Stall(p, elapsed)
-        return 1.0 / v
-
-    # carve [x0, x] at gap endpoints; v is constant inside each gap
-    cuts = {x0, x}
-    gap_spans = []
-    for g in gaps(params.medium_set, Interval(x0, x), min_len=(x - x0) / 512.0):
-        lo = max(g.lo, x0)
-        hi = min(g.hi, x)
-        if hi > lo:
-            gap_spans.append((lo, hi))
-            cuts.add(lo)
-            cuts.add(hi)
-    pts = sorted(cuts)
-    gap_spans.sort()
-    for u, v in zip(pts, pts[1:]):
-        is_gap = any(lo <= u and v <= hi for lo, hi in gap_spans)
-        if is_gap:
-            elapsed += (v - u) * inv_v((u + v) / 2.0)
-        else:
-            elapsed += _adaptive_simpson(inv_v, u, v, tol * (v - u) / (x - x0))
-    return elapsed
+    if vel(x) <= v_floor:
+        lo, hi = x0, x
+        while lo < (mid := (lo + hi) / 2.0) < hi:
+            lo, hi = (lo, mid) if vel(mid) <= v_floor else (mid, hi)
+        raise Stall(hi, walk(lo)[0])
+    lower, upper, _, _ = walk(x)
+    return (lower + upper) / 2.0

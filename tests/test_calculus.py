@@ -184,7 +184,33 @@ def test_integrate_evaluates_each_component_once(monkeypatch):
         return component(f, stair, u, v)
 
     monkeypatch.setattr(calculus, "_component", record)
-    res = integrate(FOnF.monotone(lambda x: x), STAIR, 0.0, 1.0, tol=1e-3)
+    f = FOnF.monotone(lambda x: x)
+    res = integrate(f, STAIR, 0.0, 1.0, tol=1e-3)
     assert res.contains(G1)
     assert len(seen) > 10
     assert len(set(seen)) == len(seen)
+    # [a, b] inside the level-3 copy [20/27, 21/27]: the walk starts from
+    # that copy, and never evaluates [a, b] twice on the way down to it
+    seen.clear()
+    a, b = 20.1 / 27.0, 20.8 / 27.0
+    res = integrate(f, STAIR, a, b, tol=1e-7)
+    assert seen[0] == (a, b)
+    assert len(seen) > 10
+    assert len(set(seen)) == len(seen)
+    assert all(a <= u < v <= b for u, v in seen)
+    fine = Subdivision(tuple(a + (b - a) * i / 400 for i in range(401)))
+    upper, lower = upper_lower_sums(f, STAIR, fine)
+    assert res.lower <= upper and lower <= res.upper
+
+
+def test_upper_lower_sums_are_sums_of_components():
+    f = FOnF.monotone(lambda x: STAIR(x) ** 2)
+    sub = Subdivision(tuple(i / 27 for i in range(28)))
+    upper = lower = 0.0
+    for u, v in sub.components():
+        ds = STAIR(v) - STAIR(u)
+        if ds != 0.0:
+            m_hi, m_lo = sup_inf_on(f, C, Interval(u, v))
+            upper += m_hi * ds
+            lower += m_lo * ds
+    assert upper_lower_sums(f, STAIR, sub) == (upper, lower)

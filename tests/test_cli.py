@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from falpha import cli
+from falpha.cantor import power_rule_integral
 from falpha.cli import main
 
 
@@ -61,6 +62,16 @@ def test_integrate_first_moment(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row[2] == pytest.approx(0.5571831862810283, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integrate_powers_of_the_staircase_at_the_defaults(capsys, n):
+    name = "stair" if n == 1 else f"stair{n}"
+    code, out, err = run(capsys, "integrate", "--f", name, "--format", "json")
+    assert code == 0, err
+    lower, upper, value, gap = json.loads(out)["rows"][0]
+    assert gap <= 1e-4
+    assert lower <= power_rule_integral(n, 1.0) <= upper
 
 
 def test_differentiate(capsys):

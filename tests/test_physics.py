@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from falpha import _backend
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
+from falpha.dimension import similarity_order
 from falpha.physics import (
     DegenerateTime,
     DiffusionParams,
@@ -20,8 +23,11 @@ from falpha.physics import (
 from falpha.sets import (
     FinitePoints,
     FullInterval,
+    GapIFS,
     Interval,
+    Scale,
     TernaryCantor,
+    Translate,
     net,
 )
 
@@ -147,9 +153,139 @@ def test_time_of_flight_rejects_nan():
         time_of_flight(p, math.nan)
 
 
-def test_stall():
+def test_stall(monkeypatch):
+    descents = []
+    descent = _backend.stair_scaled
+
+    def counted(*args):
+        descents.append(args)
+        return descent(*args)
+
+    monkeypatch.setattr(_backend, "stair_scaled", counted)
     p = FrictionParams(C, ALPHA, v0=0.5, x0=0.0, kappa=1.0)
     with pytest.raises(Stall) as info:
         time_of_flight(p, 1.0)
-    assert 0.0 < info.value.position < 1.0
-    assert info.value.elapsed > 0.0
+    assert len(descents) < 50_000
+    stall = info.value
+    assert 0.0 < stall.position < 1.0
+    just_left = math.nextafter(stall.position, 0.0)
+    assert friction_velocity(p, stall.position) <= 1e-9 * p.v0
+    assert friction_velocity(p, just_left) > 1e-9 * p.v0
+    # elapsed covers the flight up to the stall, not only up to the last
+    # finished stretch, and is a lower bound on it
+    assert time_of_flight(p, stall.position - 1e-6) < stall.elapsed
+    assert stall.elapsed <= time_of_flight(p, just_left)
+
+
+def test_flight_through_a_four_map_medium_meets_its_tolerance():
+    medium = GapIFS((0.2155, 0.2086, 0.182, 0.1537),
+                    (0.0, 0.3103, 0.614, 0.8463))
+    p = FrictionParams(medium, similarity_order(medium.ratios), v0=1.0,
+                       kappa=0.474)
+    t = time_of_flight(p, 0.1333, tol=1e-6)
+    # the true time lies in [0.139585514, 0.139585560]
+    assert 0.139585514 - 1e-6 <= t <= 0.139585560 + 1e-6
+
+
+def test_flight_at_a_fine_tol_takes_few_staircase_values():
+    medium = GapIFS((0.4, 0.25), (0.0, 0.75))
+    p = FrictionParams(medium, similarity_order(medium.ratios), v0=1.0,
+                       kappa=0.5)
+    time_of_flight(p, 1.0, tol=1e-8)
+    # one staircase value per piece end: far below the millions an
+    # adaptive quadrature spends on a staircase
+    assert len(p.stair._cache) < 20_000
+
+
+def _reference_flight(p, x, lo, hi, copies, cut):
+    """[lower, upper] on the time from p.x0 to x through a medium whose
+    construction pieces span [lo, hi] and split into ``copies``, given as
+    (offset, ratio) shares of their parent: the exact time len/v across
+    every gap and off the hull, and [len/v(c), len/v(d)] across each
+    piece, split until it adds at most ``cut`` to the width."""
+    v = lambda y: friction_velocity(p, y)
+    lower = upper = 0.0
+    stack = [(lo, hi)]
+    covered = []
+    while stack:
+        c, d = stack.pop()
+        u, w = max(c, p.x0), min(d, x)
+        if u >= w:
+            continue
+        if (w - u) * (1.0 / v(w) - 1.0 / v(u)) <= cut or d - c < 1e-12:
+            lower += (w - u) / v(u)
+            upper += (w - u) / v(w)
+            covered.append((u, w))
+            continue
+        stack.extend((c + (d - c) * o, c + (d - c) * (o + r))
+                     for o, r in copies)
+    covered.sort()
+    end = p.x0
+    for u, w in covered + [(x, x)]:
+        if end < u:
+            lower += (u - end) / v((u + end) / 2.0)
+            upper += (u - end) / v((u + end) / 2.0)
+        end = max(end, w)
+    return lower, upper
+
+
+def _interval_flight(p, x, lo, hi):
+    """The exact time from p.x0 to x through the interval [lo, hi] at
+    order 1, where v falls linearly: L ln(v_u / v_w) / (v_u - v_w) across
+    [u, w] = [x0, x] clipped to [lo, hi], and L/v outside it."""
+    u = min(max(p.x0, lo), x)
+    w = max(min(x, hi), u)
+    vu, vw = friction_velocity(p, u), friction_velocity(p, w)
+    t = (u - p.x0) / p.v0 + (x - w) / vw
+    if w > u:
+        t += (w - u) * math.log(vu / vw) / (vu - vw)
+    return t
+
+
+@st.composite
+def _media(draw):
+    """(medium, order, its hull, its copies as (offset, ratio) shares of
+    the hull): a gap IFS with 2-4 maps on [0, 1], plain or wrapped, or an
+    interval at order 1, which has no copies."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        lo = draw(st.floats(-1.0, 1.0))
+        hi = lo + draw(st.floats(0.5, 2.0))
+        return FullInterval(lo, hi), 1.0, (lo, hi), None
+    m = draw(st.integers(2, 4))
+    copies = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
+    holes = draw(st.lists(st.floats(0.1, 1.0), min_size=m - 1,
+                          max_size=m - 1))
+    total = sum(copies) + sum(holes)
+    ratios = [c / total for c in copies]
+    offsets = [0.0]
+    for r, g in zip(ratios, holes):
+        offsets.append(offsets[-1] + r + g / total)
+    spec = GapIFS(tuple(ratios), tuple(offsets))
+    scale, shift = 1.0, 0.0
+    if draw(st.booleans()):
+        scale = draw(st.floats(0.5, 2.0))
+        shift = draw(st.floats(-1.0, 1.0))
+        spec = Translate(Scale(spec, scale), shift)
+    return (spec, similarity_order(tuple(ratios)), (shift, shift + scale),
+            tuple(zip(offsets, ratios)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(medium=_media(), ends=st.tuples(st.floats(-0.2, 0.8),
+                                       st.floats(0.05, 1.0)),
+       slow=st.floats(0.2, 0.8))
+def test_flight_lands_within_tol_of_a_reference(medium, ends, slow):
+    spec, alpha, (lo, hi), copies = medium
+    x0 = lo + (hi - lo) * ends[0]
+    x = x0 + (hi - lo) * ends[1]
+    probe = FrictionParams(spec, alpha, v0=1.0, x0=x0, kappa=1.0)
+    # friction that takes off the share ``slow`` of the speed by x
+    kappa = slow / max(probe.stair(x), 1e-3)
+    p = FrictionParams(spec, alpha, v0=1.0, x0=x0, kappa=kappa)
+    tol = 1e-6
+    t = time_of_flight(p, x, tol=tol)
+    if copies is None:
+        lower = upper = _interval_flight(p, x, lo, hi)
+    else:
+        lower, upper = _reference_flight(p, x, lo, hi, copies, 1e-8)
+    assert lower - tol <= t <= upper + tol
