@@ -4,9 +4,12 @@ The integral is a Riemann-Stieltjes-style bracket: on each subdivision
 component, the sup and inf of the integrand over the intersection with F
 are weighted by the staircase increment.  ``integrate`` subdivides along
 the construction pieces of the set (``_bracket``), which also brackets
-the Lebesgue integral of ``physics.time_of_flight``.  The derivative is
-the limit of increment quotients taken through points of F only, with
-the value defined as 0 off F.
+the Lebesgue integral of ``physics.time_of_flight``.  Both ends of a
+whole piece are images of the hull ends, so they lie in F, and a
+monotone integrand is bounded there by its values at those ends with no
+set query; the walk's ends match the set's own to float rounding.  The
+derivative is the limit of increment quotients taken through points of
+F only, with the value defined as 0 off F.
 """
 
 from __future__ import annotations
@@ -128,11 +131,21 @@ class IntegralResult:
         return self.lower - slack <= target <= self.upper + slack
 
 
-def _component(f, stair, u, v):
-    """(upper, lower) staircase-weighted bounds of f on [u, v]."""
+def _component(f, stair, u, v, whole=False):
+    """(upper, lower) staircase-weighted bounds of f on [u, v].
+
+    ``whole`` says [u, v] is a whole construction piece: both its ends
+    are images of the hull ends, so they are the least and greatest
+    points of F in it, and a monotone f is bounded there by f(u) and f(v)
+    with no set query.  The walk computes those ends as k0 + w * share
+    where ``extremes_in`` composes the copy maps, so the two differ by a
+    few ulps: the bound is exact up to that rounding of the ends."""
     ds = stair(v) - stair(u)
     if ds == 0.0:
         return (0.0, 0.0)
+    if whole and isinstance(f, FOnF) and f.hint[:1] == ("monotone",):
+        fu, fv = f(u), f(v)
+        return (max(fu, fv) * ds, min(fu, fv) * ds)
     m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v))
     return (m_hi * ds, m_lo * ds)
 
@@ -231,7 +244,10 @@ def _bracket(pieces, a, b, tol, bound, flat, max_pieces=math.inf):
 def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     """Certified bracket for the staircase-weighted integral of f: a walk
     down the construction pieces (``_bracket``) with ``_component`` on
-    each piece and nothing on a gap, until upper - lower <= tol.  Raises
+    each piece and nothing on a gap, until upper - lower <= tol.  A
+    monotone f on a whole piece is bounded by its values at the piece's
+    ends, which lie in F; a clipped piece, or another hint, asks the set
+    for the extremes of F in it.  Raises
     NoConvergence when that takes more than ``max_components`` pieces, or
     pieces below the slack of the set queries."""
     _check_tol(tol)
@@ -243,7 +259,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
                               res.gap, res.refinement_depth)
     lower, upper, count, depth = _bracket(
         _pieces(stair.spec, stair.alpha), a, b, tol,
-        lambda u, v, whole: _component(f, stair, u, v),
+        lambda u, v, whole: _component(f, stair, u, v, whole),
         lambda u, v: 0.0, max_components)
     res = IntegralResult(lower, upper, (upper + lower) / 2.0,
                          max(0.0, upper - lower), depth)

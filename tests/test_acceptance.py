@@ -61,3 +61,33 @@ def test_criterion_09_diffusion():
 
 def test_criterion_10_friction():
     _run(verify.acceptance_10_friction, None)
+
+
+def test_verify_runs_the_fundamental_theorem_checks_once(monkeypatch):
+    calls = []
+
+    def fake(name, residual):
+        def check():
+            calls.append(name)
+            return verify.CheckResult(name, True, residual, "")
+        return check
+
+    first = fake("calculus.fundamental-first", 1e-4)
+    second = fake("calculus.fundamental-second", 2e-4)
+    monkeypatch.setattr(verify, "check_ftc_first", first)
+    monkeypatch.setattr(verify, "check_ftc_second", second)
+    monkeypatch.setattr(verify, "INVARIANTS", (first, second))
+    monkeypatch.setattr(verify, "ACCEPTANCE",
+                        (verify.acceptance_7_fundamental_theorems,))
+    results = verify.run_checks()
+    assert calls == ["calculus.fundamental-first",
+                     "calculus.fundamental-second"]
+    assert [r.name for r in results] == [
+        "calculus.fundamental-first", "calculus.fundamental-second",
+        "acceptance.7-fundamental-theorems"]
+    assert results[2].ok and results[2].residual == 2e-4
+    # called alone, it runs both checks itself
+    calls.clear()
+    assert verify.acceptance_7_fundamental_theorems() == results[2]
+    assert sorted(calls) == ["calculus.fundamental-first",
+                             "calculus.fundamental-second"]

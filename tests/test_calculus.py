@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,8 @@ from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import similarity_order
 from falpha.mass import StaircaseEvaluator
 from falpha.sets import GapIFS, Interval, Subdivision, TernaryCantor, net
+
+from test_physics import _media
 
 C = TernaryCantor()
 ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
@@ -179,9 +182,9 @@ def test_integrate_evaluates_each_component_once(monkeypatch):
     seen = []
     component = calculus._component
 
-    def record(f, stair, u, v):
+    def record(f, stair, u, v, whole=False):
         seen.append((u, v))
-        return component(f, stair, u, v)
+        return component(f, stair, u, v, whole)
 
     monkeypatch.setattr(calculus, "_component", record)
     f = FOnF.monotone(lambda x: x)
@@ -214,3 +217,92 @@ def test_upper_lower_sums_are_sums_of_components():
             upper += m_hi * ds
             lower += m_lo * ds
     assert upper_lower_sums(f, STAIR, sub) == (upper, lower)
+
+
+@settings(max_examples=25, deadline=None)
+@given(medium=_media(), ends=st.tuples(st.floats(0.0, 1.0),
+                                       st.floats(0.0, 1.0)))
+def test_whole_pieces_are_priced_at_their_ends(medium, ends):
+    spec, alpha, (h0, h1), copies = medium
+    stair = StaircaseEvaluator(spec, alpha, a0=h0)
+    # the mean share of the set's measure along its hull
+    mean = 0.5
+    if copies is not None:
+        ps = [r ** alpha for _, r in copies]
+        mean = (sum(p * o for p, (o, _) in zip(ps, copies))
+                / (1.0 - sum(p * r for p, (_, r) in zip(ps, copies))))
+    a, b = sorted(h0 + (h1 - h0) * e for e in ends)
+    sa, sb = stair(a), stair(b)
+    first_moment = stair(h1) * (h0 + (h1 - h0) * mean)
+    # (f, a, b, its exact integral, whether f is 1-Lipschitz)
+    cases = [
+        (lambda x: 1.0, a, b, sb - sa, True),
+        (stair, a, b, (sb * sb - sa * sa) / 2.0, False),
+        (lambda x: stair(x) ** 2, a, b, (sb ** 3 - sa ** 3) / 3.0, False),
+        (lambda x: x, h0, h1, first_moment, True),
+        (lambda x: -x, h0, h1, -first_moment, True),
+    ]
+    # the walk and the set's own query each round a piece end by a few
+    # ulps of the hull's coordinates
+    slack = 8.0 * math.ulp(max(abs(h0), abs(h1)))
+    component = calculus._component
+
+    def both_ways(f, stair, u, v, whole=False):
+        got = component(f, stair, u, v, whole)
+        if whole:
+            lo, hi = stair.spec.extremes_in(u, v)
+            assert abs(lo - u) <= slack and abs(hi - v) <= slack
+            if lipschitz:
+                # for f = S or S^2 no ulp bound holds: S is only Holder
+                # continuous, so a few ulps at an end can move it by more
+                ds = stair(v) - stair(u)
+                queried = component(f, stair, u, v)
+                assert all(abs(g - q) <= slack * ds
+                           for g, q in zip(got, queried)), (u, v)
+        return got
+
+    with mock.patch.object(calculus, "_component", both_ways):
+        for fn, u, v, exact, lipschitz in cases:
+            res = integrate(FOnF.monotone(fn), stair, u, v, tol=1e-3)
+            assert res.lower - 1e-12 <= exact <= res.upper + 1e-12
+
+
+def test_whole_pieces_make_no_set_query(monkeypatch):
+    queries, pieces = [], []
+    extremes_in = GapIFS.extremes_in
+    component = calculus._component
+
+    def query(spec, lo, hi):
+        queries.append((lo, hi))
+        return extremes_in(spec, lo, hi)
+
+    def record(f, stair, u, v, whole=False):
+        pieces.append((u, v, whole))
+        return component(f, stair, u, v, whole)
+
+    monkeypatch.setattr(GapIFS, "extremes_in", query)
+    monkeypatch.setattr(calculus, "_component", record)
+    # over the hull every piece is whole, and none asks the set
+    integrate(FOnF.monotone(lambda x: x), STAIR, 0.0, 1.0, tol=1e-4)
+    assert len(pieces) > 10 and all(whole for _, _, whole in pieces)
+    assert queries == []
+    # a clipped piece that rises still asks once
+    pieces.clear()
+    integrate(FOnF.monotone(lambda x: x), STAIR, 0.1, 0.9, tol=1e-4)
+    clipped = [(u, v) for u, v, whole in pieces
+               if not whole and STAIR(v) != STAIR(u)]
+    assert clipped and queries == clipped
+    assert any(whole for _, _, whole in pieces)
+    # the other hints, and fixed subdivisions, ask on every rising piece
+    for f in (FOnF.lipschitz(lambda x: x, 1.0),
+              FOnF.net_sampled(lambda x: x)):
+        pieces.clear()
+        queries.clear()
+        integrate(f, STAIR, 0.0, 1.0, tol=1e-2)
+        rising = [(u, v) for u, v, _ in pieces if STAIR(v) != STAIR(u)]
+        assert len(rising) > 10 and set(rising) <= set(queries)
+    queries.clear()
+    sub = Subdivision(tuple(i / 27 for i in range(28)))
+    upper_lower_sums(FOnF.monotone(lambda x: x), STAIR, sub)
+    rising = [(u, v) for u, v in sub.components() if STAIR(v) != STAIR(u)]
+    assert len(rising) == 8 and queries == rising
