@@ -1,49 +1,80 @@
 """Staircase kernels: the package's hot inner loops.
 
-The staircase of a gap IFS by one descent down the copies that contain x,
-the middle-thirds staircase as that descent, and the series for the first
-moment integral on the middle-thirds set.  This pure-Python module is the
-only implementation.  Callers reach the kernels as attributes of this
-module at call time (``_backend.stair_scaled(...)``), so a wrapper
-installed here, such as the benchmark's tracer, sees every call.
-
-The descent works in the local coordinates of the copy it has entered,
-with the slack of the set queries in ``falpha.sets``: a point within
-1e-15 in global units (1e-15/scale locally) of a hull end counts as that
-end.  The first-moment series extracts ternary digits on floats with a
-snap tolerance: after each multiply-by-three step, residuals within
-``_SNAP`` of a digit boundary are rounded to the boundary.
+On a gap IFS at its order the staircase is the distribution function of
+the self-similar measure giving copy i the weight r_i^alpha / sum
+r_j^alpha (Hutchinson 1981).  ``measure`` builds its record once per
+(spec, alpha); every descent down the copies reads it: the staircase, the
+first moment, and the piece walk of ``falpha.calculus``.  Callers reach
+the kernels as module attributes at call time, so a wrapper installed
+here, such as the benchmark's tracer, sees every call.  A descent works
+in the local coordinates of the copy entered: a point within 1e-15 in
+global units (1e-15/scale locally) of a hull end is that end.
 """
 
-from falpha.sets import TernaryCantor
+import math
+from typing import NamedTuple
 
-_SNAP = 1e-9
-_MAX_DIGITS = 64
+from falpha.sets import Affine, FullInterval, GapIFS, TernaryCantor
 
 BACKEND = "python"
 
-_CANTOR = TernaryCantor()
+_HALVES = GapIFS((0.5, 0.5), (0.0, 0.5))  # their attractor is [0, 1]
 
 
-def stair_scaled(hull, copies, weights, x):
-    """Staircase at x of the self-similar measure giving copy i the share
-    ``weights[i]``, scaled to rise from 0 to 1 across ``hull``.
+class Measure(NamedTuple):
+    """A self-similar measure at order alpha, in the frame shift + scale x."""
 
-    ``hull`` and ``copies`` are a gap IFS's ``_hull`` and ``_copies``.
+    scale: float
+    shift: float
+    hull: tuple    # (h0, h1) of the unwrapped set
+    table: tuple   # ((offset, ratio, span start, span end), weight) per copy
+    shares: tuple  # (start, end) of each copy's span, as shares of the hull
+    total: float   # sum r^alpha: 1 at the order, below 1 above it
+    mean: float    # mean of the normalised measure, as a share of the hull
+
+
+def measure(spec, alpha):
+    """The record of spec at order alpha (an interval is its two halves),
+    or None for point sets and the harmonic cluster.  The mean M solves
+    M = sum p_j (f_j + r_j M) for weights p_j, ratios r_j and start
+    shares f_j; 1 - M, the Lebesgue mean of the rescaled staircase, is
+    computed first, so the two are complements in floats too."""
+    lam, t, inner = ((spec.scale, spec.shift, spec.inner)
+                     if isinstance(spec, Affine) else (1.0, 0.0, spec))
+    if isinstance(inner, FullInterval):
+        lam, t = lam * (inner.hi - inner.lo), t + lam * inner.lo
+        inner = _HALVES
+    if not isinstance(inner, GapIFS):
+        return None
+    ps = [r ** alpha for r in inner.ratios]
+    total = sum(ps)
+    weights = [p / total for p in ps]
+    h0, h1 = inner._hull
+    shares = tuple(((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
+                   for _, _, s0, s1 in inner._copies)
+    stair_mean = 1.0 - (
+        sum(w * f for w, (f, _) in zip(weights, shares))
+        / (1.0 - sum(w * r for w, r in zip(weights, inner.ratios))))
+    return Measure(lam, t, inner._hull, tuple(zip(inner._copies, weights)),
+                   shares, total, 1.0 - stair_mean)
+
+
+def stair_scaled(hull, table, x):
+    """Staircase at x of the measure with the copy table ``table`` of a
+    ``Measure``, scaled to rise from 0 to 1 across ``hull``.
+
     Each copy passed on the left of x adds its weight times the running
     weight; entering the copy that contains x multiplies the running
     weight by that copy's weight and zooms x into it.  The loop stops in
     a gap, or at a hull end.
     """
     h0, h1 = hull
-    table = tuple(zip(copies, weights))
-    val = 0.0
-    w = 1.0
+    val, w = 0.0, 1.0
     eps = 1e-15  # the slack in local units: 1e-15 / scale
     while h0 + eps < x < h1 - eps:
         for (o, r, s0, s1), p in table:
             if x < s0:
-                return val  # in the gap left of this copy
+                return val  # in a gap left of this copy
             if x <= s1:
                 x = (x - o) / r
                 w *= p
@@ -55,48 +86,43 @@ def stair_scaled(hull, copies, weights, x):
     return val if x <= h0 + eps else val + w
 
 
+def moment_scaled(rec, x):
+    """Integral of y over (-inf, x] against the normalised measure of
+    ``rec``: the staircase's descent, carrying the frame y -> a + b * y of
+    the copy entered.  Each copy passed adds its weight times its image
+    of the mean, and a whole hull reached the running weight times its."""
+    h0, h1 = rec.hull
+    m = h0 + rec.mean * (h1 - h0)
+    a, b = rec.shift, rec.scale
+    x = (x - a) / b
+    val, w = 0.0, 1.0
+    eps = 1e-15  # the slack in local units, as in ``stair_scaled``
+    while h0 + eps < x < h1 - eps:
+        for (o, r, s0, s1), p in rec.table:
+            if x < s0:
+                return val  # in a gap left of this copy
+            if x <= s1:
+                x = (x - o) / r
+                a, b = a + b * o, b * r
+                w *= p
+                eps /= r
+                break
+            val += w * p * (a + b * (o + r * m))
+        else:
+            return val  # past the last copy's end, by float drift
+    return val if x <= h0 + eps else val + w * (a + b * m)
+
+
+_CANTOR = measure(TernaryCantor(), math.log(2.0) / math.log(3.0))
+
+
 def cantor_scaled(x):
-    """Staircase of the middle-thirds set scaled to [0, 1] (the classical
-    Cantor function): the descent with weights (1/2, 1/2).  Inputs
-    outside [0, 1] clamp."""
-    return stair_scaled(_CANTOR._hull, _CANTOR._copies, (0.5, 0.5), x)
+    """The Cantor function: the staircase descent on the middle-thirds
+    record, with weights (1/2, 1/2).  Inputs outside [0, 1] clamp."""
+    return stair_scaled(_CANTOR.hull, _CANTOR.table, x)
 
 
 def g_series_scaled(y):
-    """Scaled first-moment series: Gamma(alpha+1) times integral of x dS.
-
-    Term n is zero when the nth ternary digit is 0 or an earlier digit was
-    1; otherwise it is T_{n-1}(y)/2^n + (1/2) 6^-n, where T_{n-1} is the
-    digit-truncation of y.  Terms after a first digit 1 all vanish, so the
-    scan stops there.  Inputs outside [0, 1] clamp.
-    """
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        y = 1.0
-    r = y
-    acc = 0.0
-    trunc = 0.0          # T_{n-1}(y)
-    pow3 = 1.0 / 3.0     # 3^-n
-    pow2 = 0.5           # 2^-n
-    pow6 = 1.0 / 6.0     # 6^-n
-    for _ in range(_MAX_DIGITS):
-        r *= 3.0
-        t = int(r + _SNAP)
-        if t > 2:
-            t = 2
-        r -= t
-        if r < _SNAP:
-            r = 0.0
-        if t != 0:
-            acc += trunc * pow2 + 0.5 * pow6
-        if t == 1:
-            return acc
-        trunc += t * pow3
-        pow3 /= 3.0
-        pow2 *= 0.5
-        pow6 /= 6.0
-        if r == 0.0:
-            # remaining digits are all zero; every later term vanishes
-            return acc
-    return acc
+    """Gamma(alpha+1) times g(y): the moment descent on the middle-thirds
+    record, with mean 1/2.  Inputs outside [0, 1] clamp."""
+    return moment_scaled(_CANTOR, y)

@@ -18,8 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import (Affine, FullInterval, GapIFS, Interval, _reject_nan,
-                         net)
+from falpha.sets import Interval, _reject_nan, net
 
 __all__ = [
     "FOnF",
@@ -155,48 +154,20 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
-_HALVES = GapIFS((0.5, 0.5), (0.0, 0.5))  # their attractor is [0, 1]
-
-
-def _pieces(spec, alpha):
-    """(hull, shares, scale, mean) of the construction pieces of spec, or
-    None where its staircase does not rise (point sets, the harmonic
-    cluster, a gap IFS above its order).  A piece splits into copies, or
-    halves of an interval, at the shares (start, end) of its span where
-    the copies of the hull lie; scale is the length of a unit of the
-    set's own frame.  mean, the Lebesgue mean over a piece of its rescaled
-    staircase, is by parts 1 - sum p_j f_j / (1 - sum p_j r_j) for copy
-    weights p_j, ratios r_j and start shares f_j."""
-    lam, t, inner = ((spec.scale, spec.shift, spec.inner)
-                     if isinstance(spec, Affine) else (1.0, 0.0, spec))
-    if isinstance(inner, FullInterval):
-        lam, t = lam * (inner.hi - inner.lo), t + lam * inner.lo
-        inner = _HALVES
-    if not isinstance(inner, GapIFS):
-        return None
-    total = sum(r ** alpha for r in inner.ratios)
-    if total < 1.0 - 1e-12:
-        return None
-    h0, h1 = inner._hull
-    shares = tuple(((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
-                   for _, _, s0, s1 in inner._copies)
-    ws = [r ** alpha / total for r in inner.ratios]
-    point = (sum(w * f for w, (f, _) in zip(ws, shares))
-             / (1.0 - sum(w * r for w, r in zip(ws, inner.ratios))))
-    return ((t + lam * h0, t + lam * h1), shares, lam, 1.0 - point)
-
-
-def _bracket(pieces, a, b, tol, bound, flat, max_pieces=math.inf):
+def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
     """(lower, upper, pieces, depth) of an integral over [a, b] by a walk
-    down ``_pieces`` from the smallest piece that holds [a, b]: the piece
-    of widest bracket splits until the width is at most tol, that piece
-    is below the 1e-15 slack of the set queries, or ``max_pieces`` would
-    be passed.  ``bound(u, v, whole)`` is (upper, lower) on a piece
-    clipped to [u, v]; ``flat(u, v)`` is exact where the staircase is
-    constant: on a gap, or off the hull.  depth counts nested splits."""
-    if pieces is None:
+    down the construction pieces of the measure record ``rec``, split at
+    its shares, from the smallest piece that holds [a, b]: the piece of
+    widest bracket splits until the width is at most tol, that piece is
+    below the 1e-15 slack of the set queries, or ``max_pieces`` would be
+    passed.  ``bound(u, v, whole)`` is (upper, lower) on a piece clipped
+    to [u, v]; ``flat(u, v)`` is exact where the staircase is constant:
+    on a gap, off the hull, or above the order.  depth counts nested
+    splits."""
+    if rec is None or rec.total < 1.0 - 1e-12:
         return (flat(a, b), flat(a, b), 0, 0)
-    hull, shares, lam, _ = pieces
+    (h0, h1), shares, lam, t = rec.hull, rec.shares, rec.scale, rec.shift
+    hull = (t + lam * h0, t + lam * h1)
     last = len(shares) - 1
     exact = upper = lower = 0.0
     count = depth = 0
@@ -258,7 +229,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
         return IntegralResult(-res.upper, -res.lower, -res.value,
                               res.gap, res.refinement_depth)
     lower, upper, count, depth = _bracket(
-        _pieces(stair.spec, stair.alpha), a, b, tol,
+        stair.measure, a, b, tol,
         lambda u, v, whole: _component(f, stair, u, v, whole),
         lambda u, v: 0.0, max_components)
     res = IntegralResult(lower, upper, (upper + lower) / 2.0,

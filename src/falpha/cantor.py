@@ -1,8 +1,8 @@
 """Closed forms on the middle-thirds set.
 
-Ternary digit machinery, the exact staircase by the descent down the
-copies, the series for the first moment integral g(y) = integral of x
-over [0, y] against the staircase, and the power rules used as oracles by
+Ternary digit machinery, the exact staircase and the first moment
+integral g(y) = integral of x over [0, y] against it by the descents on
+the middle-thirds measure record, and the power rules used as oracles by
 the calculus property suite.
 """
 
@@ -95,7 +95,7 @@ def cantor_staircase_exact(x):
 
 def g_series(y):
     """The first moment integral g(y) = integral of x over [0, y] against
-    the staircase, by the digit-scan series."""
+    the staircase, by the moment descent down the copies with mean 1/2."""
     if not -1e-12 <= y <= 1.0 + 1e-12:
         raise ValueError("y must lie in [0, 1]")
     return _backend.g_series_scaled(y) / GAMMA_ALPHA1

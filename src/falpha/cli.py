@@ -302,9 +302,10 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
     lo, hi, step = args.x
     if step <= 0.0:
         raise _UsageError("x grid step must be positive")
-    xs = []
-    x = lo
+    xs, x = [], lo
     while x <= hi + 1e-12:
+        if xs and x == xs[-1]:
+            raise _UsageError(f"x grid step {step} does not advance past {x}")
         xs.append(x)
         x += step
     rows = []

@@ -22,10 +22,10 @@ bound on the true infimum (arbitrary covers could in principle do
 better); MassEstimate flags this.
 
 The staircase's closed form on a gap IFS at its order is one descent
-down the copies that contain x (``_backend.stair_scaled``), with the
-weights r_i^alpha / sum r_j^alpha; on point sets, the interval at order 1
-and a gap IFS above its order it is this cover with no mesh bound (delta
-= inf), read from -inf.
+down the copies that contain x (``_backend.stair_scaled``), reading the
+weights r_i^alpha / sum r_j^alpha from the set's measure record; on point
+sets, the interval at order 1 and a gap IFS above its order it is this
+cover with no mesh bound (delta = inf), read from -inf.
 """
 
 from __future__ import annotations
@@ -187,9 +187,8 @@ def coarse_mass(spec, a, b, alpha, delta):
 
 
 def _is_upper_bound(spec):
-    if isinstance(spec, Affine):
-        spec = spec.inner
-    return isinstance(spec, GapIFS) and not isinstance(spec, TernaryCantor)
+    inner = spec.inner if isinstance(spec, Affine) else spec
+    return isinstance(inner, GapIFS) and not isinstance(inner, TernaryCantor)
 
 
 @dataclass(frozen=True)
@@ -269,33 +268,25 @@ def mass(spec, a, b, alpha, depth=8):
     return MassEstimate(alpha, last, trace, "inconclusive", flag)
 
 
-def _closed_form(spec, alpha):
+def _closed_form(spec, alpha, rec):
     """x -> Gamma(alpha+1) * mass of (-inf, x] where a closed form
-    applies, else None: the descent on a gap IFS at its order, and the
-    cover with no mesh bound wherever that cover does not depend on the
-    mesh."""
-    lam, t, inner = ((spec.scale, spec.shift, spec.inner)
-                     if isinstance(spec, Affine) else (1.0, 0.0, spec))
+    applies, else None: the staircase descent on the measure record
+    ``rec`` of a gap IFS at its order, and the cover with no mesh bound
+    wherever that cover does not depend on the mesh."""
+    inner = spec.inner if isinstance(spec, Affine) else spec
 
     def cover(x):
         return _coarse_scaled(spec, -math.inf, x, alpha, math.inf)
 
-    if isinstance(inner, GapIFS):
-        ps = [r ** alpha for r in inner.ratios]
-        total = sum(ps)
-        if total < 1.0 - 1e-12:
-            return cover  # above the order
-        if total > 1.0 + 1e-9:
-            return None
-        hull, copies = inner._hull, inner._copies
-        weights = tuple(p / total for p in ps)
-        w = (lam * (hull[1] - hull[0])) ** alpha
-        return lambda x: w * _backend.stair_scaled(
-            hull, copies, weights, (x - t) / lam)
-    if inner.is_discrete() or (isinstance(inner, FullInterval)
-                               and alpha == 1.0):
-        return cover
-    return None
+    if isinstance(inner, FullInterval):
+        return cover if alpha == 1.0 else None
+    if rec is None or rec.total < 1.0 - 1e-12:
+        return cover  # point sets, or above the order
+    if rec.total > 1.0 + 1e-9:
+        return None
+    hull, table, lam, t = rec.hull, rec.table, rec.scale, rec.shift
+    w = (lam * (hull[1] - hull[0])) ** alpha
+    return lambda x: w * _backend.stair_scaled(hull, table, (x - t) / lam)
 
 
 class StaircaseEvaluator:
@@ -320,7 +311,9 @@ class StaircaseEvaluator:
         self.a0 = float(a0)
         self.mode = mode
         self._gamma = gamma_factor(alpha)
-        self._closed = _closed_form(spec, alpha) if mode == "auto" else None
+        self.measure = _backend.measure(spec, alpha)
+        self._closed = (_closed_form(spec, alpha, self.measure)
+                        if mode == "auto" else None)
         if self._closed is not None:
             self._s0 = self._closed(self.a0)
         self._cache = {}

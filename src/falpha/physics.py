@@ -15,8 +15,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from falpha.calculus import (FOnF, _bracket, _check_tol, _pieces,
-                             derivative, integrate)
+from falpha.calculus import (FOnF, _bracket, _check_tol, derivative,
+                             integrate)
 from falpha.mass import StaircaseEvaluator
 from falpha.sets import _reject_nan
 
@@ -146,8 +146,8 @@ def time_of_flight(params, x, tol=1e-9):
     if x < x0:
         raise ValueError("x must be at least x0")
     vel = functools.cache(lambda p: friction_velocity(params, p))
-    pieces = _pieces(params.medium_set, params.alpha)
-    m = pieces[3] if pieces and params.kappa is not None else None
+    rec = params.stair.measure
+    m = None if rec is None or params.kappa is None else 1.0 - rec.mean
 
     def bound(u, v, whole):
         vc, vd = vel(u), vel(v)
@@ -157,7 +157,7 @@ def time_of_flight(params, x, tol=1e-9):
         return ((v - u) / min(vc, vd), (v - u) / max(vc, vd))
 
     def walk(b):
-        return _bracket(pieces, x0, b, tol, bound,
+        return _bracket(rec, x0, b, tol, bound,
                         lambda u, v: (v - u) / vel(u))
 
     v_floor = 1e-9 * params.v0

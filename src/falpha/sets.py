@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 __all__ = [
@@ -396,6 +397,12 @@ class FinitePoints(SetSpec):
         return True
 
 
+def _round_inverse(x, rnd, slack):
+    """rnd(1/x + slack) for x > 0, exact where 1/x overflows a float."""
+    inv = 1.0 / x
+    return rnd(inv + slack) if inv < math.inf else rnd(1 / Fraction(x))
+
+
 @dataclass(frozen=True)
 class HarmonicCluster(SetSpec):
     """The set {0} union {1/n : n >= 1}."""
@@ -408,10 +415,10 @@ class HarmonicCluster(SetSpec):
         """Integer range [n_min, n_max] with 1/n inside [lo, hi], or None."""
         if hi <= 0.0:
             return None
-        n_min = max(1, math.ceil(1.0 / hi - 1e-12))
+        n_min = max(1, _round_inverse(hi, math.ceil, -1e-12))
         if lo <= 0.0:
             return (n_min, None)  # unbounded above (accumulation at 0)
-        n_max = math.floor(1.0 / lo + 1e-12)
+        n_max = _round_inverse(lo, math.floor, 1e-12)
         if n_min > n_max:
             return None
         return (n_min, n_max)
@@ -422,8 +429,8 @@ class HarmonicCluster(SetSpec):
         if rng is None:
             return (0.0, 0.0) if has_zero else None
         n_min, n_max = rng
-        mx = 1.0 / n_min
-        mn = 0.0 if has_zero else 1.0 / n_max
+        mx = 1 / n_min  # int division: n can be too large for a float
+        mn = 0.0 if has_zero else 1 / n_max
         return (mn, mx)
 
     def _raw_gaps(self, lo, hi, min_len):

@@ -483,7 +483,7 @@ def check_constancy():
 
 
 def check_g_vs_integral():
-    """The series for the integral of x against S matches quadrature."""
+    """The moment descent for the integral of x dS matches quadrature."""
     stair = _stair()
     f = FOnF.monotone(lambda x: x)
     worst = 0.0

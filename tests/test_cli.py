@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -261,6 +262,25 @@ def test_import_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "0"
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_diffusion_grid_step_that_does_not_advance_exits_1():
+    # 1 + 1e-20 == 1: the grid would never reach its end.  In a process of
+    # its own, so that a hang fails the test by its timeout, and with its
+    # memory capped, since the hung grid grows without bound
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "falpha.cli", "diffusion", "--x", "1", "2",
+         "1e-20"], env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=_cap_memory)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "advance" in done.stderr
 
 
 TABLES = (

@@ -1,10 +1,17 @@
-"""Digit-scan kernels: exact values at triadic rationals, special values,
-monotonicity, the first-moment series and the reported backend name."""
+"""Kernels: the measure record, the staircase descent against an exact
+ternary digit scan at triadic rationals, special values, monotonicity,
+the first-moment descent against an exact rational descent, and the
+reported backend name."""
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 import falpha
 from falpha import _backend
+from falpha.dimension import similarity_order
+from falpha.sets import TernaryCantor
+from test_sets import C, _WRAPS, _gap_ifs, _stair_points, _unwrap, _wrap
 
 
 def _exact_cantor(q):
@@ -66,6 +73,68 @@ def test_g_series_scaled_values():
     # scaling: the scaled series divides by 6 under y -> y/3
     for m in range(1, 6):
         assert abs(g(3.0 ** -m) - 0.5 / 6.0 ** m) < 1e-15
+
+
+def test_middle_thirds_record():
+    rec = _backend.measure(TernaryCantor(), falpha.ALPHA)
+    assert tuple(p for _, p in rec.table) == (0.5, 0.5)
+    assert rec.mean == 0.5
+    assert rec.total == 1.0
+    assert _backend._CANTOR == rec
+
+
+def test_g_series_scaled_just_right_of_two_thirds():
+    # a digit scan that snaps residuals within 1e-9 of a digit boundary
+    # reads 2/3 here and returns 1/12
+    got = _backend.g_series_scaled(2.0 / 3.0 + 3e-10)
+    assert abs(got - 0.08333396911621108) <= 1e-15
+
+
+def _exact_moment(spec, alpha, x):
+    """Integral of y over (-inf, x] against the normalised self-similar
+    measure of a gap IFS at its order, or of an Affine of one: the descent
+    down the copies in exact rational arithmetic on the float parameters,
+    with the weights r_i^alpha rounded once to floats.  A copy passed
+    adds its weight times its frame's image of the mean m, the fixed
+    point of m = sum p_i (o_i + r_i m).  It stops once the running weight
+    is below 1e-20, which bounds what it leaves out."""
+    base, lam, t = _unwrap(spec)
+    rs = [Fraction(r) for r in base.ratios]
+    os_ = [Fraction(o) for o in base.offsets]
+    ps = [Fraction(r ** alpha) for r in base.ratios]
+    ps = [p / sum(ps) for p in ps]
+    m = (sum(p * o for p, o in zip(ps, os_))
+         / (1 - sum(p * r for p, r in zip(ps, rs))))
+    h0, h1 = os_[0] / (1 - rs[0]), os_[-1] / (1 - rs[-1])
+    a, b = Fraction(t), Fraction(lam)
+    y = (Fraction(x) - a) / b
+    val, w = Fraction(0), Fraction(1)
+    while w > 1e-20 and y > h0:
+        if y >= h1:
+            return val + w * (a + b * m)
+        for o, r, p in zip(os_, rs, ps):
+            if y < o + r * h0:
+                return val  # in a gap
+            if y <= o + r * h1:
+                y, a, b, w = (y - o) / r, a + b * o, b * r, w * p
+                break
+            val += w * p * (a + b * (o + r * m))
+    return val
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), base=st.one_of(st.just(C), _gap_ifs()), wraps=_WRAPS)
+def test_moment_matches_an_exact_descent(data, base, wraps):
+    spec, _, _ = _wrap(base, wraps)
+    _, lam, t = _unwrap(spec)
+    alpha = similarity_order(base.ratios)
+    rec = _backend.measure(spec, alpha)
+    h0, h1 = spec.hull()
+    # the staircase's bound, times the largest |y| the measure weighs
+    bound = 2.0 * (1e-13 * lam) ** alpha * max(abs(h0), abs(h1))
+    for x in data.draw(_stair_points(base, lam, t)):
+        want = _exact_moment(spec, alpha, x)
+        assert abs(_backend.moment_scaled(rec, x) - want) <= bound, x
 
 
 def test_kernel_backend_is_python():

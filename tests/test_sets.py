@@ -104,6 +104,20 @@ def test_harmonic_cluster():
     assert pts[0] == 0.0 and pts[-1] == 1.0
 
 
+def test_harmonic_cluster_at_subnormal_ends():
+    # 1/x overflows a float for a subnormal x; the points 1/n near 0 are
+    # still found, exactly
+    H = HarmonicCluster()
+    tiny = 2.2250738585e-313
+    assert H.extremes_in(tiny, 1.0) == (float(1 / Fraction(
+        math.floor(1 / Fraction(tiny)))), 1.0)
+    assert H.extremes_in(0.0, tiny)[0] == 0.0
+    assert 0.0 < H.extremes_in(0.0, tiny)[1] <= tiny
+    lo, hi = H.extremes_in(1e-313, 2e-313)
+    assert 1e-313 <= lo <= hi <= 2e-313
+    assert H.extremes_in(0.26, 0.3) is None
+
+
 def test_finite_points():
     F = FinitePoints((0.1, 0.5, 0.9))
     assert intersects(F, Interval(0.5, 0.5))
