@@ -8,8 +8,9 @@ the Lebesgue integral of ``physics.time_of_flight``.  Both ends of a
 whole piece are images of the hull ends, so they lie in F, and a
 monotone integrand is bounded there by its values at those ends with no
 set query; the walk's ends match the set's own to float rounding.  The
-derivative is the limit of increment quotients taken through points of
-F only, with the value defined as 0 off F.
+derivative is the limit of increment quotients at the far ends of the
+pieces that hold x, and 0 off F; a side of x is vacuous where x ends a
+piece with a gap on that side.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
 
 # net level that samples F for non-monotone extremes and continuity checks
 _NET_LEVEL = 10
-# rungs r0 * 3^-k of the one-sided quotient ladder of ``derivative``
-_QUOTIENT_RUNGS = 40
 
 
 class UnboundedHint(ValueError):
@@ -154,6 +153,23 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
+def _hull_piece(rec):
+    """The hull of the measure record ``rec``, where walks down its pieces
+    start; None when there is no record or its staircase is flat."""
+    if rec is None or rec.total < 1.0 - 1e-12:
+        return None
+    (h0, h1), lam, t = rec.hull, rec.scale, rec.shift
+    return (t + lam * h0, t + lam * h1)
+
+
+def _kids(shares, k0, k1):
+    """The copies of the piece [k0, k1], split at the record's shares; the
+    outer copies share the ends of their parent."""
+    w, last = k1 - k0, len(shares) - 1
+    return [(k0 + w * f0 if i else k0, k0 + w * f1 if i < last else k1)
+            for i, (f0, f1) in enumerate(shares)]
+
+
 def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
     """(lower, upper, pieces, depth) of an integral over [a, b] by a walk
     down the construction pieces of the measure record ``rec``, split at
@@ -164,20 +180,14 @@ def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
     to [u, v]; ``flat(u, v)`` is exact where the staircase is constant:
     on a gap, off the hull, or above the order.  depth counts nested
     splits."""
-    if rec is None or rec.total < 1.0 - 1e-12:
+    hull = _hull_piece(rec)
+    if hull is None:
         return (flat(a, b), flat(a, b), 0, 0)
-    (h0, h1), shares, lam, t = rec.hull, rec.shares, rec.scale, rec.shift
-    hull = (t + lam * h0, t + lam * h1)
+    shares, lam = rec.shares, rec.scale
     last = len(shares) - 1
     exact = upper = lower = 0.0
     count = depth = 0
     heap = []
-
-    def kids(k0, k1):
-        # the outer copies share the ends of their parent
-        w = k1 - k0
-        return [(k0 + w * f0 if i else k0, k0 + w * f1 if i < last else k1)
-                for i, (f0, f1) in enumerate(shares)]
 
     def split(u, v, d, spans):
         # [u, v] as the pieces met and the flat stretches between them,
@@ -192,8 +202,8 @@ def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
                 continue
             # a clipped piece that lies in one of its copies is that copy
             while (p, q) != (k0, k1) and (kid := next(
-                    (c for c in kids(k0, k1) if c[0] <= p and q <= c[1]),
-                    None)):
+                    (c for c in _kids(shares, k0, k1)
+                     if c[0] <= p and q <= c[1]), None)):
                 k0, k1 = kid
             hi, lo = bound(p, q, (p, q) == (k0, k1))
             upper, lower, count = upper + hi, lower + lo, count + 1
@@ -208,7 +218,7 @@ def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
         heapq.heappop(heap)
         upper, lower, count = upper - hi, lower - lo, count - 1
         depth = max(depth, d + 1)
-        split(max(a, k0), min(b, k1), d + 1, kids(k0, k1))
+        split(max(a, k0), min(b, k1), d + 1, _kids(shares, k0, k1))
     return (exact + lower, exact + upper, count, depth)
 
 
@@ -218,9 +228,9 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     each piece and nothing on a gap, until upper - lower <= tol.  A
     monotone f on a whole piece is bounded by its values at the piece's
     ends, which lie in F; a clipped piece, or another hint, asks the set
-    for the extremes of F in it.  Raises
-    NoConvergence when that takes more than ``max_components`` pieces, or
-    pieces below the slack of the set queries."""
+    for the extremes of F in it.  Raises NoConvergence when that takes
+    more than ``max_components`` pieces, or pieces below the slack of the
+    set queries."""
     _check_tol(tol)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -244,82 +254,71 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
 @dataclass(frozen=True)
 class DerivativeResult:
     value: float
-    side: str  # left | right | both | off
+    side: str  # both; left | right where a gap abuts x on the other; off
     residual: float
 
 
-def _side_quotients(f, stair, x, sign, tol, r0):
-    """Quotient ladder on one side of x.
-
-    Returns ("converged", value, residual), ("no-limit", residual), or
-    ("degenerate", None) when the side runs out of staircase variation.
-    """
-    spec = stair.spec
-    eps = 1e-13 * max(1.0, abs(x))
-    fx = f(x)
-    sx = stair(x)
-    quots = []
-    last_y = None
-    r = r0
-    for k in range(_QUOTIENT_RUNGS):
-        r = r0 * 3.0 ** -k
-        if r <= eps:
-            break
-        if sign > 0:
-            ext = spec.extremes_in(x + eps, x + r)
-            y = None if ext is None else ext[1]
-        else:
-            ext = spec.extremes_in(x - r, x - eps)
-            y = None if ext is None else ext[0]
-        if y is None or y == last_y:
-            continue
-        last_y = y
-        ds = stair(y) - sx
-        if ds == 0.0:
-            continue
-        quots.append((f(y) - fx) / ds)
-        if len(quots) >= 3:
-            d1 = abs(quots[-1] - quots[-2])
-            d2 = abs(quots[-2] - quots[-3])
-            # quotient tails decay roughly geometrically, so demand diffs
-            # well under tol to keep the settled value within tol
-            bar = 0.25 * tol * max(1.0, abs(quots[-1]))
-            if d1 <= bar and d2 <= bar:
-                return ("converged", quots[-1], d1)
-    if last_y is not None and abs(last_y - x) > 81.0 * max(r, eps):
-        # the nearest point of F on this side sits a true gap away, so F
-        # does not accumulate here and the one-sided limit is vacuous
-        return ("degenerate", None)
-    if len(quots) >= 3:
-        return ("no-limit", abs(quots[-1] - quots[-2]))
-    return ("degenerate", None)
+def _side(f, stair, x, piece, sign, tol, r0):
+    """(value, residual) of the quotients on one side of x (sign -1 left,
+    +1 right), at the far ends of the pieces that hold x from that side,
+    from ``piece`` down to pieces 1e-13 max(1, |x|) long; None when x
+    ends a piece with a gap on this side, or the side shows no variation.
+    Piece ends and net points may differ by ulps of x, past 1e-15 scale.
+    Raises NoLimit when the quotients do not settle."""
+    rec = stair.measure
+    shares, slack = rec.shares, max(1e-15 * rec.scale, 4.0 * math.ulp(x))
+    fx, sx, finest = f(x), stair(x), 1e-13 * max(1.0, abs(x))
+    quots, prev, settled = [], None, None
+    while piece is not None:
+        k0, k1 = piece
+        y = k1 if sign > 0 else k0
+        if settled is None and y != prev and abs(y - x) <= r0:
+            prev, ds = y, stair(y) - sx
+            if ds != 0.0:
+                quots.append((f(y) - fx) / ds)
+            if len(quots) >= 3:
+                d1 = abs(quots[-1] - quots[-2])
+                d2 = abs(quots[-2] - quots[-3])
+                # quotient tails decay roughly geometrically, so demand
+                # diffs well under tol to keep the settled value within tol
+                if max(d1, d2) <= 0.25 * tol * max(1.0, abs(quots[-1])):
+                    settled = (quots[-1], d1)
+        if k1 - k0 < finest:
+            if settled is None and len(quots) >= 3:
+                raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
+            return settled
+        # the copy that holds x from this side; touching copies each hold
+        # their shared end, from their own side
+        piece = next(((c0, c1) for c0, c1 in _kids(shares, k0, k1)
+                      if (c0 + slack < x <= c1 + slack if sign < 0
+                          else c0 - slack <= x < c1 - slack)), None)
+    return None
 
 
 def derivative(f, stair, x, tol=1e-3, r0=1.0):
-    """Staircase-quotient derivative of f at x; exactly 0 off F."""
+    """Staircase-quotient derivative of f at x; exactly 0 off F.  Each side
+    of x takes (f(y) - f(x)) / (S(y) - S(x)) at the far ends y of the
+    construction pieces that hold x, none farther than r0 from x, until two
+    successive differences are each at most tol / 4; a side is vacuous
+    where x ends a piece with a gap on that side.  Raises NoLimit when the
+    quotients do not settle, the sides disagree beyond tol, or S is flat."""
     _check_tol(tol)
     _reject_nan("x", x)
-    spec = stair.spec
-    if not spec._isect(x, x):
+    if not stair.spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)
-    left = _side_quotients(f, stair, x, -1, tol, r0)
-    right = _side_quotients(f, stair, x, +1, tol, r0)
-    if left[0] == "no-limit" or right[0] == "no-limit":
-        raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
-    l_ok = left[0] == "converged"
-    r_ok = right[0] == "converged"
-    if l_ok and r_ok:
-        mismatch = abs(left[1] - right[1])
-        if mismatch > tol * max(1.0, abs(left[1])):
-            raise NoLimit(
-                f"one-sided values at x={x} disagree by {mismatch:.3e}"
-            )
-        value = (left[1] + right[1]) / 2.0
-        return DerivativeResult(value, "both", max(left[2], right[2], mismatch))
-    if l_ok:
-        return DerivativeResult(left[1], "left", left[2])
-    if r_ok:
-        return DerivativeResult(right[1], "right", right[2])
+    hull = _hull_piece(stair.measure)
+    left = hull and _side(f, stair, x, hull, -1, tol, r0)
+    right = hull and _side(f, stair, x, hull, +1, tol, r0)
+    if left and right:
+        mismatch = abs(left[0] - right[0])
+        if mismatch > tol * max(1.0, abs(left[0])):
+            raise NoLimit(f"one-sided values at x={x} disagree by "
+                          f"{mismatch:.3e}")
+        return DerivativeResult((left[0] + right[0]) / 2.0, "both",
+                                max(left[1], right[1], mismatch))
+    if left or right:
+        value, residual = left or right
+        return DerivativeResult(value, "left" if left else "right", residual)
     raise NoLimit(f"no staircase variation reachable on either side of x={x}")
 
 

@@ -45,6 +45,9 @@ from falpha.verify import run_checks
 
 __all__ = ["main"]
 
+# the most rows a table may have: a larger one is refused before it is built
+_MAX_ROWS = 10 ** 6
+
 
 class _UsageError(Exception):
     pass
@@ -223,10 +226,17 @@ def _build_parser():
     return top
 
 
+def _check_rows(rows):
+    if rows > _MAX_ROWS:
+        raise _UsageError(f"a table of {rows:.3g} rows is more than the "
+                          f"{_MAX_ROWS} allowed")
+
+
 def _table_points(a, b, samples):
     """max(2, samples) evenly spaced points from a to exactly b; a range
     so wide that a point overflows is rejected."""
     n = max(2, samples)
+    _check_rows(n)
     xs = [a + (b - a) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, xs)):
         raise _UsageError(f"range {a!r} to {b!r} is too wide: its table "
@@ -287,6 +297,7 @@ def _cmd_differentiate(args, spec, alpha, a, b, out):
 
 def _cmd_cantor_g(args, out):
     n = max(2, args.samples)
+    _check_rows(n)
     rows = []
     for i in range(1, n + 1):
         y = i / n
@@ -302,6 +313,10 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
     lo, hi, step = args.x
     if step <= 0.0:
         raise _UsageError("x grid step must be positive")
+    # a step lost to rounding at lo is named before the grid's size
+    if lo + step == lo:
+        raise _UsageError(f"x grid step {step} does not advance past {lo}")
+    _check_rows(len(args.time) * ((hi - lo) / step + 1.0))
     xs, x = [], lo
     while x <= hi + 1e-12:
         if xs and x == xs[-1]:

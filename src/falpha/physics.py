@@ -6,7 +6,9 @@ must match half the second space derivative wherever the time support is
 hit.  Friction supported on a fractal medium: the velocity drops by the
 staircase increment times the friction coefficient, and the travel time,
 the integral of 1/v, is bracketed by the walk down the construction pieces
-that brackets the staircase-weighted integral.
+that brackets the staircase-weighted integral.  On an interval at order 1
+the staircase is affine on every piece, so the first piece prices the
+flight exactly.
 """
 
 from __future__ import annotations
@@ -137,9 +139,13 @@ def time_of_flight(params, x, tol=1e-9):
     1/v is convex in S, so a whole piece costs between L / (v_c - (v_c -
     v_d) m) (Jensen) and L ((1 - m) / v_c + m / v_d) (the chord), with m
     the mean of its rescaled staircase; a clipped piece, or any piece
-    under a general k, between L / v_c and L / v_d.  If v(x) <= 1e-9 v0,
-    Stall is raised at the point where v falls to that floor, found by
-    bisection, with the walk's lower bound on the time to reach it."""
+    under a general k, between L / v_c and L / v_d.  Where the measure is
+    Lebesgue's (each copy weighs its ratio: an interval at order 1), S is
+    affine, and under a uniform kappa every piece, whole or clipped, costs
+    exactly L log1p(d / v_d) / d with d = v_c - v_d (L / v_c if d = 0).
+    If v(x) <= 1e-9 v0, Stall is raised at the point where v falls to that
+    floor, found by bisection, with the walk's lower bound on the time to
+    reach it."""
     _check_tol(tol)
     _reject_nan("x", x)
     x0 = params.x0
@@ -148,9 +154,14 @@ def time_of_flight(params, x, tol=1e-9):
     vel = functools.cache(lambda p: friction_velocity(params, p))
     rec = params.stair.measure
     m = None if rec is None or params.kappa is None else 1.0 - rec.mean
+    affine = m is not None and all(p == r for (_, r, _, _), p in rec.table)
 
     def bound(u, v, whole):
         vc, vd = vel(u), vel(v)
+        if affine:
+            d = vc - vd
+            t = (v - u) * math.log1p(d / vd) / d if d else (v - u) / vc
+            return (t, t)
         if whole and m is not None:
             return ((v - u) * ((1.0 - m) / vc + m / vd),
                     (v - u) / (vc - (vc - vd) * m))

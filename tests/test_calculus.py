@@ -21,7 +21,15 @@ from falpha.calculus import (
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import similarity_order
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import GapIFS, Interval, Subdivision, TernaryCantor, net
+from falpha.sets import (
+    Affine,
+    FullInterval,
+    GapIFS,
+    Interval,
+    Subdivision,
+    TernaryCantor,
+    net,
+)
 
 from test_physics import _media
 
@@ -306,3 +314,83 @@ def test_whole_pieces_make_no_set_query(monkeypatch):
     upper_lower_sums(FOnF.monotone(lambda x: x), STAIR, sub)
     rising = [(u, v) for u, v in sub.components() if STAIR(v) != STAIR(u)]
     assert len(rising) == 8 and queries == rising
+
+
+def _gap_sides(spec, x, w):
+    """The side label a membership check gives x: off where F misses x,
+    else whether F meets each of the windows [x - w, x - w/100] and
+    [x + w/100, x + w]."""
+    if not spec._isect(x, x):
+        return "off"
+    left = spec._isect(x - w, x - w / 100.0)
+    right = spec._isect(x + w / 100.0, x + w)
+    return {(True, True): "both", (True, False): "left",
+            (False, True): "right"}[(left, right)]
+
+
+def _check_sides(medium, level):
+    spec, alpha, (h0, h1), copies = medium
+    stair = StaircaseEvaluator(spec, alpha)
+    f = FOnF.monotone(stair)
+    if copies is None:
+        # no gaps: a tenth of a level piece
+        w = (h1 - h0) / 2 ** level / 10.0
+    else:
+        # a tenth of the smallest gap made by level ``level``
+        holes = [o1 - (o0 + r0) for (o0, r0), (o1, _) in zip(copies,
+                                                              copies[1:])]
+        r_min = min(r for _, r in copies)
+        w = (h1 - h0) * min(holes) * r_min ** (level - 1) / 10.0
+    for x in net(spec, level, Interval(h0, h1)):
+        assert derivative(f, stair, x).side == _gap_sides(spec, x, w), x
+
+
+@settings(max_examples=25, deadline=None)
+@given(medium=_media(), level=st.integers(1, 4))
+def test_derivative_sides_match_membership(medium, level):
+    _check_sides(medium, level)
+
+
+@settings(max_examples=25, deadline=None)
+@given(medium=_media(far=True), level=st.integers(1, 4))
+def test_derivative_sides_match_membership_far_from_origin(medium, level):
+    # piece ends and net points there differ by more than 1e-15 scale
+    _check_sides(medium, level)
+
+
+@pytest.mark.parametrize("base, scale, shift", [
+    (C, 1.0, 20.0), (ASYM, 0.1, 2.0), (ASYM, 0.05, -37.3)])
+def test_derivative_sides_match_membership_at_offset_sets(base, scale, shift):
+    copies = tuple(zip(base.offsets, base.ratios))
+    order = similarity_order(base.ratios)
+    _check_sides((Affine(base, scale, shift), order, (shift, shift + scale),
+                  copies), 4)
+
+
+@pytest.mark.parametrize("spec, xs", [
+    (FullInterval(0.0, 1.0), (0.25, 0.5, 0.75)),
+    (GapIFS((0.5, 0.25, 0.25), (0.0, 0.5, 0.75)), (0.5, 0.75)),
+])
+def test_derivative_is_two_sided_where_copies_touch(spec, xs):
+    # the shared end of two touching copies is held from both sides
+    stair = StaircaseEvaluator(spec, 1.0)
+    for x in xs:
+        d = derivative(FOnF.monotone(stair), stair, x)
+        assert (d.value, d.side) == (1.0, "both")
+
+
+def test_derivative_makes_no_extremes_query(monkeypatch):
+    queries = []
+    extremes_in = GapIFS.extremes_in
+
+    def query(spec, lo, hi):
+        queries.append((lo, hi))
+        return extremes_in(spec, lo, hi)
+
+    monkeypatch.setattr(GapIFS, "extremes_in", query)
+    for spec, base in ((C, C), (ASYM, ASYM), (Affine(ASYM, 1.5, -0.25), ASYM)):
+        stair = StaircaseEvaluator(spec, similarity_order(base.ratios))
+        for x in net(spec, 3, Interval(-1.0, 2.0)):
+            derivative(FOnF.monotone(stair), stair, x)
+            derivative(FOnF.net_sampled(lambda y: stair(y) ** 2), stair, x)
+    assert queries == []

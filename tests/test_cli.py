@@ -86,6 +86,15 @@ def test_differentiate(capsys):
         assert float(value) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_differentiate_labels_gap_edges_at_the_defaults(capsys):
+    # 1/27 ends a level-3 piece with a gap on its right, 26/27 one with a
+    # gap on its left
+    code, out, err = run(capsys, "differentiate")
+    assert code == 0
+    assert "0.037037037037037035,1.0,left,0.0\n" in out
+    assert "0.9629629629629629,1.0,right,0.0\n" in out
+
+
 def test_cantor_g(capsys):
     code, out, err = run(capsys, "cantor-g", "--samples", "3")
     assert code == 0
@@ -304,3 +313,21 @@ def test_shared_parser_carries_nothing_between_calls(capsys, between):
     code, out, err = run(capsys, *between)
     assert code == (0 if "--help" in between else 1)
     assert [run(capsys, *argv) for argv in TABLES] == first
+
+
+@pytest.mark.parametrize("argv", [
+    ("diffusion", "--x", "0", "1e7", "1e-3"),
+    ("staircase", "--samples", "10000000000"),
+    ("friction", "--samples", "10000000000"),
+    ("cantor-g", "--samples", "10000000000"),
+])
+def test_oversized_tables_exit_1_before_they_are_built(argv):
+    # each would need far more than the 1 GiB the process may map
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "falpha.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=20, preexec_fn=_cap_memory)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "rows" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -243,13 +243,15 @@ def _interval_flight(p, x, lo, hi):
 
 
 @st.composite
-def _media(draw):
+def _media(draw, far=False):
     """(medium, order, its hull, its copies as (offset, ratio) shares of
     the hull): a gap IFS with 2-4 maps on [0, 1], plain or wrapped, or an
-    interval at order 1, which has no copies."""
+    interval at order 1, which has no copies.  ``far`` draws shifts up to
+    50 and scales down to 0.05, where an ulp of x passes 1e-15 scale."""
+    spread, least = (50.0, 0.05) if far else (1.0, 0.5)
     if draw(st.booleans()) and draw(st.booleans()):
-        lo = draw(st.floats(-1.0, 1.0))
-        hi = lo + draw(st.floats(0.5, 2.0))
+        lo = draw(st.floats(-spread, spread))
+        hi = lo + draw(st.floats(least, 2.0))
         return FullInterval(lo, hi), 1.0, (lo, hi), None
     m = draw(st.integers(2, 4))
     copies = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
@@ -263,8 +265,8 @@ def _media(draw):
     spec = GapIFS(tuple(ratios), tuple(offsets))
     scale, shift = 1.0, 0.0
     if draw(st.booleans()):
-        scale = draw(st.floats(0.5, 2.0))
-        shift = draw(st.floats(-1.0, 1.0))
+        scale = draw(st.floats(least, 2.0))
+        shift = draw(st.floats(-spread, spread))
         spec = Translate(Scale(spec, scale), shift)
     return (spec, similarity_order(tuple(ratios)), (shift, shift + scale),
             tuple(zip(offsets, ratios)))
@@ -289,3 +291,22 @@ def test_flight_lands_within_tol_of_a_reference(medium, ends, slow):
     else:
         lower, upper = _reference_flight(p, x, lo, hi, copies, 1e-8)
     assert lower - tol <= t <= upper + tol
+
+
+def test_residual_at_a_piece_end_of_the_time_set():
+    # 7/9 ends a piece with a gap on its right: no quotient is taken
+    # across that gap
+    assert abs(diffusion_residual(DIFF, 0.6111, 7.0 / 9.0)) <= 1e-3
+
+
+@pytest.mark.parametrize("lo, hi, kappa, x", [
+    (0.0, 1.0, 0.446, 0.2179),
+    (0.0, 1.0, 0.558, 0.6608),
+    (0.0, 2.0, 0.4, 1.0),
+])
+def test_interval_flight_is_the_closed_form(lo, hi, kappa, x):
+    # S is affine on every piece of an interval at order 1, so the walk
+    # prices the flight exactly at its first piece
+    p = FrictionParams(FullInterval(lo, hi), 1.0, v0=1.0, kappa=kappa)
+    closed = -math.log(1.0 - kappa * x) / kappa
+    assert time_of_flight(p, x, tol=1e-6) == pytest.approx(closed, abs=1e-14)
