@@ -2,7 +2,11 @@
 
 Subcommands parse a set description, dispatch to the library, and emit
 CSV or JSON tables.  All computation is deterministic, so identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  A JSON table has the bytes
+of ``json.dumps(doc, indent=2, sort_keys=True)``, though json's C encoder
+writes its rows; both formats write floats in shortest round-trip form.
+No table has more than ``_MAX_ROWS`` rows: a larger one is refused, with
+exit code 1, before it is built.
 
 ``main`` may be called any number of times in one process.  The parser
 is built on the first call, not at import, and reused by every later
@@ -25,11 +29,11 @@ import sys
 from falpha.calculus import FOnF, derivative, integrate
 from falpha.cantor import ALPHA, GAMMA_ALPHA1, g_series
 from falpha.dimension import gamma_dimension, similarity_order
-from falpha.mass import StaircaseEvaluator, mass
+from falpha.mass import StaircaseEvaluator, gamma_factor, mass
 from falpha.physics import (
     DiffusionParams,
     FrictionParams,
-    diffusion_density,
+    _gaussian,
     friction_velocity,
     time_of_flight,
 )
@@ -47,6 +51,9 @@ __all__ = ["main"]
 
 # the most rows a table may have: a larger one is refused before it is built
 _MAX_ROWS = 10 ** 6
+
+# encodes the rows of a JSON table in one call; see _json_rows
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 class _UsageError(Exception):
@@ -122,21 +129,37 @@ def _resolve_alpha(text, spec, a, b):
     return alpha
 
 
+def _json_rows(rows):
+    """The rows of a table as ``json.dumps(doc, indent=2)`` lays them out
+    under the document's "rows" key.  The row encoder writes no indent, so
+    json runs its C encoder, and its item separator already carries the
+    newline and indent of a cell.  JSON escapes every newline inside a
+    string, so "],\\n      [" occurs only between two rows, and a newline
+    right after "[" only in an empty row."""
+    if not rows:
+        return "[]"
+    body = _ROW_ENCODER.encode(rows)[2:-2]
+    body = body.replace("],\n      [", "\n    ],\n    [\n      ")
+    return ("[\n    [\n      " + body + "\n    ]\n  ]").replace(
+        "[\n      \n    ]", "[]")
+
+
 def _emit(out, fmt, columns, rows, meta=None):
+    """Write a table: JSON with the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True)`` for doc = {"columns", "rows"[, "meta"]}, or CSV with
+    ``# key = value`` meta lines, a header and one line per row."""
     if fmt == "json":
-        doc = {"columns": list(columns),
-               "rows": [[r for r in row] for row in rows]}
+        head = {"columns": list(columns)}
         if meta:
-            doc["meta"] = meta
-        out.write(json.dumps(doc, indent=2, sort_keys=True))
-        out.write("\n")
+            head["meta"] = meta
+        # "rows" sorts after "columns" and "meta": it closes the document
+        text = json.dumps(head, indent=2, sort_keys=True)[:-2]
+        out.write(f'{text},\n  "rows": {_json_rows(rows)}\n}}\n')
         return
-    if meta:
-        for key in sorted(meta):
-            out.write(f"# {key} = {_fmt(meta[key])}\n")
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta or ())]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    out.write("\n".join(lines) + "\n")
 
 
 _FUNCTIONS = {
@@ -247,7 +270,8 @@ def _table_points(a, b, samples):
 
 def _cmd_staircase(args, spec, alpha, a, b, out):
     stair = StaircaseEvaluator(spec, alpha, a0=a)
-    rows = [(x, stair(x), stair.scaled(x))
+    gamma = gamma_factor(alpha)
+    rows = [(x, (s := stair(x)), s * gamma)
             for x in _table_points(a, b, args.samples)]
     _emit(out, args.format, ("x", "staircase", "scaled_staircase"), rows,
           meta={"alpha": alpha})
@@ -287,7 +311,7 @@ def _cmd_differentiate(args, spec, alpha, a, b, out):
     stair = StaircaseEvaluator(spec, alpha, a0=a)
     f = _FUNCTIONS[args.f](stair)
     rows = []
-    for x in net(spec, args.level, Interval(a, b)):
+    for x in net(spec, args.level, Interval(a, b), limit=_MAX_ROWS):
         d = derivative(f, stair, x, tol=args.tol)
         rows.append((x, d.value, d.side, d.residual))
     _emit(out, args.format, ("x", "derivative", "side", "residual"), rows,
@@ -326,9 +350,10 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
     rows = []
     for t in args.time:
         s = params.stair(t)
-        for x in xs:
-            w = diffusion_density(params, x, t) if s > 0.0 else 0.0
-            rows.append((x, t, w))
+        if s > 0.0:
+            rows.extend([(x, t, _gaussian(x, s)) for x in xs])
+        else:
+            rows.extend([(x, t, 0.0) for x in xs])
     _emit(out, args.format, ("x", "t", "density"), rows,
           meta={"alpha": alpha})
     return 0

@@ -66,12 +66,17 @@ def diffusion_variance(params, t):
     return params.stair(t)
 
 
+def _gaussian(x, s):
+    """The centred Gaussian density at x with variance s > 0."""
+    return math.exp(-x * x / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
+
+
 def diffusion_density(params, x, t):
     """Gaussian density in x with variance equal to the time staircase."""
     s = params.stair(t)
     if s <= 0.0:
         raise DegenerateTime(f"staircase is zero at t={t}")
-    return math.exp(-x * x / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
+    return _gaussian(x, s)
 
 
 def diffusion_residual(params, x, t, tol=1e-3):

@@ -75,6 +75,18 @@ def _check_level(level):
         )
 
 
+def _too_many(level, limit):
+    return ResolutionExceeded(
+        f"the level-{level} net has more than {limit} points in the range")
+
+
+def _capped(pts, level, limit):
+    """A net small enough to build whole, checked against its limit."""
+    if len(pts) > limit:
+        raise _too_many(level, limit)
+    return pts
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]; degenerate (lo == hi) means a single point."""
@@ -165,7 +177,9 @@ class SetSpec:
         overlapping the open interval (lo, hi), unclipped, sorted."""
         raise NotImplementedError
 
-    def net_points(self, level, lo, hi):
+    def net_points(self, level, lo, hi, limit=math.inf):
+        """The sorted points of the level-``level`` net of F in [lo, hi];
+        ResolutionExceeded when there are more than ``limit`` of them."""
         raise NotImplementedError
 
     def resolution(self, level):
@@ -321,7 +335,7 @@ class GapIFS(SetSpec):
         out.sort()
         return out
 
-    def net_points(self, level, lo, hi):
+    def net_points(self, level, lo, hi, limit=math.inf):
         _check_level(level)
         h0, h1 = self._hull
         out = set()
@@ -337,6 +351,9 @@ class GapIFS(SetSpec):
                     out.add(p0)
                 if lo <= p1 <= hi:
                     out.add(p1)
+                if len(out) > limit:
+                    # stop here: time and memory stay bounded by the limit
+                    raise _too_many(level, limit)
                 continue
             for o, r, _, _ in self._copies:
                 stack.append((off + sc * o, sc * r, d + 1))
@@ -387,8 +404,9 @@ class FinitePoints(SetSpec):
                 out.append((p, q))
         return out
 
-    def net_points(self, level, lo, hi):
-        return [p for p in self.points if lo <= p <= hi]
+    def net_points(self, level, lo, hi, limit=math.inf):
+        return _capped([p for p in self.points if lo <= p <= hi], level,
+                       limit)
 
     def resolution(self, level):
         return 0.0
@@ -453,11 +471,11 @@ class HarmonicCluster(SetSpec):
         out.sort()
         return out
 
-    def net_points(self, level, lo, hi):
+    def net_points(self, level, lo, hi, limit=math.inf):
         _check_level(level)
         count = 2 ** level
         pts = [0.0] + [1.0 / n for n in range(count, 0, -1)]
-        return [p for p in pts if lo <= p <= hi]
+        return _capped([p for p in pts if lo <= p <= hi], level, limit)
 
     def resolution(self, level):
         return 2.0 ** -level
@@ -490,12 +508,12 @@ class FullInterval(SetSpec):
     def _raw_gaps(self, lo, hi, min_len):
         return []
 
-    def net_points(self, level, lo, hi):
+    def net_points(self, level, lo, hi, limit=math.inf):
         _check_level(level)
         n = 2 ** level
         step = (self.hi - self.lo) / n
         pts = [self.lo + i * step for i in range(n + 1)]
-        return [p for p in pts if lo <= p <= hi]
+        return _capped([p for p in pts if lo <= p <= hi], level, limit)
 
     def resolution(self, level):
         return (self.hi - self.lo) / 2 ** level
@@ -532,7 +550,12 @@ class Affine(SetSpec):
 
     def _isect(self, lo, hi):
         s, t = self.scale, self.shift
-        return self.inner._isect((lo - t) / s, (hi - t) / s)
+        # mapping x into F errs by about ulp(x) / scale, which passes the
+        # inner walk's 1e-15 slack far from 0: widen each end by the excess,
+        # so that its slack is max(1e-15 scale, 4 ulp(x)) in global units
+        return self.inner._isect(
+            (lo - t) / s - max(0.0, 4.0 * math.ulp(lo) / s - 1e-15),
+            (hi - t) / s + max(0.0, 4.0 * math.ulp(hi) / s - 1e-15))
 
     def extremes_in(self, lo, hi):
         s, t = self.scale, self.shift
@@ -546,9 +569,9 @@ class Affine(SetSpec):
         raw = self.inner._raw_gaps((lo - t) / s, (hi - t) / s, min_len / s)
         return [(u * s + t, v * s + t) for u, v in raw]
 
-    def net_points(self, level, lo, hi):
+    def net_points(self, level, lo, hi, limit=math.inf):
         s, t = self.scale, self.shift
-        pts = self.inner.net_points(level, (lo - t) / s, (hi - t) / s)
+        pts = self.inner.net_points(level, (lo - t) / s, (hi - t) / s, limit)
         return [p * s + t for p in pts]
 
     def resolution(self, level):
@@ -618,9 +641,11 @@ def gaps(spec, interval, min_len=0.0):
     return out
 
 
-def net(spec, level, interval):
-    """Finite sample of F in ``interval``, dense to within resolution(level)."""
-    return spec.net_points(level, interval.lo, interval.hi)
+def net(spec, level, interval, limit=math.inf):
+    """Finite sample of F in ``interval``, dense to within resolution(level);
+    ResolutionExceeded when it has more than ``limit`` points, raised
+    before more than about ``limit`` of them are listed."""
+    return spec.net_points(level, interval.lo, interval.hi, limit)
 
 
 def is_point_of_change(stair, x, h_min):

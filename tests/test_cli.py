@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import resource
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falpha import cli
 from falpha.cantor import power_rule_integral
@@ -331,3 +333,66 @@ def test_oversized_tables_exit_1_before_they_are_built(argv):
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and "rows" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_differentiate_refuses_a_net_too_large_to_tabulate():
+    # 2 * 4^16 net points: the enumeration stops past the row limit rather
+    # than listing them all until memory runs out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    spec = ('{"type":"gap_ifs","ratios":[0.2,0.2,0.2,0.2],'
+            '"offsets":[0,0.26,0.52,0.8]}')
+    done = subprocess.run([sys.executable, "-m", "falpha.cli",
+                           "differentiate", "--set", spec, "--level", "16"],
+                          env=env, capture_output=True, text=True,
+                          timeout=20, preexec_fn=_cap_memory)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "points" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# strings that could pass for JSON layout: row breaks, quotes, escapes
+_TRICKY = st.text(st.sampled_from('],[ "\\\n\té\u2028\U0001f600x'),
+                  max_size=12)
+_CELLS = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                   st.text(max_size=6), _TRICKY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(st.one_of(st.text(max_size=6), _TRICKY), max_size=4),
+       rows=st.lists(st.lists(_CELLS, max_size=4).map(tuple), max_size=6),
+       meta=st.one_of(st.none(), st.dictionaries(
+           st.one_of(st.text(max_size=6), _TRICKY), _CELLS, max_size=3)))
+def test_json_tables_have_the_layout_of_json_dumps(columns, rows, meta):
+    doc = {"columns": columns, "rows": rows}
+    if meta:
+        doc["meta"] = meta
+    out = io.StringIO()
+    cli._emit(out, "json", columns, rows, meta)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_table(text):
+    lines = text.splitlines()
+    meta = dict(line[2:].split(" = ", 1) for line in lines
+                if line.startswith("# "))
+    body = [line for line in lines if not line.startswith("# ")]
+    return body[0].split(","), [line.split(",") for line in body[1:]], meta
+
+
+@pytest.mark.parametrize("command", ["staircase", "mass", "dimension",
+                                     "integrate", "differentiate", "cantor-g",
+                                     "diffusion", "friction"])
+def test_json_tables_round_trip_the_csv_cells(capsys, command):
+    # CSV cells are the shortest round-trip text of each value, so a JSON
+    # cell read back must spell the same text
+    code, text, err = run(capsys, command)
+    assert code == 0
+    columns, rows, meta = _csv_table(text)
+    code, text, err = run(capsys, command, "--format", "json")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["columns"] == columns
+    assert [[cli._fmt(v) for v in row] for row in doc["rows"]] == rows
+    assert {k: cli._fmt(v) for k, v in doc.get("meta", {}).items()} == meta

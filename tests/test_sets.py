@@ -17,6 +17,7 @@ from falpha.sets import (
     GapIFS,
     HarmonicCluster,
     Interval,
+    ResolutionExceeded,
     Scale,
     Subdivision,
     TernaryCantor,
@@ -90,6 +91,18 @@ def test_net_points_are_members():
         assert pts == sorted(pts)
         for p in pts:
             assert intersects(C, Interval(p, p))
+
+
+@pytest.mark.parametrize("spec, level", [
+    (C, 5), (Affine(ASYM, 2.0, -0.5), 6), (FullInterval(0.0, 1.0), 5),
+    (HarmonicCluster(), 5), (FinitePoints((0.1, 0.2, 0.9)), 0),
+])
+def test_net_refuses_more_points_than_its_limit(spec, level):
+    hull = Interval(*spec.hull())
+    pts = net(spec, level, hull)
+    assert net(spec, level, hull, limit=len(pts)) == pts
+    with pytest.raises(ResolutionExceeded, match="more than"):
+        net(spec, level, hull, limit=len(pts) - 1)
 
 
 def test_harmonic_cluster():
@@ -371,6 +384,21 @@ def _wrap(spec, wraps):
             spec = Translate(spec, value)
             shift = shift + value
     return spec, scale, shift
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_gap_ifs(), level=st.integers(1, 4), scale=st.floats(0.05, 20.0),
+       shift=st.floats(-50.0, 50.0))
+def test_affine_net_points_are_members_far_from_0(base, level, scale, shift):
+    # mapping a net point into the base set errs by about ulp(x) / scale,
+    # more than the base walk's 1e-15 slack once |x| is large
+    spec = Affine(base, scale, shift)
+    hull = Interval(*spec.hull())
+    assert all(spec._isect(p, p) for p in net(spec, level, hull))
+    # the slack does not grow the set: gap midpoints stay out of it
+    for g in gaps(spec, hull, min_len=spec.resolution(level)):
+        mid = (g.lo + g.hi) / 2.0
+        assert not spec._isect(mid, mid)
 
 
 @settings(max_examples=60, deadline=None)
