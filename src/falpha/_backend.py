@@ -7,14 +7,14 @@ r_j^alpha (Hutchinson 1981).  ``measure`` builds its record once per
 first moment, and the piece walk of ``falpha.calculus``.  Callers reach
 the kernels as module attributes at call time, so a wrapper installed
 here, such as the benchmark's tracer, sees every call.  A descent works
-in the local coordinates of the copy entered: a point within 1e-15 in
-global units (1e-15/scale locally) of a hull end is that end.
+in the local coordinates of the copy entered: a point within
+``sets.slack`` of a hull end (``eps``/scale locally) is that end.
 """
 
 import math
 from typing import NamedTuple
 
-from falpha.sets import Affine, FullInterval, GapIFS, TernaryCantor
+from falpha.sets import Affine, FullInterval, GapIFS, TernaryCantor, slack
 
 BACKEND = "python"
 
@@ -31,6 +31,7 @@ class Measure(NamedTuple):
     shares: tuple  # (start, end) of each copy's span, as shares of the hull
     total: float   # sum r^alpha: 1 at the order, below 1 above it
     mean: float    # mean of the normalised measure, as a share of the hull
+    eps: float     # sets.slack at the farther hull end, in hull units
 
 
 def measure(spec, alpha):
@@ -55,12 +56,13 @@ def measure(spec, alpha):
     stair_mean = 1.0 - (
         sum(w * f for w, (f, _) in zip(weights, shares))
         / (1.0 - sum(w * r for w, r in zip(weights, inner.ratios))))
+    far = max(abs(t + lam * h0), abs(t + lam * h1))
     return Measure(lam, t, inner._hull, tuple(zip(inner._copies, weights)),
-                   shares, total, 1.0 - stair_mean)
+                   shares, total, 1.0 - stair_mean, slack(far, lam) / lam)
 
 
-def stair_scaled(hull, table, x):
-    """Staircase at x of the measure with the copy table ``table`` of a
+def stair_scaled(hull, table, eps, x):
+    """Staircase at x of the measure with the ``table`` and ``eps`` of a
     ``Measure``, scaled to rise from 0 to 1 across ``hull``.
 
     Each copy passed on the left of x adds its weight times the running
@@ -70,7 +72,6 @@ def stair_scaled(hull, table, x):
     """
     h0, h1 = hull
     val, w = 0.0, 1.0
-    eps = 1e-15  # the slack in local units: 1e-15 / scale
     while h0 + eps < x < h1 - eps:
         for (o, r, s0, s1), p in table:
             if x < s0:
@@ -95,8 +96,7 @@ def moment_scaled(rec, x):
     m = h0 + rec.mean * (h1 - h0)
     a, b = rec.shift, rec.scale
     x = (x - a) / b
-    val, w = 0.0, 1.0
-    eps = 1e-15  # the slack in local units, as in ``stair_scaled``
+    val, w, eps = 0.0, 1.0, rec.eps
     while h0 + eps < x < h1 - eps:
         for (o, r, s0, s1), p in rec.table:
             if x < s0:
@@ -119,7 +119,7 @@ _CANTOR = measure(TernaryCantor(), math.log(2.0) / math.log(3.0))
 def cantor_scaled(x):
     """The Cantor function: the staircase descent on the middle-thirds
     record, with weights (1/2, 1/2).  Inputs outside [0, 1] clamp."""
-    return stair_scaled(_CANTOR.hull, _CANTOR.table, x)
+    return stair_scaled(_CANTOR.hull, _CANTOR.table, _CANTOR.eps, x)
 
 
 def g_series_scaled(y):

@@ -19,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import Interval, _reject_nan, net
+from falpha.sets import Interval, _reject_nan, net, slack
 
 __all__ = [
     "FOnF",
@@ -175,15 +175,15 @@ def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
     down the construction pieces of the measure record ``rec``, split at
     its shares, from the smallest piece that holds [a, b]: the piece of
     widest bracket splits until the width is at most tol, that piece is
-    below the 1e-15 slack of the set queries, or ``max_pieces`` would be
-    passed.  ``bound(u, v, whole)`` is (upper, lower) on a piece clipped
-    to [u, v]; ``flat(u, v)`` is exact where the staircase is constant:
-    on a gap, off the hull, or above the order.  depth counts nested
-    splits."""
+    shorter than ``sets.slack`` at the farther hull end (``rec.eps``), or
+    ``max_pieces`` would be passed.  ``bound(u, v, whole)`` is (upper,
+    lower) on a piece clipped to [u, v]; ``flat(u, v)`` is exact where
+    the staircase is constant: on a gap, off the hull, or above the
+    order.  depth counts nested splits."""
     hull = _hull_piece(rec)
     if hull is None:
         return (flat(a, b), flat(a, b), 0, 0)
-    shares, lam = rec.shares, rec.scale
+    shares, finest = rec.shares, rec.eps * rec.scale
     last = len(shares) - 1
     exact = upper = lower = 0.0
     count = depth = 0
@@ -213,7 +213,7 @@ def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
     split(a, b, 0, [hull])
     while heap and upper - lower > tol:
         _, k0, k1, d, hi, lo = heap[0]
-        if k1 - k0 < 1e-15 * lam or count + last > max_pieces:
+        if k1 - k0 < finest or count + last > max_pieces:
             break
         heapq.heappop(heap)
         upper, lower, count = upper - hi, lower - lo, count - 1
@@ -229,8 +229,8 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     monotone f on a whole piece is bounded by its values at the piece's
     ends, which lie in F; a clipped piece, or another hint, asks the set
     for the extremes of F in it.  Raises NoConvergence when that takes
-    more than ``max_components`` pieces, or pieces below the slack of the
-    set queries."""
+    more than ``max_components`` pieces, or pieces shorter than the
+    ``sets.slack`` of the set's farther hull end."""
     _check_tol(tol)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -263,10 +263,10 @@ def _side(f, stair, x, piece, sign, tol, r0):
     +1 right), at the far ends of the pieces that hold x from that side,
     from ``piece`` down to pieces 1e-13 max(1, |x|) long; None when x
     ends a piece with a gap on this side, or the side shows no variation.
-    Piece ends and net points may differ by ulps of x, past 1e-15 scale.
-    Raises NoLimit when the quotients do not settle."""
+    Piece ends and net points may differ by ulps of x: x is a piece end
+    within ``sets.slack``.  Raises NoLimit when quotients do not settle."""
     rec = stair.measure
-    shares, slack = rec.shares, max(1e-15 * rec.scale, 4.0 * math.ulp(x))
+    shares, eps = rec.shares, slack(x, rec.scale)
     fx, sx, finest = f(x), stair(x), 1e-13 * max(1.0, abs(x))
     quots, prev, settled = [], None, None
     while piece is not None:
@@ -290,8 +290,8 @@ def _side(f, stair, x, piece, sign, tol, r0):
         # the copy that holds x from this side; touching copies each hold
         # their shared end, from their own side
         piece = next(((c0, c1) for c0, c1 in _kids(shares, k0, k1)
-                      if (c0 + slack < x <= c1 + slack if sign < 0
-                          else c0 - slack <= x < c1 - slack)), None)
+                      if (c0 + eps < x <= c1 + eps if sign < 0
+                          else c0 - eps <= x < c1 - eps)), None)
     return None
 
 

@@ -284,9 +284,9 @@ def _closed_form(spec, alpha, rec):
         return cover  # point sets, or above the order
     if rec.total > 1.0 + 1e-9:
         return None
-    hull, table, lam, t = rec.hull, rec.table, rec.scale, rec.shift
+    hull, table, eps, lam, t = rec.hull, rec.table, rec.eps, rec.scale, rec.shift
     w = (lam * (hull[1] - hull[0])) ** alpha
-    return lambda x: w * _backend.stair_scaled(hull, table, (x - t) / lam)
+    return lambda x: w * _backend.stair_scaled(hull, table, eps, (x - t) / lam)
 
 
 class StaircaseEvaluator:

@@ -6,7 +6,8 @@ middle-thirds set, a general gap-producing iterated function system on
 interval, and one affine wrapper (shift + scale * F).  All queries (interval
 intersection, gap enumeration, finite nets, extreme points) are answered
 exactly from the structure, never by sampling; a gap IFS walks down its
-copies in local coordinates, with a 1e-15 slack for float drift.
+copies in local coordinates with a 1e-15 slack for float drift, and a
+wrapped set maps its queries into that frame widened by ``slack``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "is_point_of_change",
     "spec_from_json",
     "spec_to_json",
+    "slack",
     "MAX_LEVEL",
 ]
 
@@ -51,6 +53,12 @@ _EXTREME_DEPTH = 80
 
 class ResolutionExceeded(ValueError):
     """Requested net level is above MAX_LEVEL."""
+
+
+def slack(x, scale=1.0):
+    """How near, in global units, x must be to a piece end of a set scaled
+    by ``scale`` to be that end: 1e-15 scale, or 4 ulps of x far from 0."""
+    return max(1e-15 * scale, 4.0 * math.ulp(x) if math.isfinite(x) else 0.0)
 
 
 def _finite(name, x):
@@ -524,10 +532,10 @@ class Affine(SetSpec):
     """The set shift + scale * F, for an unwrapped F, a finite scale > 0
     and a finite shift.
 
-    Queries map each point into F by x -> (x - shift) / scale and each
-    answer back by y -> y * scale + shift.  Build it with ``Scale`` and
-    ``Translate``: they fold into an existing Affine, so a spec has at
-    most one wrapper layer.
+    Queries map their window into F by x -> (x - shift) / scale, widened
+    by ``slack``, and answers back into it by y -> y * scale + shift.
+    Build it with ``Scale`` and ``Translate``: they fold into an existing
+    Affine, so a spec has at most one wrapper layer.
     """
 
     inner: SetSpec
@@ -548,21 +556,21 @@ class Affine(SetSpec):
             return None
         return (h[0] * self.scale + self.shift, h[1] * self.scale + self.shift)
 
-    def _isect(self, lo, hi):
+    def _window(self, lo, hi):
+        """[lo, hi] mapped into F, widened by ``slack`` at each end."""
         s, t = self.scale, self.shift
-        # mapping x into F errs by about ulp(x) / scale, which passes the
-        # inner walk's 1e-15 slack far from 0: widen each end by the excess,
-        # so that its slack is max(1e-15 scale, 4 ulp(x)) in global units
-        return self.inner._isect(
-            (lo - t) / s - max(0.0, 4.0 * math.ulp(lo) / s - 1e-15),
-            (hi - t) / s + max(0.0, 4.0 * math.ulp(hi) / s - 1e-15))
+        return ((lo - t) / s - slack(lo, s) / s,
+                (hi - t) / s + slack(hi, s) / s)
+
+    def _isect(self, lo, hi):
+        return self.inner._isect(*self._window(lo, hi))
 
     def extremes_in(self, lo, hi):
         s, t = self.scale, self.shift
-        e = self.inner.extremes_in((lo - t) / s, (hi - t) / s)
+        e = self.inner.extremes_in(*self._window(lo, hi))
         if e is None:
             return None
-        return (e[0] * s + t, e[1] * s + t)
+        return tuple(min(hi, max(lo, y * s + t)) for y in e)
 
     def _raw_gaps(self, lo, hi, min_len):
         s, t = self.scale, self.shift
@@ -571,8 +579,8 @@ class Affine(SetSpec):
 
     def net_points(self, level, lo, hi, limit=math.inf):
         s, t = self.scale, self.shift
-        pts = self.inner.net_points(level, (lo - t) / s, (hi - t) / s, limit)
-        return [p * s + t for p in pts]
+        pts = self.inner.net_points(level, *self._window(lo, hi), limit)
+        return [min(hi, max(lo, p * s + t)) for p in pts]
 
     def resolution(self, level):
         return self.inner.resolution(level) * self.scale

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from falpha import calculus
 from falpha.calculus import (
     FOnF,
+    NoConvergence,
     NoLimit,
     UnboundedHint,
     check_f_continuity,
@@ -28,6 +29,7 @@ from falpha.sets import (
     Interval,
     Subdivision,
     TernaryCantor,
+    Translate,
     net,
 )
 
@@ -72,6 +74,28 @@ def test_integrate_first_moment():
     assert res.upper - res.lower <= 1e-4
     assert res.contains(G1)
     assert res.value == pytest.approx(G1, abs=1e-4)
+
+
+@pytest.mark.parametrize("shift", [20.0, 1000.0, 1e5])
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_integrate_first_moment_of_a_shifted_set(shift, tol):
+    # the first moment of F + shift is (shift + 1/2) / Gamma(alpha + 1)
+    stair = StaircaseEvaluator(Translate(C, shift), ALPHA, a0=shift)
+    res = integrate(FOnF.monotone(lambda x: x), stair, shift, shift + 1.0,
+                    tol=tol)
+    assert res.upper - res.lower <= tol
+    assert res.contains((shift + 0.5) / GAMMA_ALPHA1)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.0 / 3.0])
+def test_integrate_below_the_slack_of_a_far_set_does_not_converge(b):
+    # an ulp of 1e8 is 1.5e-8: the pieces that a 1e-9 bracket needs are
+    # shorter than the slack of the set, which cannot tell their ends apart
+    shift = 1e8
+    stair = StaircaseEvaluator(Translate(C, shift), ALPHA, a0=shift)
+    with pytest.raises(NoConvergence):
+        integrate(FOnF.monotone(lambda x: x), stair, shift, shift + b,
+                  tol=1e-9)
 
 
 def test_integrate_indicator_is_exact():

@@ -97,6 +97,19 @@ def test_differentiate_labels_gap_edges_at_the_defaults(capsys):
     assert "0.9629629629629629,1.0,right,0.0\n" in out
 
 
+def test_differentiate_keeps_the_hull_ends_of_a_wrapped_set(capsys):
+    # -40.335 is the hull's right end; mapped into the middle-thirds set
+    # it rounds past 1
+    code, out, err = run(capsys, "differentiate", "--set",
+                         '{"type":"cantor","scale":1.178,"translate":-41.513}',
+                         "--range", "-41.513", "-40.335", "--level", "2")
+    assert code == 0
+    lines = out.splitlines()
+    rows = lines[lines.index("x,derivative,side,residual") + 1:]
+    assert len(rows) == 8
+    assert rows[0].startswith("-41.513,") and rows[-1].startswith("-40.335,")
+
+
 def test_cantor_g(capsys):
     code, out, err = run(capsys, "cantor-g", "--samples", "3")
     assert code == 0

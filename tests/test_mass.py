@@ -25,6 +25,7 @@ from falpha.sets import (
     Interval,
     Subdivision,
     TernaryCantor,
+    Translate,
     net,
 )
 
@@ -159,6 +160,16 @@ def test_staircase_origin_shift():
     s1 = StaircaseEvaluator(C, ALPHA, a0=1.0 / 3.0)
     for x in (0.0, 0.5, 1.0):
         assert s1(x) == pytest.approx(s0(x) - s0(1.0 / 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [20.0, -37.3, 1000.0])
+def test_translated_staircase_is_the_staircase_moved(shift):
+    # a point of F + shift maps into F with an error of ulps of the shift,
+    # which the descent absorbs at the piece ends
+    s0 = StaircaseEvaluator(C, ALPHA, a0=0.0)
+    moved = StaircaseEvaluator(Translate(C, shift), ALPHA, a0=shift)
+    for p in net(C, 6, Interval(0.0, 1.0)):
+        assert moved(p + shift) == s0(p), p
 
 
 def test_staircase_constant_on_gaps():

@@ -147,6 +147,15 @@ def test_friction_param_validation():
         time_of_flight(p, 0.5, tol=0.0)
 
 
+@pytest.mark.parametrize("shift", [20.0, 1000.0, 1e5])
+def test_flight_through_a_shifted_medium_takes_the_same_time(shift):
+    here = FrictionParams(C, ALPHA, v0=1.0, x0=0.0, kappa=0.5)
+    there = FrictionParams(Translate(C, shift), ALPHA, v0=1.0, x0=shift,
+                           kappa=0.5)
+    t = time_of_flight(here, 1.0, tol=1e-9)
+    assert abs(time_of_flight(there, shift + 1.0, tol=1e-9) - t) <= 1e-11
+
+
 def test_time_of_flight_rejects_nan():
     p = FrictionParams(C, ALPHA, v0=1.0, kappa=0.5)
     with pytest.raises(ValueError, match="x must not be NaN"):

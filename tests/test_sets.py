@@ -26,6 +26,7 @@ from falpha.sets import (
     intersects,
     is_point_of_change,
     net,
+    slack,
     spec_from_json,
     spec_to_json,
 )
@@ -401,6 +402,42 @@ def test_affine_net_points_are_members_far_from_0(base, level, scale, shift):
         assert not spec._isect(mid, mid)
 
 
+@settings(max_examples=100, deadline=None)
+@given(base=_gap_ifs(), scale=st.floats(0.05, 20.0),
+       shift=st.floats(-50.0, 50.0))
+def test_affine_nets_keep_the_points_at_their_window_ends(base, scale, shift):
+    # a net point mapped into the base set and back rounds by about an
+    # ulp of x, which the window must absorb at each end
+    spec = Affine(base, scale, shift)
+    h0, h1 = spec.hull()
+    pts = net(spec, 2, Interval(h0, h1))
+    assert pts[0] - h0 <= slack(h0, scale)
+    assert h1 - pts[-1] <= slack(h1, scale)
+    for q in net(spec, 3, Interval(h0, h1)):
+        assert net(spec, 3, Interval(q, q)) == [q]
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_gap_ifs(), scale=st.floats(0.05, 20.0),
+       shift=st.floats(-50.0, 50.0), ps=st.tuples(st.floats(-0.1, 1.1),
+                                                  st.floats(-0.1, 1.1)))
+def test_affine_extremes_agree_with_isect_far_from_0(base, scale, shift, ps):
+    spec = Affine(base, scale, shift)
+    h0, h1 = spec.hull()
+    for q in net(spec, 4, Interval(h0, h1)):
+        if spec._isect(q, q):
+            assert spec.extremes_in(q, q) == (q, q)
+    lo, hi = sorted(h0 + (h1 - h0) * p for p in ps)
+    e = spec.extremes_in(lo, hi)
+    assert e is None or lo <= e[0] <= e[1] <= hi
+
+
+def test_extremes_at_the_net_points_of_a_far_cantor_set():
+    spec = Translate(C, 20.0)
+    for q in net(spec, 4, Interval(20.0, 21.0)):
+        assert spec._isect(q, q) and spec.extremes_in(q, q) == (q, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(base=_gap_ifs(), wraps=_WRAPS, qs=st.lists(
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1,
@@ -423,8 +460,11 @@ def test_nested_wrappers_round_trip_and_covariance(base, wraps, qs):
         hi = h0 + (h1 - h0) * max(p, q)
         assert again._isect(lo, hi) == spec._isect(lo, hi)
         u, v = (lo - t) / s, (hi - t) / s
-        e = base.extremes_in(u, v)
-        want = None if e is None else (e[0] * s + t, e[1] * s + t)
+        # wrapped: the inner extremes of the widened window, mapped out
+        # and clipped to [lo, hi]
+        e = base.extremes_in(*(spec._window(lo, hi) if wraps else (lo, hi)))
+        want = e if e is None or not wraps else tuple(
+            min(hi, max(lo, y * s + t)) for y in e)
         assert spec.extremes_in(lo, hi) == want
         min_len = (h1 - h0) / 50.0
         want = [(a * s + t, b * s + t) for a, b in base._raw_gaps(u, v, min_len / s)]
