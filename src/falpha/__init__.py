@@ -24,7 +24,6 @@ from falpha.cantor import (
     power_rule_derivative,
     power_rule_integral,
     staircase_power_bounds,
-    ternary,
 )
 from falpha.dimension import (
     DimensionReport,

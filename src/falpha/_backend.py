@@ -8,9 +8,12 @@ first moment, and the piece walk of ``falpha.calculus``.  Callers reach
 the kernels as module attributes at call time, so a wrapper installed
 here, such as the benchmark's tracer, sees every call.  A descent works
 in the local coordinates of the copy entered: a point within
-``sets.slack`` of a hull end (``eps``/scale locally) is that end.
+``sets.slack`` of a hull end (``eps``/scale locally) is that end.  The
+Lebesgue moments of the staircase need no descent: the same
+self-similarity makes them a linear recursion.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -111,6 +114,39 @@ def moment_scaled(rec, x):
         else:
             return val  # past the last copy's end, by float drift
     return val if x <= h0 + eps else val + w * (a + b * m)
+
+
+def lebesgue_moments(rec, n):
+    """[M_0, ..., M_n], M_k the integral of s(y)^k over [0, 1] for the
+    staircase s of ``rec`` rescaled to rise from 0 to 1 across its hull.
+
+    On the span of copy j, r_j of the hull long, s is C_j + p_j s rescaled,
+    with p_j its weight and C_j that of the copies left of it; on the gap
+    after it, g_j of the hull long, s is C_(j+1).  Expanding the power:
+    M_k (1 - sum_j r_j p_j^k) = sum_j r_j sum_(i<k) binom(k, i)
+    C_j^(k-i) p_j^i M_i + sum_j g_j C_(j+1)^k, from M_0 = 1 and
+    M_1 = 1 - ``rec.mean``.  Every term is positive, so the floats keep
+    their relative accuracy.
+    """
+    cs = list(itertools.accumulate((p for _, p in rec.table), initial=0.0))
+    rps = [(r, p) for (_, r, _, _), p in rec.table]
+    gaps = [(f0 - f1, c) for ((_, f1), (f0, _)), c
+            in zip(zip(rec.shares, rec.shares[1:]), cs[1:])]
+    # the first copy, at C_0 = 0, adds nothing; the others as r_j, C_j
+    # and p_j / C_j, the ratio of the Horner sum below
+    right = [(r, c, p / c) for (r, p), c in zip(rps[1:], cs[1:])]
+    moments = [1.0, 1.0 - rec.mean]
+    for k in range(2, n + 1):
+        # C_j^k sum_(i<k) binom(k, i) (p_j / C_j)^i M_i by Horner's rule
+        terms = [math.comb(k, i) * m for i, m in enumerate(moments)][::-1]
+        acc = sum(g * c ** k for g, c in gaps)
+        for r, c, x in right:
+            h = 0.0
+            for t in terms:
+                h = h * x + t
+            acc += r * c ** k * h
+        moments.append(acc / (1.0 - sum(r * p ** k for r, p in rps)))
+    return moments[:n + 1]
 
 
 _CANTOR = measure(TernaryCantor(), math.log(2.0) / math.log(3.0))

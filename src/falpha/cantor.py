@@ -1,17 +1,15 @@
 """Closed forms on the middle-thirds set.
 
-Ternary digit machinery, the exact staircase and the first moment
-integral g(y) = integral of x over [0, y] against it by the descents on
-the middle-thirds measure record, and the power rules used as oracles by
-the calculus property suite.
+The exact staircase and the first moment integral g(y) = integral of x
+over [0, y] against it, by the descents on the middle-thirds measure
+record, and the power rules used as oracles by the calculus property
+suite.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from falpha import _backend
 from falpha.sets import Interval, TernaryCantor, net
@@ -19,8 +17,6 @@ from falpha.sets import Interval, TernaryCantor, net
 __all__ = [
     "ALPHA",
     "GAMMA_ALPHA1",
-    "TernaryExpansion",
-    "ternary",
     "cantor_staircase_exact",
     "g_series",
     "g1_fixed_point",
@@ -34,49 +30,6 @@ ALPHA = math.log(2.0) / math.log(3.0)
 GAMMA_ALPHA1 = math.gamma(ALPHA + 1.0)
 
 _CANTOR = TernaryCantor()
-
-
-@dataclass(frozen=True)
-class TernaryExpansion:
-    """Leading ternary digits t_1..t_n of a number in [0, 1]."""
-
-    digits: tuple
-
-    def truncation(self, k):
-        """T_k: the value of the first k digits."""
-        if k > len(self.digits):
-            raise ValueError("truncation beyond computed digits")
-        total = 0.0
-        p = 1.0
-        for t in self.digits[:k]:
-            p /= 3.0
-            total += t * p
-        return total
-
-
-def ternary(y, n):
-    """Canonical expansion of y to n digits.
-
-    Terminating expansions are preferred; the all-2s tail appears only
-    where forced (y = 1, or tails created by the input itself).  The float
-    input is snapped to the nearest small-denominator rational so that
-    e.g. 1/3 yields digits (1, 0, 0) rather than the binary-float dust
-    expansion.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("y must lie in [0, 1]")
-    if n < 0:
-        raise ValueError("digit count must be nonnegative")
-    f = Fraction(y).limit_denominator(10 ** 12)
-    digits = []
-    for _ in range(n):
-        f *= 3
-        t = int(f)  # floor for nonnegative f
-        if t == 3:
-            t = 2  # remaining value exactly 1: all-2s tail
-        digits.append(t)
-        f -= t
-    return TernaryExpansion(tuple(digits))
 
 
 def cantor_staircase_exact(x):

@@ -6,9 +6,12 @@ must match half the second space derivative wherever the time support is
 hit.  Friction supported on a fractal medium: the velocity drops by the
 staircase increment times the friction coefficient, and the travel time,
 the integral of 1/v, is bracketed by the walk down the construction pieces
-that brackets the staircase-weighted integral.  On an interval at order 1
-the staircase is affine on every piece, so the first piece prices the
-flight exactly.
+that brackets the staircase-weighted integral.  Under a uniform
+coefficient every whole piece carries the same rescaled staircase s, so
+its time is a series in the Lebesgue moments of s, and a partial sum with
+a bound on its tail brackets a whole piece at once.  On an interval at
+order 1 the staircase is affine on every piece, so the first piece prices
+the flight exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+from falpha import _backend
 from falpha.calculus import (FOnF, _bracket, _check_tol, derivative,
                              integrate)
 from falpha.mass import StaircaseEvaluator
@@ -36,6 +40,9 @@ __all__ = [
 
 # space step of the central second difference in ``diffusion_residual``
 _H_X = 1e-3
+# last term q^K M_K of the partial sum that prices a whole piece of a
+# flight; M_(K+1) bounds its tail
+_SERIES_K = 7
 
 
 class DegenerateTime(ArithmeticError):
@@ -137,14 +144,43 @@ def friction_velocity(params, x):
     return params.v0 - drop
 
 
+def _whole_piece(length, vc, vd, moments):
+    """(upper, lower) on the time to cross a whole piece of the medium
+    under a uniform kappa, at velocity vc at its start and vd at its end.
+    There v = vc (1 - q s) with q = (vc - vd) / vc and s the rescaled
+    staircase, so the time is (length / vc) sum_k q^k M_k over the Lebesgue
+    ``moments`` M_k of s.  Its partial sum to K = len(moments) - 2 is a
+    lower bound; M_k does not increase with k, so the tail adds at most
+    q^(K+1) M_(K+1) / (1 - q).  That bracket is intersected with Jensen,
+    length / (vc - (vc - vd) M_1), and the chord, length ((1 - M_1) / vc
+    + M_1 / vd), which 1/v convex in s gives, and which are the tighter
+    as q nears 1."""
+    m = moments[1]
+    chord = length * ((1.0 - m) / vc + m / vd)
+    jensen = length / (vc - (vc - vd) * m)
+    q, qk, part = (vc - vd) / vc, 1.0, 0.0
+    for mk in moments[:-1]:
+        part += qk * mk
+        qk *= q
+    unit = length / vc
+    # clamped so that float rounding cannot leave [jensen, chord]
+    lower = max(jensen, min(unit * part, chord))
+    tail = qk * moments[-1] / (1.0 - q)
+    upper = max(lower, min(chord, unit * (part + tail)))
+    return (upper, lower)
+
+
 def time_of_flight(params, x, tol=1e-9):
     """Travel time from x0 to x: the midpoint of a bracket, at most tol
     wide, of the integral of 1/v by a walk down the construction pieces
     of the medium.  A gap costs its length over v.  Under a uniform kappa
-    1/v is convex in S, so a whole piece costs between L / (v_c - (v_c -
-    v_d) m) (Jensen) and L ((1 - m) / v_c + m / v_d) (the chord), with m
-    the mean of its rescaled staircase; a clipped piece, or any piece
-    under a general k, between L / v_c and L / v_d.  Where the measure is
+    a whole piece costs (L / v_c) sum_k q^k M_k, with q = (v_c - v_d) / v_c
+    and M_k the Lebesgue moments of the rescaled staircase, computed once
+    per call: the walk brackets it by the partial sum to k = 7 and that
+    sum plus the tail bound q^8 M_8 / (1 - q), intersected with Jensen and
+    the chord (``_whole_piece``), so a whole piece closes at once unless
+    v nearly stalls across it.  A clipped piece, or any piece under a
+    general k, costs between L / v_c and L / v_d.  Where the measure is
     Lebesgue's (each copy weighs its ratio: an interval at order 1), S is
     affine, and under a uniform kappa every piece, whole or clipped, costs
     exactly L log1p(d / v_d) / d with d = v_c - v_d (L / v_c if d = 0).
@@ -158,8 +194,10 @@ def time_of_flight(params, x, tol=1e-9):
         raise ValueError("x must be at least x0")
     vel = functools.cache(lambda p: friction_velocity(params, p))
     rec = params.stair.measure
-    m = None if rec is None or params.kappa is None else 1.0 - rec.mean
-    affine = m is not None and all(p == r for (_, r, _, _), p in rec.table)
+    uniform = rec is not None and params.kappa is not None
+    affine = uniform and all(p == r for (_, r, _, _), p in rec.table)
+    moments = (_backend.lebesgue_moments(rec, _SERIES_K + 1)
+               if uniform and not affine else None)
 
     def bound(u, v, whole):
         vc, vd = vel(u), vel(v)
@@ -167,9 +205,8 @@ def time_of_flight(params, x, tol=1e-9):
             d = vc - vd
             t = (v - u) * math.log1p(d / vd) / d if d else (v - u) / vc
             return (t, t)
-        if whole and m is not None:
-            return ((v - u) * ((1.0 - m) / vc + m / vd),
-                    (v - u) / (vc - (vc - vd) * m))
+        if whole and moments:
+            return _whole_piece(v - u, vc, vd, moments)
         return ((v - u) / min(vc, vd), (v - u) / max(vc, vd))
 
     def walk(b):

@@ -62,7 +62,10 @@ def slack(x, scale=1.0):
 
 
 def _finite(name, x):
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {x!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
@@ -211,7 +214,7 @@ class GapIFS(SetSpec):
     offsets: tuple
 
     def __post_init__(self):
-        ratios = tuple(float(r) for r in self.ratios)
+        ratios = tuple(_finite("ratios", r) for r in self.ratios)
         offsets = tuple(_finite("offsets", o) for o in self.offsets)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "offsets", offsets)
@@ -677,22 +680,33 @@ def spec_from_json(obj):
     {"type": "cantor" | "gap_ifs" | "finite" | "harmonic" | "interval", ...}
     with optional "scale" and "translate" keys for the set
     translate + scale * F (scale applied first).  A scale of 0 gives the
-    single point {translate}; a negative scale and non-finite numbers are
-    rejected with ValueError.
+    single point {translate}.  A missing or ill-typed field, a negative
+    scale and non-finite numbers are rejected with a ValueError that names
+    the field.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("set spec must be an object with a 'type' key")
     kind = obj["type"]
+
+    def field(name, many=False):
+        # a number, or with ``many`` a list of them
+        if name not in obj:
+            raise ValueError(f"set type {kind!r} needs the field {name!r}")
+        value = obj[name]
+        if many and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(value) if many else _finite(name, value)
+
     if kind == "cantor":
         spec = TernaryCantor()
     elif kind == "gap_ifs":
-        spec = GapIFS(tuple(obj["ratios"]), tuple(obj["offsets"]))
+        spec = GapIFS(field("ratios", True), field("offsets", True))
     elif kind == "finite":
-        spec = FinitePoints(tuple(obj["points"]))
+        spec = FinitePoints(field("points", True))
     elif kind == "harmonic":
         spec = HarmonicCluster()
     elif kind == "interval":
-        spec = FullInterval(float(obj["lo"]), float(obj["hi"]))
+        spec = FullInterval(field("lo"), field("hi"))
     else:
         raise ValueError(f"unknown set type {kind!r}")
     if "scale" in obj or "translate" in obj:

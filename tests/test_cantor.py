@@ -15,7 +15,6 @@ from falpha.cantor import (
     power_rule_derivative,
     power_rule_integral,
     staircase_power_bounds,
-    ternary,
 )
 from falpha.sets import Interval, TernaryCantor, net
 
@@ -34,16 +33,6 @@ def test_constants():
     assert GAMMA_ALPHA1 == pytest.approx(GAMMA_REF, abs=1e-15)
     scipy_special = pytest.importorskip("scipy.special")
     assert abs(GAMMA_ALPHA1 - scipy_special.gamma(1.0 + ALPHA)) < 1e-14
-
-
-def test_ternary_expansion():
-    assert ternary(1.0 / 3.0, 3).digits == (1, 0, 0)
-    assert ternary(2.0 / 3.0, 3).digits == (2, 0, 0)
-    assert ternary(1.0, 3).digits == (2, 2, 2)
-    assert ternary(1.0 / 4.0, 4).digits == (0, 2, 0, 2)
-    exp = ternary(7.0 / 9.0, 4)
-    assert exp.digits == (2, 1, 0, 0)
-    assert exp.truncation(1) == pytest.approx(2.0 / 3.0)
 
 
 def test_exact_staircase_endpoints():

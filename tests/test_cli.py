@@ -365,6 +365,26 @@ def test_differentiate_refuses_a_net_too_large_to_tabulate():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("spec, field", [
+    ('{"type":"interval"}', "lo"),
+    ('{"type":"gap_ifs"}', "ratios"),
+    ('{"type":"finite"}', "points"),
+    ('{"type":"gap_ifs","ratios":5,"offsets":[0,0.5]}', "ratios"),
+    ('{"type":"interval","lo":[0],"hi":1}', "lo"),
+    ('{"type":"cantor","scale":"wide"}', "scale"),
+])
+def test_set_with_a_missing_or_ill_typed_field_exits_1(spec, field):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "falpha.cli", "staircase",
+                           "--set", spec], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and field in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # strings that could pass for JSON layout: row breaks, quotes, escapes
 _TRICKY = st.text(st.sampled_from('],[ "\\\n\té\u2028\U0001f600x'),
                   max_size=12)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from falpha.physics import (
     diffusion_variance,
     friction_velocity,
     time_of_flight,
+    _whole_piece,
 )
 from falpha.sets import (
     FinitePoints,
@@ -319,3 +321,78 @@ def test_interval_flight_is_the_closed_form(lo, hi, kappa, x):
     p = FrictionParams(FullInterval(lo, hi), 1.0, v0=1.0, kappa=kappa)
     closed = -math.log(1.0 - kappa * x) / kappa
     assert time_of_flight(p, x, tol=1e-6) == pytest.approx(closed, abs=1e-14)
+
+
+def _exact_moments(rec, n):
+    """M_0..M_n of the rescaled staircase of ``rec``: the recursion of
+    ``lebesgue_moments`` solved in Fractions from M_0 = 1, on the record's
+    weights, ratios and shares."""
+    ps = [Fraction(p) for _, p in rec.table]
+    rs = [Fraction(r) for (_, r, _, _), _ in rec.table]
+    cs = [sum(ps[:j], Fraction(0)) for j in range(len(ps) + 1)]
+    gaps = [Fraction(f0) - Fraction(f1)
+            for (_, f1), (f0, _) in zip(rec.shares, rec.shares[1:])]
+    moments = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = sum(g * c ** k for g, c in zip(gaps, cs[1:]))
+        acc += sum(r * sum(math.comb(k, i) * c ** (k - i) * p ** i
+                           * moments[i] for i in range(k))
+                   for r, p, c in zip(rs, ps, cs))
+        moments.append(acc / (1 - sum(r * p ** k for r, p in zip(rs, ps))))
+    return moments
+
+
+@settings(max_examples=40, deadline=None)
+@given(medium=_media())
+def test_lebesgue_moments_match_an_exact_solve(medium):
+    spec, alpha, _, _ = medium
+    rec = _backend.measure(spec, alpha)
+    got = _backend.lebesgue_moments(rec, 9)
+    want = [float(m) for m in _exact_moments(rec, 9)]
+    assert len(got) == 10
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 32 * math.ulp(w)
+    assert got[1] == 1.0 - rec.mean
+    # s^k falls with k where 0 <= s <= 1
+    assert all(a >= b for a, b in zip(got, got[1:]))
+
+
+def test_lebesgue_moments_closed_values():
+    thirds = _backend.lebesgue_moments(_backend.measure(C, ALPHA), 3)
+    assert thirds == pytest.approx([1.0, 0.5, 0.3, 0.2], rel=1e-15)
+    # the interval at order 1 is its two halves, and s(y) = y
+    halves = _backend.measure(FullInterval(0.0, 1.0), 1.0)
+    assert _backend.lebesgue_moments(halves, 12) == pytest.approx(
+        [1.0 / (k + 1) for k in range(13)], rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(medium=_media(), length=st.floats(1e-6, 2.0),
+       vc=st.floats(0.01, 2.0), q=st.floats(0.0, 0.999))
+def test_whole_piece_series_lies_inside_jensen_and_the_chord(
+        medium, length, vc, q):
+    spec, alpha, _, _ = medium
+    moments = _backend.lebesgue_moments(_backend.measure(spec, alpha), 8)
+    vd = vc * (1.0 - q)
+    upper, lower = _whole_piece(length, vc, vd, moments)
+    m = moments[1]
+    chord = length * ((1.0 - m) / vc + m / vd)
+    jensen = length / (vc - (vc - vd) * m)
+    assert jensen <= lower <= upper <= max(chord, jensen)
+    # and it holds the series summed much further, with its tail bound
+    many = _backend.lebesgue_moments(_backend.measure(spec, alpha), 60)
+    head = sum(q ** k * mk for k, mk in enumerate(many[:-1]))
+    tail = q ** 60 * many[-1] / (1.0 - q)
+    unit = length / vc
+    assert lower <= unit * (head + tail) * (1.0 + 1e-12)
+    assert unit * head <= upper * (1.0 + 1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kappa=st.floats(0.3, 0.6), x=st.floats(0.1, 0.7))
+def test_middle_thirds_flights_take_few_staircase_values(kappa, x):
+    # a whole piece closes by its series unless v nearly stalls across
+    # it, so only the clipped end pieces split
+    p = FrictionParams(C, ALPHA, v0=1.0, kappa=kappa)
+    time_of_flight(p, x, tol=1e-6)
+    assert len(p.stair._cache) <= 20
