@@ -4,10 +4,10 @@ The integral is a Riemann-Stieltjes-style bracket: on each subdivision
 component, the sup and inf of the integrand over the intersection with F
 are weighted by the staircase increment.  ``integrate`` subdivides along
 the construction pieces of the set (``_bracket``), which also brackets
-the Lebesgue integral of ``physics.time_of_flight``.  Both ends of a
-whole piece are images of the hull ends, so they lie in F, and a
-monotone integrand is bounded there by its values at those ends with no
-set query; the walk's ends match the set's own to float rounding.  The
+the Lebesgue integral of ``physics.time_of_flight``.  Its pieces come
+from ``sets._children``: a whole piece's ends lie in F, bit for bit
+``extremes_in``'s, and carry their staircase values, so a monotone or
+Lipschitz integrand is bounded there with no set query or descent.  The
 derivative is the limit of increment quotients at the far ends of the
 pieces that hold x, and 0 off F; a side of x is vacuous where x ends a
 piece with a gap on that side.
@@ -15,11 +15,12 @@ piece with a gap on that side.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import Interval, _reject_nan, net, slack
+from falpha.sets import Interval, _children, _reject_nan, net, slack
 
 __all__ = [
     "FOnF",
@@ -36,7 +37,7 @@ __all__ = [
     "check_f_continuity",
 ]
 
-# net level that samples F for non-monotone extremes and continuity checks
+# net level that samples F for net-sampled extremes and continuity checks
 _NET_LEVEL = 10
 
 
@@ -63,8 +64,8 @@ class FOnF:
 
     hint is ("monotone",) for functions monotone on F (extremes sit at the
     extreme F-points of the interval), ("lipschitz", L) for an L-Lipschitz
-    bound (net extremes padded by L times the net resolution), or
-    ("net-sampled",) for uncertified raw net extremes.
+    bound (within (f(e0) + f(e1))/2 +- L (e1 - e0)/2 between the extreme
+    F-points e0, e1), or ("net-sampled",) for uncertified net extremes.
     """
 
     fn: object
@@ -86,28 +87,36 @@ class FOnF:
         return FOnF(fn, ("net-sampled",))
 
 
+def _by_ends(f, e0, e1):
+    """(sup, inf) of f over the points of F in [e0, e1], e0 and e1 among
+    them, from a monotone or Lipschitz hint; None for any other f."""
+    kind = f.hint[:1] if isinstance(f, FOnF) else ()
+    if kind == ("monotone",):
+        f0, f1 = f(e0), f(e1)
+        return (max(f0, f1), min(f0, f1))
+    if kind == ("lipschitz",):
+        # the cones of slope L from (e0, f(e0)) and (e1, f(e1)) meet there
+        mid, pad = (f(e0) + f(e1)) / 2.0, f.hint[1] * (e1 - e0) / 2.0
+        return (mid + pad, mid - pad)
+    return None
+
+
 def sup_inf_on(f, spec, interval, level=_NET_LEVEL):
     """(sup, inf) of f over F intersected with the interval; (0, 0) when
-    the intersection is empty."""
+    the intersection is empty.  Only the ``net-sampled`` hint samples the
+    level-``level`` net."""
     ext = spec.extremes_in(interval.lo, interval.hi)
     if ext is None:
         return (0.0, 0.0)
     if not isinstance(f, FOnF) or not f.hint:
         raise UnboundedHint("integrand carries no bound hint")
-    kind = f.hint[0]
-    if kind == "monotone":
-        va = f(ext[0])
-        vb = f(ext[1])
-        return (max(va, vb), min(va, vb))
-    samples = [p for p in net(spec, level, interval)]
-    samples.extend(ext)
-    vals = [f(p) for p in samples]
-    if kind == "lipschitz":
-        pad = f.hint[1] * spec.resolution(level)
-        return (max(vals) + pad, min(vals) - pad)
-    if kind == "net-sampled":
+    got = _by_ends(f, *ext)
+    if got is not None:
+        return got
+    if f.hint[0] == "net-sampled":
+        vals = [f(p) for p in [*net(spec, level, interval), *ext]]
         return (max(vals), min(vals))
-    raise UnboundedHint(f"unknown bound hint {kind!r}")
+    raise UnboundedHint(f"unknown bound hint {f.hint[0]!r}")
 
 
 def upper_lower_sums(f, stair, subdivision):
@@ -129,22 +138,18 @@ class IntegralResult:
         return self.lower - slack <= target <= self.upper + slack
 
 
-def _component(f, stair, u, v, whole=False):
-    """(upper, lower) staircase-weighted bounds of f on [u, v].
-
-    ``whole`` says [u, v] is a whole construction piece: both its ends
-    are images of the hull ends, so they are the least and greatest
-    points of F in it, and a monotone f is bounded there by f(u) and f(v)
-    with no set query.  The walk computes those ends as k0 + w * share
-    where ``extremes_in`` composes the copy maps, so the two differ by a
-    few ulps: the bound is exact up to that rounding of the ends."""
-    ds = stair(v) - stair(u)
+def _component(f, stair, u, v, whole=False, s=None):
+    """(upper, lower) staircase-weighted bounds of f on [u, v], with
+    ``s`` = (S(u), S(v)) as the walk read them, else by descents.
+    ``whole`` says [u, v] is a whole construction piece: its ends are the
+    extremes of F in it, as ``extremes_in`` returns them, so a monotone or
+    Lipschitz f is bounded there with no set query."""
+    su, sv = s or (stair(u), stair(v))
+    ds = sv - su
     if ds == 0.0:
         return (0.0, 0.0)
-    if whole and isinstance(f, FOnF) and f.hint[:1] == ("monotone",):
-        fu, fv = f(u), f(v)
-        return (max(fu, fv) * ds, min(fu, fv) * ds)
-    m_hi, m_lo = sup_inf_on(f, stair.spec, Interval(u, v))
+    got = whole and _by_ends(f, u, v)
+    m_hi, m_lo = got or sup_inf_on(f, stair.spec, Interval(u, v))
     return (m_hi * ds, m_lo * ds)
 
 
@@ -153,72 +158,83 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
-def _hull_piece(rec):
-    """The hull of the measure record ``rec``, where walks down its pieces
-    start; None when there is no record or its staircase is flat."""
+def _walk(stair):
+    """(hull piece, children) of the walk down the pieces (``_children``)
+    of the measure record of ``stair``, or None when there is no record
+    or its staircase is flat; the hull piece has the set's own ends."""
+    rec = stair.measure
     if rec is None or rec.total < 1.0 - 1e-12:
         return None
-    (h0, h1), lam, t = rec.hull, rec.scale, rec.shift
-    return (t + lam * h0, t + lam * h1)
+    rows = [(o, r, p) for (o, r, _, _), p in rec.table]
+    return ((*stair.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),
+            functools.partial(_children, rec.hull, rows, rec.shift, rec.scale))
 
 
-def _kids(shares, k0, k1):
-    """The copies of the piece [k0, k1], split at the record's shares; the
-    outer copies share the ends of their parent."""
-    w, last = k1 - k0, len(shares) - 1
-    return [(k0 + w * f0 if i else k0, k0 + w * f1 if i < last else k1)
-            for i, (f0, f1) in enumerate(shares)]
-
-
-def _bracket(rec, a, b, tol, bound, flat, max_pieces=math.inf):
+def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
     """(lower, upper, pieces, depth) of an integral over [a, b] by a walk
-    down the construction pieces of the measure record ``rec``, split at
-    its shares, from the smallest piece that holds [a, b]: the piece of
-    widest bracket splits until the width is at most tol, that piece is
-    shorter than ``sets.slack`` at the farther hull end (``rec.eps``), or
-    ``max_pieces`` would be passed.  ``bound(u, v, whole)`` is (upper,
-    lower) on a piece clipped to [u, v]; ``flat(u, v)`` is exact where
-    the staircase is constant: on a gap, off the hull, or above the
-    order.  depth counts nested splits."""
-    hull = _hull_piece(rec)
-    if hull is None:
-        return (flat(a, b), flat(a, b), 0, 0)
-    shares, finest = rec.shares, rec.eps * rec.scale
-    last = len(shares) - 1
-    exact = upper = lower = 0.0
+    down the pieces of ``_walk(stair)`` from the smallest that holds
+    [a, b]: the piece of widest bracket splits until the width, as
+    upper - lower and summed piece by piece, is at most tol, that piece
+    is shorter than ``sets.slack`` at the farther hull end (``rec.eps``),
+    or ``max_pieces`` would be passed.  ``bound(u, v, su, sv, whole)`` is
+    (upper, lower) on a piece clipped to [u, v] where S is su and sv;
+    ``flat(u, v, s)`` is exact where S is s throughout: on a gap, off the
+    hull, or above the order.  S is a descent at a and b; at a piece end
+    the piece gives it (``stair._at``).  depth counts nested splits."""
+    sa, sb = stair(a), stair(b)
+    walk = _walk(stair)
+    if walk is None:
+        return (flat(a, b, sa), flat(a, b, sa), 0, 0)
+    hull, kids = walk
+    at, rec = stair._at, stair.measure
+    finest, last = rec.eps * rec.scale, len(rec.table) - 1
+    exact = upper = lower = width = 0.0
     count = depth = 0
     heap = []
 
-    def split(u, v, d, spans):
-        # [u, v] as the pieces met and the flat stretches between them,
-        # the last closed by the empty span (v, v)
-        nonlocal exact, upper, lower, count
-        for k0, k1 in [*spans, (v, v)]:
-            if u < min(v, k0):
-                exact += flat(u, min(v, k0))
-            p, q = max(u, k0), min(v, k1)
-            u = max(u, q)
-            if p >= q:
+    def split(u, su, v, sv, d, spans):
+        # [u, v] as the pieces met and the flat stretches between them;
+        # where u or v is a piece end, S there is the piece's
+        nonlocal exact, upper, lower, width, count
+        for piece in spans:
+            k0, k1 = piece[:2]
+            if v <= k0:
+                break
+            if u < k0:
+                exact += flat(u, k0, su)
+            if u <= k0:
+                u, su = k0, at(k0, piece[4])
+            if min(v, k1) <= u:
                 continue
+            q, sq = (k1, at(k1, piece[5])) if k1 <= v else (v, sv)
             # a clipped piece that lies in one of its copies is that copy
-            while (p, q) != (k0, k1) and (kid := next(
-                    (c for c in _kids(shares, k0, k1)
-                     if c[0] <= p and q <= c[1]), None)):
-                k0, k1 = kid
-            hi, lo = bound(p, q, (p, q) == (k0, k1))
+            while (u, q) != piece[:2] and (kid := next(
+                    (c for c in kids(piece) if c[0] <= u and q <= c[1]),
+                    None)):
+                piece = kid
+            hi, lo = bound(u, q, su, sq, (u, q) == piece[:2])
             upper, lower, count = upper + hi, lower + lo, count + 1
             if hi > lo:
-                heapq.heappush(heap, (lo - hi, k0, k1, d, hi, lo))
+                heapq.heappush(heap, (lo - hi, *piece[:2], d, hi, lo, piece))
+                width += hi - lo
+            u, su = q, sq
+        if u < v:
+            exact += flat(u, v, su)
 
-    split(a, b, 0, [hull])
-    while heap and upper - lower > tol:
-        _, k0, k1, d, hi, lo = heap[0]
+    split(a, sa, b, sb, 0, [hull])
+    while heap and max(width, upper - lower) > tol:
+        _, k0, k1, d, hi, lo, piece = heap[0]
         if k1 - k0 < finest or count + last > max_pieces:
             break
         heapq.heappop(heap)
         upper, lower, count = upper - hi, lower - lo, count - 1
+        width -= hi - lo
         depth = max(depth, d + 1)
-        split(max(a, k0), min(b, k1), d + 1, _kids(shares, k0, k1))
+        split(max(a, k0), sa, min(b, k1), sb, d + 1, kids(piece))
+    if width > tol:
+        # far from 0 the sums round at ulps wider than tol, which can hide
+        # a width the walk did not close
+        upper = max(upper, lower + width)
     return (exact + lower, exact + upper, count, depth)
 
 
@@ -226,11 +242,11 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     """Certified bracket for the staircase-weighted integral of f: a walk
     down the construction pieces (``_bracket``) with ``_component`` on
     each piece and nothing on a gap, until upper - lower <= tol.  A
-    monotone f on a whole piece is bounded by its values at the piece's
-    ends, which lie in F; a clipped piece, or another hint, asks the set
-    for the extremes of F in it.  Raises NoConvergence when that takes
-    more than ``max_components`` pieces, or pieces shorter than the
-    ``sets.slack`` of the set's farther hull end."""
+    monotone or Lipschitz f on a whole piece is bounded by its values at
+    the piece's ends, which lie in F; a clipped piece, or another hint,
+    asks the set for the extremes of F in it.  Raises NoConvergence when
+    that takes more than ``max_components`` pieces, or pieces shorter
+    than the ``sets.slack`` of the set's farther hull end."""
     _check_tol(tol)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -239,9 +255,10 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
         return IntegralResult(-res.upper, -res.lower, -res.value,
                               res.gap, res.refinement_depth)
     lower, upper, count, depth = _bracket(
-        stair.measure, a, b, tol,
-        lambda u, v, whole: _component(f, stair, u, v, whole),
-        lambda u, v: 0.0, max_components)
+        stair, a, b, tol,
+        lambda u, v, su, sv, whole: _component(f, stair, u, v, whole,
+                                               (su, sv)),
+        lambda u, v, s: 0.0, max_components)
     res = IntegralResult(lower, upper, (upper + lower) / 2.0,
                          max(0.0, upper - lower), depth)
     if upper - lower > tol:
@@ -258,22 +275,23 @@ class DerivativeResult:
     residual: float
 
 
-def _side(f, stair, x, piece, sign, tol, r0):
+def _side(f, stair, x, walk, sign, tol, r0):
     """(value, residual) of the quotients on one side of x (sign -1 left,
     +1 right), at the far ends of the pieces that hold x from that side,
-    from ``piece`` down to pieces 1e-13 max(1, |x|) long; None when x
-    ends a piece with a gap on this side, or the side shows no variation.
-    Piece ends and net points may differ by ulps of x: x is a piece end
-    within ``sets.slack``.  Raises NoLimit when quotients do not settle."""
-    rec = stair.measure
-    shares, eps = rec.shares, slack(x, rec.scale)
+    down the ``walk`` of ``_walk`` to pieces 1e-13 max(1, |x|) long, with
+    S at those ends read from the pieces; None when x ends a piece with
+    a gap on this side, or the side shows no variation.  An x computed
+    elsewhere may miss a piece end by ulps: x is a piece end within
+    ``sets.slack``.  Raises NoLimit when quotients do not settle."""
+    piece, kids = walk
+    eps = slack(x, stair.measure.scale)
     fx, sx, finest = f(x), stair(x), 1e-13 * max(1.0, abs(x))
     quots, prev, settled = [], None, None
     while piece is not None:
-        k0, k1 = piece
-        y = k1 if sign > 0 else k0
+        k0, k1 = piece[:2]
+        y, share = (k1, piece[5]) if sign > 0 else (k0, piece[4])
         if settled is None and y != prev and abs(y - x) <= r0:
-            prev, ds = y, stair(y) - sx
+            prev, ds = y, stair._at(y, share) - sx
             if ds != 0.0:
                 quots.append((f(y) - fx) / ds)
             if len(quots) >= 3:
@@ -289,9 +307,9 @@ def _side(f, stair, x, piece, sign, tol, r0):
             return settled
         # the copy that holds x from this side; touching copies each hold
         # their shared end, from their own side
-        piece = next(((c0, c1) for c0, c1 in _kids(shares, k0, k1)
-                      if (c0 + eps < x <= c1 + eps if sign < 0
-                          else c0 - eps <= x < c1 - eps)), None)
+        piece = next((c for c in kids(piece)
+                      if (c[0] + eps < x <= c[1] + eps if sign < 0
+                          else c[0] - eps <= x < c[1] - eps)), None)
     return None
 
 
@@ -306,9 +324,9 @@ def derivative(f, stair, x, tol=1e-3, r0=1.0):
     _reject_nan("x", x)
     if not stair.spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)
-    hull = _hull_piece(stair.measure)
-    left = hull and _side(f, stair, x, hull, -1, tol, r0)
-    right = hull and _side(f, stair, x, hull, +1, tol, r0)
+    walk = _walk(stair)
+    left = walk and _side(f, stair, x, walk, -1, tol, r0)
+    right = walk and _side(f, stair, x, walk, +1, tol, r0)
     if left and right:
         mismatch = abs(left[0] - right[0])
         if mismatch > tol * max(1.0, abs(left[0])):

@@ -269,24 +269,26 @@ def mass(spec, a, b, alpha, depth=8):
 
 
 def _closed_form(spec, alpha, rec):
-    """x -> Gamma(alpha+1) * mass of (-inf, x] where a closed form
-    applies, else None: the staircase descent on the measure record
-    ``rec`` of a gap IFS at its order, and the cover with no mesh bound
-    wherever that cover does not depend on the mesh."""
+    """(x -> Gamma(alpha+1) * mass of (-inf, x], unit) where a closed form
+    applies, else (None, None): the staircase descent on the measure
+    record ``rec`` of a gap IFS at its order, unit times the share it
+    reads, or the cover with no mesh bound where that does not depend on
+    the mesh, with no unit."""
     inner = spec.inner if isinstance(spec, Affine) else spec
 
     def cover(x):
         return _coarse_scaled(spec, -math.inf, x, alpha, math.inf)
 
     if isinstance(inner, FullInterval):
-        return cover if alpha == 1.0 else None
+        return (cover, None) if alpha == 1.0 else (None, None)
     if rec is None or rec.total < 1.0 - 1e-12:
-        return cover  # point sets, or above the order
+        return (cover, None)  # point sets, or above the order
     if rec.total > 1.0 + 1e-9:
-        return None
+        return (None, None)
     hull, table, eps, lam, t = rec.hull, rec.table, rec.eps, rec.scale, rec.shift
     w = (lam * (hull[1] - hull[0])) ** alpha
-    return lambda x: w * _backend.stair_scaled(hull, table, eps, (x - t) / lam)
+    return (lambda x: w * _backend.stair_scaled(hull, table, eps,
+                                                (x - t) / lam), w)
 
 
 class StaircaseEvaluator:
@@ -312,8 +314,8 @@ class StaircaseEvaluator:
         self.mode = mode
         self._gamma = gamma_factor(alpha)
         self.measure = _backend.measure(spec, alpha)
-        self._closed = (_closed_form(spec, alpha, self.measure)
-                        if mode == "auto" else None)
+        self._closed, self._unit = (_closed_form(spec, alpha, self.measure)
+                                    if mode == "auto" else (None, None))
         if self._closed is not None:
             self._s0 = self._closed(self.a0)
         self._cache = {}
@@ -348,6 +350,13 @@ class StaircaseEvaluator:
         return got
 
     __call__ = value
+
+    def _at(self, x, share):
+        """self(x) at a piece end x where the descent on ``self.measure``
+        reads ``share``, by no descent where S is that descent."""
+        if self._unit is None:
+            return self.value(x)
+        return (self._unit * share - self._s0) / self._gamma
 
     def scaled(self, x):
         """Gamma(alpha+1) times the staircase value."""

@@ -172,35 +172,33 @@ def _whole_piece(length, vc, vd, moments):
 
 def time_of_flight(params, x, tol=1e-9):
     """Travel time from x0 to x: the midpoint of a bracket, at most tol
-    wide, of the integral of 1/v by a walk down the construction pieces
-    of the medium.  A gap costs its length over v.  Under a uniform kappa
-    a whole piece costs (L / v_c) sum_k q^k M_k, with q = (v_c - v_d) / v_c
-    and M_k the Lebesgue moments of the rescaled staircase, computed once
-    per call: the walk brackets it by the partial sum to k = 7 and that
-    sum plus the tail bound q^8 M_8 / (1 - q), intersected with Jensen and
-    the chord (``_whole_piece``), so a whole piece closes at once unless
-    v nearly stalls across it.  A clipped piece, or any piece under a
-    general k, costs between L / v_c and L / v_d.  Where the measure is
-    Lebesgue's (each copy weighs its ratio: an interval at order 1), S is
-    affine, and under a uniform kappa every piece, whole or clipped, costs
-    exactly L log1p(d / v_d) / d with d = v_c - v_d (L / v_c if d = 0).
-    If v(x) <= 1e-9 v0, Stall is raised at the point where v falls to that
-    floor, found by bisection, with the walk's lower bound on the time to
-    reach it."""
+    wide, of the integral of 1/v by the walk of ``calculus._bracket``,
+    which reads S at piece ends from the pieces.  A gap costs its length
+    over v.  Under a uniform kappa a whole piece is priced by the moment
+    series of ``_whole_piece``, so it closes at once unless v nearly
+    stalls across it; a clipped piece, or any piece under a general k,
+    costs between L / v_c and L / v_d.  Where S is affine (an interval at
+    order 1), every piece costs exactly L log1p(d / v_d) / d with
+    d = v_c - v_d (L / v_c if d = 0).  If v(x) <= 1e-9 v0, Stall is
+    raised at the point where v falls to that floor, found by bisection,
+    with the walk's lower bound on the time to reach it."""
     _check_tol(tol)
     _reject_nan("x", x)
     x0 = params.x0
     if x < x0:
         raise ValueError("x must be at least x0")
     vel = functools.cache(lambda p: friction_velocity(params, p))
-    rec = params.stair.measure
-    uniform = rec is not None and params.kappa is not None
+    rec, kappa = params.stair.measure, params.kappa
+    uniform = rec is not None and kappa is not None
     affine = uniform and all(p == r for (_, r, _, _), p in rec.table)
     moments = (_backend.lebesgue_moments(rec, _SERIES_K + 1)
                if uniform and not affine else None)
 
-    def bound(u, v, whole):
-        vc, vd = vel(u), vel(v)
+    def speed(p, s):  # S at p is s; a general k integrates from x0 again
+        return vel(p) if kappa is None else params.v0 - kappa * s
+
+    def bound(u, v, su, sv, whole):
+        vc, vd = speed(u, su), speed(v, sv)
         if affine:
             d = vc - vd
             t = (v - u) * math.log1p(d / vd) / d if d else (v - u) / vc
@@ -210,8 +208,8 @@ def time_of_flight(params, x, tol=1e-9):
         return ((v - u) / min(vc, vd), (v - u) / max(vc, vd))
 
     def walk(b):
-        return _bracket(rec, x0, b, tol, bound,
-                        lambda u, v: (v - u) / vel(u))
+        return _bracket(params.stair, x0, b, tol, bound,
+                        lambda u, v, s: (v - u) / speed(u, s))
 
     v_floor = 1e-9 * params.v0
     if vel(x) <= v_floor:

@@ -5,9 +5,11 @@ middle-thirds set, a general gap-producing iterated function system on
 [0, 1], a finite point list, the harmonic cluster {0} union {1/n}, a full
 interval, and one affine wrapper (shift + scale * F).  All queries (interval
 intersection, gap enumeration, finite nets, extreme points) are answered
-exactly from the structure, never by sampling; a gap IFS walks down its
-copies in local coordinates with a 1e-15 slack for float drift, and a
-wrapped set maps its queries into that frame widened by ``slack``.
+exactly from the structure, never by sampling.  A gap IFS tests
+membership by a walk down its copies with a slack for float drift; its
+extremes, nets and gaps take piece ends from ``_children``, as the walks
+of ``falpha.calculus`` do, bit for bit.  A wrapped set maps its queries
+into the unwrapped frame widened by ``slack``.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ MAX_LEVEL = 16
 # down the copies has zoomed in by this factor the query point sits within
 # float resolution of the set and counts as a member
 _POINT_SCALE = 1e-12
-# depth cap of an extreme-point walk: its target is then below float resolution
-_EXTREME_DEPTH = 80
 
 
 class ResolutionExceeded(ValueError):
@@ -59,6 +59,31 @@ def slack(x, scale=1.0):
     """How near, in global units, x must be to a piece end of a set scaled
     by ``scale`` to be that end: 1e-15 scale, or 4 ulps of x far from 0."""
     return max(1e-15 * scale, 4.0 * math.ulp(x) if math.isfinite(x) else 0.0)
+
+
+def _children(hull, rows, t, lam, piece):
+    """The copies of a piece of a gap IFS F with the hull ``hull``.
+
+    A piece is (lo, hi, off, sc, c0, c1, w): its ends in the set t + lam F,
+    its frame y -> off + sc y in the units of F, and its staircase shares
+    at lo and hi and weight under the weights p_i of the copies, whose
+    offsets, ratios and weights are the ``rows`` (o_i, r_i, p_i).  Copy i
+    has the frame (off + sc o_i, sc r_i), the ends t + lam (off_i + sc_i h)
+    at the hull ends h, the weight w p_i and the share c0 + w p_0 + ... +
+    w p_(i-1), summed as the staircase descent sums it; the outer copies
+    keep the piece's ends and shares, so every walk reaches an end by the
+    same floats."""
+    h0, h1 = hull
+    lo, hi, off, sc, c, end, w = piece
+    last = len(rows) - 1
+    kids = []
+    for i, (o, r, p) in enumerate(rows):
+        o, r, p = off + sc * o, sc * r, w * p
+        kids.append((t + lam * (o + r * h0) if i else lo,
+                     t + lam * (o + r * h1) if i < last else hi,
+                     o, r, c, c + p if i < last else end, p))
+        c += p
+    return kids
 
 
 def _finite(name, x):
@@ -248,6 +273,10 @@ class GapIFS(SetSpec):
             hi = float(round(hi))
         return (lo, hi)
 
+    @cached_property
+    def _rows(self):  # the set's own walks read no share: any weights do
+        return tuple(zip(self.offsets, self.ratios, self.ratios))
+
     def hull(self):
         return self._hull
 
@@ -283,78 +312,55 @@ class GapIFS(SetSpec):
 
     def _extreme(self, lo, hi, want_min):
         """Least (want_min) or greatest point of F in [lo, hi], which must
-        pass _isect: one walk down the first copy met in the search order."""
+        pass _isect: an end of the first piece met in the search order,
+        down the pieces of ``_children``.  A piece within ``slack`` of the
+        query counts as met, for float drift.  For the least point, its
+        start is the answer if it lies at or past lo, else its end if that
+        lies at or before lo, else the walk enters it; the greatest point
+        mirrors this.  With no piece met (a gap below the cutoff of
+        _isect), or inside a piece shorter than the slack, the query's
+        own end is the answer."""
         h0, h1 = self._hull
-        copies = self._copies if want_min else self._copies[::-1]
-        path = []
-        scale = 1.0
-        while True:
-            if lo <= h0 if want_min else hi >= h1:
-                x = h0 if want_min else h1
+        eps = slack(max(abs(h0), abs(h1)))
+        kids = [(h0, h1, 0.0, 1.0, 0.0, 1.0, 1.0)]
+        while piece := next((k for k in (kids if want_min else kids[::-1])
+                             if k[0] - eps <= hi and lo <= k[1] + eps), None):
+            k0, k1 = piece[:2]
+            if lo <= k0 if want_min else k1 <= hi:
+                return k0 if want_min else k1
+            if k1 <= lo if want_min else hi <= k0:
+                return k1 if want_min else k0
+            if k1 - k0 < eps:
                 break
-            # a copy the query misses by no more than the slack of _isect
-            # (above its cutoff) is missed through float drift alone; its
-            # nearer end wins unless the copy met lies within the slack too
-            eps = 1e-15 / scale if scale >= _POINT_SCALE else 0.0
-            near = None
-            for o, r, s0, s1 in copies:
-                if not (hi < s0 or lo > s1):
-                    break
-                if near is None and not (hi < s0 - eps or lo > s1 + eps):
-                    near = s1 if lo > s1 else s0
-            else:
-                # below the cutoff, drift or a gap too fine for _isect can
-                # leave the query outside every copy: keep its own end
-                x = (lo if want_min else hi) if near is None else near
-                break
-            if lo <= s0 if want_min else hi >= s1:
-                end = s0 if want_min else s1
-                x = end if near is None or abs(end - near) <= eps else near
-                break
-            if len(path) >= _EXTREME_DEPTH or s1 - s0 <= 1e-15 * max(1.0, abs(s1)):
-                x = max(lo, s0) if want_min else min(hi, s1)
-                break
-            path.append((o, r))
-            lo, hi = (max(lo, s0) - o) / r, (min(hi, s1) - o) / r
-            scale *= r
-        for o, r in reversed(path):  # the deepest level first
-            x = o + r * x
-        return x
+            kids = _children(self._hull, self._rows, 0.0, 1.0, piece)
+        return lo if want_min else hi
 
     def _raw_gaps(self, lo, hi, min_len):
         if min_len <= 0.0:
             raise ValueError(
                 "min_len must be positive: this set has infinitely many gaps"
             )
-        h0, h1 = self._hull
-        width = h1 - h0
-        copies = self._copies
         out = []
-        stack = [(0.0, 1.0)]
+        stack = [(*self._hull, 0.0, 1.0, 0.0, 1.0, 1.0)]
         while stack:
-            off, sc = stack.pop()
-            for left, right in zip(copies, copies[1:]):
-                u, v = off + sc * left[3], off + sc * right[2]
+            kids = _children(self._hull, self._rows, 0.0, 1.0, stack.pop())
+            for left, right in zip(kids, kids[1:]):
+                u, v = left[1], right[0]
                 if v - u >= min_len and u < hi and v > lo:
                     out.append((u, v))
-            for o, r, s0, s1 in copies:
-                if sc * r * width <= min_len:
-                    continue  # no gap inside this copy can reach min_len
-                if off + sc * s1 <= lo or off + sc * s0 >= hi:
-                    continue
-                stack.append((off + sc * o, sc * r))
+            # no gap inside a copy shorter than min_len can reach it
+            stack.extend(k for k in kids
+                         if k[1] - k[0] > min_len and k[1] > lo and k[0] < hi)
         out.sort()
         return out
 
     def net_points(self, level, lo, hi, limit=math.inf):
         _check_level(level)
-        h0, h1 = self._hull
         out = set()
-        stack = [(0.0, 1.0, 0)]
+        stack = [((*self._hull, 0.0, 1.0, 0.0, 1.0, 1.0), 0)]
         while stack:
-            off, sc, d = stack.pop()
-            p0 = off + sc * h0
-            p1 = off + sc * h1
+            piece, d = stack.pop()
+            p0, p1 = piece[:2]
             if p1 < lo or p0 > hi:
                 continue
             if d == level:
@@ -366,8 +372,8 @@ class GapIFS(SetSpec):
                     # stop here: time and memory stay bounded by the limit
                     raise _too_many(level, limit)
                 continue
-            for o, r, _, _ in self._copies:
-                stack.append((off + sc * o, sc * r, d + 1))
+            kids = _children(self._hull, self._rows, 0.0, 1.0, piece)
+            stack.extend((k, d + 1) for k in kids)
         return sorted(out)
 
     def resolution(self, level):

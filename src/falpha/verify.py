@@ -114,12 +114,8 @@ def check_gaps_exact():
             shrink = 1e-9 * (g.hi - g.lo)
             if intersects(spec, Interval(g.lo + shrink, g.hi - shrink)):
                 bad += 1
-            # net points and gap endpoints come from different composition
-            # orders of the same maps, so allow one-ulp float drift
-            slack = 1e-14 * max(1.0, abs(g.lo), abs(g.hi))
-            for p in pts:
-                if g.lo + slack < p < g.hi - slack:
-                    bad += 1
+            # net points and gap ends are the same piece ends, bit for bit
+            bad += sum(g.lo < p < g.hi for p in pts)
     return _result("sets.gaps-exact", bad, 0, f"{bad} gap violations")
 
 

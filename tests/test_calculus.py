@@ -1,13 +1,14 @@
 """Staircase-weighted integration and quotient differentiation."""
 
+import contextlib
 import math
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from falpha import calculus
+from falpha import _backend, calculus
 from falpha.calculus import (
     FOnF,
     NoConvergence,
@@ -30,8 +31,10 @@ from falpha.sets import (
     Subdivision,
     TernaryCantor,
     Translate,
+    gaps,
     net,
 )
+from falpha.physics import FrictionParams, time_of_flight
 
 from test_physics import _media
 
@@ -87,15 +90,27 @@ def test_integrate_first_moment_of_a_shifted_set(shift, tol):
     assert res.contains((shift + 0.5) / GAMMA_ALPHA1)
 
 
-@pytest.mark.parametrize("b", [1.0, 1.0 / 3.0])
+@pytest.mark.parametrize("b", [1.0, 1.0 / 3.0, (0.2, 0.8)])
 def test_integrate_below_the_slack_of_a_far_set_does_not_converge(b):
     # an ulp of 1e8 is 1.5e-8: the pieces that a 1e-9 bracket needs are
     # shorter than the slack of the set, which cannot tell their ends apart
     shift = 1e8
-    stair = StaircaseEvaluator(Translate(C, shift), ALPHA, a0=shift)
-    with pytest.raises(NoConvergence):
-        integrate(FOnF.monotone(lambda x: x), stair, shift, shift + b,
-                  tol=1e-9)
+    f = FOnF.monotone(lambda x: x)
+    if not isinstance(b, tuple):
+        stair = StaircaseEvaluator(Translate(C, shift), ALPHA, a0=shift)
+        with pytest.raises(NoConvergence):
+            integrate(f, stair, shift, shift + b, tol=1e-9)
+        return
+    # ends in gaps: the walk reads S from its pieces, so a bracket that
+    # closes holds the exact (s / 2 + 1/4) / Gamma(alpha + 1)
+    exact = (0.5 * shift + 0.25) / GAMMA_ALPHA1
+    for a0 in (0.0, shift):
+        stair = StaircaseEvaluator(Translate(C, shift), ALPHA, a0=a0)
+        try:
+            res = integrate(f, stair, shift + b[0], shift + b[1], tol=1e-9)
+        except NoConvergence:
+            continue
+        assert res.contains(exact), (a0, res)
 
 
 def test_integrate_indicator_is_exact():
@@ -214,9 +229,9 @@ def test_integrate_evaluates_each_component_once(monkeypatch):
     seen = []
     component = calculus._component
 
-    def record(f, stair, u, v, whole=False):
+    def record(f, stair, u, v, whole=False, s=None):
         seen.append((u, v))
-        return component(f, stair, u, v, whole)
+        return component(f, stair, u, v, whole, s)
 
     monkeypatch.setattr(calculus, "_component", record)
     f = FOnF.monotone(lambda x: x)
@@ -251,9 +266,18 @@ def test_upper_lower_sums_are_sums_of_components():
     assert upper_lower_sums(f, STAIR, sub) == (upper, lower)
 
 
+_FAR_TWO_MAP = GapIFS((0.3435738472226821, 0.1911192899825631),
+                      (0.0, 0.8088807100174369))
+
+
 @settings(max_examples=25, deadline=None)
 @given(medium=_media(), ends=st.tuples(st.floats(0.0, 1.0),
                                        st.floats(0.0, 1.0)))
+@example(medium=(Affine(_FAR_TWO_MAP, 1.7418697349851697, 0.7397728558447245),
+                 similarity_order(_FAR_TWO_MAP.ratios),
+                 (0.7397728558447245, 0.7397728558447245 + 1.7418697349851697),
+                 tuple(zip(_FAR_TWO_MAP.offsets, _FAR_TWO_MAP.ratios))),
+         ends=(0.0, 1.0))
 def test_whole_pieces_are_priced_at_their_ends(medium, ends):
     spec, alpha, (h0, h1), copies = medium
     stair = StaircaseEvaluator(spec, alpha, a0=h0)
@@ -274,23 +298,16 @@ def test_whole_pieces_are_priced_at_their_ends(medium, ends):
         (lambda x: x, h0, h1, first_moment, True),
         (lambda x: -x, h0, h1, -first_moment, True),
     ]
-    # the walk and the set's own query each round a piece end by a few
-    # ulps of the hull's coordinates
-    slack = 8.0 * math.ulp(max(abs(h0), abs(h1)))
+    # the walk and the set's own query take a piece's ends from the same
+    # frames, and the walk's staircase shares are the descent's
     component = calculus._component
 
-    def both_ways(f, stair, u, v, whole=False):
-        got = component(f, stair, u, v, whole)
+    def both_ways(f, stair, u, v, whole=False, s=None):
+        got = component(f, stair, u, v, whole, s)
         if whole:
-            lo, hi = stair.spec.extremes_in(u, v)
-            assert abs(lo - u) <= slack and abs(hi - v) <= slack
+            assert stair.spec.extremes_in(u, v) == (u, v)
             if lipschitz:
-                # for f = S or S^2 no ulp bound holds: S is only Holder
-                # continuous, so a few ulps at an end can move it by more
-                ds = stair(v) - stair(u)
-                queried = component(f, stair, u, v)
-                assert all(abs(g - q) <= slack * ds
-                           for g, q in zip(got, queried)), (u, v)
+                assert got == component(f, stair, u, v), (u, v)
         return got
 
     with mock.patch.object(calculus, "_component", both_ways):
@@ -308,9 +325,9 @@ def test_whole_pieces_make_no_set_query(monkeypatch):
         queries.append((lo, hi))
         return extremes_in(spec, lo, hi)
 
-    def record(f, stair, u, v, whole=False):
+    def record(f, stair, u, v, whole=False, s=None):
         pieces.append((u, v, whole))
-        return component(f, stair, u, v, whole)
+        return component(f, stair, u, v, whole, s)
 
     monkeypatch.setattr(GapIFS, "extremes_in", query)
     monkeypatch.setattr(calculus, "_component", record)
@@ -325,19 +342,99 @@ def test_whole_pieces_make_no_set_query(monkeypatch):
                if not whole and STAIR(v) != STAIR(u)]
     assert clipped and queries == clipped
     assert any(whole for _, _, whole in pieces)
-    # the other hints, and fixed subdivisions, ask on every rising piece
-    for f in (FOnF.lipschitz(lambda x: x, 1.0),
-              FOnF.net_sampled(lambda x: x)):
-        pieces.clear()
-        queries.clear()
-        integrate(f, STAIR, 0.0, 1.0, tol=1e-2)
-        rising = [(u, v) for u, v, _ in pieces if STAIR(v) != STAIR(u)]
-        assert len(rising) > 10 and set(rising) <= set(queries)
+    # a Lipschitz hint is bounded at a whole piece's ends too
+    pieces.clear()
+    queries.clear()
+    integrate(FOnF.lipschitz(lambda x: x, 1.0), STAIR, 0.0, 1.0, tol=1e-2)
+    assert len(pieces) > 10 and all(whole for _, _, whole in pieces)
+    assert queries == []
+    # the net-sampled hint, and fixed subdivisions, ask on every rising piece
+    pieces.clear()
+    integrate(FOnF.net_sampled(lambda x: x), STAIR, 0.0, 1.0, tol=1e-2)
+    rising = [(u, v) for u, v, _ in pieces if STAIR(v) != STAIR(u)]
+    assert len(rising) > 10 and set(rising) <= set(queries)
     queries.clear()
     sub = Subdivision(tuple(i / 27 for i in range(28)))
     upper_lower_sums(FOnF.monotone(lambda x: x), STAIR, sub)
     rising = [(u, v) for u, v in sub.components() if STAIR(v) != STAIR(u)]
     assert len(rising) == 8 and queries == rising
+
+
+def test_lipschitz_hint_closes_below_its_old_net_floor():
+    # padding net extremes by L times the level-10 resolution kept the
+    # bracket at least 3.79e-4 wide here; bounded by the pieces it closes.
+    # The Fourier transform of the Cantor measure gives the integral:
+    # sin(5) prod_k cos(10 / 3^k)
+    exact = math.sin(5.0) * math.prod(math.cos(10.0 / 3.0 ** k)
+                                      for k in range(1, 60)) / GAMMA_ALPHA1
+    f = FOnF.lipschitz(lambda x: math.sin(10.0 * x), 10.0)
+    res = integrate(f, STAIR, 0.0, 1.0, tol=1e-4)
+    assert res.upper - res.lower <= 1e-4
+    assert res.contains(exact)
+
+
+@pytest.mark.parametrize("c", [i / 8.0 for i in range(9)])
+def test_lipschitz_hint_holds_the_second_moment(c):
+    # the Cantor measure has moments 1/2 and 3/8, so the integral of
+    # (x - c)^2 is (3/8 - c + c^2) / Gamma(alpha + 1); on [0, 1] the
+    # integrand is 2 max(c, 1 - c)-Lipschitz
+    f = FOnF.lipschitz(lambda x: (x - c) ** 2, 2.0 * max(c, 1.0 - c))
+    res = integrate(f, STAIR, 0.0, 1.0, tol=1e-5)
+    assert res.upper - res.lower <= 1e-5
+    assert res.contains((3.0 / 8.0 - c + c * c) / GAMMA_ALPHA1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(medium=st.one_of(_media(), _media(far=True)), level=st.integers(1, 4))
+def test_nets_and_gaps_end_walked_pieces(medium, level):
+    # the net, the gaps and the integral's walk take piece ends from the
+    # same frames: every net point and gap end is a walked end, bit for bit
+    spec, alpha, _, copies = medium
+    assume(copies is not None)
+    hull, kids = calculus._walk(StaircaseEvaluator(spec, alpha))
+    min_len = spec.resolution(level + 2)
+    ends, stack = set(), [(hull, 0)]
+    while stack:
+        piece, d = stack.pop()
+        ends.update(piece[:2])
+        # a gap of at least min_len lies between copies of a longer piece
+        if d < level or piece[1] - piece[0] > min_len:
+            stack.extend((k, d + 1) for k in kids(piece))
+    whole = Interval(*spec.hull())
+    assert set(net(spec, level, whole)) <= ends
+    for g in gaps(spec, whole, min_len):
+        assert g.lo in ends and g.hi in ends
+
+
+def test_walks_descend_only_at_their_ends(monkeypatch):
+    # S at a piece end comes from the piece, so a finer tol walks more
+    # pieces and makes the same staircase descents
+    seen = []
+    stair_scaled = _backend.stair_scaled
+
+    def spy(hull, table, eps, x):
+        seen.append(x)
+        return stair_scaled(hull, table, eps, x)
+
+    monkeypatch.setattr(_backend, "stair_scaled", spy)
+    x = net(ASYM, 3, Interval(0.0, 1.0))[3]
+
+    def runs(tol):
+        # the same descents whether or not the walk closes
+        stair = StaircaseEvaluator(ASYM, similarity_order(ASYM.ratios))
+        with contextlib.suppress(NoConvergence):
+            integrate(FOnF.monotone(lambda y: y), stair, 0.1, 0.9, tol=tol)
+        with contextlib.suppress(NoLimit):
+            derivative(FOnF.monotone(lambda y: y), stair, x, tol=tol)
+        time_of_flight(FrictionParams(C, ALPHA, v0=1.0, kappa=0.5), 0.7,
+                       tol=tol)
+        got = list(seen)
+        seen.clear()
+        return got
+
+    coarse = runs(1e-4)
+    assert 0 < len(coarse) <= 8
+    assert runs(1e-8) == coarse
 
 
 def _gap_sides(spec, x, w):
