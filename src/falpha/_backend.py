@@ -35,6 +35,14 @@ class Measure(NamedTuple):
     total: float   # sum r^alpha: 1 at the order, below 1 above it
     mean: float    # mean of the normalised measure, as a share of the hull
     eps: float     # sets.slack at the farther hull end, in hull units
+    side: int      # side_of_order(total)
+
+
+def side_of_order(total):
+    """The side of the similarity order s on which an order alpha with
+    sum r^alpha = ``total`` lies: -1 above s, 1 below it, and 0 in the
+    band around total = 1 that counts as s."""
+    return -1 if total < 1.0 - 1e-12 else int(total > 1.0 + 1e-9)
 
 
 def measure(spec, alpha):
@@ -61,7 +69,8 @@ def measure(spec, alpha):
         / (1.0 - sum(w * r for w, r in zip(weights, inner.ratios))))
     far = max(abs(t + lam * h0), abs(t + lam * h1))
     return Measure(lam, t, inner._hull, tuple(zip(inner._copies, weights)),
-                   shares, total, 1.0 - stair_mean, slack(far, lam) / lam)
+                   shares, total, 1.0 - stair_mean, slack(far, lam) / lam,
+                   side_of_order(total))
 
 
 def stair_scaled(hull, table, eps, x):

@@ -163,7 +163,7 @@ def _walk(stair):
     of the measure record of ``stair``, or None when there is no record
     or its staircase is flat; the hull piece has the set's own ends."""
     rec = stair.measure
-    if rec is None or rec.total < 1.0 - 1e-12:
+    if rec is None or rec.side < 0:
         return None
     rows = [(o, r, p) for (o, r, _, _), p in rec.table]
     return ((*stair.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),

@@ -1,8 +1,9 @@
 """Dimension estimators.
 
-The order-jump dimension is found by bisecting over alpha: below it the
-delta-ladder masses grow geometrically, above it they collapse to zero,
-and exactly at it they settle on a positive value.  A grid box-counting
+The order-jump dimension is found by bisecting over alpha on the mass
+verdict of ``falpha.mass`` read from the set's structure: the mass
+diverges below the order, is 0 above it, and is finite and positive at
+it (``mass._side_of_order``).  A grid box-counting
 estimator is provided for comparison (counts are exact, via the
 intersection oracle, with hierarchical pruning of empty boxes; each box
 resumes its parent's walk down the copies rather than starting again
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from falpha.mass import mass
+from falpha.mass import _side_of_order
 from falpha.sets import Affine
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
@@ -55,14 +56,6 @@ class DimensionReport:
     bracket: tuple      # final (alpha_lo, alpha_hi)
 
 
-def _classify(est, zero_floor=1e-9):
-    if est.verdict == "diverging":
-        return "diverging"
-    if est.verdict == "converged":
-        return "zero" if est.value <= zero_floor else "positive"
-    return "inconclusive"
-
-
 def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     """Bisection estimate, over [1e-3, 1], of the order at which the mass
     jumps from infinite to zero; also reports the box-counting slope."""
@@ -73,16 +66,16 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     trace = []
 
     def probe(alpha):
-        verdict = _classify(mass(spec, a, b, alpha))
+        verdict = ("zero", "positive", "diverging")[
+            _side_of_order(spec, a, b, alpha) + 1]
         trace.append((alpha, verdict))
         return verdict
 
     lo = 1e-3
     hi = 1.0
     dim = None
-    top = probe(hi)
-    if top in ("positive", "diverging", "inconclusive"):
-        # mass survives (or has not collapsed) at the maximal order
+    if probe(hi) != "zero":
+        # mass survives at the maximal order
         dim = hi
         lo = hi
     else:
@@ -94,7 +87,7 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
             elif verdict == "zero":
                 hi = mid
             else:
-                # positive (or inconclusive) pins the jump at this order
+                # positive pins the jump at this order
                 dim = mid
                 lo = hi = mid
                 break
@@ -108,30 +101,31 @@ def box_counts(spec, a, b, max_depth=12):
     """N_k = number of base-3 grid boxes at depth k meeting F, for
     k = 0..max_depth; computed by pruned recursion.  Each box resumes
     the walk down the copies from the frame in which its parent's walk
-    stopped, and cuts its three children in that frame.  A point window
-    is one box at every depth."""
+    stopped, and so meets F exactly when a walk from the top says it
+    does.  A point window is one box at every depth."""
+    point = a == b  # before unwrapping, which may round [a, b] to a point
     if isinstance(spec, Affine):
         s, t = spec.scale, spec.shift
         spec, a, b = spec.inner, (a - t) / s, (b - t) / s
-    if a == b:
+    if point:
         return [int(spec._isect(a, b))] * (max_depth + 1)
     counts = [0] * (max_depth + 1)
     walk = spec._walk
 
-    def visit(lo, hi, scale, d):
-        frame = walk(lo, hi, scale)
+    def visit(lo, hi, off, scale, d):
+        frame = walk(lo, hi, off, scale)
         if frame is None:
             return
         counts[d] += 1
         if d == max_depth:
             return
-        lo, hi, scale = frame
+        off, scale = frame
         third = (hi - lo) / 3.0
-        visit(lo, lo + third, scale, d + 1)
-        visit(lo + third, lo + 2.0 * third, scale, d + 1)
-        visit(hi - third, hi, scale, d + 1)
+        visit(lo, lo + third, off, scale, d + 1)
+        visit(lo + third, lo + 2.0 * third, off, scale, d + 1)
+        visit(hi - third, hi, off, scale, d + 1)
 
-    visit(a, b, 1.0, 0)
+    visit(a, b, 0.0, 1.0, 0)
     return counts
 
 

@@ -26,10 +26,24 @@ down the copies that contain x (``_backend.stair_scaled``), reading the
 weights r_i^alpha / sum r_j^alpha from the set's measure record; on point
 sets, the interval at order 1 and a gap IFS above its order it is this
 cover with no mesh bound (delta = inf), read from -inf.
+
+``mass`` reads its verdict from the set's structure.  The mass on [a, b]
+jumps from infinite to 0 at the gamma-dimension.  A gap IFS has
+interior-disjoint copies, so the open set condition holds: the jump sits
+at the similarity order s (sum r_i^s = 1), and H^s(F) > 0 (Hutchinson
+1981; Falconer, Thm 9.3).  An interval is the gap IFS of its two halves.
+With no measure record (point sets), or above the order (sum r^alpha <
+1), the mass is 0.  Otherwise the record's staircase S has all weights
+positive, so its measure has support F and no atoms: S(b) > S(a), by one
+descent at each end, exactly when F meets (a, b), and a perfect set that
+does meets it in infinitely many points.  Where S does not rise the mass
+is 0; where it rises, it diverges below the order and is positive at it,
+where the delta ladder's last rung is its value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,14 +69,6 @@ __all__ = [
     "verify_scaling_translation",
     "gamma_factor",
 ]
-
-_ZERO_FLOOR = 1e-12
-# verdict thresholds of the delta ladder in ``mass``
-_REL_TOL = 1e-3
-_ABS_TOL = 1e-9
-_CAP = 1e6
-_SLOPE_TOL = 2e-3
-
 
 class DivergingMass(ArithmeticError):
     """Raised when a staircase value is requested but the mass diverges."""
@@ -167,7 +173,7 @@ def _coarse_unwrapped(spec, a, b, alpha, delta):
         return _tile_cost(length, delta, alpha)
     if isinstance(spec, GapIFS):
         t = sum(r ** alpha for r in spec.ratios)
-        if t < 1.0 - 1e-12:
+        if _backend.side_of_order(t) < 0:
             # refining one level multiplies the cover cost by t < 1, so the
             # infimum over admissible subdivisions is 0 at every delta
             return 0.0
@@ -193,12 +199,15 @@ def _is_upper_bound(spec):
 
 @dataclass(frozen=True)
 class MassEstimate:
-    """Result of the delta -> 0 extrapolation of coarse_mass."""
+    """The mass of F on [a, b] at order alpha and its delta ladder.  The
+    verdict is ``diverging`` (value inf) below the order where F meets
+    [a, b] in more than a point, else ``converged``: the ladder's last
+    rung at the order, 0 elsewhere."""
 
     alpha: float
-    value: float  # limit estimate; math.inf marks divergence
+    value: float  # math.inf marks divergence
     delta_trace: tuple
-    verdict: str  # converged | diverging | inconclusive
+    verdict: str  # converged | diverging
     upper_bound_only: bool = False
 
     @property
@@ -223,49 +232,40 @@ def _clip_infinite(spec, a, b):
     return a, b
 
 
-def mass(spec, a, b, alpha, depth=8):
-    """Run coarse_mass down a shrinking delta ladder and classify the limit.
+def _side_of_order(spec, a, b, alpha):
+    """1 where the mass of F on [a, b] at order alpha diverges, 0 where it
+    is positive and finite, -1 where it is 0: the record's side of the
+    order where its staircase rises from a to b, else -1."""
+    rec = _backend.measure(spec, alpha)
+    if rec is None or rec.side < 0:
+        return -1
+    ua, ub = ((x - rec.shift) / rec.scale for x in (a, b))
+    rises = (_backend.stair_scaled(rec.hull, rec.table, rec.eps, ub)
+             > _backend.stair_scaled(rec.hull, rec.table, rec.eps, ua))
+    return rec.side if rises else -1
 
-    The ladder is delta_k = (b - a) / 3^k for k = 1..depth, after an
-    infinite end has been moved onto the hull of F.  The verdict
-    is ``converged`` when the last two increments are below tolerance,
-    ``diverging`` when the tail log-slope stays above ``_SLOPE_TOL`` per
-    rung (geometric growth) or the values blow past ``_CAP`` while rising,
-    and ``inconclusive`` otherwise.
-    """
+
+def mass(spec, a, b, alpha, depth=8):
+    """The mass of F on [a, b] at order alpha: the verdict of
+    ``_side_of_order``, and coarse_mass down the delta ladder
+    (b - a) / 3^k for k = 1..depth, whose last rung is the value at the
+    order, after an infinite end has been moved onto the hull of F."""
     _check_alpha(alpha)
     if a > b:
         raise ValueError("need a <= b")
     a, b = _clip_infinite(spec, a, b)
     base = (b - a) if b > a else 1.0
     ladder = [base / 3.0 ** k for k in range(1, depth + 1)]
-    vals = []
-    prev = 0.0
-    for dlt in ladder:
-        v = coarse_mass(spec, a, b, alpha, dlt)
-        if v < prev:
-            v = prev  # enforce monotonicity in delta against float jitter
-        vals.append(v)
-        prev = v
+    # monotone in delta against float jitter
+    vals = list(itertools.accumulate(
+        (coarse_mass(spec, a, b, alpha, dlt) for dlt in ladder), max))
     trace = tuple(zip(ladder, vals))
     flag = _is_upper_bound(spec)
-    last = vals[-1]
-    if last <= _ZERO_FLOOR:
-        return MassEstimate(alpha, 0.0, trace, "converged", flag)
-    if len(vals) >= 3:
-        tol = max(_ABS_TOL, _REL_TOL * last)
-        if vals[-1] - vals[-2] <= tol and vals[-2] - vals[-3] <= tol:
-            return MassEstimate(alpha, last, trace, "converged", flag)
-        slopes = [
-            math.log(v2 / v1)
-            for v1, v2 in zip(vals, vals[1:])
-            if v1 > 0.0 and v2 > 0.0
-        ]
-        recent = slopes[-3:]
-        growing = len(recent) >= 2 and all(s >= _SLOPE_TOL for s in recent)
-        if growing or (last > _CAP and vals[-1] > vals[-2]):
-            return MassEstimate(alpha, math.inf, trace, "diverging", flag)
-    return MassEstimate(alpha, last, trace, "inconclusive", flag)
+    side = _side_of_order(spec, a, b, alpha)
+    if side > 0:
+        return MassEstimate(alpha, math.inf, trace, "diverging", flag)
+    return MassEstimate(alpha, vals[-1] if side == 0 else 0.0, trace,
+                        "converged", flag)
 
 
 def _closed_form(spec, alpha, rec):
@@ -281,9 +281,9 @@ def _closed_form(spec, alpha, rec):
 
     if isinstance(inner, FullInterval):
         return (cover, None) if alpha == 1.0 else (None, None)
-    if rec is None or rec.total < 1.0 - 1e-12:
+    if rec is None or rec.side < 0:
         return (cover, None)  # point sets, or above the order
-    if rec.total > 1.0 + 1e-9:
+    if rec.side > 0:
         return (None, None)
     hull, table, eps, lam, t = rec.hull, rec.table, rec.eps, rec.scale, rec.shift
     w = (lam * (hull[1] - hull[0])) ** alpha
@@ -300,7 +300,8 @@ class StaircaseEvaluator:
     with no mesh bound on point sets, the interval at order 1 and a gap
     IFS above its order.  S(a0) is computed once; a value is then one
     evaluation of S, and an increment two.  Elsewhere, and always in
-    mode ``numeric``, it takes the delta-ladder limit.
+    mode ``numeric``, an increment is ``mass``: below the order it raises
+    DivergingMass or is 0, and at the order it is the ladder's estimate.
     """
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):

@@ -6,10 +6,10 @@ middle-thirds set, a general gap-producing iterated function system on
 interval, and one affine wrapper (shift + scale * F).  All queries (interval
 intersection, gap enumeration, finite nets, extreme points) are answered
 exactly from the structure, never by sampling.  A gap IFS tests
-membership by a walk down its copies with a slack for float drift; its
-extremes, nets and gaps take piece ends from ``_children``, as the walks
-of ``falpha.calculus`` do, bit for bit.  A wrapped set maps its queries
-into the unwrapped frame widened by ``slack``.
+membership by a walk down the frames of its pieces with a slack for float
+drift; its extremes, nets and gaps take piece ends from ``_children``, as
+the walks of ``falpha.calculus`` do, bit for bit.  A wrapped set maps its
+queries into the unwrapped frame, widened by what ``slack`` adds to F's.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ __all__ = [
 ]
 
 MAX_LEVEL = 16
-
-# scale cutoff for degenerate (single point) interval queries: once a walk
-# down the copies has zoomed in by this factor the query point sits within
-# float resolution of the set and counts as a member
-_POINT_SCALE = 1e-12
 
 
 class ResolutionExceeded(ValueError):
@@ -188,6 +183,8 @@ class Subdivision:
 class SetSpec:
     """Base class for set descriptions; subclasses answer exact queries."""
 
+    _query_slack = 0.0  # how near F a query must come to meet it
+
     def hull(self):
         """(min F, max F) or None when the set is empty."""
         raise NotImplementedError
@@ -196,13 +193,12 @@ class SetSpec:
         """True when F meets [lo, hi]; overridden only by cheaper tests."""
         return self.extremes_in(lo, hi) is not None
 
-    def _walk(self, lo, hi, scale):
-        """None when F misses [lo, hi], given in a frame zoomed in by
-        ``scale``; otherwise the frame (lo, hi, scale) in which the query
-        stopped, from which the query of any sub-interval of [lo, hi],
-        mapped into it, may resume.  A set with no copies to walk down
-        stops where it starts."""
-        return (lo, hi, scale) if self._isect(lo, hi) else None
+    def _walk(self, lo, hi, off=0.0, scale=1.0):
+        """None when F misses [lo, hi], else the frame (off, scale) of the
+        piece y -> off + scale y of F where the query stopped: a query of a
+        sub-interval resumes there with the steps of a walk from the top.
+        A set with no copies to walk down stops where it starts."""
+        return (off, scale) if self._isect(lo, hi) else None
 
     def extremes_in(self, lo, hi):
         """(min, max) of F intersected with [lo, hi], or None if empty."""
@@ -237,6 +233,8 @@ class GapIFS(SetSpec):
 
     ratios: tuple
     offsets: tuple
+
+    _query_slack = 1e-15  # the eps of _walk at the top, and _extreme's slack
 
     def __post_init__(self):
         ratios = tuple(_finite("ratios", r) for r in self.ratios)
@@ -281,26 +279,29 @@ class GapIFS(SetSpec):
         return self._hull
 
     def _isect(self, lo, hi):
-        return self._walk(lo, hi, 1.0) is not None
+        return self._walk(lo, hi) is not None
 
-    def _walk(self, lo, hi, scale):
+    def _walk(self, lo, hi, off=0.0, scale=1.0):
         # one walk down the copies: a query strictly inside one meets no
-        # other, and neither does any sub-query, which may resume here
+        # other, and neither does any sub-query, which may resume here and,
+        # mapped into each frame from its own ends, take the same floats
         h0, h1 = self._hull
         while True:
-            # rejection slack: float drift accumulated while zooming in is
-            # of order ulp/scale in local coordinates (1e-15 in global units)
+            # rejection slack: _query_slack, 1e-15 in global units
             eps = 1e-15 / scale
-            if hi < h0 - eps or lo > h1 + eps:
+            y0, y1 = (lo - off) / scale, (hi - off) / scale
+            if y1 < h0 - eps or y0 > h1 + eps:
                 return None
-            if lo <= h0 or hi >= h1 or scale < _POINT_SCALE:
-                return (lo, hi, scale)  # hull ends belong to F
+            if y0 <= h0 or y1 >= h1 or eps >= h1 - h0:
+                # hull ends belong to F, and so does a query in a piece
+                # that lies within the slack
+                return (off, scale)
             for o, r, s0, s1 in self._copies:
-                if hi < s0 - eps or lo > s1 + eps:
+                if y1 < s0 - eps or y0 > s1 + eps:
                     continue
-                if lo <= s0 or hi >= s1:
-                    return (lo, hi, scale)
-                lo, hi, scale = (lo - o) / r, (hi - o) / r, scale * r
+                if y0 <= s0 or y1 >= s1:
+                    return (off, scale)
+                off, scale = off + scale * o, scale * r
                 break
             else:
                 return None
@@ -317,9 +318,9 @@ class GapIFS(SetSpec):
         query counts as met, for float drift.  For the least point, its
         start is the answer if it lies at or past lo, else its end if that
         lies at or before lo, else the walk enters it; the greatest point
-        mirrors this.  With no piece met (a gap below the cutoff of
-        _isect), or inside a piece shorter than the slack, the query's
-        own end is the answer."""
+        mirrors this.  With no piece met (a gap within the slack of the
+        walk of _isect), or inside a piece shorter than the slack, the
+        query's own end is the answer."""
         h0, h1 = self._hull
         eps = slack(max(abs(h0), abs(h1)))
         kids = [(h0, h1, 0.0, 1.0, 0.0, 1.0, 1.0)]
@@ -565,11 +566,13 @@ class Affine(SetSpec):
             return None
         return (h[0] * self.scale + self.shift, h[1] * self.scale + self.shift)
 
-    def _window(self, lo, hi):
-        """[lo, hi] mapped into F, widened by ``slack`` at each end."""
+    def _window(self, lo, hi, own=None):
+        """[lo, hi] mapped into F, widened at each end by ``slack`` less
+        ``own``: F's ``_query_slack`` by default, 0 for a net."""
         s, t = self.scale, self.shift
-        return ((lo - t) / s - slack(lo, s) / s,
-                (hi - t) / s + slack(hi, s) / s)
+        own = self.inner._query_slack if own is None else own
+        return ((lo - t) / s - max(0.0, slack(lo, s) / s - own),
+                (hi - t) / s + max(0.0, slack(hi, s) / s - own))
 
     def _isect(self, lo, hi):
         return self.inner._isect(*self._window(lo, hi))
@@ -588,7 +591,7 @@ class Affine(SetSpec):
 
     def net_points(self, level, lo, hi, limit=math.inf):
         s, t = self.scale, self.shift
-        pts = self.inner.net_points(level, *self._window(lo, hi), limit)
+        pts = self.inner.net_points(level, *self._window(lo, hi, 0.0), limit)
         return [min(hi, max(lo, p * s + t)) for p in pts]
 
     def resolution(self, level):

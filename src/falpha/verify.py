@@ -22,7 +22,7 @@ from falpha.cantor import (
     power_bound_constants,
     power_rule_derivative,
 )
-from falpha.dimension import gamma_dimension
+from falpha.dimension import gamma_dimension, similarity_order
 from falpha.mass import (
     StaircaseEvaluator,
     coarse_mass,
@@ -684,7 +684,7 @@ def acceptance_8_scaling_suite():
     rng = random.Random(13)
     worst = 0.0
     for spec in (_CANTOR, _ASYM):
-        alpha = ALPHA if spec is _CANTOR else gamma_dimension(spec, 0.0, 1.0).gamma_dim
+        alpha = ALPHA if spec is _CANTOR else similarity_order(spec.ratios)
         for _ in range(25):
             lam = rng.uniform(0.2, 2.5)
             shift = rng.uniform(-1.0, 1.0)

@@ -22,6 +22,7 @@ from falpha.sets import (
     TernaryCantor,
     Translate,
 )
+from test_sets import _gap_ifs
 
 C = TernaryCantor()
 
@@ -140,6 +141,19 @@ def test_box_counts_resume_as_if_each_box_walked_from_the_top(
     assert box_counts(spec, a, b, depth) == want
 
 
+def test_box_counts_resume_at_the_edge_of_the_slack():
+    # the window's lower end lies 0.8 of the walk's slack past the piece
+    # end 8/9 of F, so whether a box meets F turns on the last bits of its
+    # ends: a box resumed in its parent's frame must have the very ends a
+    # walk from the top maps
+    spec = Translate(Scale(Scale(C, 0.3), 0.3), 1.0)
+    want = _box_counts_from_the_top(spec, 1.08, 1.09, 6)
+    assert box_counts(spec, 1.08, 1.09, 6) == want
+    # a window that unwrapping rounds to a point is still cut in three
+    spec = Scale(FinitePoints((0.0, 5e-324)), 2.0)
+    assert box_counts(spec, 0.0, 5e-324, 1) == [1, 3]
+
+
 def test_harmonic_separation():
     rep = gamma_dimension(HarmonicCluster(), 0.0, 1.0)
     assert rep.gamma_dim <= 0.15
@@ -175,6 +189,20 @@ def test_gamma_dimension_rejects_empty_window():
         gamma_dimension(C, 0.4, 0.6, tol=0.02)
     with pytest.raises(ValueError):
         gamma_dimension(C, 0.0, 1.0, tol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_gap_ifs(), wrap=st.one_of(st.none(), st.tuples(
+    st.floats(0.25, 4.0), st.floats(-2.0, 2.0))), tol=st.floats(0.005, 0.05))
+@example(base=GapIFS((0.1674, 0.1844), (0.0, 0.8156)), wrap=None, tol=0.02)
+def test_gamma_dimension_brackets_the_similarity_order(base, wrap, tol):
+    # the example is a set whose ladder once pinned its order 0.3987 at
+    # the probe 0.25075
+    spec = base if wrap is None else Affine(base, *wrap)
+    s = similarity_order(base.ratios)
+    rep = gamma_dimension(spec, *spec.hull(), tol=tol, box_depth=4)
+    assert rep.bracket[0] <= s <= rep.bracket[1]
+    assert abs(rep.gamma_dim - s) <= tol
 
 
 def test_similarity_order():

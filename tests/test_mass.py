@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import gamma_dimension, similarity_order
@@ -20,6 +20,7 @@ from falpha.mass import (
     verify_scaling_translation,
 )
 from falpha.sets import (
+    Affine,
     FinitePoints,
     FullInterval,
     GapIFS,
@@ -27,8 +28,10 @@ from falpha.sets import (
     Subdivision,
     TernaryCantor,
     Translate,
+    gaps,
     net,
 )
+from test_sets import _gap_ifs
 
 C = TernaryCantor()
 ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
@@ -268,12 +271,19 @@ def test_staircase_increment_rejects_nan():
 
 
 def test_infinite_endpoint_on_the_ladder_path_is_the_hull_end():
-    # just below the similarity order (about 0.612) there is no closed
-    # form, so every value comes from the delta ladder
+    # just below the similarity order (about 0.611) there is no closed
+    # form, so every value comes from mass; F meets [0.5, x] in more than
+    # a point for x at or past either hull end, so each value diverges
     alpha = 0.61
-    stair = StaircaseEvaluator(ASYM, alpha)
     h0, h1 = ASYM.hull()
-    assert stair.value(math.inf) == stair.value(h1)
+    stair = StaircaseEvaluator(ASYM, alpha, a0=0.5)
+    for x in (-math.inf, math.inf, h0, h1):
+        with pytest.raises(DivergingMass):
+            stair.value(x)
+    # from the hull's start, -inf clips onto it: one point, no mass
+    stair = StaircaseEvaluator(ASYM, alpha)
+    with pytest.raises(DivergingMass):
+        stair.value(math.inf)
     assert stair.value(-math.inf) == stair.value(h0) == 0.0
     assert mass(ASYM, 0.0, math.inf, alpha) == mass(ASYM, 0.0, 1.0, alpha)
     assert (mass(ASYM, -math.inf, math.inf, alpha)
@@ -308,3 +318,86 @@ def test_cover_of_a_hull_off_the_unit_interval_stays_small(monkeypatch):
                    (0.053744519905400974, 0.7110239527943234))
     est = mass(other, 0.1, 0.9, similarity_order(other.ratios))
     assert est.verdict == "converged"
+
+
+_EXAMPLE_IFS = GapIFS((0.1674, 0.1844), (0.0, 0.8156))  # order 0.3987
+
+
+_BASES = st.one_of(_gap_ifs(), st.just(C), st.just(FullInterval(0.0, 1.0)))
+_WRAP = st.one_of(st.none(), st.tuples(st.floats(0.25, 4.0),
+                                       st.floats(-2.0, 2.0)))
+
+
+def _medium(base, wrap):
+    """(spec, maps, order): base, or shift + scale * base for a wrap
+    (scale, shift); its maps (offset, ratio), those of the halves on the
+    interval; and its order."""
+    spec = base if wrap is None else Affine(base, *wrap)
+    if isinstance(base, FullInterval):
+        return spec, ((0.0, 0.5), (0.5, 0.5)), 1.0
+    return (spec, tuple(zip(base.offsets, base.ratios)),
+            similarity_order(base.ratios))
+
+
+def _piece(base, maps, wrap, address):
+    """The ends of the construction piece of base at ``address`` (copy
+    indices from the top), in the frame of the wrap."""
+    lam, t = wrap or (1.0, 0.0)
+    ends = []
+    for y in base.hull():
+        for i in reversed(address):
+            o, r = maps[i % len(maps)]
+            y = o + r * y
+        ends.append(t + lam * y)
+    return ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=_BASES, wrap=_WRAP,
+       address=st.lists(st.integers(0, 3), max_size=3),
+       frac=st.floats(0.05, 0.999), pad=st.floats(0.0, 1.0))
+@example(base=_EXAMPLE_IFS, wrap=None, address=[], frac=0.63, pad=0.0)
+@example(base=FullInterval(0.0, 1.0), wrap=None, address=[], frac=0.999,
+         pad=0.0)
+def test_mass_below_the_order_diverges_where_F_meets_the_span(
+        base, wrap, address, frac, pad):
+    # a construction piece holds infinitely many points of F, and so does
+    # any span around it
+    spec, maps, order = _medium(base, wrap)
+    alpha = frac * order
+    a, b = _piece(base, maps, wrap, address)
+    a, b = a - pad * (b - a), b + pad * (b - a)
+    est = mass(spec, a, b, alpha)
+    assert est.verdict == "diverging" and est.value == math.inf
+    with pytest.raises(DivergingMass):
+        StaircaseEvaluator(spec, alpha).increment(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=_BASES, wrap=_WRAP,
+       address=st.lists(st.integers(0, 3), max_size=3),
+       below=st.floats(0.05, 0.999), above=st.floats(0.001, 1.0),
+       pick=st.integers(0, 100))
+@example(base=_EXAMPLE_IFS, wrap=None, address=[], below=0.63, above=0.5,
+         pick=0)
+@example(base=FullInterval(0.0, 1.0), wrap=None, address=[], below=0.999,
+         above=1.0, pick=0)
+def test_mass_is_zero_above_the_order_at_a_point_and_on_a_gap(
+        base, wrap, address, below, above, pick):
+    spec, maps, order = _medium(base, wrap)
+    a, b = _piece(base, maps, wrap, address)
+    if order < 1.0:
+        est = mass(spec, a, b, order + above * (1.0 - order))
+        assert est.verdict == "converged" and est.value == 0.0
+    h0, h1 = spec.hull()
+    points = net(spec, 2, Interval(h0, h1))
+    x = points[pick % len(points)]
+    spans = [(x, x)]
+    holes = gaps(spec, Interval(h0, h1), (h1 - h0) / 100.0)
+    if holes:
+        hole = holes[pick % len(holes)]
+        spans.append((hole.lo, hole.hi))
+    for u, v in spans:
+        est = mass(spec, u, v, below * order)
+        assert est.verdict == "converged" and est.value == 0.0, (u, v)
+        assert StaircaseEvaluator(spec, below * order).increment(u, v) == 0.0

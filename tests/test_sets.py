@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from falpha.sets import (
     Affine,
@@ -201,6 +201,18 @@ def test_cantor_extremes_match_an_exact_oracle_on_triadic_grids():
         _assert_extremes_near(C.extremes_in(float(x), float(x)), (x, x), 1)
 
 
+def test_walk_rejects_gap_midpoints_near_0():
+    # the gap (3^-k, 2 * 3^-k) of the middle-thirds set is resolved by
+    # floats, and by the walk's slack, however small it is near 0
+    for k in range(20, 31):
+        mid = 1.5 * 3.0 ** -k
+        assert not C._isect(mid, mid), k
+        assert C.extremes_in(mid, mid) is None, k
+        for x in (3.0 ** -k, 2.0 * 3.0 ** -k, 0.25):
+            assert C._isect(x, x), (k, x)
+            assert C.extremes_in(x, x) is not None, (k, x)
+
+
 def test_extremes_in_checks_membership_once(monkeypatch):
     calls = []
     isect = GapIFS._isect
@@ -282,6 +294,9 @@ def test_non_finite_parameters_rejected(bad):
     shift=st.floats(-2.0, 2.0),
     lam=st.floats(0.05, 4.0),
 )
+# a point 1.8e-15 from the middle-thirds set, in the gap past 3^-30, which
+# a wrapped query meets if its window adds a whole slack to the walk's own
+@example(lo=5.021669792272667e-15, width=0.0, shift=0.0, lam=0.75)
 def test_wrappers_commute_with_intersects(lo, width, shift, lam):
     hi = lo + width
     assert intersects(Translate(C, shift), Interval(lo, hi)) == intersects(
