@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -29,7 +30,7 @@ import sys
 from falpha.calculus import FOnF, derivative, integrate
 from falpha.cantor import ALPHA, GAMMA_ALPHA1, g_series
 from falpha.dimension import gamma_dimension, similarity_order
-from falpha.mass import StaircaseEvaluator, gamma_factor, mass
+from falpha.mass import StaircaseEvaluator, coarse_mass, gamma_factor, mass
 from falpha.physics import (
     DiffusionParams,
     FrictionParams,
@@ -43,6 +44,7 @@ from falpha.sets import (
     GapIFS,
     Interval,
     net,
+    slack,
     spec_from_json,
 )
 from falpha.verify import run_checks
@@ -279,8 +281,16 @@ def _cmd_staircase(args, spec, alpha, a, b, out):
 
 
 def _cmd_mass(args, spec, alpha, a, b, out):
-    est = mass(spec, a, b, alpha, depth=args.depth)
-    rows = [(d, v) for d, v in est.delta_trace]
+    base = (b - a) if b > a else 1.0
+    floor = slack(max(abs(a), abs(b)))
+    if args.depth < 1 or base * 3.0 ** -args.depth < floor:
+        raise _UsageError(f"--depth {args.depth} must be at least 1 and "
+                          f"keep (B - A)/3^depth at least {floor!r}")
+    est = mass(spec, a, b, alpha)
+    ladder = [base / 3.0 ** k for k in range(1, args.depth + 1)]
+    # monotone in delta against float jitter
+    rows = list(zip(ladder, itertools.accumulate(
+        (coarse_mass(spec, a, b, alpha, d) for d in ladder), max)))
     _emit(out, args.format, ("delta", "coarse_mass"), rows,
           meta={"alpha": alpha, "value": est.value, "verdict": est.verdict,
                 "upper_bound_only": est.upper_bound_only})

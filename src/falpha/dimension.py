@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import Affine
+from falpha.sets import Affine, _reject_nan
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -61,13 +62,15 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     jumps from infinite to zero; also reports the box-counting slope."""
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
+    _reject_nan("a", a)
+    _reject_nan("b", b)
     if not spec._isect(a, b):
         raise ValueError("F does not meet [a, b]")
     trace = []
 
     def probe(alpha):
         verdict = ("zero", "positive", "diverging")[
-            _side_of_order(spec, a, b, alpha) + 1]
+            _side_of_order(_backend.measure(spec, alpha), a, b) + 1]
         trace.append((alpha, verdict))
         return verdict
 

@@ -37,13 +37,14 @@ With no measure record (point sets), or above the order (sum r^alpha <
 positive, so its measure has support F and no atoms: S(b) > S(a), by one
 descent at each end, exactly when F meets (a, b), and a perfect set that
 does meets it in infinitely many points.  Where S does not rise the mass
-is 0; where it rises, it diverges below the order and is positive at it,
-where the delta ladder's last rung is its value.
+is 0; where it rises, it diverges below the order and is positive at it.
+There the mass is the limit of coarse_mass as delta -> 0, and refining a
+cover multiplies its cost by sum r_i^s = 1, so coarse_mass does not
+depend on delta: the value is the cover with no mesh bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,6 +186,9 @@ def coarse_mass(spec, a, b, alpha, delta):
     """Infimum estimate of the flagged sum over subdivisions of [a, b]
     with mesh <= delta."""
     _check_alpha(alpha)
+    _reject_nan("a", a)
+    _reject_nan("b", b)
+    _reject_nan("delta", delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if a > b:
@@ -199,14 +203,13 @@ def _is_upper_bound(spec):
 
 @dataclass(frozen=True)
 class MassEstimate:
-    """The mass of F on [a, b] at order alpha and its delta ladder.  The
-    verdict is ``diverging`` (value inf) below the order where F meets
-    [a, b] in more than a point, else ``converged``: the ladder's last
-    rung at the order, 0 elsewhere."""
+    """The mass of F on [a, b] at order alpha.  The verdict is
+    ``diverging`` (value inf) below the order where F meets [a, b] in more
+    than a point, else ``converged``: the cover with no mesh bound at the
+    order, 0 elsewhere."""
 
     alpha: float
     value: float  # math.inf marks divergence
-    delta_trace: tuple
     verdict: str  # converged | diverging
     upper_bound_only: bool = False
 
@@ -215,28 +218,11 @@ class MassEstimate:
         return math.isinf(self.value)
 
 
-def _clip_infinite(spec, a, b):
-    """[a, b] with an infinite end moved onto the hull of F, never past
-    the other end, so that the ladder's rungs (b - a)/3^k stay finite;
-    finite ends are returned as they are."""
-    if math.isfinite(a) and math.isfinite(b):
-        return a, b
-    hull = spec.hull()
-    if hull is None:
-        return a, b
-    h0, h1 = hull
-    if math.isinf(a):
-        a = min(max(a, h0), h1, b)
-    if math.isinf(b):
-        b = max(min(b, h1), h0, a)
-    return a, b
-
-
-def _side_of_order(spec, a, b, alpha):
-    """1 where the mass of F on [a, b] at order alpha diverges, 0 where it
-    is positive and finite, -1 where it is 0: the record's side of the
-    order where its staircase rises from a to b, else -1."""
-    rec = _backend.measure(spec, alpha)
+def _side_of_order(rec, a, b):
+    """1 where the mass on [a, b] of the set with the measure record
+    ``rec`` diverges, 0 where it is positive and finite, -1 where it is 0:
+    the record's side of the order where its staircase rises from a to b,
+    else -1."""
     if rec is None or rec.side < 0:
         return -1
     ua, ub = ((x - rec.shift) / rec.scale for x in (a, b))
@@ -245,27 +231,21 @@ def _side_of_order(spec, a, b, alpha):
     return rec.side if rises else -1
 
 
-def mass(spec, a, b, alpha, depth=8):
-    """The mass of F on [a, b] at order alpha: the verdict of
-    ``_side_of_order``, and coarse_mass down the delta ladder
-    (b - a) / 3^k for k = 1..depth, whose last rung is the value at the
-    order, after an infinite end has been moved onto the hull of F."""
+def mass(spec, a, b, alpha):
+    """The mass of F on [a, b] at order alpha, read from the set's
+    structure (``_side_of_order``); at the order, the cover with no mesh
+    bound."""
     _check_alpha(alpha)
+    _reject_nan("a", a)
+    _reject_nan("b", b)
     if a > b:
         raise ValueError("need a <= b")
-    a, b = _clip_infinite(spec, a, b)
-    base = (b - a) if b > a else 1.0
-    ladder = [base / 3.0 ** k for k in range(1, depth + 1)]
-    # monotone in delta against float jitter
-    vals = list(itertools.accumulate(
-        (coarse_mass(spec, a, b, alpha, dlt) for dlt in ladder), max))
-    trace = tuple(zip(ladder, vals))
     flag = _is_upper_bound(spec)
-    side = _side_of_order(spec, a, b, alpha)
+    side = _side_of_order(_backend.measure(spec, alpha), a, b)
     if side > 0:
-        return MassEstimate(alpha, math.inf, trace, "diverging", flag)
-    return MassEstimate(alpha, vals[-1] if side == 0 else 0.0, trace,
-                        "converged", flag)
+        return MassEstimate(alpha, math.inf, "diverging", flag)
+    value = coarse_mass(spec, a, b, alpha, math.inf) if side == 0 else 0.0
+    return MassEstimate(alpha, value, "converged", flag)
 
 
 def _closed_form(spec, alpha, rec):
@@ -300,9 +280,10 @@ class StaircaseEvaluator:
     with no mesh bound on point sets, the interval at order 1 and a gap
     IFS above its order.  S(a0) is computed once; a value is then one
     evaluation of S, and an increment two.  Elsewhere, and always in
-    mode ``numeric``, an increment is ``mass``: below the order it raises
-    DivergingMass or is 0, and at the order it is the ladder's estimate.
-    """
+    mode ``numeric``, the verdict on ``self.measure`` decides an
+    increment: below the order it raises DivergingMass or is 0, and at
+    the order it is ``mass``, the cover with no mesh bound (on a gap IFS
+    the covering recursion, not the descent)."""
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
         _check_alpha(alpha)
@@ -330,12 +311,12 @@ class StaircaseEvaluator:
         if self._closed is not None:
             # S is monotone; the max absorbs rounding when u and v are close
             return max(0.0, self._closed(v) - self._closed(u)) / self._gamma
-        est = mass(self.spec, u, v, self.alpha)
-        if est.verdict == "diverging":
+        side = _side_of_order(self.measure, u, v)
+        if side > 0:
             raise DivergingMass(
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"
             )
-        return est.value
+        return mass(self.spec, u, v, self.alpha).value if side == 0 else 0.0
 
     def value(self, x):
         got = self._cache.get(x)

@@ -158,6 +158,37 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "mass", "--range", "1", "0")[0] == 1
 
 
+_ASYM = '{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("--depth", "0"),
+    ("--depth", "-3"),
+    ("--depth", "32"),  # (1 - 0)/3^32 = 5.4e-16 lies below slack(1) = 1e-15
+    ("--depth", "700"),  # 3.0 ** 700 overflows
+    ("--set", _ASYM, "--alpha", "0.5", "--depth", "640"),
+    ("--range", "1000", "1001", "--depth", "26"),  # below 4 ulp(1001)
+])
+def test_mass_depth_out_of_range_exits_1(capsys, argv):
+    code, out, err = run(capsys, "mass", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --depth") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("--depth", "1"), 1),
+    (("--depth", "31"), 31),
+    (("--range", "1000", "1001", "--depth", "25"), 25),
+])
+def test_mass_depth_down_to_the_slack_is_tabulated(capsys, argv, rows):
+    code, out, err = run(capsys, "mass", "--format", "json", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    deltas = [d for d, _ in doc["rows"]]
+    assert len(deltas) == rows and deltas == sorted(deltas, reverse=True)
+
+
 @pytest.mark.parametrize("text, field", [
     ('{"type": "cantor", "translate": Infinity}', "translate"),
     ('{"type": "cantor", "scale": NaN}', "scale"),

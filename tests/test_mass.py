@@ -33,6 +33,8 @@ from falpha.sets import (
 )
 from test_sets import _gap_ifs
 
+mass_module = importlib.import_module("falpha.mass")
+
 C = TernaryCantor()
 ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
 
@@ -297,7 +299,6 @@ def test_cover_of_a_hull_off_the_unit_interval_stays_small(monkeypatch):
     # hull [1/7, 3/4]: a copy end mapped into the copy's frame can land an
     # ulp inside the hull, which must still count as the hull end; a cover
     # that splits there instead recurses down to its tile cutoff
-    mass_module = importlib.import_module("falpha.mass")
     partial = mass_module._ifs_partial
     calls = [0]
 
@@ -401,3 +402,60 @@ def test_mass_is_zero_above_the_order_at_a_point_and_on_a_gap(
         est = mass(spec, u, v, below * order)
         assert est.verdict == "converged" and est.value == 0.0, (u, v)
         assert StaircaseEvaluator(spec, below * order).increment(u, v) == 0.0
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (mass, (C, math.nan, 1.0, ALPHA), "a"),
+    (mass, (C, 0.0, math.nan, ALPHA), "b"),
+    (coarse_mass, (C, math.nan, 1.0, ALPHA, 0.1), "a"),
+    (coarse_mass, (C, 0.0, 1.0, ALPHA, math.nan), "delta"),
+    (gamma_dimension, (C, math.nan, 1.0), "a"),
+    (gamma_dimension, (C, 0.0, math.nan), "b"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_nan_ends_and_mesh_are_rejected(call, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+        call(*args)
+
+
+def test_mass_covers_only_at_the_order(monkeypatch):
+    # the verdict comes from the set's structure; only the value at the
+    # order needs a cover, and one with no mesh bound
+    cover = mass_module.coarse_mass
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cover(*args)
+
+    monkeypatch.setattr(mass_module, "coarse_mass", counted)
+    order = similarity_order(ASYM.ratios)
+    for spec, alpha in ((C, 0.5), (C, 0.8), (ASYM, 0.5), (ASYM, 0.9),
+                        (FullInterval(0.0, 1.0), 0.5),
+                        (FinitePoints((0.2, 0.4)), 0.5),
+                        (FinitePoints((0.2, 0.4)), 1.0)):
+        mass(spec, 0.0, 1.0, alpha)
+    with pytest.raises(DivergingMass):
+        StaircaseEvaluator(ASYM, 0.5).increment(0.0, 1.0)
+    assert StaircaseEvaluator(ASYM, 0.5).increment(0.5, 0.7) == 0.0
+    assert calls == []
+    mass(ASYM, 0.0, 1.0, order)
+    assert calls == [(ASYM, 0.0, 1.0, order, math.inf)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_gap_ifs(), wrap=_WRAP, lo=st.floats(0.0, 0.999),
+       width=st.floats(1e-6, 1.0))
+@example(base=ASYM, wrap=None, lo=0.0, width=1.0)
+def test_every_rung_of_the_ladder_is_the_mass_at_the_order(
+        base, wrap, lo, width):
+    # refining a cover at the order multiplies its cost by sum r^s = 1, so
+    # coarse_mass does not depend on the mesh bound there; a span is drawn
+    # wider than the slack, within which an end is a point of F
+    spec, _, order = _medium(base, wrap)
+    h0, h1 = spec.hull()
+    a = h0 + lo * (h1 - h0)
+    b = a + width * (h1 - a)
+    value = mass(spec, a, b, order).value
+    for k in range(1, 9):
+        rung = coarse_mass(spec, a, b, order, (b - a) / 3.0 ** k)
+        assert abs(rung - value) <= 1e-13 * value, (k, rung, value)
