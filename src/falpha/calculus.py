@@ -8,9 +8,13 @@ the Lebesgue integral of ``physics.time_of_flight``.  Its pieces come
 from ``sets._children``: a whole piece's ends lie in F, bit for bit
 ``extremes_in``'s, and carry their staircase values, so a monotone or
 Lipschitz integrand is bounded there with no set query or descent.  The
+value read at a piece end enters the evaluator's cache, so an integrand
+or quotient that calls the staircase there runs no descent either.  The
 derivative is the limit of increment quotients at the far ends of the
 pieces that hold x, and 0 off F; a side of x is vacuous where x ends a
-piece with a gap on that side.
+piece with a gap on that side.  A side whose quotients have settled
+where x is the near end of its piece stops there: the finer pieces that
+hold x from that side share that end and change nothing.
 """
 
 from __future__ import annotations
@@ -278,18 +282,28 @@ class DerivativeResult:
 def _side(f, stair, x, walk, sign, tol, r0):
     """(value, residual) of the quotients on one side of x (sign -1 left,
     +1 right), at the far ends of the pieces that hold x from that side,
-    down the ``walk`` of ``_walk`` to pieces 1e-13 max(1, |x|) long, with
-    S at those ends read from the pieces; None when x ends a piece with
-    a gap on this side, or the side shows no variation.  An x computed
-    elsewhere may miss a piece end by ulps: x is a piece end within
-    ``sets.slack``.  Raises NoLimit when quotients do not settle."""
+    down the ``walk`` of ``_walk``, with S at those ends read from the
+    pieces; None when x ends a piece with a gap on this side, or the side
+    shows no variation.  The walk stops at pieces 1e-13 max(1, |x|) long,
+    or twice the ``sets.slack`` of x over the least ratio, below which a
+    copy could be shorter than the slack; and once the quotients have
+    settled where x is, bit for bit, the near end of its piece: every
+    finer piece that holds x from this side is then an outer copy with
+    that near end (``_children`` keeps the parent's ends), and changes
+    neither the value nor the side.  An x computed elsewhere may miss a
+    piece end by ulps: x is a piece end within ``sets.slack``.  Raises
+    NoLimit when quotients do not settle."""
     piece, kids = walk
-    eps = slack(x, stair.measure.scale)
-    fx, sx, finest = f(x), stair(x), 1e-13 * max(1.0, abs(x))
+    rec = stair.measure
+    eps = slack(x, rec.scale)
+    fx, sx = f(x), stair(x)
+    finest = max(1e-13 * max(1.0, abs(x)),
+                 2.0 * eps / min(r for (_, r, _, _), _ in rec.table))
     quots, prev, settled = [], None, None
     while piece is not None:
         k0, k1 = piece[:2]
-        y, share = (k1, piece[5]) if sign > 0 else (k0, piece[4])
+        y, share, near = ((k1, piece[5], k0) if sign > 0
+                          else (k0, piece[4], k1))
         if settled is None and y != prev and abs(y - x) <= r0:
             prev, ds = y, stair._at(y, share) - sx
             if ds != 0.0:
@@ -301,6 +315,8 @@ def _side(f, stair, x, walk, sign, tol, r0):
                 # diffs well under tol to keep the settled value within tol
                 if max(d1, d2) <= 0.25 * tol * max(1.0, abs(quots[-1])):
                     settled = (quots[-1], d1)
+        if settled is not None and x == near:
+            return settled
         if k1 - k0 < finest:
             if settled is None and len(quots) >= 3:
                 raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
@@ -318,8 +334,11 @@ def derivative(f, stair, x, tol=1e-3, r0=1.0):
     of x takes (f(y) - f(x)) / (S(y) - S(x)) at the far ends y of the
     construction pieces that hold x, none farther than r0 from x, until two
     successive differences are each at most tol / 4; a side is vacuous
-    where x ends a piece with a gap on that side.  Raises NoLimit when the
-    quotients do not settle, the sides disagree beyond tol, or S is flat."""
+    where x ends a piece with a gap on that side.  A settled side stops
+    its walk (``_side``) once x is the near end of its piece, which every
+    finer piece that holds x from that side shares.  Raises NoLimit when
+    the quotients do not settle, the sides disagree beyond tol, or S is
+    flat."""
     _check_tol(tol)
     _reject_nan("x", x)
     if not stair.spec._isect(x, x):

@@ -283,7 +283,9 @@ class StaircaseEvaluator:
     mode ``numeric``, the verdict on ``self.measure`` decides an
     increment: below the order it raises DivergingMass or is 0, and at
     the order it is ``mass``, the cover with no mesh bound (on a gap IFS
-    the covering recursion, not the descent)."""
+    the covering recursion, not the descent).  Values are cached by x:
+    each one computed, and each read at a piece end from the piece's
+    share (``_at``), which equals the descent there bit for bit."""
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
         _check_alpha(alpha)
@@ -335,10 +337,13 @@ class StaircaseEvaluator:
 
     def _at(self, x, share):
         """self(x) at a piece end x where the descent on ``self.measure``
-        reads ``share``, by no descent where S is that descent."""
+        reads ``share``, by no descent where S is that descent.  The value
+        enters the cache: a piece's share is the descent at that end bit
+        for bit, so a later self(x) there needs no descent either."""
         if self._unit is None:
             return self.value(x)
-        return (self._unit * share - self._s0) / self._gamma
+        got = self._cache[x] = (self._unit * share - self._s0) / self._gamma
+        return got
 
     def scaled(self, x):
         """Gamma(alpha+1) times the staircase value."""

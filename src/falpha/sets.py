@@ -578,11 +578,15 @@ class Affine(SetSpec):
         return self.inner._isect(*self._window(lo, hi))
 
     def extremes_in(self, lo, hi):
+        # an answer at the window's own end is the query's own end: mapped
+        # back, it may land an ulp inside a piece end that the query names
         s, t = self.scale, self.shift
-        e = self.inner.extremes_in(*self._window(lo, hi))
+        w0, w1 = self._window(lo, hi)
+        e = self.inner.extremes_in(w0, w1)
         if e is None:
             return None
-        return tuple(min(hi, max(lo, y * s + t)) for y in e)
+        return tuple(lo if y == w0 else hi if y == w1
+                     else min(hi, max(lo, y * s + t)) for y in e)
 
     def _raw_gaps(self, lo, hi, min_len):
         s, t = self.scale, self.shift

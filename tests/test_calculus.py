@@ -28,11 +28,13 @@ from falpha.sets import (
     FullInterval,
     GapIFS,
     Interval,
+    Scale,
     Subdivision,
     TernaryCantor,
     Translate,
     gaps,
     net,
+    slack,
 )
 from falpha.physics import FrictionParams, time_of_flight
 
@@ -268,6 +270,9 @@ def test_upper_lower_sums_are_sums_of_components():
 
 _FAR_TWO_MAP = GapIFS((0.3435738472226821, 0.1911192899825631),
                       (0.0, 0.8088807100174369))
+# Affine._window widens nothing here: slack(x, 1.5) / 1.5 is the set's own
+# query slack, and a window end mapped back fell an ulp inside a piece end
+_EVEN_TWO_MAP = GapIFS((0.4, 0.4), (0.0, 0.6000000000000001))
 
 
 @settings(max_examples=25, deadline=None)
@@ -277,6 +282,10 @@ _FAR_TWO_MAP = GapIFS((0.3435738472226821, 0.1911192899825631),
                  similarity_order(_FAR_TWO_MAP.ratios),
                  (0.7397728558447245, 0.7397728558447245 + 1.7418697349851697),
                  tuple(zip(_FAR_TWO_MAP.offsets, _FAR_TWO_MAP.ratios))),
+         ends=(0.0, 1.0))
+@example(medium=(Affine(_EVEN_TWO_MAP, 1.5, 0.15),
+                 similarity_order(_EVEN_TWO_MAP.ratios), (0.15, 1.65),
+                 tuple(zip(_EVEN_TWO_MAP.offsets, _EVEN_TWO_MAP.ratios))),
          ends=(0.0, 1.0))
 def test_whole_pieces_are_priced_at_their_ends(medium, ends):
     spec, alpha, (h0, h1), copies = medium
@@ -435,6 +444,137 @@ def test_walks_descend_only_at_their_ends(monkeypatch):
     coarse = runs(1e-4)
     assert 0 < len(coarse) <= 8
     assert runs(1e-8) == coarse
+
+
+@st.composite
+def _walked_media(draw):
+    """(spec, order): a gap IFS with 2-4 maps on [0, 1] whose neighbouring
+    copies may touch, plain, or scaled by 0.25-4, 1e-3 or 1e3 and shifted
+    by up to 1e5."""
+    m = draw(st.integers(2, 4))
+    copies = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
+    holes = draw(st.lists(st.just(0.0) | st.floats(0.1, 1.0),
+                          min_size=m - 1, max_size=m - 1))
+    total = sum(copies) + sum(holes)
+    ratios = [c / total for c in copies]
+    offsets = [0.0]
+    for r, g in zip(ratios, holes):
+        offsets.append(offsets[-1] + r + g / total)
+    spec = GapIFS(tuple(ratios), tuple(offsets))
+    if draw(st.booleans()):
+        scale = draw(st.floats(0.25, 4.0) | st.sampled_from((1e-3, 1e3)))
+        spec = Translate(Scale(spec, scale), draw(st.floats(-1e5, 1e5)))
+    return spec, similarity_order(tuple(ratios))
+
+
+@settings(max_examples=30, deadline=None)
+@given(medium=_walked_media(), start=st.floats(0.0, 1.0))
+def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
+    # a piece's share is the descent at its end bit for bit, so the value
+    # that _at stores is the one a descent there gives
+    spec, alpha = medium
+    h0, h1 = spec.hull()
+    a0 = h0 + (h1 - h0) * start
+    stair = StaircaseEvaluator(spec, alpha, a0=a0)
+    fresh = StaircaseEvaluator(spec, alpha, a0=a0)
+    hull, kids = calculus._walk(stair)
+    stack = [(hull, 0)]
+    while stack:
+        piece, d = stack.pop()
+        for x, share in ((piece[0], piece[4]), (piece[1], piece[5])):
+            assert stair._at(x, share) == fresh.value(x), x
+            assert stair._cache[x] == fresh.value(x), x
+        if d < 4:
+            stack.extend((k, d + 1) for k in kids(piece))
+
+
+def _reference_side(f, stair, x, walk, sign, tol, r0):
+    """``calculus._side`` with no early stop: the walk goes on down to the
+    finest piece that holds x from this side."""
+    piece, kids = walk
+    rec = stair.measure
+    eps = slack(x, rec.scale)
+    fx, sx = f(x), stair(x)
+    finest = max(1e-13 * max(1.0, abs(x)),
+                 2.0 * eps / min(r for (_, r, _, _), _ in rec.table))
+    quots, prev, settled = [], None, None
+    while piece is not None:
+        k0, k1 = piece[:2]
+        y, share = (k1, piece[5]) if sign > 0 else (k0, piece[4])
+        if settled is None and y != prev and abs(y - x) <= r0:
+            prev, ds = y, stair._at(y, share) - sx
+            if ds != 0.0:
+                quots.append((f(y) - fx) / ds)
+            if len(quots) >= 3:
+                d1 = abs(quots[-1] - quots[-2])
+                d2 = abs(quots[-2] - quots[-3])
+                if max(d1, d2) <= 0.25 * tol * max(1.0, abs(quots[-1])):
+                    settled = (quots[-1], d1)
+        if k1 - k0 < finest:
+            if settled is None and len(quots) >= 3:
+                raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
+            return settled
+        piece = next((c for c in kids(piece)
+                      if (c[0] + eps < x <= c[1] + eps if sign < 0
+                          else c[0] - eps <= x < c[1] - eps)), None)
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(medium=_walked_media(), level=st.integers(1, 3))
+def test_a_settled_side_stops_with_what_the_whole_walk_gives(medium, level):
+    spec, alpha = medium
+    stair = StaircaseEvaluator(spec, alpha)
+    fs = (FOnF.monotone(stair), FOnF.monotone(lambda y: stair(y) ** 2))
+
+    def outcome(f, x):
+        try:
+            return derivative(f, stair, x)
+        except NoLimit as exc:
+            return str(exc)
+
+    for x in net(spec, level, Interval(*spec.hull())):
+        for f in fs:
+            got = outcome(f, x)
+            with mock.patch.object(calculus, "_side", _reference_side):
+                assert got == outcome(f, x), x
+
+
+def test_a_settled_side_stops_at_its_shared_near_end(monkeypatch):
+    # at a level-3 net point the quotients of D S settle within a few
+    # pieces that end at x; the walk down to pieces 1e-13 long built some
+    # 30 child lists
+    built = []
+    children = calculus._children
+
+    def spy(*args):
+        built.append(args[-1])
+        return children(*args)
+
+    monkeypatch.setattr(calculus, "_children", spy)
+    f = FOnF.monotone(STAIR)
+    for x in net(C, 3, Interval(0.0, 1.0)):
+        built.clear()
+        assert derivative(f, STAIR, x).value == 1.0
+        assert len(built) <= 10, x
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e8])
+def test_derivative_of_the_staircase_on_sets_scaled_far_up(lam):
+    # the walk stops at pieces whose copies could be shorter than the
+    # slack, where no copy would hold x any more
+    spec = Scale(C, lam)
+    stair = StaircaseEvaluator(spec, ALPHA)
+    f = FOnF.monotone(stair)
+    _check_sides((spec, ALPHA, (0.0, lam), ((0.0, 1.0 / 3.0),
+                                            (2.0 / 3.0, 1.0 / 3.0))), 3)
+    for x in net(spec, 3, Interval(0.0, lam)):
+        assert derivative(f, stair, x).value == 1.0, x
+    # points of F that end no piece: 1/4 is 0.0202... in base 3
+    for x in (lam * 3.0 ** -12 / 4.0, lam / 4.0,
+              lam * (2.0 / 3.0 + 3.0 ** -9 / 4.0)):
+        d = derivative(f, stair, x)
+        assert (d.value, d.side) == (1.0, "both"), x
 
 
 def _gap_sides(spec, x, w):
