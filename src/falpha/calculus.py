@@ -9,12 +9,18 @@ from ``sets._children``: a whole piece's ends lie in F, bit for bit
 ``extremes_in``'s, and carry their staircase values, so a monotone or
 Lipschitz integrand is bounded there with no set query or descent.  The
 value read at a piece end enters the evaluator's cache, so an integrand
-or quotient that calls the staircase there runs no descent either.  The
-derivative is the limit of increment quotients at the far ends of the
-pieces that hold x, and 0 off F; a side of x is vacuous where x ends a
-piece with a gap on that side.  A side whose quotients have settled
-where x is the near end of its piece stops there: the finer pieces that
-hold x from that side share that end and change nothing.
+or quotient that calls the staircase there runs no descent either.  An
+integrand g(S) of the staircase S it is integrated against is priced by
+substitution instead (``_by_substitution``): the integral of g over
+[S(a), S(b)], by the same walk down the halves of that interval, widened
+at a and b by how far S rises within twice the slack of each and of the
+origin.  Where that widening alone is at least tol it takes the walk
+down F.  The derivative is the limit of increment quotients at the far
+ends of the pieces that hold x, and 0 off F; a side of x is vacuous
+where x ends a piece with a gap on that side.  A side whose quotients
+have settled where x is the near end of its piece stops there: the
+finer pieces that hold x from that side share that end and change
+nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from falpha.sets import Interval, _children, _reject_nan, net, slack
+from falpha.mass import StaircaseEvaluator
+from falpha.sets import (FullInterval, Interval, _children, _reject_nan, net,
+                         slack)
 
 __all__ = [
     "FOnF",
@@ -70,6 +78,17 @@ class FOnF:
     extreme F-points of the interval), ("lipschitz", L) for an L-Lipschitz
     bound (within (f(e0) + f(e1))/2 +- L (e1 - e0)/2 between the extreme
     F-points e0, e1), or ("net-sampled",) for uncertified net extremes.
+
+    ``of_stair(g, stair)`` is x -> g(stair(x)) for a g convex and
+    nondecreasing on the values the staircase takes, with the hint
+    ("monotone", g, stair), so every reader of the monotone hint sees
+    one.  ``integrate`` against that same ``stair`` prices it, and
+    ``monotone(stair)`` as g the identity, by substitution: the integral
+    of g over [S(a), S(b)], widened at a and b by how far S rises within
+    twice the slack of each and of the origin (``_by_substitution``).  A
+    function of another evaluator, a ``monotone`` of a wrapper of
+    ``stair``, a set with no measure record or off its order, or a
+    widening of tol or more takes the walk down F.
     """
 
     fn: object
@@ -81,6 +100,10 @@ class FOnF:
     @staticmethod
     def monotone(fn):
         return FOnF(fn, ("monotone",))
+
+    @staticmethod
+    def of_stair(g, stair):
+        return FOnF(lambda x: g(stair(x)), ("monotone", g, stair))
 
     @staticmethod
     def lipschitz(fn, bound):
@@ -242,15 +265,72 @@ def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
     return (exact + lower, exact + upper, count, depth)
 
 
+def _identity(u):
+    return u
+
+
+def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
+    """(lower, upper, pieces, depth) of the integral over [a, b] of f = g
+    of the values of ``stair`` (``FOnF.of_stair`` on ``stair``, or
+    ``FOnF.monotone(stair)`` with g the identity): the integral of g over
+    [S(a), S(b)], by the walk of ``_bracket`` down the halves of that
+    interval at order 1, where g convex lies between the midpoint rule
+    (Jensen) and the trapezoid (the chord) on each piece.  A descent reads
+    a point within the slack at the farther hull end (``rec.eps``) of a
+    piece end as that end, and rounds; so the true S(x) lies between the
+    float S at x -+ eta, twice that slack, less the same spread at the
+    origin a0.  Each end widens the bracket by its spread times the
+    largest |g| over it: 0 where x and a0 lie in gaps wider than 2 eta.
+    None, for the walk down F, where f is not such a g, the set has no
+    measure record or is off its order (S is then flat or diverges), or
+    the widening alone is at least tol."""
+    rec = stair.measure
+    if (not isinstance(f, FOnF) or f.hint[:1] != ("monotone",)
+            or rec is None or rec.side != 0):
+        return None
+    if f.fn is stair:
+        g = _identity
+    elif f.hint[2:] == (stair,):
+        g = f.hint[1]
+    else:
+        return None
+    ua, ub = stair(a), stair(b)
+    eta, pad = 2.0 * rec.eps * rec.scale, 0.0
+    # S counts from the origin a0, whose float S may miss as x's does
+    o_lo, o_hi = stair(stair.a0 - eta), stair(stair.a0 + eta)
+    for x in (a, b):
+        lo, hi = stair(x - eta) - o_hi, stair(x + eta) - o_lo
+        # g is nondecreasing: |g| is largest at an end of [lo, hi]
+        pad += max(abs(g(lo)), abs(g(hi))) * (hi - lo)
+    if 2.0 * pad >= tol:
+        return None
+    if ub <= ua:
+        # 0.0 - pad, not -pad: an exact 0 stays +0.0, as the F walk gives
+        return (0.0 - pad, 0.0 + pad, 0, 0)
+
+    def bound(u, v, su, sv, whole):
+        d = v - u
+        return (d * ((g(u) + g(v)) / 2.0), d * g((u + v) / 2.0))
+
+    # an interval has no gap, so the walk prices no flat stretch
+    lower, upper, count, depth = _bracket(
+        StaircaseEvaluator(FullInterval(ua, ub), 1.0, a0=ua), ua, ub,
+        tol - 2.0 * pad, bound, lambda u, v, s: 0.0, max_pieces)
+    return (lower - pad, upper + pad, count, depth)
+
+
 def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     """Certified bracket for the staircase-weighted integral of f: a walk
     down the construction pieces (``_bracket``) with ``_component`` on
     each piece and nothing on a gap, until upper - lower <= tol.  A
     monotone or Lipschitz f on a whole piece is bounded by its values at
     the piece's ends, which lie in F; a clipped piece, or another hint,
-    asks the set for the extremes of F in it.  Raises NoConvergence when
-    that takes more than ``max_components`` pieces, or pieces shorter
-    than the ``sets.slack`` of the set's farther hull end."""
+    asks the set for the extremes of F in it.  A function g of the values
+    of ``stair`` itself is the integral of g over [S(a), S(b)], by the
+    same walk on that interval (``_by_substitution``), where it applies.
+    Raises NoConvergence when either walk takes more than
+    ``max_components`` pieces, or pieces shorter than the ``sets.slack``
+    of its farther hull end."""
     _check_tol(tol)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -258,7 +338,8 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
         res = integrate(f, stair, b, a, tol, max_components)
         return IntegralResult(-res.upper, -res.lower, -res.value,
                               res.gap, res.refinement_depth)
-    lower, upper, count, depth = _bracket(
+    lower, upper, count, depth = _by_substitution(
+        f, stair, a, b, tol, max_components) or _bracket(
         stair, a, b, tol,
         lambda u, v, su, sv, whole: _component(f, stair, u, v, whole,
                                                (su, sv)),

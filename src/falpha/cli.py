@@ -88,13 +88,6 @@ def _finite(text):
     return x
 
 
-def _fmt(x):
-    """Full-precision decimal form (shortest round-trip)."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _load_set(text):
     if text == "cantor":
         obj = {"type": "cantor"}
@@ -158,9 +151,10 @@ def _emit(out, fmt, columns, rows, meta=None):
         text = json.dumps(head, indent=2, sort_keys=True)[:-2]
         out.write(f'{text},\n  "rows": {_json_rows(rows)}\n}}\n')
         return
-    lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta or ())]
+    # str of a float is its shortest round-trip form
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta or ())]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     out.write("\n".join(lines) + "\n")
 
 
@@ -168,9 +162,11 @@ _FUNCTIONS = {
     "one": lambda stair: FOnF.monotone(lambda x: 1.0),
     "x": lambda stair: FOnF.monotone(lambda x: x),
     "stair": lambda stair: FOnF.monotone(stair),
-    "stair2": lambda stair: FOnF.monotone(lambda x: stair(x) ** 2),
-    "stair3": lambda stair: FOnF.monotone(lambda x: stair(x) ** 3),
-    "stair4": lambda stair: FOnF.monotone(lambda x: stair(x) ** 4),
+    # S >= 0 from the origin a0 = A on, where u^n is convex and
+    # nondecreasing: integrate prices these by substitution
+    "stair2": lambda stair: FOnF.of_stair(lambda u: u ** 2, stair),
+    "stair3": lambda stair: FOnF.of_stair(lambda u: u ** 3, stair),
+    "stair4": lambda stair: FOnF.of_stair(lambda u: u ** 4, stair),
 }
 
 

@@ -71,6 +71,11 @@ __all__ = [
     "gamma_factor",
 ]
 
+# the most values a StaircaseEvaluator keeps, emptied when full: the piece
+# ends of a walk to integrate's default 20,000 pieces fit
+_CACHE_CAP = 1 << 16
+
+
 class DivergingMass(ArithmeticError):
     """Raised when a staircase value is requested but the mass diverges."""
 
@@ -285,7 +290,9 @@ class StaircaseEvaluator:
     the order it is ``mass``, the cover with no mesh bound (on a gap IFS
     the covering recursion, not the descent).  Values are cached by x:
     each one computed, and each read at a piece end from the piece's
-    share (``_at``), which equals the descent there bit for bit."""
+    share (``_at``), which equals the descent there bit for bit.  The
+    cache holds at most ``_CACHE_CAP`` values: a value that would pass
+    that empties it first, so a long walk keeps its memory bounded."""
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
         _check_alpha(alpha)
@@ -330,7 +337,7 @@ class StaircaseEvaluator:
                 got = self.increment(self.a0, x)
             else:
                 got = -self.increment(x, self.a0)
-            self._cache[x] = got
+            self._store(x, got)
         return got
 
     __call__ = value
@@ -342,8 +349,14 @@ class StaircaseEvaluator:
         for bit, so a later self(x) there needs no descent either."""
         if self._unit is None:
             return self.value(x)
-        got = self._cache[x] = (self._unit * share - self._s0) / self._gamma
+        got = (self._unit * share - self._s0) / self._gamma
+        self._store(x, got)
         return got
+
+    def _store(self, x, got):
+        if len(self._cache) >= _CACHE_CAP:
+            self._cache.clear()
+        self._cache[x] = got
 
     def scaled(self, x):
         """Gamma(alpha+1) times the staircase value."""

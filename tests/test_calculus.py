@@ -1,8 +1,10 @@
 """Staircase-weighted integration and quotient differentiation."""
 
 import contextlib
+import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -22,7 +24,7 @@ from falpha.calculus import (
 )
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import similarity_order
-from falpha.mass import StaircaseEvaluator
+from falpha.mass import _CACHE_CAP, DivergingMass, StaircaseEvaluator
 from falpha.sets import (
     Affine,
     FullInterval,
@@ -39,6 +41,8 @@ from falpha.sets import (
 from falpha.physics import FrictionParams, time_of_flight
 
 from test_physics import _media
+from test_sets import (_WRAPS, _exact_descent, _exact_point, _gap_ifs, _unwrap,
+                       _wrap)
 
 C = TernaryCantor()
 ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
@@ -655,3 +659,189 @@ def test_derivative_makes_no_extremes_query(monkeypatch):
             derivative(FOnF.monotone(stair), stair, x)
             derivative(FOnF.net_sampled(lambda y: stair(y) ** 2), stair, x)
     assert queries == []
+
+
+def _exact_s(spec, alpha, a0, x):
+    """S(x) from the origin a0 on a gap IFS at its order, or an Affine of
+    one, in exact rational arithmetic: ``_exact_descent`` at x and at a0
+    on the float parameters, with the weights r_i^alpha, the scale
+    (lam (h1 - h0))^alpha and Gamma(alpha + 1) each rounded once to
+    floats."""
+    base, lam, t = _unwrap(spec)
+    rs = [Fraction(r) for r in base.ratios]
+    os_ = [Fraction(o) for o in base.offsets]
+    ps = [Fraction(r ** alpha) for r in base.ratios]
+    ps = [p / sum(ps) for p in ps]
+    h0, h1 = base.hull()
+    unit = (Fraction((lam * (h1 - h0)) ** alpha)
+            / Fraction(math.gamma(alpha + 1.0)))
+
+    def share(y):
+        return _exact_descent(rs, os_, ps,
+                              (Fraction(y) - Fraction(t)) / Fraction(lam))
+
+    return unit * (share(x) - share(a0))
+
+
+@st.composite
+def _substituted_media(draw):
+    """(spec, base, order): the middle-thirds set or a gap IFS with 2-4
+    maps of order at least 0.45, plain, wrapped, or translated by 1e3 to
+    1e5 either way."""
+    base = draw(st.just(C) | _gap_ifs())
+    alpha = similarity_order(base.ratios)
+    assume(alpha >= 0.45)
+    how = draw(st.sampled_from(("plain", "wrapped", "far")))
+    spec = base
+    if how == "wrapped":
+        spec = _wrap(base, draw(_WRAPS))[0]
+    elif how == "far":
+        spec = Translate(base, draw(st.sampled_from((-1.0, 1.0)))
+                         * draw(st.floats(1e3, 1e5)))
+    return spec, base, alpha
+
+
+@st.composite
+def _substituted_points(draw, spec, base):
+    """(x, kind) with x a point of spec: in a gap between two copies of a
+    piece at most 3 levels deep, a hull end, or a point of F with a
+    random address 40-60 levels long."""
+    _, lam, t = _unwrap(spec)
+    m = len(base.ratios)
+    rs = [Fraction(r) for r in base.ratios]
+    os_ = [Fraction(o) for o in base.offsets]
+    h0, h1 = (Fraction(h) for h in base.hull())
+    kind = draw(st.sampled_from(("gap", "end", "deep")))
+    if kind == "end":
+        return draw(st.sampled_from(spec.hull())), kind
+    if kind == "deep":
+        head = draw(st.lists(st.integers(0, m - 1), min_size=40, max_size=60))
+        period = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2))
+        y = _exact_point(base, head, period)
+    else:
+        c, d = Fraction(0), Fraction(1)
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            c, d = c + d * os_[i], d * rs[i]
+        j = draw(st.integers(0, m - 2))
+        g0, g1 = os_[j] + rs[j] * h1, os_[j + 1] + rs[j + 1] * h0
+        q = Fraction(draw(st.floats(0.05, 0.95)))
+        y = c + d * (g0 + q * (g1 - g0))
+    return t + lam * float(y), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), medium=_substituted_media(),
+       tol=st.sampled_from((1e-3, 1e-5)))
+def test_substitution_brackets_hold_the_exact_integral(data, medium, tol):
+    # the origin is the least point drawn, so S >= 0 where u^n is
+    # integrated, and u^n is convex and nondecreasing there
+    spec, base, alpha = medium
+    pts = sorted(data.draw(st.lists(_substituted_points(spec, base),
+                                    min_size=2, max_size=3)))
+    a0, k0 = pts[0]
+    stair = StaircaseEvaluator(spec, alpha, a0=a0)
+    for (a, ka), (b, kb) in itertools.combinations(pts, 2):
+        sa, sb = _exact_s(spec, alpha, a0, a), _exact_s(spec, alpha, a0, b)
+        for n in range(1, 5):
+            f = (FOnF.monotone(stair) if n == 1
+                 else FOnF.of_stair(lambda u, n=n: u ** n, stair))
+            got = calculus._by_substitution(f, stair, a, b, tol)
+            if got is None:
+                # S is flat within the slack of a gap point, so no widening
+                assert {k0, ka, kb} != {"gap"}, (a0, a, b)
+                continue
+            lower, upper, count, _ = got
+            exact = (sb ** (n + 1) - sa ** (n + 1)) / (n + 1)
+            # float sums and powers round by ulps; the float S at the
+            # origin, a hull end or a point of F may miss the exact one by
+            # up to the widening
+            slack = 1e-14 * (1.0 + abs(exact))
+            assert lower - slack <= exact <= upper + slack, (a0, a, b, n)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 0.9), (0.25, 0.75),
+                                  (0.4, 0.7)])
+def test_the_staircase_closes_in_one_piece_by_substitution(a, b):
+    # g the identity: the midpoint rule and the chord agree on the one
+    # piece [S(a), S(b)]
+    stair = StaircaseEvaluator(C, ALPHA)
+    f = FOnF.monotone(stair)
+    lower, upper, count, depth = calculus._by_substitution(f, stair, a, b,
+                                                           1e-4)
+    assert (count, depth) == (1, 0)
+    res = integrate(f, stair, a, b, tol=1e-4)
+    assert (res.lower, res.upper) == (lower, upper)
+    assert res.upper - res.lower <= 1e-6
+    assert res.contains((stair(b) ** 2 - stair(a) ** 2) / 2.0, 1e-15)
+
+
+def _walked(f, stair, a, b, **kw):
+    """repr of what integrate gives for f, or of the NoConvergence, with
+    its partial result, or DivergingMass it raises."""
+    try:
+        return repr(integrate(f, stair, a, b, **kw))
+    except NoConvergence as exc:
+        return repr((str(exc), exc.gap, exc.partial))
+    except DivergingMass as exc:
+        return repr(exc)
+
+
+def test_a_function_of_another_evaluator_takes_the_walk_down_f():
+    # S from a0 = 0 is S from a0 = 1/4 plus S(1/4): both are functions of
+    # the staircase, but not of the evaluator integrated against
+    stair = StaircaseEvaluator(C, ALPHA, a0=0.25)
+    other = StaircaseEvaluator(C, ALPHA, a0=0.0)
+    for f in (FOnF.monotone(other),
+              FOnF.of_stair(lambda u: u ** 2, other)):
+        assert calculus._by_substitution(f, stair, 0.25, 0.75, 1e-3) is None
+        # the same function with nothing to substitute walks F
+        walk = FOnF.monotone(lambda x, f=f: f(x))
+        assert (_walked(f, stair, 0.25, 0.75, tol=1e-3)
+                == _walked(walk, stair, 0.25, 0.75, tol=1e-3))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_off_its_order_the_staircase_takes_the_walk_down_f(alpha):
+    # below the order S diverges, above it S is 0
+    stair = StaircaseEvaluator(C, alpha)
+    for f in (FOnF.monotone(stair),
+              FOnF.of_stair(lambda u: u ** 2, stair)):
+        assert calculus._by_substitution(f, stair, 0.0, 1.0, 1e-3) is None
+        walk = FOnF.monotone(lambda x, f=f: f(x))
+        for a, b in ((0.0, 1.0), (0.25, 0.25), (0.4, 0.6)):
+            assert (_walked(f, stair, a, b, tol=1e-3)
+                    == _walked(walk, stair, a, b, tol=1e-3)), (a, b)
+
+
+def test_a_widening_wider_than_tol_takes_the_walk_down_f():
+    # 1/4 and 3/4 are points of F with endless expansions: S rises by
+    # about 1e-9 within the slack of each, and g is at least 0.05 there
+    stair = StaircaseEvaluator(C, ALPHA)
+    for f in (FOnF.monotone(stair),
+              FOnF.of_stair(lambda u: u ** 3, stair)):
+        assert calculus._by_substitution(f, stair, 0.25, 0.75, 1e-4)
+        assert calculus._by_substitution(f, stair, 0.25, 0.75, 1e-12) is None
+        walk = FOnF.monotone(lambda x, f=f: f(x))
+        for tol, cap in ((1e-12, 300), (1e-12, 3000)):
+            assert (_walked(f, stair, 0.25, 0.75, tol=tol, max_components=cap)
+                    == _walked(walk, stair, 0.25, 0.75, tol=tol,
+                               max_components=cap))
+
+
+def test_the_staircase_cache_stays_under_its_cap(monkeypatch):
+    # a Lipschitz walk of about 10^5 pieces reads S at every piece end
+    sizes = []
+    store = StaircaseEvaluator._store
+
+    def spy(self, x, got):
+        store(self, x, got)
+        sizes.append(len(self._cache))
+
+    monkeypatch.setattr(StaircaseEvaluator, "_store", spy)
+    stair = StaircaseEvaluator(C, ALPHA)
+    res = integrate(FOnF.lipschitz(lambda x: x * x, 2.0), stair, 0.0, 1.0,
+                    tol=1e-7, max_components=10 ** 6)
+    assert res.upper - res.lower <= 1e-7
+    # it reads 100,552 distinct values; the cache fills once and empties
+    assert max(sizes) == _CACHE_CAP
+    assert len(stair._cache) < _CACHE_CAP

@@ -458,5 +458,5 @@ def test_json_tables_round_trip_the_csv_cells(capsys, command):
     assert code == 0
     doc = json.loads(text)
     assert doc["columns"] == columns
-    assert [[cli._fmt(v) for v in row] for row in doc["rows"]] == rows
-    assert {k: cli._fmt(v) for k, v in doc.get("meta", {}).items()} == meta
+    assert [[str(v) for v in row] for row in doc["rows"]] == rows
+    assert {k: str(v) for k, v in doc.get("meta", {}).items()} == meta
