@@ -2,15 +2,18 @@
 
 On a gap IFS at its order the staircase is the distribution function of
 the self-similar measure giving copy i the weight r_i^alpha / sum
-r_j^alpha (Hutchinson 1981).  ``measure`` builds its record once per
-(spec, alpha); every descent down the copies reads it: the staircase, the
-first moment, and the piece walk of ``falpha.calculus``.  Callers reach
-the kernels as module attributes at call time, so a wrapper installed
-here, such as the benchmark's tracer, sees every call.  A descent works
-in the local coordinates of the copy entered: a point within
-``sets.slack`` of a hull end (``eps``/scale locally) is that end.  The
-Lebesgue moments of the staircase need no descent: the same
-self-similarity makes them a linear recursion.
+r_j^alpha (Hutchinson 1981).  ``measure`` builds its record on each
+call, in the frame that ``frame`` gives: a ``StaircaseEvaluator`` keeps
+the one it reads, and other callers seldom ask twice for one set at one
+order.  Every interval at order 1 re-frames one record of the unit
+halves, built at import.  Every descent down the copies reads a record:
+the staircase, the first moment, and the piece walk of
+``falpha.calculus``.  Callers reach the kernels as module attributes at
+call time, so a wrapper installed here, such as the benchmark's tracer,
+sees every call.  A descent works in the local coordinates of the copy
+entered: a point within ``sets.slack`` of a hull end (``eps``/scale
+locally) is that end.  The Lebesgue moments of the staircase need no
+descent: the same self-similarity makes them a linear recursion.
 """
 
 import itertools
@@ -45,32 +48,60 @@ def side_of_order(total):
     return -1 if total < 1.0 - 1e-12 else int(total > 1.0 + 1e-9)
 
 
-def measure(spec, alpha):
-    """The record of spec at order alpha (an interval is its two halves),
-    or None for point sets and the harmonic cluster.  The mean M solves
-    M = sum p_j (f_j + r_j M) for weights p_j, ratios r_j and start
-    shares f_j; 1 - M, the Lebesgue mean of the rescaled staircase, is
-    computed first, so the two are complements in floats too."""
+def frame(spec):
+    """(scale, shift, unwrapped set) of spec, as its record reads it: an
+    interval is the unit halves, scaled to its ends."""
     lam, t, inner = ((spec.scale, spec.shift, spec.inner)
                      if isinstance(spec, Affine) else (1.0, 0.0, spec))
     if isinstance(inner, FullInterval):
-        lam, t = lam * (inner.hi - inner.lo), t + lam * inner.lo
-        inner = _HALVES
+        return lam * (inner.hi - inner.lo), t + lam * inner.lo, _HALVES
+    return lam, t, inner
+
+
+def hull_eps(lam, t, hull):
+    """``sets.slack`` at the farther end of ``hull`` mapped by
+    x -> t + lam x, in units of the unmapped hull: a record's ``eps``."""
+    h0, h1 = hull
+    return slack(max(abs(t + lam * h0), abs(t + lam * h1)), lam) / lam
+
+
+def measure(spec, alpha):
+    """The record of spec at order alpha (an interval is its two halves),
+    or None for point sets and the harmonic cluster."""
+    lam, t, inner = frame(spec)
     if not isinstance(inner, GapIFS):
         return None
-    ps = [r ** alpha for r in inner.ratios]
+    eps = hull_eps(lam, t, inner._hull)
+    if inner is _HALVES and alpha == 1.0:
+        # each substitution of falpha.calculus walks a fresh interval
+        rec = _HALVES_AT_1
+        return Measure(lam, t, rec.hull, rec.table, rec.shares, rec.total,
+                       rec.mean, eps, rec.side)
+    return _build(inner, alpha, lam, t, eps)
+
+
+def _build(inner, alpha, lam, t, eps):
+    """The record of the gap IFS ``inner`` at order alpha in the frame
+    t + lam x.  The mean M solves M = sum p_j (f_j + r_j M) for weights
+    p_j, ratios r_j and start shares f_j; 1 - M, the Lebesgue mean of the
+    rescaled staircase, is computed first, so the two are complements in
+    floats too."""
+    ratios, copies = inner.ratios, inner._copies
+    ps = [r ** alpha for r in ratios]
     total = sum(ps)
     weights = [p / total for p in ps]
-    h0, h1 = inner._hull
-    shares = tuple(((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
-                   for _, _, s0, s1 in inner._copies)
+    h0, h1 = hull = inner._hull
+    width = h1 - h0
+    shares = tuple([((s0 - h0) / width, (s1 - h0) / width)
+                    for _, _, s0, s1 in copies])
     stair_mean = 1.0 - (
-        sum(w * f for w, (f, _) in zip(weights, shares))
-        / (1.0 - sum(w * r for w, r in zip(weights, inner.ratios))))
-    far = max(abs(t + lam * h0), abs(t + lam * h1))
-    return Measure(lam, t, inner._hull, tuple(zip(inner._copies, weights)),
-                   shares, total, 1.0 - stair_mean, slack(far, lam) / lam,
-                   side_of_order(total))
+        sum([w * f for w, (f, _) in zip(weights, shares)])
+        / (1.0 - sum([w * r for w, r in zip(weights, ratios)])))
+    return Measure(lam, t, hull, tuple(zip(copies, weights)), shares, total,
+                   1.0 - stair_mean, eps, side_of_order(total))
+
+
+_HALVES_AT_1 = _build(_HALVES, 1.0, 1.0, 0.0, hull_eps(1.0, 0.0, (0.0, 1.0)))
 
 
 def stair_scaled(hull, table, eps, x):

@@ -178,7 +178,7 @@ def _coarse_unwrapped(spec, a, b, alpha, delta):
         length = min(b, spec.hi) - max(a, spec.lo)
         return _tile_cost(length, delta, alpha)
     if isinstance(spec, GapIFS):
-        t = sum(r ** alpha for r in spec.ratios)
+        t = sum([r ** alpha for r in spec.ratios])
         if _backend.side_of_order(t) < 0:
             # refining one level multiplies the cover cost by t < 1, so the
             # infimum over admissible subdivisions is 0 at every delta
@@ -189,7 +189,9 @@ def _coarse_unwrapped(spec, a, b, alpha, delta):
 
 def coarse_mass(spec, a, b, alpha, delta):
     """Infimum estimate of the flagged sum over subdivisions of [a, b]
-    with mesh <= delta."""
+    with mesh <= delta.  A span no wider than the ``eps`` of the set's
+    measure record, in the units of its hull, is a point, with no mass,
+    as ``mass`` reads it at and above the order."""
     _check_alpha(alpha)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -198,6 +200,10 @@ def coarse_mass(spec, a, b, alpha, delta):
         raise ValueError("delta must be positive")
     if a > b:
         raise ValueError("need a <= b")
+    lam, t, inner = _backend.frame(spec)
+    if (isinstance(inner, GapIFS)
+            and (b - a) / lam <= _backend.hull_eps(lam, t, inner._hull)):
+        return 0.0
     return _coarse_scaled(spec, a, b, alpha, delta) / gamma_factor(alpha)
 
 
@@ -230,9 +236,10 @@ def _side_of_order(rec, a, b):
     else -1."""
     if rec is None or rec.side < 0:
         return -1
-    ua, ub = ((x - rec.shift) / rec.scale for x in (a, b))
-    rises = (_backend.stair_scaled(rec.hull, rec.table, rec.eps, ub)
-             > _backend.stair_scaled(rec.hull, rec.table, rec.eps, ua))
+    t, lam, eps = rec.shift, rec.scale, rec.eps
+    stair = _backend.stair_scaled
+    rises = (stair(rec.hull, rec.table, eps, (b - t) / lam)
+             > stair(rec.hull, rec.table, eps, (a - t) / lam))
     return rec.side if rises else -1
 
 
@@ -287,11 +294,11 @@ class StaircaseEvaluator:
     evaluation of S, and an increment two.  Elsewhere, and always in
     mode ``numeric``, the verdict on ``self.measure`` decides an
     increment: below the order it raises DivergingMass or is 0, and at
-    the order it is ``mass``, the cover with no mesh bound (on a gap IFS
-    the covering recursion, not the descent).  Values are cached by x:
-    each one computed, and each read at a piece end from the piece's
-    share (``_at``), which equals the descent there bit for bit.  The
-    cache holds at most ``_CACHE_CAP`` values: a value that would pass
+    the order it is ``mass``'s value, ``coarse_mass`` with no mesh bound
+    (on a gap IFS the covering recursion, not the descent).  Values are
+    cached by x: each one computed, and each read at a piece end from the
+    piece's share (``_at``), which equals the descent there bit for bit.
+    The cache holds at most ``_CACHE_CAP`` values: a value that would pass
     that empties it first, so a long walk keeps its memory bounded."""
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
@@ -325,7 +332,9 @@ class StaircaseEvaluator:
             raise DivergingMass(
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"
             )
-        return mass(self.spec, u, v, self.alpha).value if side == 0 else 0.0
+        if side == 0:
+            return coarse_mass(self.spec, u, v, self.alpha, math.inf)
+        return 0.0
 
     def value(self, x):
         got = self._cache.get(x)

@@ -1,7 +1,7 @@
-"""Kernels: the measure record, the staircase descent against an exact
-ternary digit scan at triadic rationals, special values, monotonicity,
-the first-moment descent against an exact rational descent, and the
-reported backend name."""
+"""Kernels: the measure record against a one-pass build, the staircase
+descent against an exact ternary digit scan at triadic rationals, special
+values, monotonicity, the first-moment descent against an exact rational
+descent, and the reported backend name."""
 
 from fractions import Fraction
 
@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import falpha
 from falpha import _backend
 from falpha.dimension import similarity_order
-from falpha.sets import TernaryCantor
+from falpha.sets import (FinitePoints, FullInterval, GapIFS, HarmonicCluster,
+                         TernaryCantor, slack)
 from test_sets import C, _WRAPS, _gap_ifs, _stair_points, _unwrap, _wrap
 
 
@@ -81,6 +82,50 @@ def test_middle_thirds_record():
     assert rec.mean == 0.5
     assert rec.total == 1.0
     assert _backend._CANTOR == rec
+
+
+def _one_pass_record(spec, alpha):
+    """The measure record of spec at alpha built in one pass from the
+    spec alone: the frame composed from the wrapper and the interval's
+    ends, the table from the unwrapped set or from fresh unit halves."""
+    base, lam, t = _unwrap(spec)
+    if isinstance(base, FullInterval):
+        lam, t = lam * (base.hi - base.lo), t + lam * base.lo
+        base = GapIFS((0.5, 0.5), (0.0, 0.5))
+    if not isinstance(base, GapIFS):
+        return None
+    ps = [r ** alpha for r in base.ratios]
+    total = sum(ps)
+    weights = [p / total for p in ps]
+    h0, h1 = base.hull()
+    shares = tuple(((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
+                   for _, _, s0, s1 in base._copies)
+    stair_mean = 1.0 - (
+        sum(w * f for w, (f, _) in zip(weights, shares))
+        / (1.0 - sum(w * r for w, r in zip(weights, base.ratios))))
+    far = max(abs(t + lam * h0), abs(t + lam * h1))
+    return _backend.Measure(
+        lam, t, (h0, h1), tuple(zip(base._copies, weights)), shares, total,
+        1.0 - stair_mean, slack(far, lam) / lam,
+        _backend.side_of_order(total))
+
+
+_BASES = st.one_of(
+    _gap_ifs(), st.just(C), st.builds(TernaryCantor),
+    st.builds(lambda lo, w: FullInterval(lo, lo + w),
+              st.floats(-3.0, 3.0), st.floats(0.01, 5.0)),
+    st.builds(lambda w: FullInterval(0.0, w), st.floats(1e-20, 1e-3)),
+    st.just(FinitePoints((0.1, 0.5, 0.7))), st.just(HarmonicCluster()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_BASES, wraps=_WRAPS,
+       alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+def test_record_is_the_one_pass_build(base, wraps, alpha):
+    # an interval at order 1 re-frames the one record of the unit halves
+    spec, _, _ = _wrap(base, wraps)
+    assert repr(_backend.measure(spec, alpha)) == repr(
+        _one_pass_record(spec, alpha))
 
 
 def test_g_series_scaled_just_right_of_two_thirds():

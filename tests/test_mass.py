@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from falpha import _backend
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import gamma_dimension, similarity_order
 from falpha.mass import (
@@ -30,6 +31,8 @@ from falpha.sets import (
     Translate,
     gaps,
     net,
+    spec_from_json,
+    spec_to_json,
 )
 from test_sets import _gap_ifs
 
@@ -459,3 +462,77 @@ def test_every_rung_of_the_ladder_is_the_mass_at_the_order(
     for k in range(1, 9):
         rung = coarse_mass(spec, a, b, order, (b - a) / 3.0 ** k)
         assert abs(rung - value) <= 1e-13 * value, (k, rung, value)
+
+
+def _results(spec, order, a, b, x):
+    """repr of the mass below, at and above the order on [a, b], of the
+    gamma-dimension there, and of the numeric staircase at x."""
+    out = [mass(spec, a, b, alpha)
+           for alpha in (0.5 * order, order, min(1.0, 1.5 * order))]
+    out.append(gamma_dimension(spec, a, b, tol=0.05, box_depth=4))
+    out.append(StaircaseEvaluator(spec, order, mode="numeric")(x))
+    return repr(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.one_of(_gap_ifs(), st.just(C)), wrap=_WRAP,
+       lo=st.floats(0.0, 0.5), x=st.floats(0.1, 0.9),
+       others=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=20))
+def test_results_do_not_depend_on_calls_before(base, wrap, lo, x, others):
+    # a spec keeps no state: a repeat, and an equal fresh spec, give the
+    # same bits after masses at other orders
+    spec, _, order = _medium(base, wrap)
+    h0, h1 = spec.hull()
+    a, b, x = (h0 + p * (h1 - h0) for p in (lo, 1.0, x))
+    cold = _results(spec_from_json(spec_to_json(spec)), order, a, b, x)
+    for alpha in others:
+        mass(spec, a, b, alpha)
+    assert _results(spec, order, a, b, x) == cold
+    assert _results(spec, order, a, b, x) == cold
+
+
+def test_numeric_increment_is_the_mass_at_the_order():
+    order = similarity_order(ASYM.ratios)
+    numeric = StaircaseEvaluator(ASYM, order, mode="numeric")
+    for u, v in ((0.0, 1.0), (0.1, 0.8), (0.75, 0.9)):
+        value = mass(ASYM, u, v, order).value
+        assert repr(numeric.increment(u, v)) == repr(value) == repr(
+            coarse_mass(ASYM, u, v, order, math.inf))
+
+
+_NARROW = FullInterval(0.0, 1e-3)
+
+
+@pytest.mark.parametrize("spec", [
+    C, GapIFS((1 / 3, 1 / 3), (0.0, 2 / 3)), Affine(C, 2.0, 0.0), _NARROW,
+    Affine(_NARROW, 1e-3, 0.5), FullInterval(0.0, 1e-20)])
+def test_a_span_within_the_slack_of_its_ends_is_a_point(spec):
+    # the slack is the staircase's, at the farther hull end in the frame
+    # of the record (an interval's halves scaled to its ends): a span
+    # within it at a hull end is read as that end, so mass is 0, and
+    # coarse_mass must not price the span as a tile
+    lam, t, inner = _backend.frame(spec)
+    eta = lam * _backend.hull_eps(lam, t, inner._hull)
+    base = spec.inner if isinstance(spec, Affine) else spec
+    order = 1.0 if isinstance(base, FullInterval) else ALPHA
+    a = spec.hull()[0]
+    for b in (a + 1.03e-231, a + 0.5 * eta):
+        want = mass(spec, a, b, order).value
+        # a span that rounds to a point has no mesh bound to draw
+        delta = (b - a) / 3.0 or math.inf
+        assert coarse_mass(spec, a, b, order, delta) == want == 0.0
+
+
+@pytest.mark.parametrize("spec", [_NARROW, Affine(_NARROW, 2.0, 0.0),
+                                  Affine(_NARROW, 0.5, -1e-3)])
+def test_a_narrow_interval_keeps_a_span_wider_than_its_slack(spec):
+    # the slack of an interval 1e-3 long near 0 is about 1e-18: a span of
+    # 1e-16 inside it, off its piece ends, has its length as mass, as the
+    # staircase says
+    h0, h1 = spec.hull()
+    a = h0 + 0.3 * (h1 - h0)
+    b = a + 1e-16
+    value = mass(spec, a, b, 1.0).value
+    assert value > 0.0
+    assert coarse_mass(spec, a, b, 1.0, math.inf) == value
+    assert mass(FullInterval(0.0, 1e-20), 0.0, 1e-20, 1.0).value == 1e-20
