@@ -200,10 +200,11 @@ def _walk(stair):
 def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
     """(lower, upper, pieces, depth) of an integral over [a, b] by a walk
     down the pieces of ``_walk(stair)`` from the smallest that holds
-    [a, b]: the piece of widest bracket splits until the width, as
-    upper - lower and summed piece by piece, is at most tol, that piece
-    is shorter than ``sets.slack`` at the farther hull end (``rec.eps``),
-    or ``max_pieces`` would be passed.  ``bound(u, v, su, sv, whole)`` is
+    [a, b], or the first below it shorter than the slack: the piece of
+    widest bracket splits until the width, as upper - lower and summed
+    piece by piece, is at most tol, that piece is shorter than
+    ``sets.slack`` at the farther hull end (``rec.eps``), or
+    ``max_pieces`` would be passed.  ``bound(u, v, su, sv, whole)`` is
     (upper, lower) on a piece clipped to [u, v] where S is su and sv;
     ``flat(u, v, s)`` is exact where S is s throughout: on a gap, off the
     hull, or above the order.  S is a descent at a and b; at a piece end
@@ -234,10 +235,11 @@ def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
             if min(v, k1) <= u:
                 continue
             q, sq = (k1, at(k1, piece[5])) if k1 <= v else (v, sv)
-            # a clipped piece that lies in one of its copies is that copy
-            while (u, q) != piece[:2] and (kid := next(
-                    (c for c in kids(piece) if c[0] <= u and q <= c[1]),
-                    None)):
+            # a clipped piece that lies in one of its copies is that copy,
+            # down to the pieces the heap loop would no longer split
+            while ((u, q) != piece[:2] and piece[1] - piece[0] >= finest
+                   and (kid := next((c for c in kids(piece)
+                                     if c[0] <= u and q <= c[1]), None))):
                 piece = kid
             hi, lo = bound(u, q, su, sq, (u, q) == piece[:2])
             upper, lower, count = upper + hi, lower + lo, count + 1

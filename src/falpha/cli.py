@@ -47,7 +47,6 @@ from falpha.sets import (
     slack,
     spec_from_json,
 )
-from falpha.verify import run_checks
 
 __all__ = ["main"]
 
@@ -379,6 +378,9 @@ def _cmd_friction(args, spec, alpha, a, b, out):
 
 
 def _cmd_verify(args, out):
+    # the checks load here, not at import: no other subcommand needs them
+    from falpha.verify import run_checks
+
     results = run_checks(fast=args.fast)
     failed = 0
     for r in results:

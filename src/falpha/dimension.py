@@ -30,11 +30,8 @@ def similarity_order(ratios):
     if not ratios or any(not 0.0 < r < 1.0 for r in ratios):
         raise ValueError("ratios must lie in (0, 1)")
 
-    def total(s):
-        return sum(r ** s for r in ratios)
-
     lo, hi = 0.0, 1.0
-    if total(hi) >= 1.0:
+    if sum(ratios) >= 1.0:
         return 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
@@ -42,7 +39,7 @@ def similarity_order(ratios):
             # lo and hi are adjacent floats: later steps keep mid, or
             # collapse both onto it, so the result is already mid
             break
-        if total(mid) > 1.0:
+        if sum([r ** mid for r in ratios]) > 1.0:
             lo = mid
         else:
             hi = mid

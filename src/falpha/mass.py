@@ -139,12 +139,17 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
     eps = 1e-15 / scale
     a = h0 if a <= h0 + eps else a
     b = h1 if b >= h1 - eps else b
-    if b - a <= 0.0:
+    if b - a <= eps:
+        # a span within the slack is a point: it has no mass
         return 0.0
     if a <= h0 and b >= h1:
         return _ifs_full(spec, alpha, delta, memo)
     if scale * (b - a) < 1e-13:
-        # below float resolution in global coordinates; close out with a tile
+        # below float resolution in global coordinates: a span that F
+        # misses, by the walk at the global slack, costs nothing, and one
+        # that F meets closes out with a tile
+        if spec._walk(scale * a, scale * b, 0.0, scale) is None:
+            return 0.0
         return _tile_cost(b - a, delta, alpha)
     acc = 0.0
     for o, r, s0, s1 in spec._copies:
@@ -337,16 +342,22 @@ class StaircaseEvaluator:
         return 0.0
 
     def value(self, x):
-        got = self._cache.get(x)
+        cache = self._cache
+        got = cache.get(x)
         if got is None:
-            _reject_nan("x", x)
+            # a table calls this once per point: the NaN test and the
+            # capped store are inline, as _reject_nan("x", x) and _at's
+            if x != x:
+                raise ValueError("x must not be NaN")
             if self._closed is not None:
                 got = (self._closed(x) - self._s0) / self._gamma
             elif x >= self.a0:
                 got = self.increment(self.a0, x)
             else:
                 got = -self.increment(x, self.a0)
-            self._store(x, got)
+            if len(cache) >= _CACHE_CAP:
+                cache.clear()
+            cache[x] = got
         return got
 
     __call__ = value
@@ -359,13 +370,11 @@ class StaircaseEvaluator:
         if self._unit is None:
             return self.value(x)
         got = (self._unit * share - self._s0) / self._gamma
-        self._store(x, got)
+        cache = self._cache
+        if len(cache) >= _CACHE_CAP:
+            cache.clear()
+        cache[x] = got
         return got
-
-    def _store(self, x, got):
-        if len(self._cache) >= _CACHE_CAP:
-            self._cache.clear()
-        self._cache[x] = got
 
     def scaled(self, x):
         """Gamma(alpha+1) times the staircase value."""

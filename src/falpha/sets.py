@@ -18,7 +18,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 __all__ = [
     "Interval",
@@ -251,29 +250,20 @@ class GapIFS(SetSpec):
         for i in range(len(ratios) - 1):
             if offsets[i] + ratios[i] > offsets[i + 1] + 1e-12:
                 raise ValueError("copy spans must be sorted and interior-disjoint")
-
-    @cached_property
-    def _copies(self):
-        """(offset, ratio, span start, span end) of each copy."""
-        h0, h1 = self._hull
-        return tuple((o, r, o + r * h0, o + r * h1)
-                     for o, r in zip(self.offsets, self.ratios))
-
-    @cached_property
-    def _hull(self):
         # hull endpoints are the fixed points of the outermost maps; snap
         # float dust at integer endpoints (e.g. copies filling out to 1)
-        lo = self.offsets[0] / (1.0 - self.ratios[0])
-        hi = self.offsets[-1] / (1.0 - self.ratios[-1])
-        if abs(lo - round(lo)) < 1e-12:
-            lo = float(round(lo))
-        if abs(hi - round(hi)) < 1e-12:
-            hi = float(round(hi))
-        return (lo, hi)
-
-    @cached_property
-    def _rows(self):  # the set's own walks read no share: any weights do
-        return tuple(zip(self.offsets, self.ratios, self.ratios))
+        h0 = offsets[0] / (1.0 - ratios[0])
+        h1 = offsets[-1] / (1.0 - ratios[-1])
+        if abs(h0 - round(h0)) < 1e-12:
+            h0 = float(round(h0))
+        if abs(h1 - round(h1)) < 1e-12:
+            h1 = float(round(h1))
+        object.__setattr__(self, "_hull", (h0, h1))
+        # (offset, ratio, span start, span end) of each copy
+        object.__setattr__(self, "_copies", tuple([
+            (o, r, o + r * h0, o + r * h1) for o, r in zip(offsets, ratios)]))
+        # the set's own walks read no share: any weights do
+        object.__setattr__(self, "_rows", tuple(zip(offsets, ratios, ratios)))
 
     def hull(self):
         return self._hull

@@ -277,6 +277,8 @@ _FAR_TWO_MAP = GapIFS((0.3435738472226821, 0.1911192899825631),
 # Affine._window widens nothing here: slack(x, 1.5) / 1.5 is the set's own
 # query slack, and a window end mapped back fell an ulp inside a piece end
 _EVEN_TWO_MAP = GapIFS((0.4, 0.4), (0.0, 0.6000000000000001))
+_NINTHS_TWO_MAP = GapIFS((0.4444444444444444, 0.4444444444444444),
+                         (0.0, 0.5555555555555556))
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,6 +293,12 @@ _EVEN_TWO_MAP = GapIFS((0.4, 0.4), (0.0, 0.6000000000000001))
                  similarity_order(_EVEN_TWO_MAP.ratios), (0.15, 1.65),
                  tuple(zip(_EVEN_TWO_MAP.offsets, _EVEN_TWO_MAP.ratios))),
          ends=(0.0, 1.0))
+# a span shorter than the slack: the walk stops at the first piece below it
+# rather than reading the span as a whole piece further down
+@example(medium=(_NINTHS_TWO_MAP, similarity_order(_NINTHS_TWO_MAP.ratios),
+                 (0.0, 1.0),
+                 tuple(zip(_NINTHS_TWO_MAP.offsets, _NINTHS_TWO_MAP.ratios))),
+         ends=(0.0, 5e-324))
 def test_whole_pieces_are_priced_at_their_ends(medium, ends):
     spec, alpha, (h0, h1), copies = medium
     stair = StaircaseEvaluator(spec, alpha, a0=h0)
@@ -828,17 +836,18 @@ def test_a_widening_wider_than_tol_takes_the_walk_down_f():
                                max_components=cap))
 
 
-def test_the_staircase_cache_stays_under_its_cap(monkeypatch):
+def test_the_staircase_cache_stays_under_its_cap():
     # a Lipschitz walk of about 10^5 pieces reads S at every piece end
     sizes = []
-    store = StaircaseEvaluator._store
 
-    def spy(self, x, got):
-        store(self, x, got)
-        sizes.append(len(self._cache))
+    class Sized(dict):
+        # the size after each store, by value or by a piece end
+        def __setitem__(self, x, got):
+            super().__setitem__(x, got)
+            sizes.append(len(self))
 
-    monkeypatch.setattr(StaircaseEvaluator, "_store", spy)
     stair = StaircaseEvaluator(C, ALPHA)
+    stair._cache = Sized(stair._cache)
     res = integrate(FOnF.lipschitz(lambda x: x * x, 2.0), stair, 0.0, 1.0,
                     tol=1e-7, max_components=10 ** 6)
     assert res.upper - res.lower <= 1e-7

@@ -319,6 +319,22 @@ def test_import_builds_no_parser():
     assert out.strip() == "0"
 
 
+def test_only_verify_loads_the_checks():
+    # the property suite is imported by its one subcommand, not by the CLI
+    code = ("import sys, falpha.cli as c; "
+            "print('falpha.verify' in sys.modules); "
+            "rc = c.main(['verify', '--fast']); "
+            "print('falpha.verify' in sys.modules, rc)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "False"
+    assert lines[-2] == "8/8 checks passed"
+    assert lines[-1] == "True 0"
+
+
 def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -536,3 +536,50 @@ def test_a_narrow_interval_keeps_a_span_wider_than_its_slack(spec):
     assert value > 0.0
     assert coarse_mass(spec, a, b, 1.0, math.inf) == value
     assert mass(FullInterval(0.0, 1e-20), 0.0, 1e-20, 1.0).value == 1e-20
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.one_of(_gap_ifs(), st.just(C)), wrap=_WRAP,
+       where=st.floats(-0.1, 1.1), digits=st.floats(13.0, 16.0),
+       reach=st.floats(0.0, 1.0), frac=st.floats(0.5, 1.0),
+       mesh=st.sampled_from([math.inf, 1.0, 1e-3]))
+@example(base=C, wrap=None, where=0.5, digits=14.0, reach=1.0, frac=1.0,
+         mesh=1.0)
+def test_coarse_mass_is_zero_on_a_span_that_F_misses_or_within_the_slack(
+        base, wrap, where, digits, reach, frac, mesh):
+    spec, _, order = _medium(base, wrap)
+    lam, t, inner = _backend.frame(spec)
+    eta = lam * _backend.hull_eps(lam, t, inner._hull)
+    h0, h1 = spec.hull()
+    a = h0 + where * (h1 - h0)
+    alpha = frac * order
+    # a span no wider than the slack of the set's measure record, in
+    # global units, is a point
+    assert coarse_mass(spec, a, a + reach * eta, alpha, mesh) == 0.0
+    # a span under the float resolution of its frame is not priced as a
+    # tile when the set's walk says F misses it
+    b = a + lam * 10.0 ** -digits
+    if not spec._isect(a, b):
+        assert coarse_mass(spec, a, b, alpha, mesh) == 0.0
+        assert mass(spec, a, b, alpha).value == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.one_of(_gap_ifs(), st.just(C)), pick=st.integers(0, 100),
+       deep=st.floats(0.1, 0.9), reach=st.floats(0.0, 0.5),
+       frac=st.floats(0.5, 1.0), mesh=st.sampled_from([math.inf, 1e-17]))
+@example(base=C, pick=0, deep=0.0, reach=0.1, frac=1.0, mesh=1e-17)
+def test_coarse_mass_is_zero_on_a_span_that_meets_F_within_the_slack(
+        base, pick, deep, reach, frac, mesh):
+    # from inside a hole (a gap, or off the hull) to within the set's walk
+    # slack, 1e-15, past a piece end: F meets the span only at that end
+    h0, h1 = base.hull()
+    holes = [(h0 - 1.0, h0), (h1, h1 + 1.0)] + [
+        (g.lo, g.hi) for g in gaps(base, Interval(h0, h1), (h1 - h0) / 100.0)]
+    u, v = holes[pick % len(holes)]
+    inside = u + deep * (v - u)
+    order = similarity_order(base.ratios)
+    alpha = frac * order
+    for a, b in ((inside, v + reach * 1e-15), (u - reach * 1e-15, inside)):
+        assert coarse_mass(base, a, b, alpha, mesh) == 0.0, (a, b)
+        assert mass(base, a, b, alpha).value == 0.0, (a, b)

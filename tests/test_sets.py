@@ -379,6 +379,38 @@ def _gap_ifs(draw):
     return GapIFS(tuple(ratios), tuple(offsets))
 
 
+def _hull_and_copies(ratios, offsets):
+    """The hull, copies and rows of a gap IFS, built one at a time, as the
+    set once built them on first read."""
+    lo = offsets[0] / (1.0 - ratios[0])
+    hi = offsets[-1] / (1.0 - ratios[-1])
+    if abs(lo - round(lo)) < 1e-12:
+        lo = float(round(lo))
+    if abs(hi - round(hi)) < 1e-12:
+        hi = float(round(hi))
+    copies = tuple((o, r, o + r * lo, o + r * hi)
+                   for o, r in zip(offsets, ratios))
+    return (lo, hi), copies, tuple(zip(offsets, ratios, ratios))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.one_of(_gap_ifs(), st.just(C), st.just(ASYM)))
+@example(spec=GapIFS((1 / 3, 1 / 3), (0.0, 2 / 3)))
+@example(spec=GapIFS((0.3, 0.3), (0.05, 0.6999999999999)))
+def test_a_fresh_gap_ifs_has_its_hull_and_copies_bit_for_bit(spec):
+    fresh = type(spec)(spec.ratios, spec.offsets)
+    want = _hull_and_copies(spec.ratios, spec.offsets)
+    # repr spells every float exactly
+    assert repr((fresh._hull, fresh._copies, fresh._rows)) == repr(want)
+    assert fresh.hull() == want[0]
+    # the built parts are not fields: equality, hash and repr read only
+    # the maps
+    assert fresh == spec and hash(fresh) == hash(spec)
+    assert repr(fresh) == (f"{type(spec).__name__}(ratios={spec.ratios!r}, "
+                           f"offsets={spec.offsets!r})")
+    assert spec_from_json(spec_to_json(fresh)) == spec
+
+
 _WRAPS = st.lists(
     st.one_of(
         st.tuples(st.just("scale"), st.floats(0.25, 4.0)),
