@@ -29,7 +29,7 @@ import sys
 
 from falpha.calculus import FOnF, derivative, integrate
 from falpha.cantor import ALPHA, GAMMA_ALPHA1, g_series
-from falpha.dimension import gamma_dimension, similarity_order
+from falpha.dimension import _order, gamma_dimension
 from falpha.mass import StaircaseEvaluator, coarse_mass, gamma_factor, mass
 from falpha.physics import (
     DiffusionParams,
@@ -38,15 +38,7 @@ from falpha.physics import (
     friction_velocity,
     time_of_flight,
 )
-from falpha.sets import (
-    Affine,
-    FullInterval,
-    GapIFS,
-    Interval,
-    net,
-    slack,
-    spec_from_json,
-)
+from falpha.sets import Interval, net, slack, spec_from_json
 
 __all__ = ["main"]
 
@@ -103,17 +95,10 @@ def _load_set(text):
     return spec_from_json(obj)
 
 
-def _resolve_alpha(text, spec, a, b):
+def _resolve_alpha(text, spec):
     if text == "auto":
-        # the bisection estimate brackets the order jump but rarely lands
-        # on it, and the mass is 0 or infinite off the jump; for
-        # self-similar sets the exact order is available, so prefer it
-        base = spec.inner if isinstance(spec, Affine) else spec
-        if isinstance(base, FullInterval):
-            return 1.0
-        if isinstance(base, GapIFS):
-            return similarity_order(base.ratios)
-        return gamma_dimension(spec, a, b).gamma_dim
+        # the set's order: off it the mass is 0 or infinite
+        return _order(spec)
     try:
         alpha = float(text)
     except ValueError:
@@ -203,7 +188,9 @@ def _build_parser():
 
     p = sub.add_parser("dimension", help="order-jump and box dimension")
     common(p)
-    p.add_argument("--tol", type=_finite, default=0.02)
+    p.add_argument("--tol", type=_finite, default=0.02,
+                   help="in (0, 0.5); no effect, since the order is read "
+                        "from the set exactly (default: 0.02)")
 
     p = sub.add_parser("integrate", help="staircase-weighted integral")
     common(p)
@@ -277,6 +264,9 @@ def _cmd_staircase(args, spec, alpha, a, b, out):
 
 def _cmd_mass(args, spec, alpha, a, b, out):
     base = (b - a) if b > a else 1.0
+    if base == math.inf:
+        raise _UsageError(f"range {a!r} to {b!r} is too wide: its width "
+                          "overflows")
     floor = slack(max(abs(a), abs(b)))
     if args.depth < 1 or base * 3.0 ** -args.depth < floor:
         raise _UsageError(f"--depth {args.depth} must be at least 1 and "
@@ -412,7 +402,7 @@ def main(argv=None):
             a, b = args.range
             if b < a:
                 raise _UsageError("range endpoints must satisfy A <= B")
-            alpha = _resolve_alpha(args.alpha, spec, a, b)
+            alpha = _resolve_alpha(args.alpha, spec)
             handler = {
                 "staircase": _cmd_staircase,
                 "mass": _cmd_mass,

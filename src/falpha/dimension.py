@@ -1,12 +1,16 @@
 """Dimension estimators.
 
-The order-jump dimension is found by bisecting over alpha on the mass
-verdict of ``falpha.mass`` read from the set's structure: the mass
-diverges below the order, is 0 above it, and is finite and positive at
-it (``mass._side_of_order``).  A grid box-counting
-estimator is provided for comparison (counts are exact, via the
-intersection oracle, with hierarchical pruning of empty boxes; each box
-resumes its parent's walk down the copies rather than starting again
+The order-jump dimension is read from the set's structure.  On a gap IFS
+the mass of ``falpha.mass`` diverges below the similarity order s, is 0
+above it, and is finite and positive at it wherever the staircase rises
+(``mass._side_of_order``; the open set condition puts the jump at s:
+Hutchinson 1981, Falconer, *Fractal Geometry*, Thm 9.3).  An interval is
+the gap IFS of its two halves, of order 1; a point set has mass 0 at
+every order.  So one verdict, at the set's order, gives the dimension:
+that order where the staircase rises on [a, b], else 0.  A grid
+box-counting estimator is provided for comparison (counts are exact, via
+the intersection oracle, with hierarchical pruning of empty boxes; each
+box resumes its parent's walk down the copies rather than starting again
 from the top).
 """
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import Affine, _reject_nan
+from falpha.sets import Affine, GapIFS, _reject_nan
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -46,55 +50,41 @@ def similarity_order(ratios):
     return (lo + hi) / 2.0
 
 
+def _order(spec):
+    """The order of spec: the similarity order of the gap IFS its measure
+    record reads (an interval's halves give 1), or 1 for a point set,
+    which has no record."""
+    inner = _backend.frame(spec)[2]
+    if isinstance(inner, GapIFS):
+        return similarity_order(inner.ratios)
+    return 1.0
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     gamma_dim: float
     box_dim: float
-    alpha_trace: tuple  # (alpha, verdict) pairs in probe order
-    bracket: tuple      # final (alpha_lo, alpha_hi)
+    alpha_trace: tuple  # the one (alpha, verdict) probe, at the set's order
+    bracket: tuple      # (gamma_dim, gamma_dim): the order is exact
 
 
 def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
-    """Bisection estimate, over [1e-3, 1], of the order at which the mass
-    jumps from infinite to zero; also reports the box-counting slope."""
+    """The order at which the mass on [a, b] jumps from infinite to zero:
+    the set's order where its mass there is positive, else 0 (the mass is
+    0 at every order).  Also reports the box-counting slope.  ``tol`` is
+    range-checked but has no effect: the order is exact."""
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     _reject_nan("a", a)
     _reject_nan("b", b)
     if not spec._isect(a, b):
         raise ValueError("F does not meet [a, b]")
-    trace = []
-
-    def probe(alpha):
-        verdict = ("zero", "positive", "diverging")[
-            _side_of_order(_backend.measure(spec, alpha), a, b) + 1]
-        trace.append((alpha, verdict))
-        return verdict
-
-    lo = 1e-3
-    hi = 1.0
-    dim = None
-    if probe(hi) != "zero":
-        # mass survives at the maximal order
-        dim = hi
-        lo = hi
-    else:
-        while hi - lo > tol:
-            mid = (lo + hi) / 2.0
-            verdict = probe(mid)
-            if verdict == "diverging":
-                lo = mid
-            elif verdict == "zero":
-                hi = mid
-            else:
-                # positive pins the jump at this order
-                dim = mid
-                lo = hi = mid
-                break
-        if dim is None:
-            dim = (lo + hi) / 2.0
+    order = _order(spec)
+    verdict = ("zero", "positive", "diverging")[
+        _side_of_order(_backend.measure(spec, order), a, b) + 1]
+    dim = order if verdict == "positive" else 0.0
     box = box_dimension(spec, a, b, max_depth=box_depth)
-    return DimensionReport(dim, box, tuple(trace), (lo, hi))
+    return DimensionReport(dim, box, ((order, verdict),), (dim, dim))
 
 
 def box_counts(spec, a, b, max_depth=12):
@@ -102,11 +92,15 @@ def box_counts(spec, a, b, max_depth=12):
     k = 0..max_depth; computed by pruned recursion.  Each box resumes
     the walk down the copies from the frame in which its parent's walk
     stopped, and so meets F exactly when a walk from the top says it
-    does.  A point window is one box at every depth."""
+    does.  A point window is one box at every depth; a window whose
+    width is not finite is refused."""
+    a0, b0 = a, b
     point = a == b  # before unwrapping, which may round [a, b] to a point
     if isinstance(spec, Affine):
         s, t = spec.scale, spec.shift
         spec, a, b = spec.inner, (a - t) / s, (b - t) / s
+    if not (math.isfinite(b0 - a0) and math.isfinite(b - a)):
+        raise ValueError(f"window [{a0!r}, {b0!r}] has no finite width")
     if point:
         return [int(spec._isect(a, b))] * (max_depth + 1)
     counts = [0] * (max_depth + 1)

@@ -270,14 +270,14 @@ def check_similarity_dimension():
     for spec, want in ((_CANTOR, ALPHA), (quarter, 0.5)):
         rep = gamma_dimension(spec, 0.0, 1.0)
         worst = max(worst, abs(rep.gamma_dim - want))
-    return _result("dimension.similarity", worst, 0.02)
+    return _result("dimension.similarity", worst, 1e-12)
 
 
 def check_dimension_scaling():
     """Rescaling the set leaves the order-jump dimension unchanged."""
     base = gamma_dimension(_CANTOR, 0.0, 1.0).gamma_dim
     scaled = gamma_dimension(Scale(_CANTOR, 0.5), 0.0, 0.5).gamma_dim
-    return _result("dimension.scale-invariance", abs(base - scaled), 0.02)
+    return _result("dimension.scale-invariance", abs(base - scaled), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falpha import cli
+from falpha import cli, dimension
 from falpha.cantor import power_rule_integral
 from falpha.cli import main
+from falpha.dimension import similarity_order
 
 
 def run(capsys, *argv):
@@ -235,6 +236,49 @@ def test_overflowing_table_points_exit_1(capsys, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "too wide" in err
+
+
+@pytest.mark.parametrize("command", ["dimension", "mass"])
+def test_a_range_whose_width_overflows_exits_1(capsys, command):
+    # both ends are finite, but B - A is not: no box or rung fits it
+    code, out, err = run(capsys, command, "--range", "-1e308", "1e308")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "1e+308" in err
+
+
+@pytest.mark.parametrize("command", ["dimension", "mass"])
+def test_a_range_of_finite_width_near_the_float_limit_is_tabulated(
+        capsys, command):
+    code, out, err = run(capsys, command, "--range", "-1e300", "1e300")
+    assert code == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize("text", [
+    "harmonic", '{"type": "finite", "points": [0.1, 0.6, 0.9]}'])
+def test_auto_order_of_a_point_set_is_1_and_counts_no_boxes(
+        capsys, monkeypatch, text):
+    # its staircase is 0 at every order, so no estimate is needed
+    calls = []
+    monkeypatch.setattr(dimension, "box_counts",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "staircase", "--set", text, "--alpha",
+                         "auto", "--samples", "3")
+    assert code == 0
+    assert out.splitlines()[0] == "# alpha = 1.0"
+    assert calls == []
+
+
+def test_default_dimension_table_is_one_probe_at_the_order(capsys):
+    code, out, err = run(capsys, "dimension")
+    assert code == 0
+    s = repr(similarity_order((1.0 / 3.0, 1.0 / 3.0)))
+    lines = out.splitlines()
+    meta = dict(line[2:].split(" = ") for line in lines
+                if line.startswith("# "))
+    assert meta["gamma_dim"] == meta["bracket_lo"] == meta["bracket_hi"] == s
+    assert lines[lines.index("alpha,verdict") + 1:] == [f"{s},positive"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,16 @@
-"""Dimension estimators: order-jump bisection and box counting."""
+"""Dimension estimators: the order jump read from structure, and box
+counting."""
 
 import math
+import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from falpha import _backend
 from falpha.cantor import ALPHA
 from falpha.dimension import (
+    _order,
     box_counts,
     box_dimension,
     gamma_dimension,
@@ -53,6 +57,26 @@ def test_a_point_window_is_one_box_at_every_depth():
     assert box_counts(Scale(C, 2.0), 2.0, 2.0, max_depth=4) == [1] * 5
     assert box_dimension(C, 0.0, 0.0, max_depth=8) == 0.0
     assert gamma_dimension(C, 0.0, 0.0).box_dim == 0.0
+
+
+@pytest.mark.parametrize("spec, a, b", [
+    (C, 0.0, math.inf),
+    (C, -math.inf, 1.0),
+    (C, -1e308, 1e308),  # both ends finite, b - a not
+    (Scale(C, 1e-10), -1e300, 1e300),  # finite, but not once unwrapped
+])
+def test_a_window_whose_width_is_not_finite_is_refused(spec, a, b):
+    window = re.escape(f"[{a!r}, {b!r}]")
+    with pytest.raises(ValueError, match=window):
+        box_counts(spec, a, b, 4)
+    with pytest.raises(ValueError, match=window):
+        box_dimension(spec, a, b, 4)
+    with pytest.raises(ValueError, match=window):
+        gamma_dimension(spec, a, b, box_depth=4)
+
+
+def test_a_window_of_finite_width_near_the_float_limit_is_counted():
+    assert box_counts(C, -1e300, 1e300, 4)[0] == 1
 
 
 def _box_counts_from_the_top(spec, a, b, max_depth):
@@ -196,13 +220,62 @@ def test_gamma_dimension_rejects_empty_window():
     st.floats(0.25, 4.0), st.floats(-2.0, 2.0))), tol=st.floats(0.005, 0.05))
 @example(base=GapIFS((0.1674, 0.1844), (0.0, 0.8156)), wrap=None, tol=0.02)
 def test_gamma_dimension_brackets_the_similarity_order(base, wrap, tol):
-    # the example is a set whose ladder once pinned its order 0.3987 at
-    # the probe 0.25075
     spec = base if wrap is None else Affine(base, *wrap)
     s = similarity_order(base.ratios)
     rep = gamma_dimension(spec, *spec.hull(), tol=tol, box_depth=4)
-    assert rep.bracket[0] <= s <= rep.bracket[1]
-    assert abs(rep.gamma_dim - s) <= tol
+    assert rep.gamma_dim == s
+    assert rep.bracket == (s, s)
+    assert rep.alpha_trace == ((s, "positive"),)
+
+
+@pytest.mark.parametrize("spec, a, b, order", [
+    (C, 1.0 / 3.0, 2.0 / 3.0, similarity_order(C.ratios)),  # a gap's ends
+    (C, 0.0, 0.0, similarity_order(C.ratios)),
+    (FullInterval(0.0, 1.0), 1.0, 2.0, 1.0),
+])
+def test_a_span_that_meets_f_in_isolated_points_has_dimension_0(
+        spec, a, b, order):
+    # the staircase does not rise there, so the mass is 0 at every order
+    rep = gamma_dimension(spec, a, b, box_depth=4)
+    assert rep.gamma_dim == 0.0
+    assert rep.alpha_trace == ((order, "zero"),)
+    assert rep.bracket == (0.0, 0.0)
+
+
+@st.composite
+def _gap_ifs_near_the_edges(draw):
+    """A gap IFS with 2-4 maps whose ratios may lie near 0 and whose
+    copies may nearly fill the hull, or touch."""
+    m = draw(st.integers(2, 4))
+    copies = draw(st.lists(st.one_of(st.floats(0.2, 1.0),
+                                     st.floats(1e-300, 1e-6)),
+                           min_size=m, max_size=m))
+    holes = draw(st.lists(st.one_of(st.floats(0.1, 1.0),
+                                    st.floats(1e-15, 1e-9), st.just(0.0)),
+                          min_size=m - 1, max_size=m - 1))
+    total = sum(copies) + sum(holes)
+    ratios = [c / total for c in copies]
+    assume(max(ratios) < 1.0)
+    offsets = [0.0]
+    for r, g in zip(ratios, holes):
+        offsets.append(offsets[-1] + r + g / total)
+    return GapIFS(tuple(ratios), tuple(offsets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=_gap_ifs_near_the_edges(), wrap=st.one_of(st.none(), st.tuples(
+    st.floats(0.25, 4.0), st.floats(-2.0, 2.0))))
+@example(base=C, wrap=None)
+@example(base=GapIFS((1e-300, 0.5), (0.0, 0.5)), wrap=None)
+@example(base=GapIFS((0.5, 0.5 - 1e-15), (0.0, 0.5 + 1e-15)), wrap=None)
+@example(base=GapIFS((0.5, 0.5), (0.0, 0.5)), wrap=(2.0, -1.0))
+def test_the_order_lies_in_the_band_that_counts_as_the_order(base, wrap):
+    # gamma_dimension reads one verdict at the order: were its record on
+    # either side of it, the dimension would silently read 0
+    spec = base if wrap is None else Affine(base, *wrap)
+    order = _order(spec)
+    assert order == similarity_order(base.ratios)
+    assert _backend.measure(spec, order).side == 0
 
 
 def test_similarity_order():
