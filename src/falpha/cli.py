@@ -2,9 +2,11 @@
 
 Subcommands parse a set description, dispatch to the library, and emit
 CSV or JSON tables.  All computation is deterministic, so identical
-invocations produce byte-identical output.  A JSON table has the bytes
-of ``json.dumps(doc, indent=2, sort_keys=True)``, though json's C encoder
-writes its rows; both formats write floats in shortest round-trip form.
+invocations produce byte-identical output.  One writer lays out both
+formats from cell texts, made a list of values at a time: ``str`` for
+CSV, json's C encoder for JSON.  A JSON table has the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``; both formats write floats
+in shortest round-trip form.
 No table has more than ``_MAX_ROWS`` rows: a larger one is refused, with
 exit code 1, before it is built.
 
@@ -34,7 +36,6 @@ from falpha.mass import StaircaseEvaluator, coarse_mass, gamma_factor, mass
 from falpha.physics import (
     DiffusionParams,
     FrictionParams,
-    _gaussian,
     friction_velocity,
     time_of_flight,
 )
@@ -45,8 +46,10 @@ __all__ = ["main"]
 # the most rows a table may have: a larger one is refused before it is built
 _MAX_ROWS = 10 ** 6
 
-# encodes the rows of a JSON table in one call; see _json_rows
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+# between two cells of a JSON row, as json.dumps(doc, indent=2) lays it out
+_CELL_SEP = ",\n      "
+# encodes a list of values in one call; see _texts
+_ROW_ENCODER = json.JSONEncoder(separators=(_CELL_SEP, ": "))
 
 
 class _UsageError(Exception):
@@ -108,38 +111,56 @@ def _resolve_alpha(text, spec):
     return alpha
 
 
-def _json_rows(rows):
-    """The rows of a table as ``json.dumps(doc, indent=2)`` lays them out
-    under the document's "rows" key.  The row encoder writes no indent, so
-    json runs its C encoder, and its item separator already carries the
-    newline and indent of a cell.  JSON escapes every newline inside a
-    string, so "],\\n      [" occurs only between two rows, and a newline
-    right after "[" only in an empty row."""
-    if not rows:
-        return "[]"
-    body = _ROW_ENCODER.encode(rows)[2:-2]
-    body = body.replace("],\n      [", "\n    ],\n    [\n      ")
-    return ("[\n    [\n      " + body + "\n    ]\n  ]").replace(
-        "[\n      \n    ]", "[]")
+def _texts(fmt, values):
+    """The cell texts of a list of values, in one C-level call: ``str``
+    for CSV (a float's shortest round-trip form), and for JSON the row
+    encoder, which writes no indent, so json runs its C encoder.  Its
+    item separator carries a newline, and JSON escapes every newline
+    inside a string, so splitting on it gives the items, and no cell's
+    text is empty."""
+    if fmt == "csv":
+        return list(map(str, values))
+    if not values:
+        return []
+    return _ROW_ENCODER.encode(values)[1:-1].split(_CELL_SEP)
 
 
-def _emit(out, fmt, columns, rows, meta=None):
-    """Write a table: JSON with the bytes of ``json.dumps(doc, indent=2,
-    sort_keys=True)`` for doc = {"columns", "rows"[, "meta"]}, or CSV with
-    ``# key = value`` meta lines, a header and one line per row."""
+def _write(out, fmt, columns, rows, meta):
+    """Lay out a table from the cell texts of its rows: JSON with the
+    bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` for doc =
+    {"columns", "rows"[, "meta"]}, or CSV with ``# key = value`` meta
+    lines, a header and one line per row."""
     if fmt == "json":
         head = {"columns": list(columns)}
         if meta:
             head["meta"] = meta
         # "rows" sorts after "columns" and "meta": it closes the document
         text = json.dumps(head, indent=2, sort_keys=True)[:-2]
-        out.write(f'{text},\n  "rows": {_json_rows(rows)}\n}}\n')
+        inner = list(map(_CELL_SEP.join, rows))
+        body = ("[\n    [\n      " + "\n    ],\n    [\n      ".join(inner)
+                + "\n    ]\n  ]") if inner else "[]"
+        if not all(inner):
+            # only an empty row joins to "", since no cell's text is empty
+            body = body.replace("[\n      \n    ]", "[]")
+        out.write(f'{text},\n  "rows": {body}\n}}\n')
         return
-    # str of a float is its shortest round-trip form
     lines = [f"# {key} = {meta[key]}" for key in sorted(meta or ())]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(map(",".join, rows))
     out.write("\n".join(lines) + "\n")
+
+
+def _emit(out, fmt, columns, rows, meta=None):
+    """Write a table of rows of values with ``_write``.  When every row
+    has the same k > 0 cells, as in every command's table, all the cells
+    become texts in one ``_texts`` call and are regrouped k at a time."""
+    widths = set(map(len, rows))
+    if len(widths) == 1 and (k := widths.pop()):
+        cells = iter(_texts(fmt, list(itertools.chain.from_iterable(rows))))
+        rows = zip(*[cells] * k)
+    else:
+        rows = [_texts(fmt, row) for row in rows]
+    _write(out, fmt, columns, rows, meta)
 
 
 _FUNCTIONS = {
@@ -342,15 +363,24 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
             raise _UsageError(f"x grid step {step} does not advance past {x}")
         xs.append(x)
         x += step
-    rows = []
+    # each x and each time becomes text once: a time's rows share its
+    # text, and each time's block shares the texts of the x grid
+    fmt = args.format
+    x_cells = _texts(fmt, xs)
+    blocks = []
     for t in args.time:
         s = params.stair(t)
         if s > 0.0:
-            rows.extend([(x, t, _gaussian(x, s)) for x in xs])
+            # physics._gaussian with 2s and sqrt(2 pi s) hoisted: the
+            # same operations on the same values, so the same bits
+            two_s, root = 2.0 * s, math.sqrt(2.0 * math.pi * s)
+            cells = _texts(fmt, [math.exp(-x * x / two_s) / root for x in xs])
         else:
-            rows.extend([(x, t, 0.0) for x in xs])
-    _emit(out, args.format, ("x", "t", "density"), rows,
-          meta={"alpha": alpha})
+            cells = itertools.repeat(_texts(fmt, [0.0])[0])
+        blocks.append(zip(x_cells, itertools.repeat(_texts(fmt, [t])[0]),
+                          cells))
+    _write(out, fmt, ("x", "t", "density"),
+           itertools.chain.from_iterable(blocks), {"alpha": alpha})
     return 0
 
 

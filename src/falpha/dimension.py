@@ -29,7 +29,10 @@ __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
 
 def similarity_order(ratios):
     """The root s of sum(r_i^s) = 1: the exact dimension of a gap IFS
-    attractor with separated pieces."""
+    attractor with separated pieces.  The result has the bits of a plain
+    bisection on [0, 1]; the bisection sums the powers only at midpoints
+    in a band around the root (``_uncertain_band``), and takes the side
+    that sum would give at every other one."""
     ratios = [float(r) for r in ratios]
     if not ratios or any(not 0.0 < r < 1.0 for r in ratios):
         raise ValueError("ratios must lie in (0, 1)")
@@ -37,17 +40,62 @@ def similarity_order(ratios):
     lo, hi = 0.0, 1.0
     if sum(ratios) >= 1.0:
         return 1.0
+    below, above = _uncertain_band(ratios)
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             # lo and hi are adjacent floats: later steps keep mid, or
             # collapse both onto it, so the result is already mid
             break
-        if sum([r ** mid for r in ratios]) > 1.0:
+        if mid < below or (
+                mid <= above and sum([r ** mid for r in ratios]) > 1.0):
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+def _uncertain_band(ratios):
+    """(p, q) such that the float sum([r ** s for r in ratios]) exceeds 1
+    at every s < p and is at most 1 at every s > q, placed about the root
+    of f(s) = sum(r^s) - 1 by Newton steps; (-inf, inf) when the proof
+    fails.
+
+    The proof: f falls strictly, and the float sum is within a relative
+    gamma of the true one.  Each power is within an ulp, 2^-52, and the
+    m - 1 additions add (m - 1) 2^-53, so gamma = (m + 2) 2^-51 is over
+    four times that (a power that underflows errs by under 2^-1074, far
+    inside the margins).  So a float sum above 1 + 3 gamma at p puts the
+    true sum above 1 / (1 - gamma) at every s < p, where the float sum
+    then exceeds 1; and one below 1 - 3 gamma at q puts the true sum
+    below 1 / (1 + gamma) at every s > q, where the float sum is then
+    at most 1."""
+    m = len(ratios)
+    logs = [math.log(r) for r in ratios]
+    # by Jensen, sum(r^s) >= m exp(s mean(ln r)), which is 1 at this s:
+    # it is at or below the root, where f is convex and falls, so Newton
+    # steps from it rise to the root without overshooting, in a handful
+    # of steps; the proof below does not rest on how near they come
+    s = m * math.log(m) / -sum(logs)
+    for _ in range(50):
+        terms = [math.exp(s * x) for x in logs]
+        slope = sum([t * x for t, x in zip(terms, logs)])
+        step = (sum(terms) - 1.0) / slope
+        s -= step
+        if abs(step) < 1e-10:
+            break
+    # f falls by -slope per unit of s near the root, so a step of
+    # 8 gamma / -slope clears the 3 gamma margin either side
+    gamma = (m + 2) * 2.0 ** -51
+    p = s + 8.0 * gamma / slope
+    q = s - 8.0 * gamma / slope
+    # every midpoint lies in (0, 1), so a p at or below 0 or a q at or
+    # above 1 needs no proof (and r ** p could overflow)
+    if ((p <= 0.0 or sum([r ** p for r in ratios]) > 1.0 + 3.0 * gamma)
+            and (q >= 1.0
+                 or sum([r ** q for r in ratios]) < 1.0 - 3.0 * gamma)):
+        return p, q
+    return -math.inf, math.inf
 
 
 def _order(spec):

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,12 +9,16 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from falpha import cli, dimension
 from falpha.cantor import power_rule_integral
 from falpha.cli import main
 from falpha.dimension import similarity_order
+from falpha.physics import DiffusionParams, _gaussian
+from falpha.sets import (Affine, FinitePoints, HarmonicCluster, TernaryCantor,
+                         spec_from_json, spec_to_json)
+from test_sets import _gap_ifs
 
 
 def run(capsys, *argv):
@@ -495,6 +500,93 @@ def test_json_tables_have_the_layout_of_json_dumps(columns, rows, meta):
     out = io.StringIO()
     cli._emit(out, "json", columns, rows, meta)
     assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_SHAPED_ROWS = st.one_of(
+    # ragged: rows of any width, empty ones too
+    st.lists(st.lists(_CELLS, max_size=4).map(tuple), max_size=6),
+    # every row k > 0 wide, as in every command's table
+    st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(_CELLS, min_size=k, max_size=k).map(tuple), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(st.one_of(st.text(max_size=6), _TRICKY), max_size=4),
+       rows=_SHAPED_ROWS,
+       meta=st.one_of(st.none(), st.dictionaries(
+           st.one_of(st.text(max_size=6), _TRICKY), _CELLS, max_size=3)))
+@example(columns=["a", "b"], rows=[(-0.0, float("nan")),
+                                   (float("-inf"), True), (None, 3)],
+         meta={"k": -0.0})
+def test_csv_tables_have_the_layout_of_str_cells(columns, rows, meta):
+    out = io.StringIO()
+    cli._emit(out, "csv", columns, rows, meta)
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta or ())]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    assert out.getvalue() == "\n".join(lines) + "\n"
+
+
+@st.composite
+def _time_set(draw):
+    """A gap IFS, plain or scaled and shifted, the middle-thirds set, or a
+    point set, on which S is 0 at every time."""
+    kind = draw(st.sampled_from(("ifs", "wrapped", "cantor", "points",
+                                 "harmonic")))
+    if kind == "cantor":
+        return TernaryCantor()
+    if kind == "harmonic":
+        return HarmonicCluster()
+    if kind == "points":
+        pts = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4,
+                            unique=True))
+        return FinitePoints(tuple(sorted(pts)))
+    base = draw(_gap_ifs())
+    if kind == "wrapped":
+        return Affine(base, draw(st.floats(0.5, 2.0)),
+                      draw(st.floats(-0.5, 0.5)))
+    return base
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_time_set(),
+       times=st.lists(st.one_of(st.sampled_from((0.0, 1.0 / 3.0, 1.0)),
+                                st.floats(-0.5, 2.0)), min_size=1, max_size=4),
+       lo=st.one_of(st.just(-0.0), st.floats(-3.0, 1.0)),
+       hi=st.floats(-1.0, 3.0),
+       step=st.one_of(st.sampled_from((0.1, 0.125, 0.25)),
+                      st.floats(0.05, 1.0)),
+       fmt=st.sampled_from(("csv", "json")))
+@example(spec=TernaryCantor(), times=[1.0, 1.0, 0.0], lo=-1.0, hi=1.0,
+         step=0.5, fmt="json")
+@example(spec=TernaryCantor(), times=[0.5], lo=1.0, hi=-1.0, step=0.5,
+         fmt="csv")
+def test_diffusion_tables_are_the_table_of_their_values(spec, times, lo, hi,
+                                                       step, fmt):
+    # the command writes the texts of x and t once each, and each density
+    # with physics._gaussian's bits: the bytes _emit writes for the rows of
+    # values (x, t, density), with density 0.0 where S(t) <= 0
+    text = json.dumps(spec_to_json(spec))
+    spec = spec_from_json(json.loads(text))
+    alpha = dimension._order(spec)
+    stair = DiffusionParams(spec, alpha).stair
+    xs, x = [], lo
+    while x <= hi + 1e-12:
+        xs.append(x)
+        x += step
+    rows = []
+    for t in times:
+        s = stair(t)
+        rows.extend((x, t, _gaussian(x, s) if s > 0.0 else 0.0) for x in xs)
+    want = io.StringIO()
+    cli._emit(want, fmt, ("x", "t", "density"), rows, {"alpha": alpha})
+    got = io.StringIO()
+    with contextlib.redirect_stdout(got):
+        code = main(["diffusion", "--set", text,
+                     "--time", *map(repr, times),
+                     "--x", repr(lo), repr(hi), repr(step), "--format", fmt])
+    assert code == 0
+    assert got.getvalue() == want.getvalue()
 
 
 def _csv_table(text):

@@ -318,6 +318,12 @@ def _similarity_order_200_steps(ratios):
 @example([1e-300, 0.5])
 @example([5e-324])
 @example([0.9999999999999999, 0.9999999999999999])
+@example([0.3])  # one ratio: the root is 0, so the result is 2^-201
+@example([0.5, 0.5 - 1e-12])  # ratios summing to 1 - 1e-12
+@example([0.25, 3e-300])  # a ratio near 1e-300
+# a root so flat that the band reaches far below 0, where r ** s overflows
+@example([1.1141477230054785e-305, 8.928458087172224e-157,
+          0.9999999999999998])
 def test_similarity_order_stops_early_with_the_same_bits(ratios):
     got = similarity_order(ratios)
     want = _similarity_order_200_steps(ratios)

@@ -545,6 +545,8 @@ def test_a_narrow_interval_keeps_a_span_wider_than_its_slack(spec):
        mesh=st.sampled_from([math.inf, 1.0, 1e-3]))
 @example(base=C, wrap=None, where=0.5, digits=14.0, reach=1.0, frac=1.0,
          mesh=1.0)
+@example(base=C, wrap=(1.0, -1.5), where=0.0, digits=13.0, reach=1.0,
+         frac=1.0, mesh=math.inf)
 def test_coarse_mass_is_zero_on_a_span_that_F_misses_or_within_the_slack(
         base, wrap, where, digits, reach, frac, mesh):
     spec, _, order = _medium(base, wrap)
@@ -554,8 +556,13 @@ def test_coarse_mass_is_zero_on_a_span_that_F_misses_or_within_the_slack(
     a = h0 + where * (h1 - h0)
     alpha = frac * order
     # a span no wider than the slack of the set's measure record, in
-    # global units, is a point
-    assert coarse_mass(spec, a, a + reach * eta, alpha, mesh) == 0.0
+    # global units, is a point; where a + reach * eta rounds to a wider
+    # span (eta = 1e-15 at a = -1.5 gives 5 ulps, 1.11e-15, which mass
+    # prices too), b steps back an ulp
+    b = a + reach * eta
+    if b - a > reach * eta:
+        b = math.nextafter(b, a)
+    assert coarse_mass(spec, a, b, alpha, mesh) == 0.0
     # a span under the float resolution of its frame is not priced as a
     # tile when the set's walk says F misses it
     b = a + lam * 10.0 ** -digits
