@@ -50,6 +50,10 @@ _MAX_ROWS = 10 ** 6
 _CELL_SEP = ",\n      "
 # encodes a list of values in one call; see _texts
 _ROW_ENCODER = json.JSONEncoder(separators=(_CELL_SEP, ": "))
+# encodes the columns list or the meta object of a JSON table's head, whose
+# items json.dumps(doc, indent=2, sort_keys=True) lays out one a line
+_HEAD_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "),
+                                 sort_keys=True)
 
 
 class _UsageError(Exception):
@@ -125,17 +129,27 @@ def _texts(fmt, values):
     return _ROW_ENCODER.encode(values)[1:-1].split(_CELL_SEP)
 
 
+def _head_item(value):
+    """The columns list or the meta object of a JSON table's head, laid
+    out as ``json.dumps(head, indent=2, sort_keys=True)`` lays it out: the
+    C encoder writes the items, and each bracket of a nonempty one takes
+    a line of its own."""
+    text = _HEAD_ENCODER.encode(value)
+    if len(text) == 2:
+        return text  # [] or {}
+    return f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+
+
 def _write(out, fmt, columns, rows, meta):
     """Lay out a table from the cell texts of its rows: JSON with the
     bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` for doc =
     {"columns", "rows"[, "meta"]}, or CSV with ``# key = value`` meta
     lines, a header and one line per row."""
     if fmt == "json":
-        head = {"columns": list(columns)}
+        text = '{\n  "columns": ' + _head_item(list(columns))
         if meta:
-            head["meta"] = meta
+            text += ',\n  "meta": ' + _head_item(meta)
         # "rows" sorts after "columns" and "meta": it closes the document
-        text = json.dumps(head, indent=2, sort_keys=True)[:-2]
         inner = list(map(_CELL_SEP.join, rows))
         body = ("[\n    [\n      " + "\n    ],\n    [\n      ".join(inner)
                 + "\n    ]\n  ]") if inner else "[]"

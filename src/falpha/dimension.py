@@ -7,11 +7,21 @@ above it, and is finite and positive at it wherever the staircase rises
 Hutchinson 1981, Falconer, *Fractal Geometry*, Thm 9.3).  An interval is
 the gap IFS of its two halves, of order 1; a point set has mass 0 at
 every order.  So one verdict, at the set's order, gives the dimension:
-that order where the staircase rises on [a, b], else 0.  A grid
-box-counting estimator is provided for comparison (counts are exact, via
-the intersection oracle, with hierarchical pruning of empty boxes; each
-box resumes its parent's walk down the copies rather than starting again
-from the top).
+that order where the staircase rises on [a, b], else 0.
+
+The box dimension is read from structure too.  Under the open set
+condition a gap IFS has dim_B F = s (Falconer, Thm 9.3); where the
+staircase rises on [a, b], F meets [a, b] in a whole small copy of F,
+and elsewhere in at most the points a and b.  So it is the order-jump
+dimension, on intervals and finite sets as well, with one exception:
+{0} union {1/n} has box dimension 1/2 (Falconer, Example 3.5) on a
+window that holds 0 and a point 1/n, and 0 on any other.
+
+``box_counts`` and ``box_dimension`` are the numeric estimate, for
+comparison: exact counts of base-3 grid boxes meeting F, via the
+intersection oracle with hierarchical pruning of empty boxes (each box
+resumes its parent's walk down the copies rather than starting again
+from the top), and their least-squares slope.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import Affine, GapIFS, _reject_nan
+from falpha.sets import Affine, GapIFS, HarmonicCluster, _reject_nan
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -111,27 +121,50 @@ def _order(spec):
 @dataclass(frozen=True)
 class DimensionReport:
     gamma_dim: float
-    box_dim: float
+    box_dim: float      # from structure; box_dimension is the estimate
     alpha_trace: tuple  # the one (alpha, verdict) probe, at the set's order
     bracket: tuple      # (gamma_dim, gamma_dim): the order is exact
+
+
+def _unwrap(spec, a, b):
+    """(unwrapped set, a, b mapped into it), refusing a window whose
+    width is not finite before or after the mapping.  A wrapper's scale
+    is positive, so the mapped ends keep their order."""
+    u, v = a, b
+    if isinstance(spec, Affine):
+        s, t = spec.scale, spec.shift
+        spec, u, v = spec.inner, (a - t) / s, (b - t) / s
+    if not (math.isfinite(b - a) and math.isfinite(v - u)):
+        raise ValueError(f"window [{a!r}, {b!r}] has no finite width")
+    return spec, u, v
 
 
 def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     """The order at which the mass on [a, b] jumps from infinite to zero:
     the set's order where its mass there is positive, else 0 (the mass is
-    0 at every order).  Also reports the box-counting slope.  ``tol`` is
-    range-checked but has no effect: the order is exact."""
+    0 at every order).  The box dimension of F on [a, b] is that same
+    value, except on a window of the harmonic cluster that holds 0 and a
+    point 1/n, where it is 1/2; it is read from structure, and
+    ``box_dimension`` is the numeric estimate.  ``tol`` (in (0, 0.5))
+    and ``box_depth`` (an int of at least 1) are range-checked but have
+    no effect: both values are exact.  A window whose width is not
+    finite is refused."""
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
+    if isinstance(box_depth, bool) or not isinstance(box_depth, int) \
+            or box_depth < 1:
+        raise ValueError(
+            f"box_depth must be an int of at least 1, got {box_depth!r}")
     _reject_nan("a", a)
     _reject_nan("b", b)
     if not spec._isect(a, b):
         raise ValueError("F does not meet [a, b]")
+    inner, u, v = _unwrap(spec, a, b)
     order = _order(spec)
     verdict = ("zero", "positive", "diverging")[
         _side_of_order(_backend.measure(spec, order), a, b) + 1]
     dim = order if verdict == "positive" else 0.0
-    box = box_dimension(spec, a, b, max_depth=box_depth)
+    box = 0.5 if isinstance(inner, HarmonicCluster) and u <= 0.0 < v else dim
     return DimensionReport(dim, box, ((order, verdict),), (dim, dim))
 
 
@@ -142,13 +175,8 @@ def box_counts(spec, a, b, max_depth=12):
     stopped, and so meets F exactly when a walk from the top says it
     does.  A point window is one box at every depth; a window whose
     width is not finite is refused."""
-    a0, b0 = a, b
     point = a == b  # before unwrapping, which may round [a, b] to a point
-    if isinstance(spec, Affine):
-        s, t = spec.scale, spec.shift
-        spec, a, b = spec.inner, (a - t) / s, (b - t) / s
-    if not (math.isfinite(b0 - a0) and math.isfinite(b - a)):
-        raise ValueError(f"window [{a0!r}, {b0!r}] has no finite width")
+    spec, a, b = _unwrap(spec, a, b)
     if point:
         return [int(spec._isect(a, b))] * (max_depth + 1)
     counts = [0] * (max_depth + 1)

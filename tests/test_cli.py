@@ -512,6 +512,20 @@ _SHAPED_ROWS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(columns=st.lists(st.one_of(st.text(max_size=6), _TRICKY), max_size=4),
+       meta=st.dictionaries(st.one_of(st.text(max_size=6), _TRICKY), _CELLS,
+                            max_size=4))
+@example(columns=[], meta={})
+@example(columns=["x", "t", "density"],
+         meta={"b": -0.0, "a": float("nan"), "c": float("inf"),
+               "d": float("-inf"), "e": True, "f": None, "g": 3})
+def test_json_heads_have_the_bytes_of_json_dumps(columns, meta):
+    for value in (columns, meta):
+        want = json.dumps({"k": value}, indent=2, sort_keys=True)
+        assert '{\n  "k": ' + cli._head_item(value) + "\n}" == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(st.one_of(st.text(max_size=6), _TRICKY), max_size=4),
        rows=_SHAPED_ROWS,
        meta=st.one_of(st.none(), st.dictionaries(
            st.one_of(st.text(max_size=6), _TRICKY), _CELLS, max_size=3)))

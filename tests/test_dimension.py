@@ -1,5 +1,5 @@
-"""Dimension estimators: the order jump read from structure, and box
-counting."""
+"""Dimension estimators: the order jump and the box dimension read from
+structure, and box counting."""
 
 import math
 import re
@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from falpha import _backend
+from falpha import _backend, dimension
 from falpha.cantor import ALPHA
 from falpha.dimension import (
     _order,
@@ -232,12 +232,17 @@ def test_gamma_dimension_brackets_the_similarity_order(base, wrap, tol):
     (C, 1.0 / 3.0, 2.0 / 3.0, similarity_order(C.ratios)),  # a gap's ends
     (C, 0.0, 0.0, similarity_order(C.ratios)),
     (FullInterval(0.0, 1.0), 1.0, 2.0, 1.0),
+    (HarmonicCluster(), 0.3, 0.6, 1.0),  # 1/3 and 1/2
+    (HarmonicCluster(), -1.0, 0.0, 1.0),  # 0 alone
+    (FinitePoints((0.1, 0.6, 0.9)), 0.0, 1.0, 1.0),
 ])
 def test_a_span_that_meets_f_in_isolated_points_has_dimension_0(
         spec, a, b, order):
-    # the staircase does not rise there, so the mass is 0 at every order
+    # the staircase does not rise there, so the mass is 0 at every order;
+    # and F meets [a, b] in finitely many points, of box dimension 0
     rep = gamma_dimension(spec, a, b, box_depth=4)
     assert rep.gamma_dim == 0.0
+    assert rep.box_dim == 0.0
     assert rep.alpha_trace == ((order, "zero"),)
     assert rep.bracket == (0.0, 0.0)
 
@@ -276,6 +281,69 @@ def test_the_order_lies_in_the_band_that_counts_as_the_order(base, wrap):
     order = _order(spec)
     assert order == similarity_order(base.ratios)
     assert _backend.measure(spec, order).side == 0
+
+
+@pytest.mark.parametrize("spec", [
+    C, GapIFS((0.4, 0.25), (0.0, 0.75)), HarmonicCluster()])
+def test_the_structural_box_dimension_is_near_the_box_count_slope(spec):
+    rep = gamma_dimension(spec, 0.0, 1.0)
+    assert abs(rep.box_dim - box_dimension(spec, 0.0, 1.0, 12)) <= 0.05
+
+
+@pytest.mark.parametrize("spec, a, b, want", [
+    (HarmonicCluster(), -1.0, 1e-300, 0.5),  # 0 and every 1/n past 1e300
+    # the points -1 + 2/n cluster at -1
+    (Affine(HarmonicCluster(), 2.0, -1.0), -1.5, -0.9, 0.5),
+    (Affine(HarmonicCluster(), 2.0, -1.0), -2.0, -1.0, 0.0),
+    (Affine(HarmonicCluster(), 2.0, -1.0), -0.9, 1.0, 0.0),
+    (Scale(HarmonicCluster(), 1e-10), 0.0, 1e-12, 0.5),
+])
+def test_a_harmonic_window_about_0_has_box_dimension_one_half(
+        spec, a, b, want):
+    rep = gamma_dimension(spec, a, b)
+    assert rep.box_dim == want
+    assert rep.gamma_dim == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), base=_gap_ifs(), wrap=st.one_of(st.none(), st.tuples(
+    st.floats(0.25, 4.0), st.floats(-2.0, 2.0))))
+def test_the_box_dimension_of_a_gap_ifs_is_its_gamma_dimension(
+        data, base, wrap):
+    spec = base if wrap is None else Affine(base, *wrap)
+    a, b = data.draw(_window(spec.hull()))
+    assume(spec._isect(a, b))
+    rep = gamma_dimension(spec, a, b)
+    assert rep.box_dim.hex() == rep.gamma_dim.hex()
+
+
+@pytest.mark.parametrize("spec, a, b", [
+    (C, 0.0, 1.0),
+    (Affine(C, 0.5, 0.25), 0.25, 0.75),
+    (HarmonicCluster(), 0.0, 1.0),
+    (FinitePoints((0.1, 0.6, 0.9)), 0.0, 1.0),
+    (FullInterval(0.0, 1.0), 0.0, 1.0),
+])
+def test_gamma_dimension_counts_no_boxes(monkeypatch, spec, a, b):
+    calls = []
+    monkeypatch.setattr(dimension, "box_counts",
+                        lambda *args, **kwargs: calls.append(args))
+    gamma_dimension(spec, a, b)
+    assert calls == []
+
+
+@pytest.mark.parametrize("box_depth", [0, -1, 1.0, 8.0, True, False, "8"])
+def test_box_depth_must_be_an_int_of_at_least_1(box_depth):
+    with pytest.raises(ValueError, match="box_depth"):
+        gamma_dimension(C, 0.0, 1.0, box_depth=box_depth)
+
+
+def test_neither_tol_nor_box_depth_moves_the_report():
+    for spec in (C, HarmonicCluster(), FinitePoints((0.1, 0.6))):
+        want = gamma_dimension(spec, 0.0, 1.0)
+        for tol, depth in ((0.001, 1), (0.49, 2), (0.02, 40)):
+            assert gamma_dimension(spec, 0.0, 1.0, tol=tol,
+                                   box_depth=depth) == want
 
 
 def test_similarity_order():

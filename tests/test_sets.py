@@ -258,6 +258,8 @@ def test_wrappers_fold_into_one_affine():
     with pytest.raises(ValueError):
         Scale(C, -1.0)
     with pytest.raises(ValueError):
+        Affine(C, -1.0, 0.0)
+    with pytest.raises(ValueError):
         Affine(W, 1.0, 0.0)
 
 
