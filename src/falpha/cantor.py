@@ -54,6 +54,14 @@ def g_series(y):
     return _backend.g_series_scaled(y) / GAMMA_ALPHA1
 
 
+def _g_column(ys):
+    """``[g_series(y) for y in ys]``, bit for bit, for a table's column of
+    ys in [0, 1], unchecked: one map of the moment descent on the
+    middle-thirds record, read from ``_backend`` at call time."""
+    moment = functools.partial(_backend.moment_scaled, _backend._CANTOR)
+    return [m / GAMMA_ALPHA1 for m in map(moment, ys)]
+
+
 def g1_fixed_point():
     """Re-derive g(1) from the series with g(1) kept symbolic.
 

@@ -6,13 +6,17 @@ invocations produce byte-identical output.  One writer lays out both
 formats from cell texts, made a list of values at a time: ``str`` for
 CSV, json's C encoder for JSON.  A JSON table has the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``; both formats write floats
-in shortest round-trip form.
+in shortest round-trip form.  The staircase and g are flat on every gap,
+so a ``staircase`` or ``cantor-g`` table computes its value column in one
+map and writes each plateau value's text once.
 No table has more than ``_MAX_ROWS`` rows: a larger one is refused, with
 exit code 1, before it is built.
 
 ``main`` may be called any number of times in one process.  The parser
 is built on the first call, not at import, and reused by every later
-call; nothing a call parses or fails on carries over to the next.
+call; nothing a call parses or fails on carries over to the next.  An
+argv that starts with a subcommand's name is parsed once, by that
+subcommand's parser, as the top parser would hand it on.
 
 Set descriptions accepted by ``--set``: the shorthands ``cantor`` and
 ``harmonic``, inline JSON in the documented format, or ``@path`` to read
@@ -30,7 +34,7 @@ import re
 import sys
 
 from falpha.calculus import FOnF, derivative, integrate
-from falpha.cantor import ALPHA, GAMMA_ALPHA1, g_series
+from falpha.cantor import ALPHA, GAMMA_ALPHA1, _g_column, g_series
 from falpha.dimension import _order, gamma_dimension
 from falpha.mass import StaircaseEvaluator, coarse_mass, gamma_factor, mass
 from falpha.physics import (
@@ -129,6 +133,23 @@ def _texts(fmt, values):
     return _ROW_ENCODER.encode(values)[1:-1].split(_CELL_SEP)
 
 
+def _plateau_texts(fmt, values, factor):
+    """The ``_texts`` of a column of floats that is constant on runs, and
+    of the column times ``factor``: each distinct value, and its product,
+    becomes text once, and each row looks its texts up.  0.0 and -0.0 are
+    one key, so a column with two zeros and a value of negative sign,
+    which may hold both, is written whole."""
+    if (values.count(0.0) > 1
+            and min(map(math.copysign, itertools.repeat(1.0), values)) < 0.0):
+        return (_texts(fmt, values),
+                _texts(fmt, [v * factor for v in values]))
+    keys = list(dict.fromkeys(values))
+    texts = dict(zip(keys, _texts(fmt, keys)))
+    products = dict(zip(keys, _texts(fmt, [k * factor for k in keys])))
+    return (list(map(texts.__getitem__, values)),
+            list(map(products.__getitem__, values)))
+
+
 def _head_item(value):
     """The columns list or the meta object of a JSON table's head, laid
     out as ``json.dumps(head, indent=2, sort_keys=True)`` lays it out: the
@@ -191,9 +212,9 @@ _FUNCTIONS = {
 
 @functools.cache
 def _build_parser():
-    """The argparse tree, built on the first ``main`` call and shared by
-    every later one; its defaults are immutable, so no call can change
-    what the next one sees."""
+    """(top parser, {subcommand: its parser}): the argparse tree, built on
+    the first ``main`` call and shared by every later one; its defaults
+    are immutable, so no call can change what the next one sees."""
     top = _Parser(prog="falpha",
                   description="Mass, staircase, and calculus on fractal "
                               "subsets of the line.")
@@ -265,7 +286,7 @@ def _build_parser():
                    help="run the quick subset only")
     p.add_argument("--output", default=None)
 
-    return top
+    return top, sub.choices
 
 
 def _check_rows(rows):
@@ -289,11 +310,12 @@ def _table_points(a, b, samples):
 
 def _cmd_staircase(args, spec, alpha, a, b, out):
     stair = StaircaseEvaluator(spec, alpha, a0=a)
-    gamma = gamma_factor(alpha)
-    rows = [(x, (s := stair(x)), s * gamma)
-            for x in _table_points(a, b, args.samples)]
-    _emit(out, args.format, ("x", "staircase", "scaled_staircase"), rows,
-          meta={"alpha": alpha})
+    xs = _table_points(a, b, args.samples)
+    # S is flat on every gap: each plateau's value becomes text once
+    fmt = args.format
+    cells, scaled = _plateau_texts(fmt, stair.values(xs), gamma_factor(alpha))
+    _write(out, fmt, ("x", "staircase", "scaled_staircase"),
+           zip(_texts(fmt, xs), cells, scaled), {"alpha": alpha})
     return 0
 
 
@@ -352,13 +374,13 @@ def _cmd_differentiate(args, spec, alpha, a, b, out):
 def _cmd_cantor_g(args, out):
     n = max(2, args.samples)
     _check_rows(n)
-    rows = []
-    for i in range(1, n + 1):
-        y = i / n
-        g = g_series(y)
-        rows.append((y, g, g * GAMMA_ALPHA1))
-    _emit(out, args.format, ("y", "g", "scaled_g"), rows,
-          meta={"alpha": ALPHA, "g1": g_series(1.0)})
+    ys = [i / n for i in range(1, n + 1)]
+    # g is flat where the staircase is: each plateau's value becomes text once
+    fmt = args.format
+    cells, scaled = _plateau_texts(fmt, _g_column(ys), GAMMA_ALPHA1)
+    _write(out, fmt, ("y", "g", "scaled_g"),
+           zip(_texts(fmt, ys), cells, scaled),
+           {"alpha": ALPHA, "g1": g_series(1.0)})
     return 0
 
 
@@ -427,9 +449,18 @@ def _cmd_verify(args, out):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    top, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # a subcommand's parser reads its own argv, as the top parser
+        # would hand it on: argv is scanned once, not twice
+        parser = commands.get(argv[0]) if argv else None
+        if parser is None:
+            args = top.parse_args(argv)
+        else:
+            args = parser.parse_args(argv[1:])
+            args.command = argv[0]
         if args.command is None:
             raise _UsageError("a subcommand is required")
         out = sys.stdout

@@ -45,6 +45,7 @@ depend on delta: the value is the cover with no mesh bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -361,6 +362,25 @@ class StaircaseEvaluator:
         return got
 
     __call__ = value
+
+    def values(self, xs):
+        """``[self.value(x) for x in xs]``, bit for bit, for a table's
+        column.  On the descent it is one map of ``stair_scaled``, read
+        from ``_backend`` at call time, with no cached call per point:
+        each x goes in as (x - t) / lam and comes out as (w * s - s0) /
+        gamma, the operations of ``value``, and nothing enters the cache.
+        Elsewhere it maps ``value``."""
+        if self._unit is None:
+            return list(map(self.value, xs))
+        xs = list(xs)
+        if any(map(math.isnan, xs)):
+            raise ValueError("x must not be NaN")
+        rec, w, s0, gamma = self.measure, self._unit, self._s0, self._gamma
+        t, lam = rec.shift, rec.scale
+        descend = functools.partial(_backend.stair_scaled, rec.hull,
+                                    rec.table, rec.eps)
+        return [(w * s - s0) / gamma
+                for s in map(descend, [(x - t) / lam for x in xs])]
 
     def _at(self, x, share):
         """self(x) at a piece end x where the descent on ``self.measure``

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from falpha import cli, dimension
-from falpha.cantor import power_rule_integral
+from falpha.cantor import ALPHA, GAMMA_ALPHA1, g_series, power_rule_integral
 from falpha.cli import main
 from falpha.dimension import similarity_order
+from falpha.mass import StaircaseEvaluator, gamma_factor
 from falpha.physics import DiffusionParams, _gaussian
-from falpha.sets import (Affine, FinitePoints, HarmonicCluster, TernaryCantor,
-                         spec_from_json, spec_to_json)
+from falpha.sets import (Affine, FinitePoints, FullInterval, HarmonicCluster,
+                         TernaryCantor, spec_from_json, spec_to_json)
 from test_sets import _gap_ifs
 
 
@@ -154,14 +156,20 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+USAGE_ERRORS = (
+    ("bogus",),
+    (),
+    ("mass", "--alpha", "2.0"),
+    ("mass", "--alpha", "x"),
+    ("mass", "--set", "{broken"),
+    ("mass", "--set", "@/no/such/file"),
+    ("mass", "--range", "1", "0"),
+)
+
+
 def test_usage_errors_exit_1(capsys):
-    assert run(capsys, "bogus")[0] == 1
-    assert run(capsys)[0] == 1
-    assert run(capsys, "mass", "--alpha", "2.0")[0] == 1
-    assert run(capsys, "mass", "--alpha", "x")[0] == 1
-    assert run(capsys, "mass", "--set", "{broken")[0] == 1
-    assert run(capsys, "mass", "--set", "@/no/such/file")[0] == 1
-    assert run(capsys, "mass", "--range", "1", "0")[0] == 1
+    for argv in USAGE_ERRORS:
+        assert run(capsys, *argv)[0] == 1, argv
 
 
 _ASYM = '{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}'
@@ -410,20 +418,56 @@ TABLES = (
 )
 
 
-@pytest.mark.parametrize("between", [
+BETWEEN = (
     ("staircase", "--range", "0"),
     ("diffusion", "--time", "nan"),
     ("cantor-g", "--samples", "x"),
     ("staircase", "--range", "1", "0"),
     ("diffusion", "--help"),
     ("--help",),
-])
+)
+
+
+@pytest.mark.parametrize("between", BETWEEN)
 def test_shared_parser_carries_nothing_between_calls(capsys, between):
     first = [run(capsys, *argv) for argv in TABLES]
     assert all(code == 0 for code, _, _ in first)
     code, out, err = run(capsys, *between)
     assert code == (0 if "--help" in between else 1)
     assert [run(capsys, *argv) for argv in TABLES] == first
+
+
+@pytest.mark.parametrize("argv", [
+    *USAGE_ERRORS, *TABLES, *BETWEEN,
+    ("staircase", "-h"),
+    ("staircase", "--bogus"),
+    ("staircase", "--", "--samples", "3"),
+    ("cantor-g", "--samples", "5", "extra"),
+    ("cantor-g", "-h"),
+    ("--",),
+    ("--", "staircase"),
+    ("-h",),
+    ("stair",),
+])
+def test_a_subcommand_argv_parses_as_through_the_top_parser(capsys,
+                                                            monkeypatch,
+                                                            argv):
+    # main hands an argv that starts with a subcommand's name to that
+    # subcommand's parser; with no subcommand map every argv goes through
+    # the top parser, and the exit code and both streams must not change
+    got = run(capsys, *argv)
+    top, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (top, {}))
+    assert run(capsys, *argv) == got
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    want = run(capsys, "cantor-g", "--samples", "3")
+    assert want[0] == 0
+    monkeypatch.setattr(sys, "argv", ["falpha", "cantor-g", "--samples", "3"])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -626,3 +670,125 @@ def test_json_tables_round_trip_the_csv_cells(capsys, command):
     assert doc["columns"] == columns
     assert [[str(v) for v in row] for row in doc["rows"]] == rows
     assert {k: str(v) for k, v in doc.get("meta", {}).items()} == meta
+
+
+def _table_set():
+    """A set for a staircase table: one of ``_time_set``, or an interval."""
+    return st.one_of(_time_set(), st.builds(FullInterval, st.floats(-1.0, 0.5),
+                                           st.floats(0.6, 2.0)))
+
+
+_ENDS = st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_table_set(), a=_ENDS, b=_ENDS, samples=st.integers(0, 60),
+       alpha=st.sampled_from(("auto", "1.0", "0.5")),
+       fmt=st.sampled_from(("csv", "json")))
+@example(spec=TernaryCantor(), a=-0.0, b=0.0, samples=3, alpha="auto",
+         fmt="json")
+@example(spec=FinitePoints((0.0, 0.5)), a=0.0, b=-0.0, samples=4,
+         alpha="auto", fmt="csv")
+@example(spec=HarmonicCluster(), a=-0.0, b=1.0, samples=40, alpha="auto",
+         fmt="json")
+def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
+                                                        alpha, fmt):
+    # the command maps the staircase over its points and writes each
+    # plateau value's text once: the bytes _emit writes for the rows of
+    # values (x, S(x), S(x) * Gamma(alpha + 1)), or exit code 1 where S
+    # diverges
+    if b < a:
+        a, b = b, a
+    text = json.dumps(spec_to_json(spec))
+    spec = spec_from_json(json.loads(text))
+    order = dimension._order(spec) if alpha == "auto" else float(alpha)
+    stair = StaircaseEvaluator(spec, order, a0=a)
+    gamma = gamma_factor(order)
+    want = io.StringIO()
+    try:
+        rows = [(x, stair.value(x), stair.value(x) * gamma)
+                for x in cli._table_points(a, b, samples)]
+    except ArithmeticError:
+        want_code = 1
+    else:
+        want_code = 0
+        cli._emit(want, fmt, ("x", "staircase", "scaled_staircase"), rows,
+                  {"alpha": order})
+    got = io.StringIO()
+    with contextlib.redirect_stdout(got), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["staircase", "--set", text, "--alpha", alpha,
+                     "--range", repr(a), repr(b), "--samples", str(samples),
+                     "--format", fmt])
+    assert code == want_code
+    assert got.getvalue() == want.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(samples=st.integers(-2, 400), fmt=st.sampled_from(("csv", "json")))
+@example(samples=243, fmt="json")
+def test_cantor_g_tables_are_the_table_of_their_values(samples, fmt):
+    # the bytes _emit writes for the rows (y, g(y), g(y) * Gamma(alpha + 1))
+    n = max(2, samples)
+    rows = [(i / n, g_series(i / n), g_series(i / n) * GAMMA_ALPHA1)
+            for i in range(1, n + 1)]
+    want = io.StringIO()
+    cli._emit(want, fmt, ("y", "g", "scaled_g"), rows,
+              {"alpha": ALPHA, "g1": g_series(1.0)})
+    got = io.StringIO()
+    with contextlib.redirect_stdout(got):
+        code = main(["cantor-g", "--samples", str(samples), "--format", fmt])
+    assert code == 0
+    assert got.getvalue() == want.getvalue()
+
+
+_PLATEAUS = (
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [0.0, 0.0, 0.25, 0.25, -0.0, 1.0],
+    [-0.0, -0.0, 1.0, 0.0, 0.0],
+    [-0.0, -0.0],
+    [0.0, 0.0, 0.5, 0.5, 0.5, 1.0],
+    [math.nan, 0.5, math.nan, float("nan"), 0.5],
+    [0.0, math.nan, -0.0, math.nan],
+    [],
+)
+
+
+@pytest.mark.parametrize("column", _PLATEAUS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_plateau_texts_are_the_texts_of_the_column(fmt, column):
+    for factor in (1.0, -2.5, GAMMA_ALPHA1):
+        assert cli._plateau_texts(fmt, column, factor) == (
+            cli._texts(fmt, column),
+            cli._texts(fmt, [v * factor for v in column]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column=st.lists(st.sampled_from((0.0, -0.0, 0.5, -1.0, math.nan,
+                                        math.inf, -math.inf, 1e-300)),
+                       max_size=12),
+       factor=st.sampled_from((1.0, -1.0, 0.5, GAMMA_ALPHA1)),
+       fmt=st.sampled_from(("csv", "json")))
+def test_plateau_texts_of_any_column_of_floats(column, factor, fmt):
+    assert cli._plateau_texts(fmt, column, factor) == (
+        cli._texts(fmt, column),
+        cli._texts(fmt, [v * factor for v in column]))
+
+
+def test_plateau_texts_write_each_distinct_value_once(monkeypatch):
+    # a staircase column starts at S(a0) = +0.0 and repeats its plateaus:
+    # each distinct value, and its product, becomes text once
+    seen = []
+    texts = cli._texts
+
+    def spy(fmt, values):
+        seen.append(list(values))
+        return texts(fmt, values)
+
+    monkeypatch.setattr(cli, "_texts", spy)
+    column = [0.0] * 5 + [0.25] * 3 + [0.5, 0.5, 1.0]
+    cells, scaled = cli._plateau_texts("csv", column, 2.0)
+    assert seen == [[0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 1.0, 2.0]]
+    assert cells == list(map(str, column))
+    assert scaled == [str(v * 2.0) for v in column]

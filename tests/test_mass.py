@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from falpha import _backend
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
-from falpha.dimension import gamma_dimension, similarity_order
+from falpha.dimension import _order, gamma_dimension, similarity_order
 from falpha.mass import (
     DivergingMass,
     StaircaseEvaluator,
@@ -590,3 +590,79 @@ def test_coarse_mass_is_zero_on_a_span_that_meets_F_within_the_slack(
     for a, b in ((inside, v + reach * 1e-15), (u - reach * 1e-15, inside)):
         assert coarse_mass(base, a, b, alpha, mesh) == 0.0, (a, b)
         assert mass(base, a, b, alpha).value == 0.0, (a, b)
+
+
+@st.composite
+def _evaluator_set(draw):
+    """A gap IFS, plain or wrapped, the middle-thirds set, an interval or a
+    finite set."""
+    kind = draw(st.sampled_from(("ifs", "wrapped", "cantor", "interval",
+                                 "points")))
+    if kind == "cantor":
+        return TernaryCantor()
+    if kind == "interval":
+        return FullInterval(draw(st.floats(-1.0, 0.5)),
+                            draw(st.floats(0.6, 2.0)))
+    if kind == "points":
+        pts = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4,
+                            unique=True))
+        return FinitePoints(tuple(sorted(pts)))
+    base = draw(_gap_ifs())
+    if kind == "wrapped":
+        return Affine(base, draw(st.floats(0.5, 2.0)),
+                      draw(st.floats(-0.5, 0.5)))
+    return base
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_evaluator_set(), shift=st.sampled_from((-0.2, 0.0, 0.2, 1.0)),
+       a0=st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(-1.0, 1.0)),
+       xs=st.lists(st.one_of(st.sampled_from((-0.0, 0.0)),
+                             st.floats(-1.5, 2.5)), max_size=25),
+       mode=st.sampled_from(("auto", "numeric")))
+@example(spec=FinitePoints((0.5,)), shift=0.0, a0=0.0, xs=[-1.0, -0.0, 0.5],
+         mode="numeric")
+def test_values_are_value_bit_for_bit(spec, shift, a0, xs, mode):
+    # on the descent, the cover with no mesh bound and the numeric path,
+    # the sign of a zero included, or the same DivergingMass below the order
+    alpha = min(1.0, max(0.05, _order(spec) + shift))
+    each = StaircaseEvaluator(spec, alpha, a0=a0, mode=mode)
+    column = StaircaseEvaluator(spec, alpha, a0=a0, mode=mode)
+    try:
+        want = [each.value(x) for x in xs]
+    except DivergingMass:
+        with pytest.raises(DivergingMass):
+            column.values(xs)
+        return
+    assert list(map(repr, column.values(xs))) == list(map(repr, want))
+    if column._unit is not None:
+        assert column._cache == {}  # the descent's column fills no cache
+
+
+@pytest.mark.parametrize("spec, mode", [
+    (TernaryCantor(), "auto"),
+    (TernaryCantor(), "numeric"),
+    (FinitePoints((0.25, 0.5)), "auto"),
+    (FullInterval(0.0, 2.0), "auto"),
+])
+def test_values_reject_nan(spec, mode):
+    stair = StaircaseEvaluator(spec, _order(spec), mode=mode)
+    with pytest.raises(ValueError, match="NaN"):
+        stair.values([0.5, math.nan, 0.75])
+
+
+def test_values_descend_through_the_backend_at_call_time(monkeypatch):
+    # a wrapper installed in _backend after the evaluator is built, as the
+    # benchmark's tracer is, sees one descent per point
+    stair = StaircaseEvaluator(Affine(TernaryCantor(), 3.0, -1.0), ALPHA)
+    calls = []
+    descend = _backend.stair_scaled
+
+    def counted(*args):
+        calls.append(args[-1])
+        return descend(*args)
+
+    monkeypatch.setattr(_backend, "stair_scaled", counted)
+    xs = [-1.0 + 3.0 * i / 40 for i in range(41)]
+    assert stair.values(xs) == [stair.value(x) for x in xs]
+    assert len(calls) == 2 * len(xs)
