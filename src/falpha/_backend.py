@@ -13,9 +13,13 @@ call time, so a wrapper installed here, such as the benchmark's tracer,
 sees every call.  A descent works in the local coordinates of the copy
 entered: a point within ``sets.slack`` of a hull end (``eps``/scale
 locally) is that end.  The Lebesgue moments of the staircase need no
-descent: the same self-similarity makes them a linear recursion.
+descent: the same self-similarity makes them a linear recursion, solved
+once per set and order: a memo of at most ``_MOMENTS_CAP`` entries keys
+them by what the recursion reads, so a wrapped set shares its plain
+set's entry.
 """
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -25,6 +29,8 @@ from falpha.sets import Affine, FullInterval, GapIFS, TernaryCantor, slack
 BACKEND = "python"
 
 _HALVES = GapIFS((0.5, 0.5), (0.0, 0.5))  # their attractor is [0, 1]
+# distinct (set, order, n) whose Lebesgue moments are kept
+_MOMENTS_CAP = 64
 
 
 class Measure(NamedTuple):
@@ -157,7 +163,7 @@ def moment_scaled(rec, x):
 
 
 def lebesgue_moments(rec, n):
-    """[M_0, ..., M_n], M_k the integral of s(y)^k over [0, 1] for the
+    """(M_0, ..., M_n), M_k the integral of s(y)^k over [0, 1] for the
     staircase s of ``rec`` rescaled to rise from 0 to 1 across its hull.
 
     On the span of copy j, r_j of the hull long, s is C_j + p_j s rescaled,
@@ -166,16 +172,26 @@ def lebesgue_moments(rec, n):
     M_k (1 - sum_j r_j p_j^k) = sum_j r_j sum_(i<k) binom(k, i)
     C_j^(k-i) p_j^i M_i + sum_j g_j C_(j+1)^k, from M_0 = 1 and
     M_1 = 1 - ``rec.mean``.  Every term is positive, so the floats keep
-    their relative accuracy.
+    their relative accuracy.  The moments depend on the set and the order
+    only, so they are solved once per ``table``, ``shares``, ``mean`` and
+    n and kept, for at most ``_MOMENTS_CAP`` of them, as a tuple that no
+    caller can change; the frame (scale, shift, eps) is not read.
     """
-    cs = list(itertools.accumulate((p for _, p in rec.table), initial=0.0))
-    rps = [(r, p) for (_, r, _, _), p in rec.table]
+    return _moments(rec.table, rec.shares, rec.mean, n)
+
+
+@functools.lru_cache(maxsize=_MOMENTS_CAP)
+def _moments(table, shares, mean, n):
+    """``lebesgue_moments`` of a record with this ``table``, ``shares``
+    and ``mean``."""
+    cs = list(itertools.accumulate((p for _, p in table), initial=0.0))
+    rps = [(r, p) for (_, r, _, _), p in table]
     gaps = [(f0 - f1, c) for ((_, f1), (f0, _)), c
-            in zip(zip(rec.shares, rec.shares[1:]), cs[1:])]
+            in zip(zip(shares, shares[1:]), cs[1:])]
     # the first copy, at C_0 = 0, adds nothing; the others as r_j, C_j
     # and p_j / C_j, the ratio of the Horner sum below
     right = [(r, c, p / c) for (r, p), c in zip(rps[1:], cs[1:])]
-    moments = [1.0, 1.0 - rec.mean]
+    moments = [1.0, 1.0 - mean]
     for k in range(2, n + 1):
         # C_j^k sum_(i<k) binom(k, i) (p_j / C_j)^i M_i by Horner's rule
         terms = [math.comb(k, i) * m for i, m in enumerate(moments)][::-1]
@@ -186,7 +202,7 @@ def lebesgue_moments(rec, n):
                 h = h * x + t
             acc += r * c ** k * h
         moments.append(acc / (1.0 - sum(r * p ** k for r, p in rps)))
-    return moments[:n + 1]
+    return tuple(moments[:n + 1])
 
 
 _CANTOR = measure(TernaryCantor(), math.log(2.0) / math.log(3.0))

@@ -24,7 +24,7 @@ from falpha import _backend
 from falpha.calculus import (FOnF, _bracket, _check_tol, derivative,
                              integrate)
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import _reject_nan
+from falpha.sets import _finite, _reject_nan
 
 __all__ = [
     "DiffusionParams",
@@ -123,12 +123,18 @@ class FrictionParams:
     stair: StaircaseEvaluator = field(init=False)
 
     def __post_init__(self):
+        # NaN or inf would pass the sign checks and stall or poison the
+        # flight, so each is refused by name
+        _finite("v0", self.v0)
         if self.v0 <= 0.0:
             raise ValueError("initial velocity must be positive")
         if (self.kappa is None) == (self.k is None):
             raise ValueError("give exactly one of kappa or k")
-        if self.kappa is not None and not self.kappa >= 0.0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
+        if self.kappa is not None:
+            _finite("kappa", self.kappa)
+            if self.kappa < 0.0:
+                raise ValueError(
+                    f"kappa must be nonnegative, got {self.kappa!r}")
         self.stair = StaircaseEvaluator(self.medium_set, self.alpha,
                                         a0=self.x0)
 

@@ -20,6 +20,7 @@ from falpha.physics import (
     diffusion_variance,
     friction_velocity,
     time_of_flight,
+    _SERIES_K,
     _whole_piece,
 )
 from falpha.sets import (
@@ -142,6 +143,13 @@ def test_friction_param_validation():
         FrictionParams(C, ALPHA, v0=1.0)  # neither kappa nor k
     with pytest.raises(ValueError, match="kappa"):
         FrictionParams(C, ALPHA, v0=1.0, kappa=-5.0)
+    # NaN passed the sign check and gave NaN flights; inf stalled at once
+    for v0, kappa, name in ((math.nan, 0.5, "v0"), (math.inf, 0.5, "v0"),
+                            (-math.inf, 0.5, "v0"), (1.0, math.inf, "kappa"),
+                            (1.0, math.nan, "kappa"),
+                            (1.0, -math.inf, "kappa")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FrictionParams(C, ALPHA, v0=v0, kappa=kappa)
     p = FrictionParams(C, ALPHA, v0=1.0, kappa=0.5)
     with pytest.raises(ValueError):
         friction_velocity(p, -1.0)
@@ -364,6 +372,58 @@ def test_lebesgue_moments_closed_values():
     halves = _backend.measure(FullInterval(0.0, 1.0), 1.0)
     assert _backend.lebesgue_moments(halves, 12) == pytest.approx(
         [1.0 / (k + 1) for k in range(13)], rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(medium=_media(), n=st.integers(1, 12))
+def test_lebesgue_moments_memo_returns_a_fresh_solve(medium, n):
+    spec, alpha, _, _ = medium
+    rec = _backend.measure(spec, alpha)
+    _backend._moments.cache_clear()
+    miss = _backend.lebesgue_moments(rec, n)
+    hit = _backend.lebesgue_moments(rec, n)
+    assert _backend._moments.cache_info()[:2] == (1, 1)  # (hits, misses)
+    fresh = _backend._moments.__wrapped__(rec.table, rec.shares, rec.mean, n)
+    assert repr(hit) == repr(miss) == repr(fresh)
+    assert len(hit) == n + 1
+    # the frame is not read: the unwrapped set reads the same entry
+    plain = _backend.measure(_backend.frame(spec)[2], alpha)
+    assert _backend.lebesgue_moments(plain, n) is hit
+    assert _backend._moments.cache_info()[:2] == (2, 1)
+    # no caller can change a stored entry
+    assert isinstance(hit, tuple)
+    with pytest.raises(TypeError):
+        hit[1] = 0.0
+
+
+def test_lebesgue_moments_memo_stays_under_its_cap():
+    sizes = []
+    _backend._moments.cache_clear()
+    for i in range(_backend._MOMENTS_CAP + 20):
+        r = 0.2 + i / 1000.0
+        medium = GapIFS((r, 0.3), (0.0, 0.7))
+        rec = _backend.measure(medium, similarity_order(medium.ratios))
+        _backend.lebesgue_moments(rec, _SERIES_K + 1)
+        sizes.append(_backend._moments.cache_info().currsize)
+    assert sizes[:3] == [1, 2, 3]
+    assert max(sizes) == sizes[-1] == _backend._MOMENTS_CAP
+
+
+@pytest.mark.parametrize("medium", [
+    C, GapIFS((0.4, 0.25), (0.0, 0.75)),
+    Translate(Scale(GapIFS((0.4, 0.25), (0.0, 0.75)), 1.3), 0.2)])
+def test_flight_takes_the_same_bits_on_a_memo_miss_and_hit(medium):
+    alpha = similarity_order(_backend.frame(medium)[2].ratios)
+
+    def flight():
+        p = FrictionParams(medium, alpha, v0=1.0, x0=0.1, kappa=0.45)
+        return [time_of_flight(p, x, tol=1e-9) for x in (0.35, 0.6999, 1.2)]
+
+    _backend._moments.cache_clear()
+    miss = flight()
+    assert _backend._moments.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert repr(flight()) == repr(miss)
+    assert _backend._moments.cache_info()[:2] == (5, 1)
 
 
 @settings(max_examples=40, deadline=None)
