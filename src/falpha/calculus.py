@@ -330,10 +330,14 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     asks the set for the extremes of F in it.  A function g of the values
     of ``stair`` itself is the integral of g over [S(a), S(b)], by the
     same walk on that interval (``_by_substitution``), where it applies.
-    Raises NoConvergence when either walk takes more than
-    ``max_components`` pieces, or pieces shorter than the ``sets.slack``
-    of its farther hull end."""
+    ``max_components`` must be a positive int.  Raises NoConvergence when
+    either walk takes more than ``max_components`` pieces, or pieces
+    shorter than the ``sets.slack`` of its farther hull end."""
     _check_tol(tol)
+    if isinstance(max_components, bool) or not isinstance(
+            max_components, int) or max_components < 1:
+        raise ValueError(
+            f"max_components must be a positive int, got {max_components!r}")
     _reject_nan("a", a)
     _reject_nan("b", b)
     if b < a:

@@ -97,6 +97,10 @@ def _reject_nan(name, x):
 
 
 def _check_level(level):
+    # a level that is not an int would never equal a piece's depth, so a
+    # walk down a gap IFS would not stop
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ValueError(f"level must be an int, got {level!r}")
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > MAX_LEVEL:
@@ -666,7 +670,7 @@ def is_point_of_change(stair, x, h_min):
     """1 iff ``stair`` rises by more than 1e-12 on (x-h, x+h) for every
     ladder h = 3^-k down to h_min; the ladder ratio is 1/3 so rungs align
     with the construction scales of the middle-thirds set."""
-    if h_min <= 0.0:
+    if not h_min > 0.0:
         raise ValueError("h_min must be positive")
     h = 1.0 / 3.0
     while True:

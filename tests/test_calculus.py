@@ -40,9 +40,9 @@ from falpha.sets import (
 )
 from falpha.physics import FrictionParams, time_of_flight
 
+import exact
 from test_physics import _media
-from test_sets import (_WRAPS, _exact_descent, _exact_point, _gap_ifs, _unwrap,
-                       _wrap)
+from test_sets import _WRAPS, _gap_ifs, _wrap
 
 C = TernaryCantor()
 ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
@@ -205,6 +205,16 @@ def test_integrate_rejects_nan(a, b, name):
     f = FOnF.monotone(lambda x: x)
     with pytest.raises(ValueError, match=f"{name} must not be NaN"):
         integrate(f, STAIR, a, b)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 0, -5, 2.5, True])
+def test_integrate_refuses_a_cap_that_is_not_a_positive_int(cap):
+    # a NaN or infinite cap would let the walk run without bound
+    f = FOnF.monotone(lambda x: x)
+    with pytest.raises(ValueError, match="max_components must be a positive "
+                                         "int") as err:
+        integrate(f, STAIR, 0.0, 1.0, max_components=cap)
+    assert repr(cap) in str(err.value)
 
 
 def test_check_f_continuity():
@@ -669,28 +679,6 @@ def test_derivative_makes_no_extremes_query(monkeypatch):
     assert queries == []
 
 
-def _exact_s(spec, alpha, a0, x):
-    """S(x) from the origin a0 on a gap IFS at its order, or an Affine of
-    one, in exact rational arithmetic: ``_exact_descent`` at x and at a0
-    on the float parameters, with the weights r_i^alpha, the scale
-    (lam (h1 - h0))^alpha and Gamma(alpha + 1) each rounded once to
-    floats."""
-    base, lam, t = _unwrap(spec)
-    rs = [Fraction(r) for r in base.ratios]
-    os_ = [Fraction(o) for o in base.offsets]
-    ps = [Fraction(r ** alpha) for r in base.ratios]
-    ps = [p / sum(ps) for p in ps]
-    h0, h1 = base.hull()
-    unit = (Fraction((lam * (h1 - h0)) ** alpha)
-            / Fraction(math.gamma(alpha + 1.0)))
-
-    def share(y):
-        return _exact_descent(rs, os_, ps,
-                              (Fraction(y) - Fraction(t)) / Fraction(lam))
-
-    return unit * (share(x) - share(a0))
-
-
 @st.composite
 def _substituted_media(draw):
     """(spec, base, order): the middle-thirds set or a gap IFS with 2-4
@@ -714,26 +702,22 @@ def _substituted_points(draw, spec, base):
     """(x, kind) with x a point of spec: in a gap between two copies of a
     piece at most 3 levels deep, a hull end, or a point of F with a
     random address 40-60 levels long."""
-    _, lam, t = _unwrap(spec)
+    _, lam, t = exact.unwrap(spec)
     m = len(base.ratios)
-    rs = [Fraction(r) for r in base.ratios]
-    os_ = [Fraction(o) for o in base.offsets]
-    h0, h1 = (Fraction(h) for h in base.hull())
+    h0, h1 = base.hull()
     kind = draw(st.sampled_from(("gap", "end", "deep")))
     if kind == "end":
         return draw(st.sampled_from(spec.hull())), kind
     if kind == "deep":
         head = draw(st.lists(st.integers(0, m - 1), min_size=40, max_size=60))
         period = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2))
-        y = _exact_point(base, head, period)
+        y = exact.point(base, head, period)
     else:
-        c, d = Fraction(0), Fraction(1)
-        for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
-            c, d = c + d * os_[i], d * rs[i]
+        head = draw(st.lists(st.integers(0, m - 1), max_size=3))
         j = draw(st.integers(0, m - 2))
-        g0, g1 = os_[j] + rs[j] * h1, os_[j + 1] + rs[j + 1] * h0
+        g0, g1 = exact.image(base, (j,), h1), exact.image(base, (j + 1,), h0)
         q = Fraction(draw(st.floats(0.05, 0.95)))
-        y = c + d * (g0 + q * (g1 - g0))
+        y = exact.image(base, head, g0 + q * (g1 - g0))
     return t + lam * float(y), kind
 
 
@@ -748,8 +732,10 @@ def test_substitution_brackets_hold_the_exact_integral(data, medium, tol):
                                     min_size=2, max_size=3)))
     a0, k0 = pts[0]
     stair = StaircaseEvaluator(spec, alpha, a0=a0)
+    # S from a0, with Gamma(alpha + 1) rounded once to a float
+    s0, gamma = exact.stair(spec, alpha, a0), Fraction(math.gamma(alpha + 1))
     for (a, ka), (b, kb) in itertools.combinations(pts, 2):
-        sa, sb = _exact_s(spec, alpha, a0, a), _exact_s(spec, alpha, a0, b)
+        sa, sb = ((exact.stair(spec, alpha, x) - s0) / gamma for x in (a, b))
         for n in range(1, 5):
             f = (FOnF.monotone(stair) if n == 1
                  else FOnF.of_stair(lambda u, n=n: u ** n, stair))
@@ -759,12 +745,12 @@ def test_substitution_brackets_hold_the_exact_integral(data, medium, tol):
                 assert {k0, ka, kb} != {"gap"}, (a0, a, b)
                 continue
             lower, upper, count, _ = got
-            exact = (sb ** (n + 1) - sa ** (n + 1)) / (n + 1)
+            want = (sb ** (n + 1) - sa ** (n + 1)) / (n + 1)
             # float sums and powers round by ulps; the float S at the
             # origin, a hull end or a point of F may miss the exact one by
             # up to the widening
-            slack = 1e-14 * (1.0 + abs(exact))
-            assert lower - slack <= exact <= upper + slack, (a0, a, b, n)
+            slack = 1e-14 * (1.0 + abs(want))
+            assert lower - slack <= want <= upper + slack, (a0, a, b, n)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 0.9), (0.25, 0.75),

@@ -34,6 +34,7 @@ from falpha.sets import (
     spec_from_json,
     spec_to_json,
 )
+import exact
 from test_sets import _gap_ifs
 
 mass_module = importlib.import_module("falpha.mass")
@@ -222,21 +223,6 @@ def test_scaling_and_translation_identities():
     assert rep.translation_rel_error < 1e-6
 
 
-def _exact_cantor(x):
-    """The Cantor function at a rational x in [0, 1], to within 2^-100:
-    the interval-halving recursion in Fractions."""
-    x, val, half = Fraction(x), Fraction(0), Fraction(1, 2)
-    for _ in range(100):
-        if x < Fraction(1, 3):
-            x *= 3
-        elif x > Fraction(2, 3):
-            val, x = val + half, 3 * x - 2
-        else:
-            return val + half
-        half /= 2
-    return val
-
-
 @pytest.mark.parametrize("shift", [20.0, 1e5])
 def test_mass_far_from_0_is_that_of_the_rounded_range(shift):
     # s + 0.1 and s + 0.9 round to floats whose offsets from s are exact;
@@ -246,7 +232,7 @@ def test_mass_far_from_0_is_that_of_the_rounded_range(shift):
     # the tile that closes its descent
     a, b = shift + 0.1, shift + 0.9
     got = mass(Translate(C, shift), a, b, ALPHA).value
-    want = (_exact_cantor(b - shift) - _exact_cantor(a - shift)) / Fraction(
+    want = (exact.cantor(b - shift) - exact.cantor(a - shift)) / Fraction(
         GAMMA_ALPHA1)
     assert abs(got - float(want)) <= 2.0 * 1e-13 ** ALPHA
 

@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +32,8 @@ from falpha.sets import (
     Translate,
     net,
 )
+
+import exact
 
 C = TernaryCantor()
 DIFF = DiffusionParams(C, ALPHA)
@@ -331,32 +332,13 @@ def test_interval_flight_is_the_closed_form(lo, hi, kappa, x):
     assert time_of_flight(p, x, tol=1e-6) == pytest.approx(closed, abs=1e-14)
 
 
-def _exact_moments(rec, n):
-    """M_0..M_n of the rescaled staircase of ``rec``: the recursion of
-    ``lebesgue_moments`` solved in Fractions from M_0 = 1, on the record's
-    weights, ratios and shares."""
-    ps = [Fraction(p) for _, p in rec.table]
-    rs = [Fraction(r) for (_, r, _, _), _ in rec.table]
-    cs = [sum(ps[:j], Fraction(0)) for j in range(len(ps) + 1)]
-    gaps = [Fraction(f0) - Fraction(f1)
-            for (_, f1), (f0, _) in zip(rec.shares, rec.shares[1:])]
-    moments = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = sum(g * c ** k for g, c in zip(gaps, cs[1:]))
-        acc += sum(r * sum(math.comb(k, i) * c ** (k - i) * p ** i
-                           * moments[i] for i in range(k))
-                   for r, p, c in zip(rs, ps, cs))
-        moments.append(acc / (1 - sum(r * p ** k for r, p in zip(rs, ps))))
-    return moments
-
-
 @settings(max_examples=40, deadline=None)
 @given(medium=_media())
 def test_lebesgue_moments_match_an_exact_solve(medium):
     spec, alpha, _, _ = medium
     rec = _backend.measure(spec, alpha)
     got = _backend.lebesgue_moments(rec, 9)
-    want = [float(m) for m in _exact_moments(rec, 9)]
+    want = [float(m) for m in exact.lebesgue_moments(rec, 9)]
     assert len(got) == 10
     for g, w in zip(got, want):
         assert abs(g - w) <= 32 * math.ulp(w)

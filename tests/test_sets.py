@@ -34,6 +34,8 @@ from falpha.mass import StaircaseEvaluator, coarse_mass, mass
 from falpha.cantor import ALPHA
 from falpha.dimension import similarity_order
 
+import exact
+
 C = TernaryCantor()
 ASYM = GapIFS((0.4, 0.25), (0.0, 0.75))
 
@@ -104,6 +106,18 @@ def test_net_refuses_more_points_than_its_limit(spec, level):
     assert net(spec, level, hull, limit=len(pts)) == pts
     with pytest.raises(ResolutionExceeded, match="more than"):
         net(spec, level, hull, limit=len(pts) - 1)
+
+
+@pytest.mark.parametrize("spec", [C, Affine(ASYM, 2.0, -0.5),
+                                  HarmonicCluster(), FullInterval(0.0, 1.0)],
+                         ids=["gap-ifs", "wrapped", "harmonic", "interval"])
+@pytest.mark.parametrize("level", [2.5, math.nan, 2.0, True, "2"])
+def test_net_refuses_a_level_that_is_not_an_int(spec, level):
+    # on a gap IFS a level such as 2.5 or NaN never equals a piece's
+    # depth, so the walk would not stop
+    with pytest.raises(ValueError, match="level must be an int") as err:
+        net(spec, level, Interval(*spec.hull()))
+    assert repr(level) in str(err.value)
 
 
 def test_harmonic_cluster():
@@ -342,6 +356,12 @@ def test_points_of_change_on_cantor():
     assert is_point_of_change(stair, 0.5, h_min=1e-6) == 0
 
 
+def test_points_of_change_refuse_a_nan_h_min():
+    stair = StaircaseEvaluator(C, ALPHA, a0=0.0)
+    with pytest.raises(ValueError, match="h_min must be positive"):
+        is_point_of_change(stair, 0.25, math.nan)
+
+
 def test_json_round_trip():
     cases = [
         {"type": "cantor"},
@@ -565,63 +585,6 @@ def _point_set(draw):
     return FinitePoints(tuple(sorted(pts)))
 
 
-def _unwrap(spec):
-    """(inner spec, scale, shift) of a spec with at most one Affine layer."""
-    if isinstance(spec, Affine):
-        return spec.inner, spec.scale, spec.shift
-    return spec, 1.0, 0.0
-
-
-def _exact_descent(rs, os_, ps, y):
-    """Staircase at y, scaled to rise from 0 to 1 across the hull, of the
-    self-similar measure giving copy i of the IFS with ratios ``rs`` and
-    offsets ``os_`` the share ``ps[i]``: the descent down the copies in
-    exact rational arithmetic.  It stops once the running weight is below
-    1e-20, which bounds what it leaves out."""
-    h0, h1 = os_[0] / (1 - rs[0]), os_[-1] / (1 - rs[-1])
-    val, w = Fraction(0), Fraction(1)
-    while w > 1e-20 and y > h0:
-        if y >= h1:
-            return val + w
-        for o, r, p in zip(os_, rs, ps):
-            if y < o + r * h0:
-                return val  # in a gap
-            if y <= o + r * h1:
-                y, w = (y - o) / r, w * p
-                break
-            val += w * p
-    return val
-
-
-def _exact_stair(spec, alpha, x):
-    """Gamma(alpha+1) times the mass of (-inf, x] on a gap IFS at its
-    order, or an Affine of one: the exact descent on the float parameters,
-    with the weights r_i^alpha rounded once to floats."""
-    base, lam, t = _unwrap(spec)
-    ps = [Fraction(r ** alpha) for r in base.ratios]
-    y = (Fraction(x) - Fraction(t)) / Fraction(lam)
-    got = _exact_descent([Fraction(r) for r in base.ratios],
-                         [Fraction(o) for o in base.offsets],
-                         [p / sum(ps) for p in ps], y)
-    h0, h1 = base.hull()
-    return float(got) * (lam * (h1 - h0)) ** alpha
-
-
-def _exact_point(base, head, period):
-    """The point of F with the address ``head`` followed by ``period``
-    repeated forever, as an exact rational."""
-    rs = [Fraction(r) for r in base.ratios]
-    os_ = [Fraction(o) for o in base.offsets]
-    # the fixed point of f_q1 o ... o f_qk, a map x -> c + d x
-    c, d = Fraction(0), Fraction(1)
-    for q in period:
-        c, d = c + d * os_[q], d * rs[q]
-    x = c / (1 - d)
-    for i in reversed(head):
-        x = os_[i] + rs[i] * x
-    return x
-
-
 _COPY_END_STEPS = (0.0, 1e-15, 1e-13, 1e-11, 3e-10, 1e-9)
 
 
@@ -638,14 +601,15 @@ def _stair_points(draw, base, lam, shift):
         out.append(h0 + (h1 - h0) * p)
     for _ in range(draw(st.integers(0, 3))):
         head = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2))
-        end = _exact_point(base, head, (0,) if draw(st.booleans()) else (m - 1,))
+        end = exact.point(base, head,
+                          (0,) if draw(st.booleans()) else (m - 1,))
         step = draw(st.sampled_from(_COPY_END_STEPS)) * draw(
             st.sampled_from((-1.0, 1.0)))
         out.append(float(end) + step)
     for _ in range(draw(st.integers(0, 3))):
         head = draw(st.lists(st.integers(0, m - 1), max_size=30))
         period = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
-        out.append(float(_exact_point(base, head, period)))
+        out.append(float(exact.point(base, head, period)))
     return [shift + lam * y for y in out]
 
 
@@ -653,7 +617,7 @@ def _stair_points(draw, base, lam, shift):
 @given(data=st.data(), base=st.one_of(st.just(C), _gap_ifs()), wraps=_WRAPS)
 def test_staircase_matches_an_exact_descent(data, base, wraps):
     spec, _, _ = _wrap(base, wraps)
-    _, lam, t = _unwrap(spec)
+    _, lam, t = exact.unwrap(spec)
     alpha = similarity_order(base.ratios)
     h0 = spec.hull()[0]
     stair = StaircaseEvaluator(spec, alpha, a0=h0 - 1.0)
@@ -661,22 +625,21 @@ def test_staircase_matches_an_exact_descent(data, base, wraps):
     # float drift and its 1e-15 slack at hull ends stay well inside it
     bound = 2.0 * (1e-13 * lam) ** alpha
     for x in data.draw(_stair_points(base, lam, t)):
-        assert abs(stair.scaled(x) - _exact_stair(spec, alpha, x)) <= bound, x
+        assert abs(stair.scaled(x) - exact.stair(spec, alpha, x)) <= bound, x
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(3, 4), Fraction(1, 10),
                                Fraction(9, 10)])
 def test_cantor_staircase_at_points_with_endless_expansions(x):
     stair = StaircaseEvaluator(C, ALPHA)
-    want = _exact_stair(C, ALPHA, float(x))
+    want = exact.stair(C, ALPHA, float(x))
     assert abs(stair.scaled(float(x)) - want) <= 2.0 * 1e-13 ** ALPHA
     # the oracle itself, on the exact middle-thirds set at the rational
     # x, against the Cantor function there
-    third, half = Fraction(1, 3), Fraction(1, 2)
-    got = _exact_descent((third, third), (0, 2 * third), (half, half), x)
-    exact = {Fraction(1, 4): Fraction(1, 3), Fraction(3, 4): Fraction(2, 3),
+    got = exact.cantor(x)
+    known = {Fraction(1, 4): Fraction(1, 3), Fraction(3, 4): Fraction(2, 3),
              Fraction(1, 10): Fraction(1, 5), Fraction(9, 10): Fraction(4, 5)}
-    assert abs(got - exact[x]) <= 1e-20
+    assert abs(got - known[x]) <= 1e-20
 
 
 @settings(max_examples=60, deadline=None)
@@ -750,7 +713,7 @@ def test_closed_form_makes_one_descent_per_value(monkeypatch):
     monkeypatch.setattr(_backend, "stair_scaled", counted)
     for spec in (C, ASYM, Translate(Scale(ASYM, 2.0), -1.0)):
         calls.clear()
-        alpha = similarity_order(_unwrap(spec)[0].ratios)
+        alpha = similarity_order(exact.unwrap(spec)[0].ratios)
         stair = StaircaseEvaluator(spec, alpha, a0=0.2)
         assert len(calls) == 1  # S(a0), once
         xs = [i / 7.0 for i in range(8)]
