@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import (FullInterval, Interval, _children, _reject_nan, net,
-                         slack)
+from falpha.sets import (FullInterval, Interval, _children, _count, _finite,
+                         _positive, _reject_nan, net, slack)
 
 __all__ = [
     "FOnF",
@@ -107,7 +107,7 @@ class FOnF:
 
     @staticmethod
     def lipschitz(fn, bound):
-        return FOnF(fn, ("lipschitz", float(bound)))
+        return FOnF(fn, ("lipschitz", _finite("bound", bound, 0.0)))
 
     @staticmethod
     def net_sampled(fn):
@@ -178,11 +178,6 @@ def _component(f, stair, u, v, whole=False, s=None):
     got = whole and _by_ends(f, u, v)
     m_hi, m_lo = got or sup_inf_on(f, stair.spec, Interval(u, v))
     return (m_hi * ds, m_lo * ds)
-
-
-def _check_tol(tol):
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
 
 
 def _walk(stair):
@@ -333,11 +328,8 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     ``max_components`` must be a positive int.  Raises NoConvergence when
     either walk takes more than ``max_components`` pieces, or pieces
     shorter than the ``sets.slack`` of its farther hull end."""
-    _check_tol(tol)
-    if isinstance(max_components, bool) or not isinstance(
-            max_components, int) or max_components < 1:
-        raise ValueError(
-            f"max_components must be a positive int, got {max_components!r}")
+    _positive("tol", tol)
+    _count("max_components", max_components, 1)
     _reject_nan("a", a)
     _reject_nan("b", b)
     if b < a:
@@ -423,10 +415,10 @@ def derivative(f, stair, x, tol=1e-3, r0=1.0):
     successive differences are each at most tol / 4; a side is vacuous
     where x ends a piece with a gap on that side.  A settled side stops
     its walk (``_side``) once x is the near end of its piece, which every
-    finer piece that holds x from that side shares.  Raises NoLimit when
-    the quotients do not settle, the sides disagree beyond tol, or S is
-    flat."""
-    _check_tol(tol)
+    finer piece that holds x from that side shares.  tol must be
+    positive, and so must r0 at a point of F.  Raises NoLimit when the
+    quotients do not settle, the sides disagree beyond tol, or S is flat."""
+    _positive("tol", tol)
     _reject_nan("x", x)
     if not stair.spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)
@@ -443,6 +435,9 @@ def derivative(f, stair, x, tol=1e-3, r0=1.0):
     if left or right:
         value, residual = left or right
         return DerivativeResult(value, "left" if left else "right", residual)
+    # a bad r0 lets no quotient in on either side: it is refused here, at
+    # no cost to a call that finds a limit
+    _positive("r0", r0)
     raise NoLimit(f"no staircase variation reachable on either side of x={x}")
 
 
@@ -459,14 +454,16 @@ def check_f_continuity(f, spec, x, eps_ladder=(1e-1, 1e-2, 1e-3),
 
     For each eps, every net point y != x within delta(eps) of x must have
     |f(y) - f(x)| <= eps; delta(eps) defaults to eps itself.  Returns the
-    first failure witness, if any.
+    first failure witness, if any.  Each eps it reads must be positive.
     """
+    _reject_nan("x", x)
     if not spec._isect(x, x):
         raise ValueError("x must belong to F")
     if delta_of_eps is None:
         delta_of_eps = lambda e: e
     fx = f(x)
     for eps in eps_ladder:
+        _positive("eps_ladder", eps)
         delta = delta_of_eps(eps)
         for y in net(spec, _NET_LEVEL, Interval(x - delta, x + delta)):
             if y == x:

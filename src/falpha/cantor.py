@@ -12,7 +12,7 @@ import functools
 import math
 
 from falpha import _backend
-from falpha.sets import Interval, TernaryCantor, net
+from falpha.sets import Interval, TernaryCantor, _count, _reject_nan, net
 
 __all__ = [
     "ALPHA",
@@ -88,9 +88,10 @@ def _chi(x):
 
 
 def power_rule_derivative(n, x):
-    """Oracle: the order-alpha derivative of S^n at x is n S^{n-1} chi(x)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    """Oracle: the order-alpha derivative of S^n at x is n S^{n-1} chi(x),
+    for an int n >= 1; OverflowError where S^(n-1) passes the float range."""
+    _count("n", n, 1)
+    _reject_nan("x", x)
     c = _chi(x)
     if c == 0.0:
         return 0.0
@@ -99,9 +100,10 @@ def power_rule_derivative(n, x):
 
 def power_rule_integral(n, x_hi):
     """Oracle: the integral of S^n from 0 to x_hi against S is
-    S(x_hi)^{n+1} / (n+1)."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    S(x_hi)^{n+1} / (n+1), for an int n >= 0; OverflowError where
+    S^(n+1) passes the float range."""
+    _count("n", n, 0)
+    _reject_nan("x_hi", x_hi)
     return _staircase(x_hi) ** (n + 1) / (n + 1)
 
 

@@ -245,7 +245,7 @@ def _build_parser():
     p = sub.add_parser("dimension", help="order-jump and box dimension")
     common(p)
     p.add_argument("--tol", type=_finite, default=0.02,
-                   help="in (0, 0.5); no effect, since the order is read "
+                   help="in (0, 0.5]; no effect, since the order is read "
                         "from the set exactly (default: 0.02)")
 
     p = sub.add_parser("integrate", help="staircase-weighted integral")

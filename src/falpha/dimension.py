@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import Affine, GapIFS, HarmonicCluster, _reject_nan
+from falpha.sets import (Affine, GapIFS, HarmonicCluster, _count, _positive,
+                         _reject_nan)
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -135,7 +136,7 @@ def _unwrap(spec, a, b):
         s, t = spec.scale, spec.shift
         spec, u, v = spec.inner, (a - t) / s, (b - t) / s
     if not (math.isfinite(b - a) and math.isfinite(v - u)):
-        raise ValueError(f"window [{a!r}, {b!r}] has no finite width")
+        raise ValueError(f"window [a, b] = [{a!r}, {b!r}] has no finite width")
     return spec, u, v
 
 
@@ -145,16 +146,12 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     0 at every order).  The box dimension of F on [a, b] is that same
     value, except on a window of the harmonic cluster that holds 0 and a
     point 1/n, where it is 1/2; it is read from structure, and
-    ``box_dimension`` is the numeric estimate.  ``tol`` (in (0, 0.5))
+    ``box_dimension`` is the numeric estimate.  ``tol`` (in (0, 0.5])
     and ``box_depth`` (an int of at least 1) are range-checked but have
     no effect: both values are exact.  A window whose width is not
     finite is refused."""
-    if not 0.0 < tol < 0.5:
-        raise ValueError("tol must lie in (0, 0.5)")
-    if isinstance(box_depth, bool) or not isinstance(box_depth, int) \
-            or box_depth < 1:
-        raise ValueError(
-            f"box_depth must be an int of at least 1, got {box_depth!r}")
+    _positive("tol", tol, 0.5)
+    _count("box_depth", box_depth, 1)
     _reject_nan("a", a)
     _reject_nan("b", b)
     if not spec._isect(a, b):
@@ -170,11 +167,13 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
 
 def box_counts(spec, a, b, max_depth=12):
     """N_k = number of base-3 grid boxes at depth k meeting F, for
-    k = 0..max_depth; computed by pruned recursion.  Each box resumes
-    the walk down the copies from the frame in which its parent's walk
-    stopped, and so meets F exactly when a walk from the top says it
-    does.  A point window is one box at every depth; a window whose
-    width is not finite is refused."""
+    k = 0..max_depth, an int in [0, 34] (3^-34 < 2^-53: a deeper box is
+    narrower than the rounding of the window's width); computed by pruned
+    recursion.  Each box resumes the walk down the copies from the frame
+    in which its parent's walk stopped, and so meets F exactly when a walk
+    from the top says it does.  A point window is one box at every depth;
+    a window whose width is not finite is refused."""
+    _count("max_depth", max_depth, 0, 34)
     point = a == b  # before unwrapping, which may round [a, b] to a point
     spec, a, b = _unwrap(spec, a, b)
     if point:
@@ -201,7 +200,8 @@ def box_counts(spec, a, b, max_depth=12):
 
 def box_dimension(spec, a, b, max_depth=12):
     """Least-squares slope of ln N versus ln(1/delta) over the base-3
-    box ladder from depth 3 to max_depth."""
+    box ladder from depth 3 to max_depth, an int in [4, 34]."""
+    _count("max_depth", max_depth, 4)
     counts = box_counts(spec, a, b, max_depth)
     pts = [
         (k * math.log(3.0), math.log(counts[k]))

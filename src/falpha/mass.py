@@ -50,15 +50,8 @@ import math
 from dataclasses import dataclass
 
 from falpha import _backend
-from falpha.sets import (
-    Affine,
-    FullInterval,
-    GapIFS,
-    Scale,
-    TernaryCantor,
-    Translate,
-    _reject_nan,
-)
+from falpha.sets import (Affine, FullInterval, GapIFS, Scale, TernaryCantor,
+                         Translate, _finite, _positive, _reject_nan)
 
 __all__ = [
     "MassEstimate",
@@ -86,15 +79,10 @@ def gamma_factor(alpha):
     return math.gamma(alpha + 1.0)
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"order alpha must lie in (0, 1], got {alpha}")
-
-
 def sigma_alpha(spec, subdivision, alpha):
     """Flagged component-length sum: sum of (dx)^alpha over components
     meeting F, divided by Gamma(alpha + 1)."""
-    _check_alpha(alpha)
+    _positive("alpha", alpha, 1.0)
     total = 0.0
     for u, v in subdivision.components():
         if spec._isect(u, v):
@@ -198,12 +186,11 @@ def coarse_mass(spec, a, b, alpha, delta):
     with mesh <= delta.  A span no wider than the ``eps`` of the set's
     measure record, in the units of its hull, is a point, with no mass,
     as ``mass`` reads it at and above the order."""
-    _check_alpha(alpha)
+    _positive("alpha", alpha, 1.0)
     _reject_nan("a", a)
     _reject_nan("b", b)
     _reject_nan("delta", delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _positive("delta", delta)
     if a > b:
         raise ValueError("need a <= b")
     lam, t, inner = _backend.frame(spec)
@@ -253,7 +240,7 @@ def mass(spec, a, b, alpha):
     """The mass of F on [a, b] at order alpha, read from the set's
     structure (``_side_of_order``); at the order, the cover with no mesh
     bound."""
-    _check_alpha(alpha)
+    _positive("alpha", alpha, 1.0)
     _reject_nan("a", a)
     _reject_nan("b", b)
     if a > b:
@@ -308,7 +295,7 @@ class StaircaseEvaluator:
     that empties it first, so a long walk keeps its memory bounded."""
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
-        _check_alpha(alpha)
+        _positive("alpha", alpha, 1.0)
         if mode not in ("auto", "numeric"):
             raise ValueError("mode must be 'auto' or 'numeric'")
         _reject_nan("a0", a0)
@@ -436,9 +423,9 @@ class ScalingReport:
 
 def verify_scaling_translation(spec, a, b, alpha, lam, shift=0.5):
     """Check mass(lam*F, lam*a, lam*b) = lam^alpha * mass(F, a, b) and
-    mass(F + shift, a + shift, b + shift) = mass(F, a, b)."""
-    if lam < 0.0:
-        raise ValueError("scale factor must be nonnegative")
+    mass(F + shift, a + shift, b + shift) = mass(F, a, b), for a finite
+    lam >= 0 and a finite shift; a side is inf where its mass diverges."""
+    _finite("lam", lam, 0.0)
     base = mass(spec, a, b, alpha).value
     scaled = mass(Scale(spec, lam), lam * a, lam * b, alpha).value
     moved = mass(Translate(spec, shift), a + shift, b + shift, alpha).value

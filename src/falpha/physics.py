@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 from falpha import _backend
-from falpha.calculus import (FOnF, _bracket, _check_tol, derivative,
-                             integrate)
+from falpha.calculus import FOnF, _bracket, derivative, integrate
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import _finite, _reject_nan
+from falpha.sets import _finite, _positive, _reject_nan
 
 __all__ = [
     "DiffusionParams",
@@ -70,6 +69,7 @@ class DiffusionParams:
 
 def diffusion_variance(params, t):
     """The variance of the spreading density: the time staircase at t."""
+    _reject_nan("t", t)
     return params.stair(t)
 
 
@@ -80,6 +80,13 @@ def _gaussian(x, s):
 
 def diffusion_density(params, x, t):
     """Gaussian density in x with variance equal to the time staircase."""
+    _reject_nan("x", x)
+    _reject_nan("t", t)
+    return _density(params, x, t)
+
+
+def _density(params, x, t):
+    """``diffusion_density`` past its guards."""
     s = params.stair(t)
     if s <= 0.0:
         raise DegenerateTime(f"staircase is zero at t={t}")
@@ -90,22 +97,21 @@ def diffusion_residual(params, x, t, tol=1e-3):
     """Residual of the evolution identity at (x, t): the staircase-quotient
     time derivative of the density minus chi(t)/2 times the central second
     x-difference."""
+    _reject_nan("x", x)
+    _reject_nan("t", t)
     stair = params.stair
     if x == 0.0:
         raise ValueError("residual needs x != 0 (the density peaks at 0 as "
                          "the variance vanishes)")
 
     def w_of_t(tau):
-        s = params.stair(tau)
-        if s <= 0.0:
-            return 0.0  # limit of the density at fixed x != 0
-        return diffusion_density(params, x, tau)
+        s = stair(tau)
+        # limit of the density at fixed x != 0 where the variance is 0
+        return 0.0 if s <= 0.0 else _gaussian(x, s)
 
     lhs = derivative(FOnF.net_sampled(w_of_t), stair, t, tol=tol).value
     if stair.spec._isect(t, t):
-        w0 = diffusion_density(params, x, t)
-        wp = diffusion_density(params, x + _H_X, t)
-        wm = diffusion_density(params, x - _H_X, t)
+        w0, wp, wm = (_density(params, y, t) for y in (x, x + _H_X, x - _H_X))
         rhs = 0.5 * (wp + wm - 2.0 * w0) / (_H_X * _H_X)
     else:
         rhs = 0.0
@@ -125,24 +131,20 @@ class FrictionParams:
     def __post_init__(self):
         # NaN or inf would pass the sign checks and stall or poison the
         # flight, so each is refused by name
-        _finite("v0", self.v0)
-        if self.v0 <= 0.0:
-            raise ValueError("initial velocity must be positive")
+        _positive("v0", _finite("v0", self.v0))
+        _finite("x0", self.x0)
         if (self.kappa is None) == (self.k is None):
             raise ValueError("give exactly one of kappa or k")
         if self.kappa is not None:
-            _finite("kappa", self.kappa)
-            if self.kappa < 0.0:
-                raise ValueError(
-                    f"kappa must be nonnegative, got {self.kappa!r}")
+            _finite("kappa", self.kappa, 0.0)
         self.stair = StaircaseEvaluator(self.medium_set, self.alpha,
                                         a0=self.x0)
 
 
 def friction_velocity(params, x):
     """Velocity after sliding from x0 to x through the fractal medium."""
-    if x < params.x0:
-        raise ValueError("x must be at least x0")
+    if not x >= params.x0:  # NaN included
+        raise ValueError(f"x must be at least x0, got {x!r}")
     if params.kappa is not None:
         # uniform coefficient: kappa times the staircase rise from x0
         return params.v0 - params.kappa * params.stair(x)
@@ -187,8 +189,9 @@ def time_of_flight(params, x, tol=1e-9):
     order 1), every piece costs exactly L log1p(d / v_d) / d with
     d = v_c - v_d (L / v_c if d = 0).  If v(x) <= 1e-9 v0, Stall is
     raised at the point where v falls to that floor, found by bisection,
-    with the walk's lower bound on the time to reach it."""
-    _check_tol(tol)
+    with the walk's lower bound on the time to reach it.  An x of inf
+    takes the time inf."""
+    _positive("tol", tol)
     _reject_nan("x", x)
     x0 = params.x0
     if x < x0:

@@ -46,7 +46,7 @@ MAX_LEVEL = 16
 
 
 class ResolutionExceeded(ValueError):
-    """Requested net level is above MAX_LEVEL."""
+    """A level or depth past what the code builds, or a net past its limit."""
 
 
 def slack(x, scale=1.0):
@@ -80,38 +80,51 @@ def _children(hull, rows, t, lam, piece):
     return kids
 
 
-def _finite(name, x):
+def _reject_nan(name, x, least=-math.inf):
+    """Refuse NaN, which fails every comparison so that a query would not
+    see it, and an x below ``least``; the infinities pass."""
+    if not x >= least:
+        if x != x:
+            raise ValueError(f"{name} must not be NaN")
+        raise ValueError(f"{name} must be at least {least!r}, got {x!r}")
+
+
+def _finite(name, x, least=-math.inf):
+    """x as a float, refusing what is not a number, NaN, the infinities
+    and an x below ``least``."""
     try:
         x = float(x)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {x!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
+    if x < least:
+        raise ValueError(f"{name} must be at least {least!r}, got {x!r}")
     return x
 
 
-def _reject_nan(name, x):
-    """Reject NaN: it fails every comparison, so queries would not see it."""
-    if x != x:
-        raise ValueError(f"{name} must not be NaN")
+def _positive(name, x, most=math.inf):
+    """Refuse an x outside (0, most], NaN included; +inf passes where
+    ``most`` is inf."""
+    if not 0.0 < x <= most:
+        what = "be positive" if most == math.inf else f"lie in (0, {most:g}]"
+        raise ValueError(f"{name} must {what}, got {x!r}")
 
 
-def _check_level(level):
-    # a level that is not an int would never equal a piece's depth, so a
-    # walk down a gap IFS would not stop
-    if isinstance(level, bool) or not isinstance(level, int):
-        raise ValueError(f"level must be an int, got {level!r}")
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if level > MAX_LEVEL:
-        raise ResolutionExceeded(
-            f"net level {level} exceeds maximum {MAX_LEVEL}"
-        )
+def _count(name, n, least, most=math.inf):
+    """Refuse an n that is not an int (a bool is not one) of at least
+    ``least``, as a walk to a depth that is not one would not stop, and
+    raise ResolutionExceeded for an n above ``most``."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        kind = "a positive int" if least == 1 else f"an int of at least {least}"
+        raise ValueError(f"{name} must be {kind}, got {n!r}")
+    if n > most:
+        raise ResolutionExceeded(f"{name} {n} exceeds maximum {most}")
 
 
 def _too_many(level, limit):
     return ResolutionExceeded(
-        f"the level-{level} net has more than {limit} points in the range")
+        f"the level-{level} net has more than its limit of {limit} points")
 
 
 def _capped(pts, level, limit):
@@ -130,7 +143,7 @@ class Interval:
 
     def __post_init__(self):
         if not self.lo <= self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
     def length(self):
@@ -147,7 +160,7 @@ class Subdivision:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
+        pts = tuple(_finite("points", p) for p in self.points)
         if not pts:
             raise ValueError("subdivision needs at least one point")
         for p, q in zip(pts, pts[1:]):
@@ -178,8 +191,9 @@ class Subdivision:
 
     @staticmethod
     def uniform(a, b, n):
-        if n < 1:
-            raise ValueError("need at least one component")
+        _count("n", n, 1)
+        if not _finite("a", a) < _finite("b", b) or not math.isfinite((b - a) * n):
+            raise ValueError(f"need a < b and a finite (b - a) n, got {a!r}, {b!r}")
         return Subdivision(tuple(a + (b - a) * i / n for i in range(n + 1)))
 
 
@@ -214,7 +228,8 @@ class SetSpec:
 
     def net_points(self, level, lo, hi, limit=math.inf):
         """The sorted points of the level-``level`` net of F in [lo, hi];
-        ResolutionExceeded when there are more than ``limit`` of them."""
+        ResolutionExceeded when there are more than ``limit`` of them.
+        ``net`` checks level and limit; this does not."""
         raise NotImplementedError
 
     def resolution(self, level):
@@ -250,10 +265,10 @@ class GapIFS(SetSpec):
             if not 0.0 < r < 1.0:
                 raise ValueError("ratios must lie in (0, 1)")
         if offsets[0] < -1e-12 or offsets[-1] + ratios[-1] > 1.0 + 1e-12:
-            raise ValueError("copies must lie inside [0, 1]")
+            raise ValueError("ratios and offsets must keep the copies in [0, 1]")
         for i in range(len(ratios) - 1):
             if offsets[i] + ratios[i] > offsets[i + 1] + 1e-12:
-                raise ValueError("copy spans must be sorted and interior-disjoint")
+                raise ValueError("ratios and offsets give unsorted or overlapping copies")
         # hull endpoints are the fixed points of the outermost maps; snap
         # float dust at integer endpoints (e.g. copies filling out to 1)
         h0 = offsets[0] / (1.0 - ratios[0])
@@ -350,7 +365,6 @@ class GapIFS(SetSpec):
         return out
 
     def net_points(self, level, lo, hi, limit=math.inf):
-        _check_level(level)
         out = set()
         stack = [((*self._hull, 0.0, 1.0, 0.0, 1.0, 1.0), 0)]
         while stack:
@@ -484,7 +498,6 @@ class HarmonicCluster(SetSpec):
         return out
 
     def net_points(self, level, lo, hi, limit=math.inf):
-        _check_level(level)
         count = 2 ** level
         pts = [0.0] + [1.0 / n for n in range(count, 0, -1)]
         return _capped([p for p in pts if lo <= p <= hi], level, limit)
@@ -521,7 +534,6 @@ class FullInterval(SetSpec):
         return []
 
     def net_points(self, level, lo, hi, limit=math.inf):
-        _check_level(level)
         n = 2 ** level
         step = (self.hi - self.lo) / n
         pts = [self.lo + i * step for i in range(n + 1)]
@@ -547,12 +559,10 @@ class Affine(SetSpec):
     shift: float
 
     def __post_init__(self):
-        if (isinstance(self.inner, Affine) or not 0.0 < self.scale < math.inf
-                or not math.isfinite(self.shift)):
-            raise ValueError(
-                "Affine needs an unwrapped spec, a finite scale > 0 and a "
-                f"finite shift, got scale {self.scale!r}, shift {self.shift!r}"
-            )
+        if isinstance(self.inner, Affine):
+            raise ValueError("Affine needs an unwrapped spec")
+        _positive("scale", _finite("scale", self.scale))
+        _finite("shift", self.shift)
 
     def hull(self):
         h = self.inner.hull()
@@ -609,21 +619,14 @@ def _affine(spec, scale, shift):
     return Affine(spec, scale, shift)
 
 
-def _factor(scale):
-    scale = _finite("scale", scale)
-    if scale < 0.0:
-        raise ValueError(f"scale must be nonnegative, got {scale!r}")
-    return scale
-
-
 def Scale(spec, factor):
     """The set factor * F for a factor >= 0; factor 0 is the point {0}."""
-    return _affine(spec, _factor(factor), 0.0)
+    return _affine(spec, _finite("factor", factor, 0.0), 0.0)
 
 
 def Translate(spec, shift):
     """The set F + shift."""
-    return _affine(spec, 1.0, _finite("translate", shift))
+    return _affine(spec, 1.0, _finite("shift", shift))
 
 
 def intersects(spec, interval):
@@ -635,8 +638,10 @@ def gaps(spec, interval, min_len=0.0):
     """Maximal open subintervals of ``interval`` disjoint from F with
     length >= min_len, sorted.
 
-    For sets with infinitely many gaps a positive ``min_len`` is required.
+    For sets with infinitely many gaps a positive ``min_len`` is required;
+    a NaN one is refused.
     """
+    _reject_nan("min_len", min_len)
     lo, hi = interval.lo, interval.hi
     h = spec.hull()
     pieces = []
@@ -660,9 +665,12 @@ def gaps(spec, interval, min_len=0.0):
 
 
 def net(spec, level, interval, limit=math.inf):
-    """Finite sample of F in ``interval``, dense to within resolution(level);
-    ResolutionExceeded when it has more than ``limit`` points, raised
-    before more than about ``limit`` of them are listed."""
+    """Finite sample of F in ``interval``, dense to within resolution(level),
+    for an int level in [0, MAX_LEVEL]; ResolutionExceeded above it, and
+    when the net has more than ``limit`` (at least 0) points, raised before
+    more than about ``limit`` of them are listed."""
+    _count("level", level, 0, MAX_LEVEL)
+    _reject_nan("limit", limit, 0)
     return spec.net_points(level, interval.lo, interval.hi, limit)
 
 
@@ -670,8 +678,7 @@ def is_point_of_change(stair, x, h_min):
     """1 iff ``stair`` rises by more than 1e-12 on (x-h, x+h) for every
     ladder h = 3^-k down to h_min; the ladder ratio is 1/3 so rungs align
     with the construction scales of the middle-thirds set."""
-    if not h_min > 0.0:
-        raise ValueError("h_min must be positive")
+    _positive("h_min", h_min)
     h = 1.0 / 3.0
     while True:
         if stair(x + h) - stair(x - h) <= 1e-12:
@@ -717,7 +724,7 @@ def spec_from_json(obj):
     else:
         raise ValueError(f"unknown set type {kind!r}")
     if "scale" in obj or "translate" in obj:
-        spec = _affine(spec, _factor(obj.get("scale", 1.0)),
+        spec = _affine(spec, _finite("scale", obj.get("scale", 1.0), 0.0),
                        _finite("translate", obj.get("translate", 0.0)))
     return spec
 
