@@ -49,7 +49,7 @@ __all__ = [
     "check_f_continuity",
 ]
 
-# net level that samples F for net-sampled extremes and continuity checks
+# net level that samples F for continuity checks
 _NET_LEVEL = 10
 
 
@@ -77,7 +77,8 @@ class FOnF:
     hint is ("monotone",) for functions monotone on F (extremes sit at the
     extreme F-points of the interval), ("lipschitz", L) for an L-Lipschitz
     bound (within (f(e0) + f(e1))/2 +- L (e1 - e0)/2 between the extreme
-    F-points e0, e1), or ("net-sampled",) for uncertified net extremes.
+    F-points e0, e1), or ("net-sampled",) for no bound, which
+    ``derivative`` needs: ``integrate`` raises UnboundedHint on it.
 
     ``of_stair(g, stair)`` is x -> g(stair(x)) for a g convex and
     nondecreasing on the values the staircase takes, with the hint
@@ -111,12 +112,14 @@ class FOnF:
 
     @staticmethod
     def net_sampled(fn):
+        """fn with no bound: for ``derivative``, which reads no hint."""
         return FOnF(fn, ("net-sampled",))
 
 
 def _by_ends(f, e0, e1):
     """(sup, inf) of f over the points of F in [e0, e1], e0 and e1 among
-    them, from a monotone or Lipschitz hint; None for any other f."""
+    them, from a monotone or Lipschitz hint.  Raises UnboundedHint for any
+    other f, ``net-sampled`` included: a sample of F bounds no sup."""
     kind = f.hint[:1] if isinstance(f, FOnF) else ()
     if kind == ("monotone",):
         f0, f1 = f(e0), f(e1)
@@ -125,25 +128,16 @@ def _by_ends(f, e0, e1):
         # the cones of slope L from (e0, f(e0)) and (e1, f(e1)) meet there
         mid, pad = (f(e0) + f(e1)) / 2.0, f.hint[1] * (e1 - e0) / 2.0
         return (mid + pad, mid - pad)
-    return None
+    raise UnboundedHint("integrand has no monotone or Lipschitz bound")
 
 
-def sup_inf_on(f, spec, interval, level=_NET_LEVEL):
-    """(sup, inf) of f over F intersected with the interval; (0, 0) when
-    the intersection is empty.  Only the ``net-sampled`` hint samples the
-    level-``level`` net."""
+def sup_inf_on(f, spec, interval, level=None):
+    """(sup, inf) of f over F intersected with the interval, by the hint
+    of f at the extremes of F in it (``_by_ends``, which raises
+    UnboundedHint for f with no monotone or Lipschitz hint); (0, 0) when
+    they are none.  ``level`` is unread."""
     ext = spec.extremes_in(interval.lo, interval.hi)
-    if ext is None:
-        return (0.0, 0.0)
-    if not isinstance(f, FOnF) or not f.hint:
-        raise UnboundedHint("integrand carries no bound hint")
-    got = _by_ends(f, *ext)
-    if got is not None:
-        return got
-    if f.hint[0] == "net-sampled":
-        vals = [f(p) for p in [*net(spec, level, interval), *ext]]
-        return (max(vals), min(vals))
-    raise UnboundedHint(f"unknown bound hint {f.hint[0]!r}")
+    return (0.0, 0.0) if ext is None else _by_ends(f, *ext)
 
 
 def upper_lower_sums(f, stair, subdivision):
@@ -175,8 +169,8 @@ def _component(f, stair, u, v, whole=False, s=None):
     ds = sv - su
     if ds == 0.0:
         return (0.0, 0.0)
-    got = whole and _by_ends(f, u, v)
-    m_hi, m_lo = got or sup_inf_on(f, stair.spec, Interval(u, v))
+    m_hi, m_lo = (_by_ends(f, u, v) if whole
+                  else sup_inf_on(f, stair.spec, Interval(u, v)))
     return (m_hi * ds, m_lo * ds)
 
 
@@ -321,10 +315,11 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     down the construction pieces (``_bracket``) with ``_component`` on
     each piece and nothing on a gap, until upper - lower <= tol.  A
     monotone or Lipschitz f on a whole piece is bounded by its values at
-    the piece's ends, which lie in F; a clipped piece, or another hint,
-    asks the set for the extremes of F in it.  A function g of the values
-    of ``stair`` itself is the integral of g over [S(a), S(b)], by the
-    same walk on that interval (``_by_substitution``), where it applies.
+    the piece's ends, which lie in F; a clipped piece asks the set for the
+    extremes of F in it; any other f raises UnboundedHint where S rises.
+    A function g of the values of ``stair`` itself is the integral of g
+    over [S(a), S(b)], by the same walk on that interval
+    (``_by_substitution``), where it applies.
     ``max_components`` must be a positive int.  Raises NoConvergence when
     either walk takes more than ``max_components`` pieces, or pieces
     shorter than the ``sets.slack`` of its farther hull end."""

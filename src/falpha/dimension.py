@@ -172,8 +172,10 @@ def box_counts(spec, a, b, max_depth=12):
     recursion.  Each box resumes the walk down the copies from the frame
     in which its parent's walk stopped, and so meets F exactly when a walk
     from the top says it does.  A point window is one box at every depth;
-    a window whose width is not finite is refused."""
+    a reversed window, or one whose width is not finite, is refused."""
     _count("max_depth", max_depth, 0, 34)
+    if a > b:
+        raise ValueError("need a <= b")
     point = a == b  # before unwrapping, which may round [a, b] to a point
     spec, a, b = _unwrap(spec, a, b)
     if point:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "Interval",
@@ -296,10 +295,11 @@ class GapIFS(SetSpec):
         # mapped into each frame from its own ends, take the same floats
         h0, h1 = self._hull
         while True:
-            # rejection slack: _query_slack, 1e-15 in global units
+            # rejection slack: _query_slack, 1e-15 in global units; the
+            # test is negated, so that a NaN end misses
             eps = 1e-15 / scale
             y0, y1 = (lo - off) / scale, (hi - off) / scale
-            if y1 < h0 - eps or y0 > h1 + eps:
+            if not (y1 >= h0 - eps and y0 <= h1 + eps):
                 return None
             if y0 <= h0 or y1 >= h1 or eps >= h1 - h0:
                 # hull ends belong to F, and so does a query in a piece
@@ -417,11 +417,10 @@ class FinitePoints(SetSpec):
         return (self.points[0], self.points[-1])
 
     def extremes_in(self, lo, hi):
-        i = bisect.bisect_left(self.points, lo)
-        j = bisect.bisect_right(self.points, hi)
-        if i >= j:
-            return None
-        return (self.points[i], self.points[j - 1])
+        pts = self.points
+        i, j = bisect.bisect_left(pts, lo), bisect.bisect_right(pts, hi)
+        # a NaN end misses, as a reversed window does
+        return (pts[i], pts[j - 1]) if i < j and lo <= hi else None
 
     def _raw_gaps(self, lo, hi, min_len):
         out = []
@@ -442,9 +441,13 @@ class FinitePoints(SetSpec):
 
 
 def _round_inverse(x, rnd, slack):
-    """rnd(1/x + slack) for x > 0, exact where 1/x overflows a float."""
+    """rnd(1/x + slack) for x > 0, rnd math.floor or math.ceil; exact
+    where 1/x overflows a float, as 1/x is q/p for x = p/q."""
     inv = 1.0 / x
-    return rnd(inv + slack) if inv < math.inf else rnd(1 / Fraction(x))
+    if inv < math.inf:
+        return rnd(inv + slack)
+    p, q = x.as_integer_ratio()
+    return q // p if rnd is math.floor else -(-q // p)
 
 
 @dataclass(frozen=True)
@@ -468,6 +471,8 @@ class HarmonicCluster(SetSpec):
         return (n_min, n_max)
 
     def extremes_in(self, lo, hi):
+        if lo != lo or hi != hi:  # a NaN end misses
+            return None
         rng = self._n_range(lo, hi)
         has_zero = lo <= 0.0 <= hi
         if rng is None:
@@ -524,11 +529,8 @@ class FullInterval(SetSpec):
         return (self.lo, self.hi)
 
     def extremes_in(self, lo, hi):
-        a = max(lo, self.lo)
-        b = min(hi, self.hi)
-        if a > b:
-            return None
-        return (a, b)
+        a, b = max(lo, self.lo), min(hi, self.hi)
+        return (a, b) if a <= b else None  # a NaN end misses
 
     def _raw_gaps(self, lo, hi, min_len):
         return []

@@ -363,7 +363,7 @@ def check_ftc_first():
     fns = (
         FOnF.monotone(lambda x: 1.0),
         FOnF.monotone(stair),
-        FOnF.net_sampled(lambda x: stair(x) ** 2),
+        FOnF.of_stair(lambda u: u ** 2, stair),  # u^2 rises where S >= 0
     )
     pts = _net_points(_CANTOR, 5)
     worst = 0.0
@@ -374,7 +374,7 @@ def check_ftc_first():
                 lo, hi = min(x, y), max(x, y)
                 if stair(hi) - stair(lo) <= 0.0:
                     continue  # no variation on this side of x
-                m_hi, m_lo = sup_inf_on(f, _CANTOR, Interval(lo, hi), level=12)
+                m_hi, m_lo = sup_inf_on(f, _CANTOR, Interval(lo, hi))
                 if not m_lo - 1e-12 <= f(x) <= m_hi + 1e-12:
                     worst = max(worst, 1.0)
                 worst = max(worst, m_hi - m_lo)

@@ -1,7 +1,8 @@
 """The exact oracle of the tests, in rational arithmetic: the staircase
-and first moment of the self-similar measure of a gap IFS, the point of
-an address, and the Lebesgue moments of a measure record's staircase,
-all from the self-similarity identities (Hutchinson 1981).
+and moments of the self-similar measure of a gap IFS, the integral of a
+polynomial over whole pieces of one, the point of an address, and the
+Lebesgue moments of a measure record's staircase, all from the
+self-similarity identities (Hutchinson 1981).
 
 It reads specs and records by their fields alone and imports nothing
 from falpha and no test module, so the float code under test never
@@ -60,16 +61,21 @@ def descent(rs, os_, ps):
     return at
 
 
+def weights(base, alpha):
+    """The shares p_i of the copies of the gap IFS ``base`` at the order
+    alpha: r_i^alpha each rounded once to a float, over their sum."""
+    ps = [Fraction(r ** alpha) for r in base.ratios]
+    return [p / sum(ps) for p in ps]
+
+
 def walk(spec, alpha, x):
     """(share, moment) at the float x of a gap IFS at the order alpha, or
     of an Affine of one, with the moment in the units of x: ``descent`` on
-    the float ratios and offsets, with the weights r_i^alpha each rounded
-    once to a float."""
+    the float ratios and offsets, with the ``weights``."""
     base, lam, t = unwrap(spec)
     lam, t = Fraction(lam), Fraction(t)
-    ps = [Fraction(r ** alpha) for r in base.ratios]
-    share, moment = descent(base.ratios, base.offsets,
-                            [p / sum(ps) for p in ps])((Fraction(x) - t) / lam)
+    share, moment = descent(base.ratios, base.offsets, weights(base, alpha))(
+        (Fraction(x) - t) / lam)
     return share, t * share + lam * moment
 
 
@@ -101,6 +107,49 @@ def image(base, address, y):
     for i in reversed(address):
         y = Fraction(base.offsets[i]) + Fraction(base.ratios[i]) * y
     return y
+
+
+def moments(rs, os_, ps, n):
+    """m_0..m_n, m_k the integral of y^k against the self-similar measure
+    giving copy i of the IFS with ratios ``rs`` and offsets ``os_`` the
+    share ``ps[i]``.  That measure is the sum of the p_i-weighted images
+    of itself under y -> o_i + r_i y, so m_k = sum_i p_i sum_(j<=k)
+    C(k, j) o_i^(k-j) r_i^j m_j: the j = k terms move to the left as
+    m_k (1 - sum_i p_i r_i^k), from m_0 = 1 (Hutchinson 1981)."""
+    rs, os_, ps = ([Fraction(v) for v in vs] for vs in (rs, os_, ps))
+    ms = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = sum(p * sum(math.comb(k, j) * o ** (k - j) * r ** j * ms[j]
+                          for j in range(k))
+                  for r, o, p in zip(rs, os_, ps))
+        ms.append(acc / (1 - sum(p * r ** k for r, p in zip(rs, ps))))
+    return ms
+
+
+def polynomial(spec, alpha, coeffs, addresses):
+    """The integral of the polynomial sum_k coeffs[k] x^k against the
+    staircase of ``stair``, on a gap IFS at the order alpha or an Affine
+    of one, over its pieces with the given ``addresses``.  The piece
+    f_a(F) lies at x = A + B y for y in F and carries the weight P, the
+    product of the ``weights`` along a, so its share is P sum_k c_k
+    sum_(j<=k) C(k, j) A^(k-j) B^j m_j, with m_j from ``moments``; the
+    sum is scaled, as ``stair`` scales a share, by (lam (h1 - h0))^alpha
+    on the set's float hull."""
+    base, lam, t = unwrap(spec)
+    h0, h1 = base.hull()
+    ps = weights(base, alpha)
+    ms = moments(base.ratios, base.offsets, ps, len(coeffs) - 1)
+    total = Fraction(0)
+    for a in addresses:
+        c = image(base, a, 0)
+        at = Fraction(t) + Fraction(lam) * c
+        by = Fraction(lam) * (image(base, a, 1) - c)
+        weight = math.prod((ps[i] for i in a), start=Fraction(1))
+        total += weight * sum(
+            ck * sum(math.comb(k, j) * at ** (k - j) * by ** j * ms[j]
+                     for j in range(k + 1))
+            for k, ck in enumerate(coeffs))
+    return total * Fraction((lam * (h1 - h0)) ** alpha)
 
 
 def point(base, head, period):

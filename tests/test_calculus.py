@@ -61,6 +61,28 @@ def test_sup_inf_on():
         sup_inf_on(lambda x: x, C, Interval(0.0, 1.0))
 
 
+@pytest.mark.parametrize("spec", [C, ASYM, Affine(ASYM, 2.0, -0.5)])
+def test_a_net_sampled_integrand_gets_no_bracket(spec):
+    # a sample of F bounds no sup, so wherever S rises there is no
+    # certified bracket to return; where S is flat the integral is 0
+    f = FOnF.net_sampled(lambda x: x)
+    base = getattr(spec, "inner", spec)
+    stair = StaircaseEvaluator(spec, similarity_order(base.ratios))
+    h0, h1 = spec.hull()
+    with pytest.raises(UnboundedHint):
+        sup_inf_on(f, spec, Interval(h0, h1))
+    for a, b in ((h0, h1), (h1, h0), (h0 + 0.1 * (h1 - h0), h1)):
+        with pytest.raises(UnboundedHint):
+            integrate(f, stair, a, b)
+    with pytest.raises(UnboundedHint):
+        upper_lower_sums(f, stair, Subdivision((h0, h1)))
+    gap = gaps(spec, Interval(h0, h1), 0.1 * (h1 - h0))[0]
+    u, v = gap.lo + 0.25 * gap.length, gap.hi - 0.25 * gap.length
+    assert sup_inf_on(f, spec, Interval(u, v)) == (0.0, 0.0)
+    res = integrate(f, stair, u, v)
+    assert (res.lower, res.upper) == (0.0, 0.0)
+
+
 def test_upper_lower_sums_bracket():
     f = FOnF.monotone(lambda x: x)
     sub = Subdivision(tuple(i / 9 for i in range(10)))
@@ -379,11 +401,14 @@ def test_whole_pieces_make_no_set_query(monkeypatch):
     integrate(FOnF.lipschitz(lambda x: x, 1.0), STAIR, 0.0, 1.0, tol=1e-2)
     assert len(pieces) > 10 and all(whole for _, _, whole in pieces)
     assert queries == []
-    # the net-sampled hint, and fixed subdivisions, ask on every rising piece
-    pieces.clear()
-    integrate(FOnF.net_sampled(lambda x: x), STAIR, 0.0, 1.0, tol=1e-2)
-    rising = [(u, v) for u, v, _ in pieces if STAIR(v) != STAIR(u)]
-    assert len(rising) > 10 and set(rising) <= set(queries)
+    # a net-sampled f bounds no sup: the first rising piece raises, whole
+    # with no set query, clipped after one
+    for a, asked in ((0.0, 0), (0.1, 1)):
+        queries.clear()
+        with pytest.raises(UnboundedHint):
+            integrate(FOnF.net_sampled(lambda x: x), STAIR, a, 1.0)
+        assert len(queries) == asked
+    # fixed subdivisions ask on every rising piece
     queries.clear()
     sub = Subdivision(tuple(i / 27 for i in range(28)))
     upper_lower_sums(FOnF.monotone(lambda x: x), STAIR, sub)
@@ -751,6 +776,55 @@ def test_substitution_brackets_hold_the_exact_integral(data, medium, tol):
             # up to the widening
             slack = 1e-14 * (1.0 + abs(want))
             assert lower - slack <= want <= upper + slack, (a0, a, b, n)
+
+
+@st.composite
+def _whole_piece_windows(draw):
+    """(spec, base, level, addresses, a, b): a gap IFS with 2-4 maps,
+    plain or wrapped, a run of its level-``level`` pieces in order along
+    the hull, and a window [a, b] whose ends lie in the gaps (or past the
+    hull ends) either side of the run, so that it meets F in those whole
+    pieces and nowhere else, whatever the rounding of a and b."""
+    base = draw(_gap_ifs())
+    spec, lam, t = _wrap(base, draw(_WRAPS))
+    m, level = len(base.ratios), draw(st.integers(1, 3))
+    pieces = list(itertools.product(range(m), repeat=level))
+    first = draw(st.integers(0, len(pieces) - 1))
+    last = draw(st.integers(first, len(pieces) - 1))
+    # a piece's ends are the images of the hull ends, fixed points of the
+    # outer maps; one hull length past the hull stands in for a neighbour
+    h0, h1 = exact.point(base, (), (0,)), exact.point(base, (), (m - 1,))
+    start = [exact.point(base, q, (0,)) for q in pieces] + [2 * h1 - h0]
+    end = [2 * h0 - h1] + [exact.point(base, q, (m - 1,)) for q in pieces]
+    a, b = ((end[i] + start[i]) / 2 for i in (first, last + 1))
+    return (spec, base, level, pieces[first:last + 1],
+            float(t + lam * a), float(t + lam * b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=_whole_piece_windows(), where=st.floats(0.2, 0.8),
+       sign=st.sampled_from((1.0, -1.0)))
+def test_lipschitz_brackets_hold_the_exact_polynomial_integral(window, where,
+                                                               sign):
+    # p = sign (x - c)^2 falls then rises, or the reverse, on the hull:
+    # no monotone hint holds, and the bracket rests on L = max |p'| there
+    spec, base, level, addresses, a, b = window
+    alpha = similarity_order(base.ratios)
+    stair = StaircaseEvaluator(spec, alpha)
+    g0, g1 = spec.hull()
+    c = g0 + where * (g1 - g0)
+    lip = 2.0 * max(c - g0, g1 - c)
+    fc = Fraction(c)
+    want = exact.polynomial(spec, alpha, [sign * fc * fc, -2 * sign * fc,
+                                          Fraction(sign)], addresses)
+    want /= Fraction(math.gamma(alpha + 1))
+    # a width relative to p's largest change over F, times the rise of S
+    tol = 1e-3 * lip * (g1 - g0) * (stair(b) - stair(a))
+    res = integrate(FOnF.lipschitz(lambda x: sign * (x - c) ** 2, lip),
+                    stair, a, b, tol=tol)
+    # the float sums round by ulps of the summed values
+    slack = 1e-12 * (1.0 + abs(float(want)))
+    assert res.lower - slack <= want <= res.upper + slack, (level, addresses)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 0.9), (0.25, 0.75),

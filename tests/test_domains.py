@@ -39,8 +39,8 @@ from falpha import (
     diffusion_residual, diffusion_variance, friction_velocity, g_series,
     gamma_dimension, gaps, integrate, is_point_of_change, mass, net,
     power_rule_derivative, power_rule_integral, sigma_alpha, similarity_order,
-    spec_from_json, staircase, staircase_power_bounds, sup_inf_on,
-    time_of_flight, verify_scaling_translation)
+    spec_from_json, staircase, staircase_power_bounds, time_of_flight,
+    verify_scaling_translation)
 from falpha.calculus import NoConvergence
 from falpha.dimension import box_counts
 from falpha.mass import DivergingMass
@@ -166,8 +166,6 @@ DOMAINS = [
     Row("integrate", "max_components", int_in(1),
         lambda v: integrate(_identity(), _stair(), 0.0, 1.0,
                             max_components=v), raises=(NoConvergence,)),
-    Row("sup_inf_on", "level", int_in(0, 16),
-        lambda v: sup_inf_on(FOnF.net_sampled(abs), C, UNIT, v)),
     Row("derivative", "x", NUMBER,
         lambda v: derivative(FOnF.monotone(_stair()), _stair(), v)),
     Row("derivative", "tol", positive(),
@@ -360,6 +358,8 @@ def test_a_bad_number_is_refused_by_name(row, data):
     (lambda: box_dimension(C, 0.0, 1.0, 1), "max_depth"),
     (lambda: box_dimension(C, 0.0, 1.0, 2.5), "max_depth"),
     (lambda: box_counts(C, 0.0, 1.0, 10 ** 9), "max_depth"),
+    (lambda: box_dimension(C, 0.9, 0.1, 8), "a"),
+    (lambda: box_counts(C, 1.0, 0.5, 4), "a"),
     (lambda: diffusion_density(_diffusion(), math.nan, 0.5), "x"),
     (lambda: diffusion_density(_diffusion(), 0.5, math.nan), "t"),
     (lambda: diffusion_residual(_diffusion(), math.nan, 0.5), "x"),

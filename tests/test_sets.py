@@ -146,6 +146,19 @@ def test_harmonic_cluster_at_subnormal_ends():
     assert H.extremes_in(0.26, 0.3) is None
 
 
+@pytest.mark.parametrize("base", [C, ASYM, FullInterval(0.0, 1.0),
+                                  FinitePoints((0.1, 0.5)), HarmonicCluster()])
+@pytest.mark.parametrize("wrap", [None, (2.0, -0.5)])
+@pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (math.nan, 0.3),
+                                    (0.05, math.nan), (math.nan, 1.0),
+                                    (0.0, math.nan)])
+def test_a_nan_end_misses_f(base, wrap, lo, hi):
+    # NaN fails every comparison, so no test may read it as a hit
+    spec = base if wrap is None else Affine(base, *wrap)
+    assert not spec._isect(lo, hi)
+    assert spec.extremes_in(lo, hi) is None
+
+
 def test_finite_points():
     F = FinitePoints((0.1, 0.5, 0.9))
     assert intersects(F, Interval(0.5, 0.5))
