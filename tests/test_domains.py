@@ -32,14 +32,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falpha import (
-    ALPHA, Affine, DiffusionParams, FinitePoints, FOnF, FrictionParams,
-    FullInterval, GapIFS, Interval, Scale, StaircaseEvaluator, Subdivision,
-    TernaryCantor, Translate, box_dimension, cantor_staircase_exact,
-    check_f_continuity, coarse_mass, derivative, diffusion_density,
-    diffusion_residual, diffusion_variance, friction_velocity, g_series,
-    gamma_dimension, gaps, integrate, is_point_of_change, mass, net,
-    power_rule_derivative, power_rule_integral, sigma_alpha, similarity_order,
-    spec_from_json, staircase, staircase_power_bounds, time_of_flight,
+    ALPHA, Affine, DiffusionParams, DimensionReport, FinitePoints, FOnF,
+    FrictionParams, FullInterval, GapIFS, IntegralResult, Interval,
+    MassEstimate, Scale, StaircaseEvaluator, Subdivision, TernaryCantor,
+    Translate, box_dimension, cantor_staircase_exact, check_f_continuity,
+    coarse_mass, derivative, diffusion_density, diffusion_residual,
+    diffusion_variance, friction_velocity, g_series, gamma_dimension, gaps,
+    integrate, is_point_of_change, mass, net, power_rule_derivative,
+    power_rule_integral, sigma_alpha, similarity_order, spec_from_json,
+    staircase, staircase_power_bounds, time_of_flight,
     verify_scaling_translation)
 from falpha.calculus import NoConvergence
 from falpha.dimension import box_counts
@@ -323,6 +324,17 @@ def _numbers(obj):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _numbers(getattr(obj, f.name))
+
+
+def test_numbers_reads_the_fields_of_a_result():
+    # the rule below checks only what _numbers finds in a result
+    assert list(_numbers(IntegralResult(0.25, 0.5, 0.375, 0.25, 3))) == [
+        0.25, 0.5, 0.375, 0.25, 3]
+    assert list(_numbers(MassEstimate(0.5, math.inf, "diverging"))) == [
+        0.5, math.inf, False]
+    assert list(_numbers(DimensionReport(
+        0.5, 0.25, ((0.5, "positive"),), (0.5, 0.5)))) == [
+        0.5, 0.25, 0.5, 0.5, 0.5]
 
 
 @settings(max_examples=3000, deadline=None)
