@@ -19,10 +19,10 @@ them by what the recursion reads, so a wrapped set shares its plain
 set's entry.
 """
 
+import collections
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 from falpha.sets import Affine, FullInterval, GapIFS, TernaryCantor, slack
 
@@ -33,18 +33,16 @@ _HALVES = GapIFS((0.5, 0.5), (0.0, 0.5))  # their attractor is [0, 1]
 _MOMENTS_CAP = 64
 
 
-class Measure(NamedTuple):
-    """A self-similar measure at order alpha, in the frame shift + scale x."""
-
-    scale: float
-    shift: float
-    hull: tuple    # (h0, h1) of the unwrapped set
-    table: tuple   # ((offset, ratio, span start, span end), weight) per copy
-    shares: tuple  # (start, end) of each copy's span, as shares of the hull
-    total: float   # sum r^alpha: 1 at the order, below 1 above it
-    mean: float    # mean of the normalised measure, as a share of the hull
-    eps: float     # sets.slack at the farther hull end, in hull units
-    side: int      # side_of_order(total)
+# A self-similar measure at order alpha, in the frame shift + scale x:
+#   hull    (h0, h1) of the unwrapped set
+#   table   ((offset, ratio, span start, span end), weight) per copy
+#   shares  (start, end) of each copy's span, as shares of the hull
+#   total   sum r^alpha: 1 at the order, below 1 above it
+#   mean    mean of the normalised measure, as a share of the hull
+#   eps     sets.slack at the farther hull end, in hull units
+#   side    side_of_order(total)
+Measure = collections.namedtuple(
+    "Measure", "scale shift hull table shares total mean eps side")
 
 
 def side_of_order(total):

@@ -23,16 +23,13 @@ finer pieces that hold x from that side share that end and change
 nothing.
 """
 
-from __future__ import annotations
-
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import (FullInterval, Interval, _children, _count, _finite,
-                         _positive, _reject_nan, net, slack)
+from falpha.sets import (FullInterval, Interval, Record, _children, _count,
+                         _finite, _positive, _reject_nan, net, slack)
 
 __all__ = [
     "FOnF",
@@ -70,8 +67,7 @@ class NoLimit(ArithmeticError):
     """Increment quotients did not settle."""
 
 
-@dataclass(frozen=True)
-class FOnF:
+class FOnF(Record):
     """A real function with a bound hint so extremes over F are computable.
 
     hint is ("monotone",) for functions monotone on F (extremes sit at the
@@ -92,8 +88,10 @@ class FOnF:
     widening of tol or more takes the walk down F.
     """
 
-    fn: object
-    hint: tuple
+    _fields = ("fn", "hint")
+
+    def __init__(self, fn, hint):
+        self.__dict__.update(fn=fn, hint=hint)
 
     def __call__(self, x):
         return self.fn(x)
@@ -147,13 +145,12 @@ def upper_lower_sums(f, stair, subdivision):
             sum((lo for _, lo in sums), 0.0))
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    lower: float
-    upper: float
-    value: float
-    gap: float
-    refinement_depth: int
+class IntegralResult(Record):
+    _fields = ("lower", "upper", "value", "gap", "refinement_depth")
+
+    def __init__(self, lower, upper, value, gap, refinement_depth):
+        self.__dict__.update(lower=lower, upper=upper, value=value, gap=gap,
+                             refinement_depth=refinement_depth)
 
     def contains(self, target, slack=0.0):
         return self.lower - slack <= target <= self.upper + slack
@@ -346,11 +343,12 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     return res
 
 
-@dataclass(frozen=True)
-class DerivativeResult:
-    value: float
-    side: str  # both; left | right where a gap abuts x on the other; off
-    residual: float
+class DerivativeResult(Record):
+    _fields = ("value", "side", "residual")
+
+    def __init__(self, value, side, residual):
+        # side: both; left | right where a gap abuts x on the other; off
+        self.__dict__.update(value=value, side=side, residual=residual)
 
 
 def _side(f, stair, x, walk, sign, tol, r0):
@@ -436,11 +434,11 @@ def derivative(f, stair, x, tol=1e-3, r0=1.0):
     raise NoLimit(f"no staircase variation reachable on either side of x={x}")
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    ok: bool
-    eps: float = 0.0
-    witness: float = math.nan
+class ContinuityReport(Record):
+    _fields = ("ok", "eps", "witness")
+
+    def __init__(self, ok, eps=0.0, witness=math.nan):
+        self.__dict__.update(ok=ok, eps=eps, witness=witness)
 
 
 def check_f_continuity(f, spec, x, eps_ladder=(1e-1, 1e-2, 1e-3),

@@ -6,8 +6,6 @@ record, and the power rules used as oracles by the calculus property
 suite.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

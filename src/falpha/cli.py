@@ -23,8 +23,6 @@ Set descriptions accepted by ``--set``: the shorthands ``cantor`` and
 the JSON from a file.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import itertools

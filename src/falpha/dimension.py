@@ -24,15 +24,12 @@ resumes its parent's walk down the copies rather than starting again
 from the top), and their least-squares slope.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import (Affine, GapIFS, HarmonicCluster, _count, _positive,
-                         _reject_nan)
+from falpha.sets import (Affine, GapIFS, HarmonicCluster, Record, _count,
+                         _positive, _reject_nan)
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -119,12 +116,17 @@ def _order(spec):
     return 1.0
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    gamma_dim: float
-    box_dim: float      # from structure; box_dimension is the estimate
-    alpha_trace: tuple  # the one (alpha, verdict) probe, at the set's order
-    bracket: tuple      # (gamma_dim, gamma_dim): the order is exact
+class DimensionReport(Record):
+    """The order-jump dimension, the box dimension from structure
+    (``box_dimension`` is the estimate), the one (alpha, verdict) probe,
+    at the set's order, and the bracket (gamma_dim, gamma_dim): the
+    order is exact."""
+
+    _fields = ("gamma_dim", "box_dim", "alpha_trace", "bracket")
+
+    def __init__(self, gamma_dim, box_dim, alpha_trace, bracket):
+        self.__dict__.update(gamma_dim=gamma_dim, box_dim=box_dim,
+                             alpha_trace=alpha_trace, bracket=bracket)
 
 
 def _unwrap(spec, a, b):
@@ -148,12 +150,14 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     point 1/n, where it is 1/2; it is read from structure, and
     ``box_dimension`` is the numeric estimate.  ``tol`` (in (0, 0.5])
     and ``box_depth`` (an int of at least 1) are range-checked but have
-    no effect: both values are exact.  A window whose width is not
-    finite is refused."""
+    no effect: both values are exact.  A reversed window, or one whose
+    width is not finite, is refused."""
     _positive("tol", tol, 0.5)
     _count("box_depth", box_depth, 1)
     _reject_nan("a", a)
     _reject_nan("b", b)
+    if a > b:
+        raise ValueError("need a <= b")
     if not spec._isect(a, b):
         raise ValueError("F does not meet [a, b]")
     inner, u, v = _unwrap(spec, a, b)

@@ -43,15 +43,13 @@ cover multiplies its cost by sum r_i^s = 1, so coarse_mass does not
 depend on delta: the value is the cover with no mesh bound.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass
 
 from falpha import _backend
-from falpha.sets import (Affine, FullInterval, GapIFS, Scale, TernaryCantor,
-                         Translate, _finite, _positive, _reject_nan)
+from falpha.sets import (Affine, FullInterval, GapIFS, Record, Scale,
+                         TernaryCantor, Translate, _finite, _positive,
+                         _reject_nan)
 
 __all__ = [
     "MassEstimate",
@@ -205,17 +203,17 @@ def _is_upper_bound(spec):
     return isinstance(inner, GapIFS) and not isinstance(inner, TernaryCantor)
 
 
-@dataclass(frozen=True)
-class MassEstimate:
+class MassEstimate(Record):
     """The mass of F on [a, b] at order alpha.  The verdict is
     ``diverging`` (value inf) below the order where F meets [a, b] in more
     than a point, else ``converged``: the cover with no mesh bound at the
     order, 0 elsewhere."""
 
-    alpha: float
-    value: float  # math.inf marks divergence
-    verdict: str  # converged | diverging
-    upper_bound_only: bool = False
+    _fields = ("alpha", "value", "verdict", "upper_bound_only")
+
+    def __init__(self, alpha, value, verdict, upper_bound_only=False):
+        self.__dict__.update(alpha=alpha, value=value, verdict=verdict,
+                             upper_bound_only=upper_bound_only)
 
     @property
     def is_infinite(self):
@@ -393,14 +391,15 @@ def staircase(evaluator, x):
     return evaluator.value(x)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(Record):
     """Both sides of the scaling and translation identities."""
 
-    scaled_lhs: float
-    scaled_rhs: float
-    translated_lhs: float
-    translated_rhs: float
+    _fields = ("scaled_lhs", "scaled_rhs", "translated_lhs", "translated_rhs")
+
+    def __init__(self, scaled_lhs, scaled_rhs, translated_lhs, translated_rhs):
+        self.__dict__.update(
+            scaled_lhs=scaled_lhs, scaled_rhs=scaled_rhs,
+            translated_lhs=translated_lhs, translated_rhs=translated_rhs)
 
     @property
     def scaling_abs_error(self):

@@ -14,16 +14,13 @@ order 1 the staircase is affine on every piece, so the first piece prices
 the flight exactly.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass, field
 
 from falpha import _backend
 from falpha.calculus import FOnF, _bracket, derivative, integrate
 from falpha.mass import StaircaseEvaluator
-from falpha.sets import _finite, _positive, _reject_nan
+from falpha.sets import Record, _finite, _positive, _reject_nan
 
 __all__ = [
     "DiffusionParams",
@@ -57,14 +54,18 @@ class Stall(ArithmeticError):
         self.elapsed = elapsed
 
 
-@dataclass
-class DiffusionParams:
-    time_set: object
-    alpha: float
-    stair: StaircaseEvaluator = field(init=False)
+class DiffusionParams(Record):
+    """The time set and order of a diffusion, and their staircase; the
+    parameters are mutable, so not hashable."""
 
-    def __post_init__(self):
-        self.stair = StaircaseEvaluator(self.time_set, self.alpha, a0=0.0)
+    _fields = ("time_set", "alpha", "stair")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, time_set, alpha):
+        self.time_set, self.alpha = time_set, alpha
+        self.stair = StaircaseEvaluator(time_set, alpha, a0=0.0)
 
 
 def diffusion_variance(params, t):
@@ -118,27 +119,28 @@ def diffusion_residual(params, x, t, tol=1e-3):
     return lhs - rhs
 
 
-@dataclass
-class FrictionParams:
-    medium_set: object
-    alpha: float
-    v0: float
-    x0: float = 0.0
-    kappa: float = None     # uniform friction coefficient on the medium
-    k: FOnF = None          # or a general coefficient on the medium
-    stair: StaircaseEvaluator = field(init=False)
+class FrictionParams(Record):
+    """A medium and its order, the start velocity v0 and position x0, and
+    one friction coefficient on the medium: a uniform ``kappa``, or a
+    general ``k`` (an FOnF); mutable, as DiffusionParams is."""
 
-    def __post_init__(self):
+    _fields = ("medium_set", "alpha", "v0", "x0", "kappa", "k", "stair")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, medium_set, alpha, v0, x0=0.0, kappa=None, k=None):
         # NaN or inf would pass the sign checks and stall or poison the
         # flight, so each is refused by name
-        _positive("v0", _finite("v0", self.v0))
-        _finite("x0", self.x0)
-        if (self.kappa is None) == (self.k is None):
+        _positive("v0", _finite("v0", v0))
+        _finite("x0", x0)
+        if (kappa is None) == (k is None):
             raise ValueError("give exactly one of kappa or k")
-        if self.kappa is not None:
-            _finite("kappa", self.kappa, 0.0)
-        self.stair = StaircaseEvaluator(self.medium_set, self.alpha,
-                                        a0=self.x0)
+        if kappa is not None:
+            _finite("kappa", kappa, 0.0)
+        self.medium_set, self.alpha = medium_set, alpha
+        self.v0, self.x0, self.kappa, self.k = v0, x0, kappa, k
+        self.stair = StaircaseEvaluator(medium_set, alpha, a0=x0)
 
 
 def friction_velocity(params, x):

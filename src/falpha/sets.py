@@ -12,11 +12,8 @@ the walks of ``falpha.calculus`` do, bit for bit.  A wrapped set maps its
 queries into the unwrapped frame, widened by what ``slack`` adds to F's.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "Interval",
@@ -133,16 +130,47 @@ def _capped(pts, level, limit):
     return pts
 
 
-@dataclass(frozen=True)
-class Interval:
+class Record:
+    """A value with the fields named in ``_fields``: equal to a record of
+    its own class with equal fields, and hashed and printed by them.  It
+    is frozen: a subclass's ``__init__`` checks its arguments and writes
+    the fields into the instance dict, and no attribute can be assigned
+    after that.  Attributes that are not fields may hold what the fields
+    determine."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interval(Record):
     """Closed interval [lo, hi]; degenerate (lo == hi) means a single point."""
 
-    lo: float
-    hi: float
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi):
+        if not lo <= hi:
+            raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+        self.__dict__.update(lo=lo, hi=hi)
 
     @property
     def length(self):
@@ -152,20 +180,19 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(Record):
     """Strictly increasing breakpoints spanning [points[0], points[-1]]."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(_finite("points", p) for p in self.points)
+    def __init__(self, points):
+        pts = tuple(_finite("points", p) for p in points)
         if not pts:
             raise ValueError("subdivision needs at least one point")
         for p, q in zip(pts, pts[1:]):
             if not p < q:
                 raise ValueError("subdivision points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(points=pts)
 
     @property
     def a(self):
@@ -240,24 +267,19 @@ class SetSpec:
         return False
 
 
-@dataclass(frozen=True)
-class GapIFS(SetSpec):
+class GapIFS(SetSpec, Record):
     """Attractor of m >= 2 interior-disjoint affine contractions of [0, 1].
 
     Copy i is the image of the attractor under x -> offsets[i] + ratios[i]*x.
     Copies must be sorted by offset and their spans interior-disjoint.
     """
 
-    ratios: tuple
-    offsets: tuple
-
+    _fields = ("ratios", "offsets")
     _query_slack = 1e-15  # the eps of _walk at the top, and _extreme's slack
 
-    def __post_init__(self):
-        ratios = tuple(_finite("ratios", r) for r in self.ratios)
-        offsets = tuple(_finite("offsets", o) for o in self.offsets)
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "offsets", offsets)
+    def __init__(self, ratios, offsets):
+        ratios = tuple(_finite("ratios", r) for r in ratios)
+        offsets = tuple(_finite("offsets", o) for o in offsets)
         if len(ratios) != len(offsets) or len(ratios) < 2:
             raise ValueError("need matching ratios/offsets with at least two copies")
         for r in ratios:
@@ -276,12 +298,13 @@ class GapIFS(SetSpec):
             h0 = float(round(h0))
         if abs(h1 - round(h1)) < 1e-12:
             h1 = float(round(h1))
-        object.__setattr__(self, "_hull", (h0, h1))
-        # (offset, ratio, span start, span end) of each copy
-        object.__setattr__(self, "_copies", tuple([
-            (o, r, o + r * h0, o + r * h1) for o, r in zip(offsets, ratios)]))
-        # the set's own walks read no share: any weights do
-        object.__setattr__(self, "_rows", tuple(zip(offsets, ratios, ratios)))
+        self.__dict__.update(
+            ratios=ratios, offsets=offsets, _hull=(h0, h1),
+            # (offset, ratio, span start, span end) of each copy
+            _copies=tuple([(o, r, o + r * h0, o + r * h1)
+                           for o, r in zip(offsets, ratios)]),
+            # the set's own walks read no share: any weights do
+            _rows=tuple(zip(offsets, ratios, ratios)))
 
     def hull(self):
         return self._hull
@@ -316,7 +339,7 @@ class GapIFS(SetSpec):
                 return None
 
     def extremes_in(self, lo, hi):
-        if not self._isect(lo, hi):
+        if not (lo <= hi and self._isect(lo, hi)):  # a reversed window misses
             return None
         return (self._extreme(lo, hi, True), self._extreme(lo, hi, False))
 
@@ -390,26 +413,25 @@ class GapIFS(SetSpec):
         return (h1 - h0) * max(self.ratios) ** level
 
 
-@dataclass(frozen=True)
 class TernaryCantor(GapIFS):
     """The middle-thirds set on [0, 1]."""
 
-    ratios: tuple = (1.0 / 3.0, 1.0 / 3.0)
-    offsets: tuple = (0.0, 2.0 / 3.0)
+    def __init__(self, ratios=(1.0 / 3.0, 1.0 / 3.0),
+                 offsets=(0.0, 2.0 / 3.0)):
+        super().__init__(ratios, offsets)
 
 
-@dataclass(frozen=True)
-class FinitePoints(SetSpec):
+class FinitePoints(SetSpec, Record):
     """A finite, strictly sorted point list; may be empty."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(_finite("points", p) for p in self.points)
+    def __init__(self, points):
+        pts = tuple(_finite("points", p) for p in points)
         for p, q in zip(pts, pts[1:]):
             if not p < q:
                 raise ValueError("points must be strictly sorted")
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(points=pts)
 
     def hull(self):
         if not self.points:
@@ -450,8 +472,7 @@ def _round_inverse(x, rnd, slack):
     return q // p if rnd is math.floor else -(-q // p)
 
 
-@dataclass(frozen=True)
-class HarmonicCluster(SetSpec):
+class HarmonicCluster(SetSpec, Record):
     """The set {0} union {1/n : n >= 1}."""
 
     def hull(self):
@@ -471,7 +492,7 @@ class HarmonicCluster(SetSpec):
         return (n_min, n_max)
 
     def extremes_in(self, lo, hi):
-        if lo != lo or hi != hi:  # a NaN end misses
+        if not lo <= hi:  # a NaN end misses, as a reversed window does
             return None
         rng = self._n_range(lo, hi)
         has_zero = lo <= 0.0 <= hi
@@ -514,16 +535,15 @@ class HarmonicCluster(SetSpec):
         return True
 
 
-@dataclass(frozen=True)
-class FullInterval(SetSpec):
+class FullInterval(SetSpec, Record):
     """The whole interval [lo, hi] (the dense case)."""
 
-    lo: float
-    hi: float
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not _finite("lo", self.lo) < _finite("hi", self.hi):
+    def __init__(self, lo, hi):
+        if not _finite("lo", lo) < _finite("hi", hi):
             raise ValueError("need lo < hi")
+        self.__dict__.update(lo=lo, hi=hi)
 
     def hull(self):
         return (self.lo, self.hi)
@@ -545,8 +565,7 @@ class FullInterval(SetSpec):
         return (self.hi - self.lo) / 2 ** level
 
 
-@dataclass(frozen=True)
-class Affine(SetSpec):
+class Affine(SetSpec, Record):
     """The set shift + scale * F, for an unwrapped F, a finite scale > 0
     and a finite shift.
 
@@ -556,15 +575,14 @@ class Affine(SetSpec):
     Affine, so a spec has at most one wrapper layer.
     """
 
-    inner: SetSpec
-    scale: float
-    shift: float
+    _fields = ("inner", "scale", "shift")
 
-    def __post_init__(self):
-        if isinstance(self.inner, Affine):
+    def __init__(self, inner, scale, shift):
+        if isinstance(inner, Affine):
             raise ValueError("Affine needs an unwrapped spec")
-        _positive("scale", _finite("scale", self.scale))
-        _finite("shift", self.shift)
+        _positive("scale", _finite("scale", scale))
+        _finite("shift", shift)
+        self.__dict__.update(inner=inner, scale=scale, shift=shift)
 
     def hull(self):
         h = self.inner.hull()
@@ -588,7 +606,8 @@ class Affine(SetSpec):
         # back, it may land an ulp inside a piece end that the query names
         s, t = self.scale, self.shift
         w0, w1 = self._window(lo, hi)
-        e = self.inner.extremes_in(w0, w1)
+        # a reversed window misses, though widened it may not be reversed
+        e = self.inner.extremes_in(w0, w1) if lo <= hi else None
         if e is None:
             return None
         return tuple(lo if y == w0 else hi if y == w1

@@ -6,11 +6,8 @@ invariant.  The checks only use public library entry points; randomized
 cases run from fixed seeds so the suite is deterministic.
 """
 
-from __future__ import annotations
-
 import math
 import random
-from dataclasses import dataclass
 
 from falpha.calculus import FOnF, derivative, integrate, sup_inf_on
 from falpha.cantor import (
@@ -44,6 +41,7 @@ from falpha.sets import (
     GapIFS,
     HarmonicCluster,
     Interval,
+    Record,
     Scale,
     TernaryCantor,
     Translate,
@@ -56,12 +54,12 @@ from falpha.sets import (
 __all__ = ["CheckResult", "run_checks", "ACCEPTANCE", "INVARIANTS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    residual: float
-    detail: str = ""
+class CheckResult(Record):
+    _fields = ("name", "ok", "residual", "detail")
+
+    def __init__(self, name, ok, residual, detail=""):
+        self.__dict__.update(name=name, ok=ok, residual=residual,
+                             detail=detail)
 
 
 def _result(name, residual, bound, detail=""):

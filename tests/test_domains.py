@@ -9,7 +9,7 @@ up to 2^64, floats up to the largest), each call does one of three
 things:
 
 * it returns a finite result: every number it holds, down through
-  tuples, lists and dataclass fields, is finite;
+  tuples, lists and record fields, is finite;
 * it returns an infinity that the row documents (``inf=True``); or
 * it raises a ValueError whose message names the parameter.
 
@@ -21,7 +21,6 @@ those.  Each call runs in process under a time bound.  A row marked
 caller asks to be built.
 """
 
-import dataclasses
 import functools
 import math
 import re
@@ -33,19 +32,20 @@ from hypothesis import given, settings, strategies as st
 
 from falpha import (
     ALPHA, Affine, DiffusionParams, DimensionReport, FinitePoints, FOnF,
-    FrictionParams, FullInterval, GapIFS, IntegralResult, Interval,
-    MassEstimate, Scale, StaircaseEvaluator, Subdivision, TernaryCantor,
-    Translate, box_dimension, cantor_staircase_exact, check_f_continuity,
-    coarse_mass, derivative, diffusion_density, diffusion_residual,
-    diffusion_variance, friction_velocity, g_series, gamma_dimension, gaps,
-    integrate, is_point_of_change, mass, net, power_rule_derivative,
-    power_rule_integral, sigma_alpha, similarity_order, spec_from_json,
-    staircase, staircase_power_bounds, time_of_flight,
+    FrictionParams, FullInterval, GapIFS, HarmonicCluster, IntegralResult,
+    Interval, MassEstimate, Scale, StaircaseEvaluator, Subdivision,
+    TernaryCantor, Translate, box_dimension, cantor_staircase_exact,
+    check_f_continuity, coarse_mass, derivative, diffusion_density,
+    diffusion_residual, diffusion_variance, friction_velocity, g_series,
+    gamma_dimension, gaps, integrate, is_point_of_change, mass, net,
+    power_rule_derivative, power_rule_integral, sigma_alpha, similarity_order,
+    spec_from_json, staircase, staircase_power_bounds, time_of_flight,
     verify_scaling_translation)
 from falpha.calculus import NoConvergence
 from falpha.dimension import box_counts
 from falpha.mass import DivergingMass
 from falpha.physics import DegenerateTime
+from falpha.sets import Record
 
 C = TernaryCantor()
 UNIT = Interval(0.0, 1.0)
@@ -315,15 +315,15 @@ def _bounded(call, value):
 
 def _numbers(obj):
     """The ints and floats that obj holds, down through tuples, lists and
-    dataclass fields."""
+    the fields of records."""
     if isinstance(obj, (int, float)):
         yield obj
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             yield from _numbers(item)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, Record):
+        for name in obj._fields:
+            yield from _numbers(getattr(obj, name))
 
 
 def test_numbers_reads_the_fields_of_a_result():
@@ -372,6 +372,9 @@ def test_a_bad_number_is_refused_by_name(row, data):
     (lambda: box_counts(C, 0.0, 1.0, 10 ** 9), "max_depth"),
     (lambda: box_dimension(C, 0.9, 0.1, 8), "a"),
     (lambda: box_counts(C, 1.0, 0.5, 4), "a"),
+    (lambda: gamma_dimension(HarmonicCluster(), 0.5 + 1e-13, 0.5), "a"),
+    (lambda: gamma_dimension(C, math.nextafter(1.0 / 3.0, 1.0), 1.0 / 3.0),
+     "a"),
     (lambda: diffusion_density(_diffusion(), math.nan, 0.5), "x"),
     (lambda: diffusion_density(_diffusion(), 0.5, math.nan), "t"),
     (lambda: diffusion_residual(_diffusion(), math.nan, 0.5), "x"),

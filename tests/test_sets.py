@@ -159,6 +159,19 @@ def test_a_nan_end_misses_f(base, wrap, lo, hi):
     assert spec.extremes_in(lo, hi) is None
 
 
+@pytest.mark.parametrize("base", [C, ASYM, FullInterval(0.0, 1.0),
+                                  FinitePoints((0.1, 0.5)), HarmonicCluster()])
+@pytest.mark.parametrize("wrap", [None, (2.0, -0.5)])
+@pytest.mark.parametrize("x", [0.0, 0.1, 1.0 / 3.0, 0.4, 0.5, 1.0])
+def test_a_reversed_window_misses_f(base, wrap, x):
+    # [x + 1 ulp, x] and [x + 1e-13, x] hold no point, though they lie
+    # within a set's slack of a point of F
+    spec = base if wrap is None else Affine(base, *wrap)
+    x = x if wrap is None else x * wrap[0] + wrap[1]
+    for lo in (math.nextafter(x, math.inf), x + 1e-13):
+        assert spec.extremes_in(lo, x) is None
+
+
 def test_finite_points():
     F = FinitePoints((0.1, 0.5, 0.9))
     assert intersects(F, Interval(0.5, 0.5))
