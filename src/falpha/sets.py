@@ -316,6 +316,8 @@ class GapIFS(SetSpec, Record):
         # one walk down the copies: a query strictly inside one meets no
         # other, and neither does any sub-query, which may resume here and,
         # mapped into each frame from its own ends, take the same floats
+        if not lo <= hi:  # a reversed window misses
+            return None
         h0, h1 = self._hull
         while True:
             # rejection slack: _query_slack, 1e-15 in global units; the
@@ -599,7 +601,8 @@ class Affine(SetSpec, Record):
                 (hi - t) / s + max(0.0, slack(hi, s) / s - own))
 
     def _isect(self, lo, hi):
-        return self.inner._isect(*self._window(lo, hi))
+        # a reversed window misses, though widened it may not be reversed
+        return lo <= hi and self.inner._isect(*self._window(lo, hi))
 
     def extremes_in(self, lo, hi):
         # an answer at the window's own end is the query's own end: mapped

@@ -17,10 +17,15 @@ from falpha.cantor import ALPHA, GAMMA_ALPHA1, g_series, power_rule_integral
 from falpha.cli import main
 from falpha.dimension import similarity_order
 from falpha.mass import StaircaseEvaluator, gamma_factor
-from falpha.physics import DiffusionParams, _gaussian
-from falpha.sets import (Affine, FinitePoints, FullInterval, HarmonicCluster,
-                         TernaryCantor, spec_from_json, spec_to_json)
+from falpha.physics import (DiffusionParams, FrictionParams, _gaussian,
+                            friction_velocity, time_of_flight)
+from falpha.sets import (Affine, FinitePoints, FullInterval, GapIFS,
+                         HarmonicCluster, TernaryCantor, spec_from_json,
+                         spec_to_json)
 from test_sets import _gap_ifs
+
+
+_ASYM = '{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}'
 
 
 def run(capsys, *argv):
@@ -54,6 +59,11 @@ def test_mass_verdict(capsys):
                          "--alpha", "0.5", "--format", "json")
     assert code == 0
     assert json.loads(out)["meta"]["verdict"] == "diverging"
+    # the verdict comes from the set's structure: {0.4, 0.25} diverges just
+    # below its order 0.61098
+    code, out, err = run(capsys, "mass", "--set", _ASYM, "--alpha", "0.61")
+    assert code == 0
+    assert "# verdict = diverging" in out.splitlines()
 
 
 def test_dimension(capsys):
@@ -65,6 +75,7 @@ def test_dimension(capsys):
     )
     assert float(meta["gamma_dim"]) <= 0.15
     assert abs(float(meta["box_dim"]) - 0.5) <= 0.05
+    assert meta["box_dim"] == "0.5"
 
 
 def test_integrate_first_moment(capsys):
@@ -85,6 +96,22 @@ def test_integrate_powers_of_the_staircase_at_the_defaults(capsys, n):
     assert lower <= power_rule_integral(n, 1.0) <= upper
 
 
+@pytest.mark.parametrize("argv, want", [
+    # a function of the staircase is integrated by substitution, so this
+    # closes; 20,000 pieces of the walk down the set do not
+    (("--f", "stair4", "--tol", "1e-6"), power_rule_integral(4, 1.0)),
+    # a set far from 0 keeps its mass out of its gaps
+    (("--set", '{"type":"cantor","translate":1000}', "--range", "1000",
+      "1001", "--f", "x"),
+     1000.5 / math.gamma(math.log(2) / math.log(3) + 1)),
+], ids=["stair4-at-tol-1e-6", "x-on-the-set-at-1000"])
+def test_integrate_brackets_the_exact_integral(capsys, argv, want):
+    code, out, err = run(capsys, "integrate", *argv)
+    assert code == 0, err
+    lo, hi = map(float, out.splitlines()[-1].split(",")[:2])
+    assert lo <= want <= hi
+
+
 def test_differentiate(capsys):
     code, out, err = run(capsys, "differentiate", "--set", "cantor",
                          "--alpha", "auto", "--level", "2")
@@ -94,6 +121,20 @@ def test_differentiate(capsys):
     for line in lines[start:]:
         x, value, side, residual = line.split(",")
         assert float(value) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--set", _ASYM),
+    ("--f", "stair2"),
+    # a set scaled far up keeps a staircase variation at each point: the
+    # walk stops before copies shorter than the slack
+    ("--set", '{"type": "cantor", "scale": 10000}', "--range", "0", "10000"),
+])
+def test_differentiate_tabulates_without_an_error(capsys, argv):
+    code, out, err = run(capsys, "differentiate", *argv)
+    assert code == 0
+    assert not [line for line in (out + err).splitlines()
+                if line.startswith("error:")]
 
 
 def test_differentiate_labels_gap_edges_at_the_defaults(capsys):
@@ -170,9 +211,6 @@ USAGE_ERRORS = (
 def test_usage_errors_exit_1(capsys):
     for argv in USAGE_ERRORS:
         assert run(capsys, *argv)[0] == 1, argv
-
-
-_ASYM = '{"type": "gap_ifs", "ratios": [0.4, 0.25], "offsets": [0.0, 0.75]}'
 
 
 @pytest.mark.parametrize("argv", [
@@ -258,6 +296,7 @@ def test_a_range_whose_width_overflows_exits_1(capsys, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "1e+308" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["dimension", "mass"])
@@ -291,7 +330,20 @@ def test_default_dimension_table_is_one_probe_at_the_order(capsys):
     meta = dict(line[2:].split(" = ") for line in lines
                 if line.startswith("# "))
     assert meta["gamma_dim"] == meta["bracket_lo"] == meta["bracket_hi"] == s
+    assert meta["box_dim"] == s
     assert lines[lines.index("alpha,verdict") + 1:] == [f"{s},positive"]
+
+
+def test_dimension_of_a_gap_ifs_is_its_order_to_the_last_bit(capsys):
+    # the dimension and both bracket ends are the order where the
+    # staircase rises, and so is the box dimension, read from structure
+    code, out, err = run(capsys, "dimension", "--set", _ASYM)
+    assert code == 0
+    s = repr(similarity_order((0.4, 0.25)))
+    meta = dict(line[2:].split(" = ") for line in out.splitlines()
+                if line.startswith("# "))
+    assert meta["gamma_dim"] == meta["bracket_lo"] == meta["bracket_hi"] == s
+    assert meta["box_dim"] == s
 
 
 @pytest.mark.parametrize("argv", [
@@ -377,9 +429,14 @@ def test_import_builds_no_parser():
 
 
 def test_only_verify_loads_the_checks():
-    # the property suite is imported by its one subcommand, not by the CLI
-    code = ("import sys, falpha.cli as c; "
+    # the property suite is imported by its one subcommand, not by the CLI;
+    # nor does the CLI load the dataclass machinery (dataclasses, and the
+    # inspect it loads) or typing, which the records do without, or
+    # fractions, which no subcommand needs
+    code = ("import sys; before = set(sys.modules); import falpha.cli as c; "
             "print('falpha.verify' in sys.modules); "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'fractions'}"
+            " & (set(sys.modules) - before))); "
             "rc = c.main(['verify', '--fast']); "
             "print('falpha.verify' in sys.modules, rc)")
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -388,6 +445,7 @@ def test_only_verify_loads_the_checks():
                          capture_output=True, text=True).stdout
     lines = out.splitlines()
     assert lines[0] == "False"
+    assert lines[1] == "[]"
     assert lines[-2] == "8/8 checks passed"
     assert lines[-1] == "True 0"
 
@@ -617,6 +675,10 @@ def _time_set(draw):
        fmt=st.sampled_from(("csv", "json")))
 @example(spec=TernaryCantor(), times=[1.0, 1.0, 0.0], lo=-1.0, hi=1.0,
          step=0.5, fmt="json")
+@example(spec=TernaryCantor(), times=[1.0 / 3.0, 1.0], lo=-2.0, hi=2.0,
+         step=0.25, fmt="csv")
+@example(spec=GapIFS((0.4, 0.25), (0.0, 0.75)), times=[1.0 / 3.0, 1.0],
+         lo=-1.5, hi=1.5, step=0.1, fmt="json")
 @example(spec=TernaryCantor(), times=[0.5], lo=1.0, hi=-1.0, step=0.5,
          fmt="csv")
 def test_diffusion_tables_are_the_table_of_their_values(spec, times, lo, hi,
@@ -670,6 +732,8 @@ def test_json_tables_round_trip_the_csv_cells(capsys, command):
     assert doc["columns"] == columns
     assert [[str(v) for v in row] for row in doc["rows"]] == rows
     assert {k: str(v) for k, v in doc.get("meta", {}).items()} == meta
+    # and JSON tables keep the layout of json.dumps(indent=2, sort_keys=True)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _table_set():
@@ -691,6 +755,12 @@ _ENDS = st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(-2.0, 2.0))
          alpha="auto", fmt="csv")
 @example(spec=HarmonicCluster(), a=-0.0, b=1.0, samples=40, alpha="auto",
          fmt="json")
+@example(spec=TernaryCantor(), a=0.0, b=1.0, samples=256, alpha="auto",
+         fmt="csv")
+@example(spec=GapIFS((0.4, 0.25), (0.0, 0.75)), a=0.0, b=1.0, samples=256,
+         alpha="auto", fmt="json")
+@example(spec=Affine(TernaryCantor(), 3.0, -1.0), a=-1.0, b=2.0, samples=300,
+         alpha="auto", fmt="csv")
 def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
                                                         alpha, fmt):
     # the command maps the staircase over its points and writes each
@@ -727,6 +797,7 @@ def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
 @settings(max_examples=30, deadline=None)
 @given(samples=st.integers(-2, 400), fmt=st.sampled_from(("csv", "json")))
 @example(samples=243, fmt="json")
+@example(samples=27, fmt="csv")
 def test_cantor_g_tables_are_the_table_of_their_values(samples, fmt):
     # the bytes _emit writes for the rows (y, g(y), g(y) * Gamma(alpha + 1))
     n = max(2, samples)
@@ -740,6 +811,45 @@ def test_cantor_g_tables_are_the_table_of_their_values(samples, fmt):
         code = main(["cantor-g", "--samples", str(samples), "--format", fmt])
     assert code == 0
     assert got.getvalue() == want.getvalue()
+
+
+_WRAPPED_ASYM = ('{"type": "gap_ifs", "ratios": [0.4, 0.25], '
+                 '"offsets": [0.0, 0.75], "scale": 1.3, "translate": 0.2}')
+
+
+@pytest.mark.parametrize("argv, text, a, b", [
+    ((), '{"type": "cantor"}', 0.0, 1.0),
+    (("--set", _ASYM), _ASYM, 0.0, 1.0),
+    (("--set", _WRAPPED_ASYM, "--range", "0.2", "1.5", "--x0", "0.2"),
+     _WRAPPED_ASYM, 0.2, 1.5),
+], ids=["cantor", "gap", "wrapped"])
+def test_friction_tables_are_the_table_of_their_values(capsys, argv, text, a,
+                                                       b):
+    # a flight reads the Lebesgue moments of its set and order from a memo;
+    # every row must still read back as the library's velocity and time at
+    # its x, each computed on fresh params
+    code, out, err = run(capsys, "friction", *argv, "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    meta = doc["meta"]
+    assert doc["columns"] == ["x", "velocity", "time_of_flight"]
+    assert (meta["v0"], meta["kappa"]) == (1.0, 0.5)
+
+    def fresh():
+        spec = spec_from_json(json.loads(text))
+        return FrictionParams(spec, meta["alpha"], v0=1.0, x0=a, kappa=0.5)
+
+    xs = [a + (b - a) * i / 15 for i in range(15)] + [b]
+    want = [[repr(x), repr(friction_velocity(fresh(), x)),
+             repr(time_of_flight(fresh(), x, tol=1e-6))] for x in xs]
+    assert [list(map(repr, row)) for row in doc["rows"]] == want
+    # each CSV cell is the repr of its JSON cell
+    code, out, err = run(capsys, "friction", *argv)
+    assert code == 0, err
+    lines = out.splitlines()
+    head = [f"# {k} = {meta[k]!r}" for k in sorted(meta)]
+    assert lines[:4] == head + ["x,velocity,time_of_flight"]
+    assert [line.split(",") for line in lines[4:]] == want
 
 
 _PLATEAUS = (

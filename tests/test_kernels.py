@@ -1,8 +1,10 @@
 """Kernels: the measure record against a one-pass build, the staircase
 descent against the exact middle-thirds descent at triadic rationals,
 special values, monotonicity, the first-moment descent against an exact
-rational descent, and the reported backend name."""
+rational descent, the reported backend name, and the imports of the
+exact oracle."""
 
+import ast
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -132,3 +134,22 @@ def test_moment_matches_an_exact_descent(data, base, wraps):
 
 def test_kernel_backend_is_python():
     assert falpha.kernel_backend == _backend.BACKEND == "python"
+
+
+def test_the_exact_oracle_imports_neither_falpha_nor_a_test_module():
+    # tests/exact.py is what the float code is checked against, so it must
+    # not compute with falpha, and it imports no test module, so no import
+    # cycle forms
+    path = exact.__file__
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(node.module or "")
+    bad = [name for name in found
+           if name.split(".")[0] == "falpha"
+           or name.split(".")[0].startswith("test_")]
+    assert not bad, f"{path} imports {bad}"

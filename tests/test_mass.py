@@ -20,6 +20,7 @@ from falpha.mass import (
     staircase,
     verify_scaling_translation,
 )
+from falpha.physics import FrictionParams, time_of_flight
 from falpha.sets import (
     Affine,
     FinitePoints,
@@ -118,6 +119,18 @@ def test_coarse_mass_monotone_in_delta():
         v = coarse_mass(ASYM, 0.0, 1.0, 0.61, 3.0 ** -k)
         assert v >= prev - 1e-12
         prev = v
+
+
+@pytest.mark.parametrize("delta, cost", [
+    (0.3, 3.0 * 0.3 ** 0.5 + 0.1 ** 0.5),  # three tiles and a remainder
+    (0.25, 4.0 * 0.25 ** 0.5),  # delta divides the width: no remainder
+])
+def test_coarse_mass_of_an_interval_tiles_it_at_the_mesh_bound(delta, cost):
+    # every stretch of an interval meets F, so its cover is tiles of length
+    # delta and one shorter tile for what is left
+    got = coarse_mass(FullInterval(0.0, 1.0), 0.0, 1.0, 0.5, delta)
+    want = cost / gamma_factor(0.5)
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_mass_verdicts_on_cantor():
@@ -475,6 +488,28 @@ def test_results_do_not_depend_on_calls_before(base, wrap, lo, x, others):
         mass(spec, a, b, alpha)
     assert _results(spec, order, a, b, x) == cold
     assert _results(spec, order, a, b, x) == cold
+
+
+def test_results_on_a_wrapped_two_map_set_repeat_bit_for_bit():
+    # a spec keeps no state between calls: a second call, and a call on an
+    # equal fresh spec, give the same results to the last bit, a flight
+    # through the set among them
+    def results(spec):
+        s = similarity_order(spec.inner.ratios)
+        out = [mass(spec, 0.3, 1.4, alpha) for alpha in (0.5, s, 0.8)]
+        out.append(gamma_dimension(spec, 0.3, 1.4, box_depth=6))
+        out.append(StaircaseEvaluator(spec, s, mode="numeric")(0.9))
+        flight = FrictionParams(spec, s, v0=1.0, x0=0.2, kappa=0.5)
+        out.append(time_of_flight(flight, 1.0, tol=1e-9))
+        return repr(out)
+
+    def make():
+        return Affine(GapIFS((0.4, 0.25), (0.0, 0.75)), 1.3, 0.2)
+
+    spec = make()
+    first = results(spec)
+    assert results(spec) == first, "a second call differs"
+    assert results(make()) == first, "an equal fresh spec differs"
 
 
 def test_numeric_increment_is_the_mass_at_the_order():

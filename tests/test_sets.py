@@ -76,6 +76,17 @@ def test_cantor_gaps():
     ] or any(abs(u - 1 / 3) < 1e-12 and abs(v - 2 / 3) < 1e-12 for u, v in spans)
     for u, v in spans:
         assert v - u >= 0.03
+    # the pieces of a window left and right of the hull are gaps too
+    assert gaps(C, Interval(-1.0, 2.0), 0.3) == [
+        Interval(-1.0, 0.0), Interval(1.0 / 3.0, 2.0 / 3.0),
+        Interval(1.0, 2.0)]
+    assert gaps(C, Interval(-2.0, -1.0), 0.3) == [Interval(-2.0, -1.0)]
+    assert gaps(C, Interval(2.0, 3.0), 0.3) == [Interval(2.0, 3.0)]
+    assert gaps(Affine(C, 2.0, -0.5), Interval(-1.0, 2.0), 0.5) == [
+        Interval(-1.0, -0.5), Interval(2.0 / 3.0 - 0.5, 4.0 / 3.0 - 0.5),
+        Interval(1.5, 2.0)]
+    # and the empty set leaves the whole window
+    assert gaps(FinitePoints(()), Interval(0.0, 1.0)) == [Interval(0.0, 1.0)]
 
 
 def test_gaps_require_min_len():
@@ -170,6 +181,7 @@ def test_a_reversed_window_misses_f(base, wrap, x):
     x = x if wrap is None else x * wrap[0] + wrap[1]
     for lo in (math.nextafter(x, math.inf), x + 1e-13):
         assert spec.extremes_in(lo, x) is None
+        assert not spec._isect(lo, x)
 
 
 def test_finite_points():
