@@ -5,18 +5,16 @@ the self-similar measure giving copy i the weight r_i^alpha / sum
 r_j^alpha (Hutchinson 1981).  ``measure`` builds its record on each
 call, in the frame that ``frame`` gives: a ``StaircaseEvaluator`` keeps
 the one it reads, and other callers seldom ask twice for one set at one
-order.  Every interval at order 1 re-frames one record of the unit
-halves, built at import.  Every descent down the copies reads a record:
-the staircase, the first moment, and the piece walk of
-``falpha.calculus``.  Callers reach the kernels as module attributes at
-call time, so a wrapper installed here, such as the benchmark's tracer,
-sees every call.  A descent works in the local coordinates of the copy
-entered: a point within ``sets.slack`` of a hull end (``eps``/scale
-locally) is that end.  The Lebesgue moments of the staircase need no
-descent: the same self-similarity makes them a linear recursion, solved
-once per set and order: a memo of at most ``_MOMENTS_CAP`` entries keys
-them by what the recursion reads, so a wrapped set shares its plain
-set's entry.
+order.  Every descent down the copies reads a record: the staircase,
+the first moment, and the piece walk of ``falpha.calculus``.  Callers
+reach the kernels as module attributes at call time, so a wrapper
+installed here, such as the benchmark's tracer, sees every call.  A
+descent works in the local coordinates of the copy entered: a point
+within ``sets.slack`` of a hull end (``eps``/scale locally) is that end.
+The Lebesgue moments of the staircase need no descent: the same
+self-similarity makes them a linear recursion, solved once per set and
+order: a memo of at most ``_MOMENTS_CAP`` entries keys them by what the
+recursion reads, so a wrapped set shares its plain set's entry.
 """
 
 import collections
@@ -71,25 +69,13 @@ def hull_eps(lam, t, hull):
 
 def measure(spec, alpha):
     """The record of spec at order alpha (an interval is its two halves),
-    or None for point sets and the harmonic cluster."""
+    or None for point sets and the harmonic cluster.  The mean M solves
+    M = sum p_j (f_j + r_j M) for weights p_j, ratios r_j and start shares
+    f_j; 1 - M, the Lebesgue mean of the rescaled staircase, is computed
+    first, so the two are complements in floats too."""
     lam, t, inner = frame(spec)
     if not isinstance(inner, GapIFS):
         return None
-    eps = hull_eps(lam, t, inner._hull)
-    if inner is _HALVES and alpha == 1.0:
-        # each substitution of falpha.calculus walks a fresh interval
-        rec = _HALVES_AT_1
-        return Measure(lam, t, rec.hull, rec.table, rec.shares, rec.total,
-                       rec.mean, eps, rec.side)
-    return _build(inner, alpha, lam, t, eps)
-
-
-def _build(inner, alpha, lam, t, eps):
-    """The record of the gap IFS ``inner`` at order alpha in the frame
-    t + lam x.  The mean M solves M = sum p_j (f_j + r_j M) for weights
-    p_j, ratios r_j and start shares f_j; 1 - M, the Lebesgue mean of the
-    rescaled staircase, is computed first, so the two are complements in
-    floats too."""
     ratios, copies = inner.ratios, inner._copies
     ps = [r ** alpha for r in ratios]
     total = sum(ps)
@@ -102,10 +88,8 @@ def _build(inner, alpha, lam, t, eps):
         sum([w * f for w, (f, _) in zip(weights, shares)])
         / (1.0 - sum([w * r for w, r in zip(weights, ratios)])))
     return Measure(lam, t, hull, tuple(zip(copies, weights)), shares, total,
-                   1.0 - stair_mean, eps, side_of_order(total))
-
-
-_HALVES_AT_1 = _build(_HALVES, 1.0, 1.0, 0.0, hull_eps(1.0, 0.0, (0.0, 1.0)))
+                   1.0 - stair_mean, hull_eps(lam, t, hull),
+                   side_of_order(total))
 
 
 def stair_scaled(hull, table, eps, x):

@@ -12,24 +12,25 @@ value read at a piece end enters the evaluator's cache, so an integrand
 or quotient that calls the staircase there runs no descent either.  An
 integrand g(S) of the staircase S it is integrated against is priced by
 substitution instead (``_by_substitution``): the integral of g over
-[S(a), S(b)], by the same walk down the halves of that interval, widened
-at a and b by how far S rises within twice the slack of each and of the
-origin.  Where that widening alone is at least tol it takes the walk
-down F.  The derivative is the limit of increment quotients at the far
-ends of the pieces that hold x, and 0 off F; a side of x is vacuous
-where x ends a piece with a gap on that side.  A side whose quotients
-have settled where x is the near end of its piece stops there: the
-finer pieces that hold x from that side share that end and change
-nothing.
+[S(a), S(b)], by the same walk down the unit halves framed to that
+interval (``_halves``), where S is u itself, widened at a and b by how
+far S rises within twice the slack of each and of the origin.  Where
+that widening alone is at least tol it takes the walk down F.  A NaN or
+an overflow in a piece's bound is refused, never summed into a bracket.
+The derivative is the limit of increment quotients at the far ends of
+the pieces that hold x, and 0 off F; a side of x is vacuous where x ends
+a piece with a gap on that side.  A side whose quotients have settled
+where x is the near end of its piece stops there: the finer pieces that
+hold x from that side share that end and change nothing.
 """
 
 import functools
 import heapq
 import math
 
-from falpha.mass import StaircaseEvaluator
-from falpha.sets import (FullInterval, Interval, Record, _children, _count,
-                         _finite, _positive, _reject_nan, net, slack)
+from falpha._backend import _HALVES, hull_eps
+from falpha.sets import (Interval, Record, _children, _count, _finite,
+                         _positive, _reject_nan, net, slack)
 
 __all__ = [
     "FOnF",
@@ -117,16 +118,19 @@ class FOnF(Record):
 def _by_ends(f, e0, e1):
     """(sup, inf) of f over the points of F in [e0, e1], e0 and e1 among
     them, from a monotone or Lipschitz hint.  Raises UnboundedHint for any
-    other f, ``net-sampled`` included: a sample of F bounds no sup."""
+    other f, ``net-sampled`` included: a sample of F bounds no sup; and
+    ValueError where f is NaN at e0 or e1, which max and min would drop."""
     kind = f.hint[:1] if isinstance(f, FOnF) else ()
+    if kind not in (("monotone",), ("lipschitz",)):
+        raise UnboundedHint("integrand has no monotone or Lipschitz bound")
+    f0, f1 = f(e0), f(e1)
+    if f0 != f0 or f1 != f1:
+        raise ValueError(f"f is NaN at x={e0 if f0 != f0 else e1!r}")
     if kind == ("monotone",):
-        f0, f1 = f(e0), f(e1)
         return (max(f0, f1), min(f0, f1))
-    if kind == ("lipschitz",):
-        # the cones of slope L from (e0, f(e0)) and (e1, f(e1)) meet there
-        mid, pad = (f(e0) + f(e1)) / 2.0, f.hint[1] * (e1 - e0) / 2.0
-        return (mid + pad, mid - pad)
-    raise UnboundedHint("integrand has no monotone or Lipschitz bound")
+    # the cones of slope L from (e0, f(e0)) and (e1, f(e1)) meet there
+    mid, pad = (f0 + f1) / 2.0, f.hint[1] * (e1 - e0) / 2.0
+    return (mid + pad, mid - pad)
 
 
 def sup_inf_on(f, spec, interval, level=None):
@@ -172,36 +176,44 @@ def _component(f, stair, u, v, whole=False, s=None):
 
 
 def _walk(stair):
-    """(hull piece, children) of the walk down the pieces (``_children``)
-    of the measure record of ``stair``, or None when there is no record
-    or its staircase is flat; the hull piece has the set's own ends."""
+    """(top piece, children, reader of S at a piece end, finest length)
+    of the walk down the pieces (``_children``) of the measure record of
+    ``stair``, or None when there is no record or its staircase is flat:
+    the hull piece, S from a piece's share (``stair._at``), and the slack
+    at the farther hull end (``rec.eps``) in global units."""
     rec = stair.measure
     if rec is None or rec.side < 0:
         return None
     rows = [(o, r, p) for (o, r, _, _), p in rec.table]
     return ((*stair.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),
-            functools.partial(_children, rec.hull, rows, rec.shift, rec.scale))
+            functools.partial(_children, rec.hull, rows, rec.shift, rec.scale),
+            stair._at, rec.eps * rec.scale)
 
 
-def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
-    """(lower, upper, pieces, depth) of an integral over [a, b] by a walk
-    down the pieces of ``_walk(stair)`` from the smallest that holds
-    [a, b], or the first below it shorter than the slack: the piece of
-    widest bracket splits until the width, as upper - lower and summed
-    piece by piece, is at most tol, that piece is shorter than
-    ``sets.slack`` at the farther hull end (``rec.eps``), or
-    ``max_pieces`` would be passed.  ``bound(u, v, su, sv, whole)`` is
-    (upper, lower) on a piece clipped to [u, v] where S is su and sv;
-    ``flat(u, v, s)`` is exact where S is s throughout: on a gap, off the
-    hull, or above the order.  S is a descent at a and b; at a piece end
-    the piece gives it (``stair._at``).  depth counts nested splits."""
-    sa, sb = stair(a), stair(b)
-    walk = _walk(stair)
+def _refuse(what, *xs):
+    """Raise for xs that are not all finite: ValueError for a NaN among
+    them, else OverflowError."""
+    if any(x != x for x in xs):
+        raise ValueError(f"{what} is NaN")
+    raise OverflowError(f"{what} overflows")
+
+
+def _bracket(walk, a, sa, b, sb, tol, bound, flat, max_pieces=math.inf):
+    """(lower, upper, pieces, depth) of an integral over [a, b], where S is
+    sa and sb, by a walk down the pieces of ``walk`` (as ``_walk`` gives
+    it) from the smallest that holds [a, b], or the first below it shorter
+    than the finest length: the piece of widest bracket splits until the
+    width, as upper - lower and summed piece by piece, is at most tol,
+    that piece is shorter than the finest length, or ``max_pieces`` would
+    be passed.  ``bound(u, v, su, sv, whole)`` is (upper, lower) on a
+    piece clipped to [u, v] where S is su and sv; ``flat(u, v, s)`` is
+    exact where S is s throughout: on a gap, off the hull, or above the
+    order, where there is no walk (None).  At a piece end the walk's
+    reader gives S.  A bound that is not finite is refused: ValueError
+    for NaN, OverflowError for an infinity.  depth counts nested splits."""
     if walk is None:
         return (flat(a, b, sa), flat(a, b, sa), 0, 0)
-    hull, kids = walk
-    at, rec = stair._at, stair.measure
-    finest, last = rec.eps * rec.scale, len(rec.table) - 1
+    hull, kids, at, finest = walk
     exact = upper = lower = width = 0.0
     count = depth = 0
     heap = []
@@ -228,6 +240,8 @@ def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
                                      if c[0] <= u and q <= c[1]), None))):
                 piece = kid
             hi, lo = bound(u, q, su, sq, (u, q) == piece[:2])
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                _refuse(f"the bound on [{u!r}, {q!r}]", hi, lo)
             upper, lower, count = upper + hi, lower + lo, count + 1
             if hi > lo:
                 heapq.heappush(heap, (lo - hi, *piece[:2], d, hi, lo, piece))
@@ -239,13 +253,14 @@ def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
     split(a, sa, b, sb, 0, [hull])
     while heap and max(width, upper - lower) > tol:
         _, k0, k1, d, hi, lo, piece = heap[0]
-        if k1 - k0 < finest or count + last > max_pieces:
+        if k1 - k0 < finest or (
+                count + len(spans := kids(piece)) - 1 > max_pieces):
             break
         heapq.heappop(heap)
         upper, lower, count = upper - hi, lower - lo, count - 1
         width -= hi - lo
         depth = max(depth, d + 1)
-        split(max(a, k0), sa, min(b, k1), sb, d + 1, kids(piece))
+        split(max(a, k0), sa, min(b, k1), sb, d + 1, spans)
     if width > tol:
         # far from 0 the sums round at ulps wider than tol, which can hide
         # a width the walk did not close
@@ -253,8 +268,18 @@ def _bracket(stair, a, b, tol, bound, flat, max_pieces=math.inf):
     return (exact + lower, exact + upper, count, depth)
 
 
-def _identity(u):
+def _identity(u, share=None):
+    """u: g the identity, and S on the axis of u at a piece end."""
     return u
+
+
+def _halves(u0, u1):
+    """The walk, as ``_walk`` gives it, down the unit halves framed to
+    [u0, u1] (t = u0, lam = u1 - u0), where S is u itself."""
+    lam, hull = u1 - u0, _HALVES._hull
+    return ((u0, u1, 0.0, 1.0, 0.0, 1.0, 1.0),
+            functools.partial(_children, hull, _HALVES._rows, u0, lam),
+            _identity, hull_eps(lam, u0, hull) * lam)
 
 
 def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
@@ -262,16 +287,17 @@ def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
     of the values of ``stair`` (``FOnF.of_stair`` on ``stair``, or
     ``FOnF.monotone(stair)`` with g the identity): the integral of g over
     [S(a), S(b)], by the walk of ``_bracket`` down the halves of that
-    interval at order 1, where g convex lies between the midpoint rule
+    interval (``_halves``), where g convex lies between the midpoint rule
     (Jensen) and the trapezoid (the chord) on each piece.  A descent reads
     a point within the slack at the farther hull end (``rec.eps``) of a
     piece end as that end, and rounds; so the true S(x) lies between the
     float S at x -+ eta, twice that slack, less the same spread at the
     origin a0.  Each end widens the bracket by its spread times the
     largest |g| over it: 0 where x and a0 lie in gaps wider than 2 eta.
-    None, for the walk down F, where f is not such a g, the set has no
-    measure record or is off its order (S is then flat or diverges), or
-    the widening alone is at least tol."""
+    A widening that is not finite is refused as ``_bracket`` refuses a
+    bound.  None, for the walk down F, where f is not such a g, the set
+    has no measure record or is off its order (S is then flat or
+    diverges), or the widening alone is at least tol."""
     rec = stair.measure
     if (not isinstance(f, FOnF) or f.hint[:1] != ("monotone",)
             or rec is None or rec.side != 0):
@@ -290,6 +316,8 @@ def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
         lo, hi = stair(x - eta) - o_hi, stair(x + eta) - o_lo
         # g is nondecreasing: |g| is largest at an end of [lo, hi]
         pad += max(abs(g(lo)), abs(g(hi))) * (hi - lo)
+    if not math.isfinite(pad):
+        _refuse("the widening", pad)
     if 2.0 * pad >= tol:
         return None
     if ub <= ua:
@@ -302,8 +330,8 @@ def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
 
     # an interval has no gap, so the walk prices no flat stretch
     lower, upper, count, depth = _bracket(
-        StaircaseEvaluator(FullInterval(ua, ub), 1.0, a0=ua), ua, ub,
-        tol - 2.0 * pad, bound, lambda u, v, s: 0.0, max_pieces)
+        _halves(ua, ub), ua, ua, ub, ub, tol - 2.0 * pad, bound,
+        lambda u, v, s: 0.0, max_pieces)
     return (lower - pad, upper + pad, count, depth)
 
 
@@ -330,7 +358,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
                               res.gap, res.refinement_depth)
     lower, upper, count, depth = _by_substitution(
         f, stair, a, b, tol, max_components) or _bracket(
-        stair, a, b, tol,
+        _walk(stair), a, stair(a), b, stair(b), tol,
         lambda u, v, su, sv, whole: _component(f, stair, u, v, whole,
                                                (su, sv)),
         lambda u, v, s: 0.0, max_components)
@@ -365,7 +393,7 @@ def _side(f, stair, x, walk, sign, tol, r0):
     neither the value nor the side.  An x computed elsewhere may miss a
     piece end by ulps: x is a piece end within ``sets.slack``.  Raises
     NoLimit when quotients do not settle."""
-    piece, kids = walk
+    piece, kids, at, _ = walk
     rec = stair.measure
     eps = slack(x, rec.scale)
     fx, sx = f(x), stair(x)
@@ -377,7 +405,7 @@ def _side(f, stair, x, walk, sign, tol, r0):
         y, share, near = ((k1, piece[5], k0) if sign > 0
                           else (k0, piece[4], k1))
         if settled is None and y != prev and abs(y - x) <= r0:
-            prev, ds = y, stair._at(y, share) - sx
+            prev, ds = y, at(y, share) - sx
             if ds != 0.0:
                 quots.append((f(y) - fx) / ds)
             if len(quots) >= 3:

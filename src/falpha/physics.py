@@ -18,7 +18,7 @@ import functools
 import math
 
 from falpha import _backend
-from falpha.calculus import FOnF, _bracket, derivative, integrate
+from falpha.calculus import FOnF, _bracket, _walk, derivative, integrate
 from falpha.mass import StaircaseEvaluator
 from falpha.sets import Record, _finite, _positive, _reject_nan
 
@@ -219,7 +219,8 @@ def time_of_flight(params, x, tol=1e-9):
         return ((v - u) / min(vc, vd), (v - u) / max(vc, vd))
 
     def walk(b):
-        return _bracket(params.stair, x0, b, tol, bound,
+        stair = params.stair
+        return _bracket(_walk(stair), x0, stair(x0), b, stair(b), tol, bound,
                         lambda u, v, s: (v - u) / speed(u, s))
 
     v_floor = 1e-9 * params.v0

@@ -341,7 +341,7 @@ class GapIFS(SetSpec, Record):
                 return None
 
     def extremes_in(self, lo, hi):
-        if not (lo <= hi and self._isect(lo, hi)):  # a reversed window misses
+        if not self._isect(lo, hi):  # _walk misses a reversed window
             return None
         return (self._extreme(lo, hi, True), self._extreme(lo, hi, False))
 

@@ -1,4 +1,5 @@
-"""The ten acceptance checks, one test each, with a printed verdict line.
+"""The ten acceptance checks and the invariants of ``falpha verify``, one
+test each, with a printed verdict line.
 
 Each test calls the corresponding check in falpha.verify (the same code
 the ``verify`` subcommand runs), prints a single PASS/FAIL line, and
@@ -61,6 +62,16 @@ def test_criterion_09_diffusion():
 
 def test_criterion_10_friction():
     _run(verify.acceptance_10_friction, None)
+
+
+@pytest.mark.parametrize(
+    "check", [c for c in verify.INVARIANTS
+              if c not in (verify.check_ftc_first, verify.check_ftc_second)],
+    ids=lambda c: c.__name__)
+def test_invariant(check):
+    # every invariant of ``falpha verify``; criterion 7 runs the two
+    # fundamental-theorem checks
+    _run(check, None)
 
 
 def test_verify_runs_the_fundamental_theorem_checks_once(monkeypatch):

@@ -447,7 +447,7 @@ def test_nets_and_gaps_end_walked_pieces(medium, level):
     # same frames: every net point and gap end is a walked end, bit for bit
     spec, alpha, _, copies = medium
     assume(copies is not None)
-    hull, kids = calculus._walk(StaircaseEvaluator(spec, alpha))
+    hull, kids, _, _ = calculus._walk(StaircaseEvaluator(spec, alpha))
     min_len = spec.resolution(level + 2)
     ends, stack = set(), [(hull, 0)]
     while stack:
@@ -524,7 +524,7 @@ def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
     a0 = h0 + (h1 - h0) * start
     stair = StaircaseEvaluator(spec, alpha, a0=a0)
     fresh = StaircaseEvaluator(spec, alpha, a0=a0)
-    hull, kids = calculus._walk(stair)
+    hull, kids, _, _ = calculus._walk(stair)
     stack = [(hull, 0)]
     while stack:
         piece, d = stack.pop()
@@ -538,7 +538,7 @@ def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
 def _reference_side(f, stair, x, walk, sign, tol, r0):
     """``calculus._side`` with no early stop: the walk goes on down to the
     finest piece that holds x from this side."""
-    piece, kids = walk
+    piece, kids, _, _ = walk
     rec = stair.measure
     eps = slack(x, rec.scale)
     fx, sx = f(x), stair(x)
@@ -894,6 +894,105 @@ def test_a_widening_wider_than_tol_takes_the_walk_down_f():
             assert (_walked(f, stair, 0.25, 0.75, tol=tol, max_components=cap)
                     == _walked(walk, stair, 0.25, 0.75, tol=tol,
                                max_components=cap))
+
+
+@pytest.mark.parametrize("f", [
+    FOnF.monotone(lambda x: math.nan),
+    FOnF.monotone(lambda x: x if x < 0.5 else math.nan),
+    FOnF.lipschitz(lambda x: math.nan, 1.0),
+], ids=["monotone", "nan-past-one-half", "lipschitz"])
+def test_a_nan_integrand_is_refused_at_its_point(f):
+    # max and min drop a NaN (max(0.0, nan) is 0.0), and every width test
+    # is false on one: unrefused, each gives a bracket of gap 0
+    with pytest.raises(ValueError, match="f is NaN at x=") as info:
+        integrate(f, STAIR, 0.0, 1.0)
+    x = float(str(info.value).rsplit("=", 1)[1])
+    assert math.isnan(f(x)) and 0.0 <= x <= 1.0
+
+
+@pytest.mark.parametrize("value, error", [(math.nan, ValueError),
+                                          (math.inf, OverflowError),
+                                          (-math.inf, OverflowError)])
+def test_a_bound_that_is_not_finite_is_refused(value, error):
+    walk = calculus._walk(STAIR)
+    for bounds in ((value, 0.0), (0.0, value)):
+        with pytest.raises(error, match=r"the bound on \[0\.0, 1\.0\]"):
+            calculus._bracket(walk, 0.0, STAIR(0.0), 1.0, STAIR(1.0), 1e-3,
+                              lambda u, v, su, sv, whole: bounds,
+                              lambda u, v, s: 0.0)
+
+
+def test_a_widening_that_is_not_finite_is_refused():
+    # S rises within the slack of 1/4 and of 3/4, so a g of inf there
+    # widens by inf; a NaN widening would pass the test against tol
+    stair = StaircaseEvaluator(C, ALPHA)
+    for g, error, word in ((lambda u: math.nan, ValueError, "is NaN"),
+                           (lambda u: math.inf, OverflowError, "overflows")):
+        f = FOnF.of_stair(g, stair)
+        with pytest.raises(error, match=f"the widening {word}"):
+            calculus._by_substitution(f, stair, 0.25, 0.75, 1e-3)
+        with pytest.raises(error, match=f"the widening {word}"):
+            integrate(f, stair, 0.25, 0.75, tol=1e-3)
+
+
+def test_a_substitution_builds_no_evaluator(monkeypatch):
+    # the walk down the halves of [S(a), S(b)] needs no staircase of that
+    # interval, nor its measure record
+    stair = StaircaseEvaluator(C, ALPHA)
+    built = []
+    init = StaircaseEvaluator.__init__
+
+    def spy(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(StaircaseEvaluator, "__init__", spy)
+    for f in (FOnF.monotone(stair), FOnF.of_stair(lambda u: u ** 2, stair)):
+        assert calculus._by_substitution(f, stair, 0.1, 0.9, 1e-6)
+        assert integrate(f, stair, 0.1, 0.9, tol=1e-6).gap <= 1e-6
+    assert built == []
+
+
+@st.composite
+def _spans(draw):
+    """(u0, u1) with u0 < u1: near 0, far from 0, and from 1e-300 to
+    1e300, over widths from 1e-12 to 1e3 of max(1, |u0|)."""
+    u0 = draw(st.one_of(
+        st.floats(-1.0, 1.0), st.floats(1e3, 1e12), st.floats(-1e12, -1e3),
+        st.floats(-300.0, 300.0).map(lambda k: 10.0 ** k)))
+    width = max(1.0, abs(u0)) * 10.0 ** draw(st.floats(-12.0, 3.0))
+    u1 = u0 + width
+    assume(u0 < u1)
+    return u0, u1
+
+
+def _interval_walk(u0, u1):
+    """(walk, S(u0), S(u1)) of the evaluator on [u0, u1] at order 1 from
+    u0: the reference that the walk of ``_halves`` must match."""
+    stair = StaircaseEvaluator(FullInterval(u0, u1), 1.0, a0=u0)
+    return calculus._walk(stair), stair(u0), stair(u1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(span=_spans(), n=st.integers(1, 4),
+       tol=st.sampled_from((1e-2, 1e-4, 1e-6)))
+def test_the_halves_walk_is_the_interval_evaluators(span, n, tol):
+    # g = ((u - u0) / w)^n is convex and nondecreasing on [u0, u1]: the
+    # same pieces, bounds and sums, bit for bit, at a tol relative to w
+    u0, u1 = span
+    w = u1 - u0
+
+    def bound(u, v, su, sv, whole):
+        d = v - u
+        return (d * ((((u - u0) / w) ** n + ((v - u0) / w) ** n) / 2.0),
+                d * (((u + v) / 2.0 - u0) / w) ** n)
+
+    def bracket(walk, s0, s1):
+        return calculus._bracket(walk, u0, s0, u1, s1, tol * w, bound,
+                                 lambda u, v, s: 0.0, 2000)
+
+    got = bracket(calculus._halves(u0, u1), u0, u1)
+    assert repr(got) == repr(bracket(*_interval_walk(u0, u1)))
 
 
 def test_the_staircase_cache_stays_under_its_cap():

@@ -299,6 +299,18 @@ def test_a_range_whose_width_overflows_exits_1(capsys, command):
     assert "Traceback" not in err
 
 
+def test_an_integral_that_overflows_exits_1(capsys):
+    # x times the rise of S overflows on a piece: unrefused, that bound
+    # would print inf,nan,nan,0.0 as a result
+    code, out, err = run(capsys, "integrate", "--set",
+                         '{"type":"cantor","scale":1e300}',
+                         "--range", "0", "1e300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["dimension", "mass"])
 def test_a_range_of_finite_width_near_the_float_limit_is_tabulated(
         capsys, command):

@@ -137,6 +137,18 @@ def test_friction_general_coefficient():
     )
 
 
+def test_a_nan_coefficient_is_refused():
+    # the drop integrates k over F, where max and min would drop a NaN
+    # of k and leave the flight a finite time
+    from falpha.calculus import FOnF
+
+    p = FrictionParams(C, ALPHA, v0=1.0, k=FOnF.monotone(lambda x: math.nan))
+    with pytest.raises(ValueError, match="f is NaN at x="):
+        friction_velocity(p, 0.5)
+    with pytest.raises(ValueError, match="f is NaN at x="):
+        time_of_flight(p, 0.5)
+
+
 def test_friction_param_validation():
     with pytest.raises(ValueError):
         FrictionParams(C, ALPHA, v0=0.0, kappa=0.5)
