@@ -7,10 +7,13 @@ the construction pieces of the set (``_bracket``), which also brackets
 the Lebesgue integral of ``physics.time_of_flight``.  Its pieces come
 from ``sets._children``: a whole piece's ends lie in F, bit for bit
 ``extremes_in``'s, and carry their staircase values, so a monotone or
-Lipschitz integrand is bounded there with no set query or descent.  The
-value read at a piece end enters the evaluator's cache, so an integrand
-or quotient that calls the staircase there runs no descent either.  An
-integrand g(S) of the staircase S it is integrated against is priced by
+Lipschitz integrand is bounded there with no set query or descent, a
+monotone one by one call per piece (``_piece_bound``).  A heap entry
+carries S at its ends, which the outer copies of a piece keep, so a
+split reads S only at the ends that its copies add.  The value read at
+a piece end enters the evaluator's cache, so an integrand or quotient
+that calls the staircase there runs no descent either.  An integrand
+g(S) of the staircase S it is integrated against is priced by
 substitution instead (``_by_substitution``): the integral of g over
 [S(a), S(b)], by the same walk down the unit halves framed to that
 interval (``_halves``), where S is u itself, widened at a and b by how
@@ -19,9 +22,12 @@ that widening alone is at least tol it takes the walk down F.  A NaN or
 an overflow in a piece's bound is refused, never summed into a bracket.
 The derivative is the limit of increment quotients at the far ends of
 the pieces that hold x, and 0 off F; a side of x is vacuous where x ends
-a piece with a gap on that side.  A side whose quotients have settled
-where x is the near end of its piece stops there: the finer pieces that
-hold x from that side share that end and change nothing.
+a piece with a gap on that side.  Each side builds only the copy that
+holds x at each step (``sets._child``), down to pieces whose length
+scales with the set's hull, and stops once its quotients have settled
+where x is the near end of its piece: the finer pieces that hold x from
+that side share that end and change nothing.  A NaN of f at x or at a
+far end is refused by name, as the integral refuses it.
 """
 
 import functools
@@ -29,8 +35,8 @@ import heapq
 import math
 
 from falpha._backend import _HALVES, hull_eps
-from falpha.sets import (Interval, Record, _children, _count, _finite,
-                         _positive, _reject_nan, net, slack)
+from falpha.sets import (Interval, Record, _child, _children, _count,
+                         _finite, _positive, _reject_nan, net, slack)
 
 __all__ = [
     "FOnF",
@@ -115,17 +121,23 @@ class FOnF(Record):
         return FOnF(fn, ("net-sampled",))
 
 
+def _nan_at(x):
+    """The error for an f that is NaN at x, which max, min and every
+    comparison would drop."""
+    return ValueError(f"f is NaN at x={x!r}")
+
+
 def _by_ends(f, e0, e1):
     """(sup, inf) of f over the points of F in [e0, e1], e0 and e1 among
     them, from a monotone or Lipschitz hint.  Raises UnboundedHint for any
     other f, ``net-sampled`` included: a sample of F bounds no sup; and
-    ValueError where f is NaN at e0 or e1, which max and min would drop."""
+    ValueError where f is NaN at e0 or e1 (``_nan_at``)."""
     kind = f.hint[:1] if isinstance(f, FOnF) else ()
     if kind not in (("monotone",), ("lipschitz",)):
         raise UnboundedHint("integrand has no monotone or Lipschitz bound")
     f0, f1 = f(e0), f(e1)
     if f0 != f0 or f1 != f1:
-        raise ValueError(f"f is NaN at x={e0 if f0 != f0 else e1!r}")
+        raise _nan_at(e0 if f0 != f0 else e1)
     if kind == ("monotone",):
         return (max(f0, f1), min(f0, f1))
     # the cones of slope L from (e0, f(e0)) and (e1, f(e1)) meet there
@@ -144,7 +156,9 @@ def sup_inf_on(f, spec, interval, level=None):
 
 def upper_lower_sums(f, stair, subdivision):
     """Upper and lower staircase-weighted sums of f over the subdivision."""
-    sums = [_component(f, stair, u, v) for u, v in subdivision.components()]
+    bound = _piece_bound(f, stair)
+    sums = [bound(u, v, stair(u), stair(v), False)
+            for u, v in subdivision.components()]
     return (sum((hi for hi, _ in sums), 0.0),
             sum((lo for _, lo in sums), 0.0))
 
@@ -160,27 +174,41 @@ class IntegralResult(Record):
         return self.lower - slack <= target <= self.upper + slack
 
 
-def _component(f, stair, u, v, whole=False, s=None):
-    """(upper, lower) staircase-weighted bounds of f on [u, v], with
-    ``s`` = (S(u), S(v)) as the walk read them, else by descents.
-    ``whole`` says [u, v] is a whole construction piece: its ends are the
-    extremes of F in it, as ``extremes_in`` returns them, so a monotone or
-    Lipschitz f is bounded there with no set query."""
-    su, sv = s or (stair(u), stair(v))
-    ds = sv - su
-    if ds == 0.0:
-        return (0.0, 0.0)
-    m_hi, m_lo = (_by_ends(f, u, v) if whole
-                  else sup_inf_on(f, stair.spec, Interval(u, v)))
-    return (m_hi * ds, m_lo * ds)
+def _piece_bound(f, stair):
+    """The ``bound`` of ``_bracket`` for the integral of f against
+    ``stair``: (upper, lower) = (sup, inf) of f times the rise of S on
+    [u, v], where S is su and sv, with no read of f where S is flat.  On a
+    whole construction piece its ends are the extremes of F in it, as
+    ``extremes_in`` returns them, so a monotone or Lipschitz f is bounded
+    there with no set query (``_by_ends``; a monotone f inline, by one
+    call per piece); a clipped piece asks ``sup_inf_on``."""
+    spec = stair.spec
+    monotone = isinstance(f, FOnF) and f.hint[:1] == ("monotone",)
+
+    def bound(u, v, su, sv, whole):
+        ds = sv - su
+        if ds == 0.0:
+            return (0.0, 0.0)
+        if whole and monotone:
+            f0, f1 = f(u), f(v)
+            if f0 != f0 or f1 != f1:
+                raise _nan_at(u if f0 != f0 else v)
+            return (max(f0, f1) * ds, min(f0, f1) * ds)
+        m_hi, m_lo = (_by_ends(f, u, v) if whole
+                      else sup_inf_on(f, spec, Interval(u, v)))
+        return (m_hi * ds, m_lo * ds)
+
+    return bound
 
 
 def _walk(stair):
     """(top piece, children, reader of S at a piece end, finest length)
     of the walk down the pieces (``_children``) of the measure record of
     ``stair``, or None when there is no record or its staircase is flat:
-    the hull piece, S from a piece's share (``stair._at``), and the slack
-    at the farther hull end (``rec.eps``) in global units."""
+    the hull piece, ``_children`` bound to the frame (hull, rows, t, lam)
+    that ``_side`` reads from its ``args``, S from a piece's share
+    (``stair._at``), and the slack at the farther hull end (``rec.eps``)
+    in global units."""
     rec = stair.measure
     if rec is None or rec.side < 0:
         return None
@@ -208,59 +236,69 @@ def _bracket(walk, a, sa, b, sb, tol, bound, flat, max_pieces=math.inf):
     be passed.  ``bound(u, v, su, sv, whole)`` is (upper, lower) on a
     piece clipped to [u, v] where S is su and sv; ``flat(u, v, s)`` is
     exact where S is s throughout: on a gap, off the hull, or above the
-    order, where there is no walk (None).  At a piece end the walk's
-    reader gives S.  A bound that is not finite is refused: ValueError
-    for NaN, OverflowError for an infinity.  depth counts nested splits."""
+    order, where there is no walk (None).  A heap entry carries S at the
+    ends of its clipped piece, and the outer copies of a piece keep its
+    ends, so a split reads S, by the walk's reader, only at the ends its
+    copies add, and at its own start where float drift let the copy
+    before it overlap it.  A bound that is not finite is refused:
+    ValueError for NaN, OverflowError for an infinity.  depth counts
+    nested splits."""
     if walk is None:
         return (flat(a, b, sa), flat(a, b, sa), 0, 0)
     hull, kids, at, finest = walk
     exact = upper = lower = width = 0.0
     count = depth = 0
     heap = []
-
-    def split(u, su, v, sv, d, spans):
-        # [u, v] as the pieces met and the flat stretches between them;
-        # where u or v is a piece end, S there is the piece's
-        nonlocal exact, upper, lower, width, count
+    push, isfinite = heapq.heappush, math.isfinite
+    u, su, v, sv, d, spans = a, sa, b, sb, 0, [hull]
+    while True:
+        # [u, v], where S is su and sv, as the pieces of depth d met and
+        # the flat stretches between them; S at a piece end inside it is
+        # the piece's
         for piece in spans:
-            k0, k1 = piece[:2]
+            k0, k1 = piece[0], piece[1]
             if v <= k0:
                 break
             if u < k0:
                 exact += flat(u, k0, su)
-            if u <= k0:
                 u, su = k0, at(k0, piece[4])
-            if min(v, k1) <= u:
+            if k1 <= u or v <= u:
                 continue
-            q, sq = (k1, at(k1, piece[5])) if k1 <= v else (v, sv)
+            q, sq = (k1, at(k1, piece[5])) if k1 < v else (v, sv)
             # a clipped piece that lies in one of its copies is that copy,
             # down to the pieces the heap loop would no longer split
-            while ((u, q) != piece[:2] and piece[1] - piece[0] >= finest
-                   and (kid := next((c for c in kids(piece)
-                                     if c[0] <= u and q <= c[1]), None))):
-                piece = kid
-            hi, lo = bound(u, q, su, sq, (u, q) == piece[:2])
-            if not (math.isfinite(hi) and math.isfinite(lo)):
+            while (u != k0 or q != k1) and k1 - k0 >= finest:
+                kid = next((c for c in kids(piece) if c[0] <= u and q <= c[1]),
+                           None)
+                if kid is None:
+                    break
+                piece, k0, k1 = kid, kid[0], kid[1]
+            hi, lo = bound(u, q, su, sq, u == k0 and q == k1)
+            if not (isfinite(hi) and isfinite(lo)):
                 _refuse(f"the bound on [{u!r}, {q!r}]", hi, lo)
             upper, lower, count = upper + hi, lower + lo, count + 1
             if hi > lo:
-                heapq.heappush(heap, (lo - hi, *piece[:2], d, hi, lo, piece))
+                push(heap, (lo - hi, k0, k1, d, hi, lo, piece, u, su, q, sq))
                 width += hi - lo
             u, su = q, sq
         if u < v:
             exact += flat(u, v, su)
-
-    split(a, sa, b, sb, 0, [hull])
-    while heap and max(width, upper - lower) > tol:
-        _, k0, k1, d, hi, lo, piece = heap[0]
+        # split the piece of widest bracket into its copies
+        if not (heap and (width > tol or upper - lower > tol)):
+            break
+        _, k0, k1, d, hi, lo, piece, u, su, v, sv = heap[0]
         if k1 - k0 < finest or (
                 count + len(spans := kids(piece)) - 1 > max_pieces):
             break
         heapq.heappop(heap)
         upper, lower, count = upper - hi, lower - lo, count - 1
         width -= hi - lo
-        depth = max(depth, d + 1)
-        split(max(a, k0), sa, min(b, k1), sb, d + 1, spans)
+        d += 1
+        depth = max(depth, d)
+        if u > k0 and u > a:
+            # float drift let the copy before this one overlap it, and
+            # clip it: it splits whole, as its ends and [a, b] clip it
+            u, su = (k0, at(k0, piece[4])) if k0 >= a else (a, sa)
     if width > tol:
         # far from 0 the sums round at ulps wider than tol, which can hide
         # a width the walk did not close
@@ -337,7 +375,7 @@ def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
 
 def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
     """Certified bracket for the staircase-weighted integral of f: a walk
-    down the construction pieces (``_bracket``) with ``_component`` on
+    down the construction pieces (``_bracket``) with ``_piece_bound`` on
     each piece and nothing on a gap, until upper - lower <= tol.  A
     monotone or Lipschitz f on a whole piece is bounded by its values at
     the piece's ends, which lie in F; a clipped piece asks the set for the
@@ -358,9 +396,7 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
                               res.gap, res.refinement_depth)
     lower, upper, count, depth = _by_substitution(
         f, stair, a, b, tol, max_components) or _bracket(
-        _walk(stair), a, stair(a), b, stair(b), tol,
-        lambda u, v, su, sv, whole: _component(f, stair, u, v, whole,
-                                               (su, sv)),
+        _walk(stair), a, stair(a), b, stair(b), tol, _piece_bound(f, stair),
         lambda u, v, s: 0.0, max_components)
     res = IntegralResult(lower, upper, (upper + lower) / 2.0,
                          max(0.0, upper - lower), depth)
@@ -379,73 +415,86 @@ class DerivativeResult(Record):
         self.__dict__.update(value=value, side=side, residual=residual)
 
 
-def _side(f, stair, x, walk, sign, tol, r0):
+def _side(f, x, fx, sx, walk, sign, tol, r0, eps, finest):
     """(value, residual) of the quotients on one side of x (sign -1 left,
-    +1 right), at the far ends of the pieces that hold x from that side,
-    down the ``walk`` of ``_walk``, with S at those ends read from the
-    pieces; None when x ends a piece with a gap on this side, or the side
-    shows no variation.  The walk stops at pieces 1e-13 max(1, |x|) long,
-    or twice the ``sets.slack`` of x over the least ratio, below which a
-    copy could be shorter than the slack; and once the quotients have
-    settled where x is, bit for bit, the near end of its piece: every
-    finer piece that holds x from this side is then an outer copy with
-    that near end (``_children`` keeps the parent's ends), and changes
-    neither the value nor the side.  An x computed elsewhere may miss a
-    piece end by ulps: x is a piece end within ``sets.slack``.  Raises
+    +1 right), where f is fx and S is sx, at the far ends of the pieces
+    that hold x from that side, down the ``walk`` of ``_walk``, with S at
+    those ends read from the pieces; None when x ends a piece with a gap
+    on this side, or the side shows no variation.  Each step builds only
+    the copy that holds x (``sets._child``), with the slack ``eps`` of x.
+    The walk stops at pieces shorter than ``finest``, and once the
+    quotients have settled where x is, bit for bit, the near end of its
+    piece: every finer piece that holds x from this side is then an outer
+    copy with that near end (``_children`` keeps the parent's ends), and
+    changes neither the value nor the side.  An x computed elsewhere may
+    miss a piece end by ulps: x is a piece end within ``eps``.  Raises
+    ValueError where f is NaN at a far end it reads (``_nan_at``), and
     NoLimit when quotients do not settle."""
     piece, kids, at, _ = walk
-    rec = stair.measure
-    eps = slack(x, rec.scale)
-    fx, sx = f(x), stair(x)
-    finest = max(1e-13 * max(1.0, abs(x)),
-                 2.0 * eps / min(r for (_, r, _, _), _ in rec.table))
+    hull, rows, t, lam = kids.args  # the frame that ``kids`` is bound to
     quots, prev, settled = [], None, None
     while piece is not None:
-        k0, k1 = piece[:2]
+        k0, k1 = piece[0], piece[1]
         y, share, near = ((k1, piece[5], k0) if sign > 0
                           else (k0, piece[4], k1))
         if settled is None and y != prev and abs(y - x) <= r0:
             prev, ds = y, at(y, share) - sx
             if ds != 0.0:
-                quots.append((f(y) - fx) / ds)
-            if len(quots) >= 3:
-                d1 = abs(quots[-1] - quots[-2])
-                d2 = abs(quots[-2] - quots[-3])
-                # quotient tails decay roughly geometrically, so demand
-                # diffs well under tol to keep the settled value within tol
-                if max(d1, d2) <= 0.25 * tol * max(1.0, abs(quots[-1])):
-                    settled = (quots[-1], d1)
+                fy = f(y)
+                if fy != fy:
+                    raise _nan_at(y)
+                quots.append((fy - fx) / ds)
+                if len(quots) >= 3:
+                    d1 = abs(quots[-1] - quots[-2])
+                    d2 = abs(quots[-2] - quots[-3])
+                    # quotient tails decay roughly geometrically, so demand
+                    # diffs well under tol to keep the settled value within
+                    # tol
+                    if max(d1, d2) <= 0.25 * tol * max(1.0, abs(quots[-1])):
+                        settled = (quots[-1], d1)
         if settled is not None and x == near:
             return settled
         if k1 - k0 < finest:
             if settled is None and len(quots) >= 3:
                 raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
             return settled
-        # the copy that holds x from this side; touching copies each hold
-        # their shared end, from their own side
-        piece = next((c for c in kids(piece)
-                      if (c[0] + eps < x <= c[1] + eps if sign < 0
-                          else c[0] - eps <= x < c[1] - eps)), None)
+        piece = _child(hull, rows, t, lam, piece, x, eps, sign)
     return None
 
 
-def derivative(f, stair, x, tol=1e-3, r0=1.0):
+def derivative(f, stair, x, tol=1e-3, r0=None):
     """Staircase-quotient derivative of f at x; exactly 0 off F.  Each side
     of x takes (f(y) - f(x)) / (S(y) - S(x)) at the far ends y of the
     construction pieces that hold x, none farther than r0 from x, until two
     successive differences are each at most tol / 4; a side is vacuous
     where x ends a piece with a gap on that side.  A settled side stops
     its walk (``_side``) once x is the near end of its piece, which every
-    finer piece that holds x from that side shares.  tol must be
-    positive, and so must r0 at a point of F.  Raises NoLimit when the
-    quotients do not settle, the sides disagree beyond tol, or S is flat."""
+    finer piece that holds x from that side shares.  Both sides share f(x),
+    S(x), the slack of x and the finest piece length: 1e-13 max(W, |x|)
+    for the width W of the set's hull, or twice that slack over the least
+    ratio, below which a copy could be shorter than the slack.  r0
+    defaults to W, so both scale with the set.  tol must be positive, and
+    so must r0 at a point of F.  Raises ValueError where f is NaN at x or
+    at a piece end the walk reads, and NoLimit when the quotients do not
+    settle, the sides disagree beyond tol, or S is flat."""
     _positive("tol", tol)
     _reject_nan("x", x)
     if not stair.spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)
     walk = _walk(stair)
-    left = walk and _side(f, stair, x, walk, -1, tol, r0)
-    right = walk and _side(f, stair, x, walk, +1, tol, r0)
+    left = right = None
+    if walk is not None:
+        rec = stair.measure
+        width = rec.scale * (rec.hull[1] - rec.hull[0])
+        r0 = width if r0 is None else r0
+        eps = slack(x, rec.scale)
+        finest = max(1e-13 * max(width, abs(x)),
+                     2.0 * eps / min([r for (_, r, _, _), _ in rec.table]))
+        fx, sx = f(x), stair(x)
+        if fx != fx:
+            raise _nan_at(x)
+        left = _side(f, x, fx, sx, walk, -1, tol, r0, eps, finest)
+        right = _side(f, x, fx, sx, walk, +1, tol, r0, eps, finest)
     if left and right:
         mismatch = abs(left[0] - right[0])
         if mismatch > tol * max(1.0, abs(left[0])):
@@ -458,7 +507,8 @@ def derivative(f, stair, x, tol=1e-3, r0=1.0):
         return DerivativeResult(value, "left" if left else "right", residual)
     # a bad r0 lets no quotient in on either side: it is refused here, at
     # no cost to a call that finds a limit
-    _positive("r0", r0)
+    if r0 is not None:
+        _positive("r0", r0)
     raise NoLimit(f"no staircase variation reachable on either side of x={x}")
 
 

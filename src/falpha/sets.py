@@ -76,6 +76,26 @@ def _children(hull, rows, t, lam, piece):
     return kids
 
 
+def _child(hull, rows, t, lam, piece, x, eps, sign):
+    """The copy of a piece that holds x from the left (sign -1: x in
+    (lo + eps, hi + eps]) or from the right (sign +1: x in [lo - eps,
+    hi - eps)), as ``_children`` builds it, bit for bit, but alone; None
+    where no copy does.  Touching copies each hold their shared end, from
+    their own side."""
+    h0, h1 = hull
+    lo, hi, off, sc, c, end, w = piece
+    last = len(rows) - 1
+    for i, (o, r, p) in enumerate(rows):
+        o, r, p = off + sc * o, sc * r, w * p
+        k0 = t + lam * (o + r * h0) if i else lo
+        k1 = t + lam * (o + r * h1) if i < last else hi
+        if (k0 + eps < x <= k1 + eps if sign < 0
+                else k0 - eps <= x < k1 - eps):
+            return (k0, k1, o, r, c, c + p if i < last else end, p)
+        c += p
+    return None
+
+
 def _reject_nan(name, x, least=-math.inf):
     """Refuse NaN, which fails every comparison so that a query would not
     see it, and an x below ``least``; the infinities pass."""
@@ -326,9 +346,12 @@ class GapIFS(SetSpec, Record):
             y0, y1 = (lo - off) / scale, (hi - off) / scale
             if not (y1 >= h0 - eps and y0 <= h1 + eps):
                 return None
-            if y0 <= h0 or y1 >= h1 or eps >= h1 - h0:
-                # hull ends belong to F, and so does a query in a piece
-                # that lies within the slack
+            if y0 <= h0 + eps or y1 >= h1 - eps:
+                # hull ends belong to F, and so does a query that comes
+                # within the slack of one, as the rejection test reads it:
+                # a point of F that drift left an ulp inside a piece end
+                # stops at once, and so does any query of a piece no
+                # longer than twice the slack
                 return (off, scale)
             for o, r, s0, s1 in self._copies:
                 if y1 < s0 - eps or y0 > s1 + eps:

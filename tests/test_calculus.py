@@ -1,16 +1,18 @@
 """Staircase-weighted integration and quotient differentiation."""
 
 import contextlib
+import heapq
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from falpha import _backend, calculus
+from falpha import _backend, calculus, physics
 from falpha.calculus import (
     FOnF,
     NoConvergence,
@@ -263,15 +265,27 @@ def test_fundamental_round_trip():
         assert got == pytest.approx(STAIR(1.0) ** n, abs=1e-3)
 
 
+def _spy_bounds(record):
+    """A stand-in for ``calculus._piece_bound`` whose bound passes each
+    call, with its f and stair, to ``record(bound, f, stair, u, v, su, sv,
+    whole)``."""
+    piece_bound = calculus._piece_bound
+
+    def spy(f, stair):
+        bound = piece_bound(f, stair)
+        return lambda *args: record(bound, f, stair, *args)
+
+    return spy
+
+
 def test_integrate_evaluates_each_component_once(monkeypatch):
     seen = []
-    component = calculus._component
 
-    def record(f, stair, u, v, whole=False, s=None):
+    def record(bound, f, stair, u, v, su, sv, whole):
         seen.append((u, v))
-        return component(f, stair, u, v, whole, s)
+        return bound(u, v, su, sv, whole)
 
-    monkeypatch.setattr(calculus, "_component", record)
+    monkeypatch.setattr(calculus, "_piece_bound", _spy_bounds(record))
     f = FOnF.monotone(lambda x: x)
     res = integrate(f, STAIR, 0.0, 1.0, tol=1e-3)
     assert res.contains(G1)
@@ -353,17 +367,15 @@ def test_whole_pieces_are_priced_at_their_ends(medium, ends):
     ]
     # the walk and the set's own query take a piece's ends from the same
     # frames, and the walk's staircase shares are the descent's
-    component = calculus._component
-
-    def both_ways(f, stair, u, v, whole=False, s=None):
-        got = component(f, stair, u, v, whole, s)
+    def both_ways(bound, f, stair, u, v, su, sv, whole):
+        got = bound(u, v, su, sv, whole)
         if whole:
             assert stair.spec.extremes_in(u, v) == (u, v)
             if lipschitz:
-                assert got == component(f, stair, u, v), (u, v)
+                assert got == bound(u, v, stair(u), stair(v), False), (u, v)
         return got
 
-    with mock.patch.object(calculus, "_component", both_ways):
+    with mock.patch.object(calculus, "_piece_bound", _spy_bounds(both_ways)):
         for fn, u, v, exact, lipschitz in cases:
             res = integrate(FOnF.monotone(fn), stair, u, v, tol=1e-3)
             assert res.lower - 1e-12 <= exact <= res.upper + 1e-12
@@ -372,18 +384,17 @@ def test_whole_pieces_are_priced_at_their_ends(medium, ends):
 def test_whole_pieces_make_no_set_query(monkeypatch):
     queries, pieces = [], []
     extremes_in = GapIFS.extremes_in
-    component = calculus._component
 
     def query(spec, lo, hi):
         queries.append((lo, hi))
         return extremes_in(spec, lo, hi)
 
-    def record(f, stair, u, v, whole=False, s=None):
+    def record(bound, f, stair, u, v, su, sv, whole):
         pieces.append((u, v, whole))
-        return component(f, stair, u, v, whole, s)
+        return bound(u, v, su, sv, whole)
 
     monkeypatch.setattr(GapIFS, "extremes_in", query)
-    monkeypatch.setattr(calculus, "_component", record)
+    monkeypatch.setattr(calculus, "_piece_bound", _spy_bounds(record))
     # over the hull every piece is whole, and none asks the set
     integrate(FOnF.monotone(lambda x: x), STAIR, 0.0, 1.0, tol=1e-4)
     assert len(pieces) > 10 and all(whole for _, _, whole in pieces)
@@ -535,21 +546,16 @@ def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
             stack.extend((k, d + 1) for k in kids(piece))
 
 
-def _reference_side(f, stair, x, walk, sign, tol, r0):
+def _reference_side(f, x, fx, sx, walk, sign, tol, r0, eps, finest):
     """``calculus._side`` with no early stop: the walk goes on down to the
-    finest piece that holds x from this side."""
-    piece, kids, _, _ = walk
-    rec = stair.measure
-    eps = slack(x, rec.scale)
-    fx, sx = f(x), stair(x)
-    finest = max(1e-13 * max(1.0, abs(x)),
-                 2.0 * eps / min(r for (_, r, _, _), _ in rec.table))
+    finest piece that holds x from this side, through every child list."""
+    piece, kids, at, _ = walk
     quots, prev, settled = [], None, None
     while piece is not None:
         k0, k1 = piece[:2]
         y, share = (k1, piece[5]) if sign > 0 else (k0, piece[4])
         if settled is None and y != prev and abs(y - x) <= r0:
-            prev, ds = y, stair._at(y, share) - sx
+            prev, ds = y, at(y, share) - sx
             if ds != 0.0:
                 quots.append((f(y) - fx) / ds)
             if len(quots) >= 3:
@@ -590,20 +596,196 @@ def test_a_settled_side_stops_with_what_the_whole_walk_gives(medium, level):
 def test_a_settled_side_stops_at_its_shared_near_end(monkeypatch):
     # at a level-3 net point the quotients of D S settle within a few
     # pieces that end at x; the walk down to pieces 1e-13 long built some
-    # 30 child lists
+    # 30 children, one per level
     built = []
-    children = calculus._children
+    child = calculus._child
 
     def spy(*args):
-        built.append(args[-1])
-        return children(*args)
+        built.append(args[4])
+        return child(*args)
 
-    monkeypatch.setattr(calculus, "_children", spy)
+    monkeypatch.setattr(calculus, "_child", spy)
     f = FOnF.monotone(STAIR)
     for x in net(C, 3, Interval(0.0, 1.0)):
         built.clear()
         assert derivative(f, STAIR, x).value == 1.0
         assert len(built) <= 10, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(medium=_walked_media(), data=st.data())
+def test_a_side_builds_the_copy_that_children_picks(medium, data):
+    # _side builds only the copy that holds x; it is the one that the
+    # whole child list and the side's test pick, bit for bit, at the ends
+    # of the copies moved by up to 1.5 slacks and then by a few ulps
+    spec, alpha = medium
+    stair = StaircaseEvaluator(spec, alpha)
+    piece, kids, _, _ = calculus._walk(stair)
+    for _ in range(data.draw(st.integers(0, 6), label="level")):
+        copies = kids(piece)
+        piece = copies[data.draw(st.integers(0, len(copies) - 1))]
+    copies = kids(piece)
+    for end in [c[i] for c in copies for i in (0, 1)]:
+        eps = slack(end, stair.measure.scale)
+        for m, k in itertools.product((-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5),
+                                      (-2, -1, 0, 1, 2)):
+            x = end + m * eps
+            for _ in range(abs(k)):
+                x = math.nextafter(x, math.copysign(math.inf, k))
+            for sign in (-1, 1):
+                want = next((c for c in copies
+                             if (c[0] + eps < x <= c[1] + eps if sign < 0
+                                 else c[0] - eps <= x < c[1] - eps)), None)
+                got = calculus._child(*kids.args, piece, x, eps, sign)
+                assert repr(got) == repr(want), (x, sign)
+
+
+def _reference_bracket(walk, a, sa, b, sb, tol, bound, flat,
+                       max_pieces=math.inf):
+    """``calculus._bracket`` as it was before its heap entries carried S
+    at their ends: each split read S at every piece end it met, from the
+    piece.  Kept as the reference for the walk's results."""
+    if walk is None:
+        return (flat(a, b, sa), flat(a, b, sa), 0, 0)
+    hull, kids, at, finest = walk
+    exact = upper = lower = width = 0.0
+    count = depth = 0
+    heap = []
+
+    def split(u, su, v, sv, d, spans):
+        nonlocal exact, upper, lower, width, count
+        for piece in spans:
+            k0, k1 = piece[:2]
+            if v <= k0:
+                break
+            if u < k0:
+                exact += flat(u, k0, su)
+            if u <= k0:
+                u, su = k0, at(k0, piece[4])
+            if min(v, k1) <= u:
+                continue
+            q, sq = (k1, at(k1, piece[5])) if k1 <= v else (v, sv)
+            while ((u, q) != piece[:2] and piece[1] - piece[0] >= finest
+                   and (kid := next((c for c in kids(piece)
+                                     if c[0] <= u and q <= c[1]), None))):
+                piece = kid
+            hi, lo = bound(u, q, su, sq, (u, q) == piece[:2])
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                calculus._refuse(f"the bound on [{u!r}, {q!r}]", hi, lo)
+            upper, lower, count = upper + hi, lower + lo, count + 1
+            if hi > lo:
+                heapq.heappush(heap, (lo - hi, *piece[:2], d, hi, lo, piece))
+                width += hi - lo
+            u, su = q, sq
+        if u < v:
+            exact += flat(u, v, su)
+
+    split(a, sa, b, sb, 0, [hull])
+    while heap and max(width, upper - lower) > tol:
+        _, k0, k1, d, hi, lo, piece = heap[0]
+        if k1 - k0 < finest or (
+                count + len(spans := kids(piece)) - 1 > max_pieces):
+            break
+        heapq.heappop(heap)
+        upper, lower, count = upper - hi, lower - lo, count - 1
+        width -= hi - lo
+        depth = max(depth, d + 1)
+        split(max(a, k0), sa, min(b, k1), sb, d + 1, spans)
+    if width > tol:
+        upper = max(upper, lower + width)
+    return (exact + lower, exact + upper, count, depth)
+
+
+def _reference_component(f, stair, u, v, whole, s):
+    """The bound that ``integrate`` put on a piece before ``_piece_bound``:
+    ``_by_ends`` on a whole piece, ``sup_inf_on`` on a clipped one."""
+    su, sv = s
+    ds = sv - su
+    if ds == 0.0:
+        return (0.0, 0.0)
+    m_hi, m_lo = (calculus._by_ends(f, u, v) if whole
+                  else sup_inf_on(f, stair.spec, Interval(u, v)))
+    return (m_hi * ds, m_lo * ds)
+
+
+@st.composite
+def _bracket_window(draw, spec):
+    """[a, b] in and around the hull: ends of level-2 pieces, or any."""
+    h0, h1 = spec.hull()
+    w = h1 - h0
+    ends = net(spec, 2, Interval(h0, h1))
+    end = st.sampled_from(ends) | st.floats(h0 - 0.1 * w, h1 + 0.1 * w)
+    return tuple(sorted((draw(end), draw(end))))
+
+
+def _assert_old_brackets(spec, alpha, a, b, tol):
+    """The walk of ``calculus._bracket`` gives what ``_reference_bracket``
+    gave, by repr, for the integrands 1, x and S down F over [a, b], and
+    for the flight's bound from the hull's start to b."""
+    stair = StaircaseEvaluator(spec, alpha, a0=spec.hull()[0])
+    walk = calculus._walk(stair)
+    flat = lambda u, v, s: 0.0
+    for fn in (lambda x: 1.0, lambda x: x, stair):
+        f = FOnF.monotone(fn)
+        got = calculus._bracket(walk, a, stair(a), b, stair(b), tol,
+                                calculus._piece_bound(f, stair), flat, 3000)
+        want = _reference_bracket(
+            walk, a, stair(a), b, stair(b), tol,
+            lambda u, v, su, sv, whole: _reference_component(
+                f, stair, u, v, whole, (su, sv)), flat, 3000)
+        assert repr(got) == repr(want), (a, b)
+    # v falls from 1 to 1/2 across the hull, so the flight takes about its
+    # length: tol is relative to the hull's
+    h0, h1 = spec.hull()
+    params = FrictionParams(spec, alpha, v0=1.0, x0=h0,
+                            kappa=0.5 / stair(h1))
+    x, tol = max(h0, b), max(tol, 1e-6) * (h1 - h0)
+    got = time_of_flight(params, x, tol=tol)
+    with mock.patch.object(physics, "_bracket", _reference_bracket):
+        assert repr(got) == repr(time_of_flight(params, x, tol=tol)), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(medium=_walked_media(), data=st.data())
+def test_the_bracket_gives_what_the_old_walk_gave(medium, data):
+    # the walk that reads S only at the ends that copies add gives the
+    # old (lower, upper, count, depth)
+    spec, alpha = medium
+    a, b = data.draw(_bracket_window(spec))
+    tol = data.draw(st.sampled_from((1e-2, 1e-4, 1e-7)))
+    _assert_old_brackets(spec, alpha, a, b, tol)
+
+
+def test_a_copy_that_drift_overlaps_splits_whole():
+    # three touching thirds: the end of the copy 0.04526748971193416
+    # lies an ulp past the start 0.04526748971193415 of the next, which
+    # the walk reaches clipped by its neighbour, and splits whole
+    third = 0.3333333333333333
+    spec = GapIFS((third,) * 3, (0.0, third, 0.6666666666666666))
+    _assert_old_brackets(spec, 1.0, 0.0, 0.1111111111111111, 1e-7)
+
+
+def test_a_split_reads_s_only_at_the_ends_its_copies_add():
+    # a heap entry carries S at its ends, and the outer copies of a piece
+    # keep them: every piece end is read once, and a and b never
+    for spec, a, b in ((C, 0.0, 1.0), (C, 0.1, 0.9),
+                       (GapIFS((0.5, 0.25, 0.25), (0.0, 0.5, 0.75)), 0.0, 1.0),
+                       (Translate(Scale(ASYM, 3.0), 1e3), 1e3, 1003.0)):
+        stair = StaircaseEvaluator(spec, similarity_order(
+            (spec.inner if isinstance(spec, Affine) else spec).ratios))
+        reads = []
+        at = stair._at
+
+        def spy(x, share):
+            reads.append(x)
+            return at(x, share)
+
+        stair._at = spy
+        res = integrate(FOnF.monotone(lambda x: x - a), stair, a, b,
+                        tol=1e-4 * (b - a))
+        assert res.refinement_depth >= 5
+        assert len(reads) == len(set(reads)), spec
+        assert a not in reads and b not in reads
 
 
 @pytest.mark.parametrize("lam", [1e2, 1e4, 1e8])
@@ -908,6 +1090,48 @@ def test_a_nan_integrand_is_refused_at_its_point(f):
         integrate(f, STAIR, 0.0, 1.0)
     x = float(str(info.value).rsplit("=", 1)[1])
     assert math.isnan(f(x)) and 0.0 <= x <= 1.0
+
+
+@pytest.mark.parametrize("f, where", [
+    (FOnF.monotone(lambda x: math.nan), 0.25),
+    (FOnF.monotone(lambda x: x if x < 0.5 else math.nan), 1.0),
+    (FOnF.net_sampled(lambda x: x if x != 0.25 else math.nan), 0.25),
+], ids=["nan-at-x", "nan-past-one-half", "net-sampled-nan-at-x"])
+def test_a_nan_quotient_is_refused_at_its_point(f, where):
+    # a NaN at x failed every settling test and read as quotients that
+    # oscillate; a NaN at the far end y = 1 dropped out of max(d1, d2),
+    # and the derivative at 1/4 came out as 5e-5
+    with pytest.raises(ValueError,
+                       match=re.escape(f"f is NaN at x={where!r}")):
+        derivative(f, STAIR, 0.25)
+
+
+@pytest.mark.parametrize("lam, r0", [(1e-15, None), (1e-15, 1e-15),
+                                     (1e-300, None), (1e20, None),
+                                     (1e300, None)])
+def test_the_derivative_scales_with_the_set(lam, r0):
+    # the walk's floor was 1e-13 max(1, |x|), longer than the whole hull
+    # at 1e-15, and r0 was 1.0, shorter than every piece at 1e20: both
+    # raised NoLimit; now both scale with the hull's width.  2/3 starts a
+    # copy with a gap on its left, as on F itself
+    spec = Scale(C, lam)
+    stair = StaircaseEvaluator(spec, ALPHA)
+    d = derivative(FOnF.monotone(stair), stair, 2.0 * lam / 3.0, r0=r0)
+    assert (d.value, d.side) == (1.0, "right")
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-1000, 1000), base=st.sampled_from((C, ASYM)),
+       i=st.integers(0, 7))
+def test_d_s_is_1_at_a_net_point_at_every_power_of_two(k, base, i):
+    # a power of two maps every piece end exactly, so D S is 1 at the
+    # net points of F scaled by it, as it is on F
+    spec = Scale(base, 2.0 ** k)
+    stair = StaircaseEvaluator(spec, similarity_order(base.ratios))
+    pts = net(spec, 2, Interval(*spec.hull()))
+    x = pts[i % len(pts)]
+    assert x == 2.0 ** k * net(base, 2, Interval(0.0, 1.0))[i % len(pts)]
+    assert derivative(FOnF.monotone(stair), stair, x).value == 1.0, x
 
 
 @pytest.mark.parametrize("value, error", [(math.nan, ValueError),

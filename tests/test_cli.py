@@ -129,6 +129,10 @@ def test_differentiate(capsys):
     # a set scaled far up keeps a staircase variation at each point: the
     # walk stops before copies shorter than the slack
     ("--set", '{"type": "cantor", "scale": 10000}', "--range", "0", "10000"),
+    # the walk's floor and r0 scale with the hull: at 1e-300 the floor was
+    # longer than the hull, and at 1e300 r0 shorter than every piece
+    ("--set", '{"type": "cantor", "scale": 1e-300}', "--range", "0", "1e-300"),
+    ("--set", '{"type": "cantor", "scale": 1e300}', "--range", "0", "1e300"),
 ])
 def test_differentiate_tabulates_without_an_error(capsys, argv):
     code, out, err = run(capsys, "differentiate", *argv)

@@ -6,12 +6,17 @@ oracle, and the calculus's independence of the staircase evaluator's
 module."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import pathlib
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 import falpha
-from falpha import _backend, calculus
+from falpha import _backend, calculus, sets
+from falpha.mass import StaircaseEvaluator
 from falpha.dimension import similarity_order
 from falpha.sets import (FinitePoints, FullInterval, GapIFS, HarmonicCluster,
                          TernaryCantor, slack)
@@ -180,3 +185,55 @@ def test_the_calculus_imports_nothing_from_mass():
     bad = [name for name in _imports(calculus)
            if name == "falpha.mass" or name.startswith("falpha.mass.")]
     assert not bad, f"{calculus.__file__} imports {bad}"
+
+
+def _tracing():
+    """The benchmark's tracer module, ``perfbench/tracing.py``."""
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # the traced benchmark wraps these by name: a refactor that renames,
+    # moves or reshapes one would blind a layer without failing a run
+    tracing = _tracing()
+    for modname, owner, attr, _ in tracing.SPANS:
+        module = importlib.import_module(modname)
+        found = (getattr(module, attr, None) if owner is None
+                 else getattr(module, owner).__dict__.get(attr))
+        assert callable(found), (modname, owner, attr)
+    specs = [c for c in vars(sets).values() if isinstance(c, type)
+             and issubclass(c, sets.SetSpec) and c is not sets.SetSpec]
+    for attr, _ in tracing.SET_METHODS:
+        assert any(attr in c.__dict__ for c in specs), attr
+    # the counters of S values, of f's evaluations and of sup_inf_on's
+    # windows, which it calls with a fourth positional argument
+    assert callable(StaircaseEvaluator.__dict__["value"])
+    assert callable(calculus.FOnF.__dict__["__call__"])
+    assert calculus._children is sets._children
+    inspect.signature(calculus.sup_inf_on).bind(None, None, None, 10)
+
+
+def test_the_benchmark_tracer_counts_the_calculus_layers():
+    importlib.import_module("falpha.cli")  # the tracer wraps its main
+    tracer = _tracing().Tracer()
+    stair = StaircaseEvaluator(C, similarity_order(C.ratios))
+    f = calculus.FOnF.monotone(lambda x: x)
+    tracer.install()
+    try:
+        calculus.integrate(f, stair, 0.1, 0.9, tol=1e-3)
+        calculus.derivative(calculus.FOnF.monotone(stair), stair, 0.25)
+        got = tracer.snapshot()
+    finally:
+        tracer.remove()
+    assert got["calculus.integrate.calls"] == 1
+    assert got["calculus.derivative.calls"] == 1
+    assert got["calculus.sup_inf_on.calls"] >= 1
+    assert got["calculus.f_evals"] > 10
+    assert got["mass.stair.calls"] > 0 and got["sets.isect.calls"] > 0
+    assert calculus.integrate.__module__ == "falpha.calculus"
+    assert not hasattr(calculus.integrate, "__wrapped__")

@@ -7,10 +7,13 @@ import json
 import math
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from falpha.sets import (
+    _children,
     Affine,
     FinitePoints,
     FullInterval,
@@ -32,7 +35,7 @@ from falpha.sets import (
 )
 from falpha.mass import StaircaseEvaluator, coarse_mass, mass
 from falpha.cantor import ALPHA
-from falpha.dimension import similarity_order
+from falpha.dimension import box_counts, similarity_order
 
 import exact
 
@@ -773,3 +776,118 @@ def test_staircase_is_zero_just_above_the_order():
     assert coarse_mass(ASYM, 0.0, 1.0, alpha, math.inf) == 0.0
     assert mass(ASYM, 0.0, 1.0, alpha).value == 0.0
 
+
+
+def _reference_walk(self, lo, hi, off=0.0, scale=1.0):
+    """``GapIFS._walk`` as it was before a query within the slack of a
+    hull end stopped there: it went on down until the slack covered the
+    hull.  Kept as the reference for the verdicts of the walk."""
+    if not lo <= hi:
+        return None
+    h0, h1 = self._hull
+    while True:
+        eps = 1e-15 / scale
+        y0, y1 = (lo - off) / scale, (hi - off) / scale
+        if not (y1 >= h0 - eps and y0 <= h1 + eps):
+            return None
+        if y0 <= h0 or y1 >= h1 or eps >= h1 - h0:
+            return (off, scale)
+        for o, r, s0, s1 in self._copies:
+            if y1 < s0 - eps or y0 > s1 + eps:
+                continue
+            if y0 <= s0 or y1 >= s1:
+                return (off, scale)
+            off, scale = off + scale * o, scale * r
+            break
+        else:
+            return None
+
+
+@st.composite
+def _walked_set(draw):
+    """(spec, base, scale, shift): a 2-4-map gap IFS, some of whose copies
+    may touch, plain or wrapped by a scale of 0.25-4 and a shift of up to
+    1e5 (the map the wrapper applies)."""
+    base = draw(st.one_of(_gap_ifs(), st.just(C), st.just(ASYM)))
+    if draw(st.booleans()):
+        m = len(base.ratios)
+        holes = draw(st.lists(st.just(0.0) | st.floats(0.1, 1.0),
+                              min_size=m - 1, max_size=m - 1))
+        copies = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
+        total = sum(copies) + sum(holes)
+        ratios = [c / total for c in copies]
+        offsets = [0.0]
+        for r, g in zip(ratios, holes):
+            offsets.append(offsets[-1] + r + g / total)
+        base = GapIFS(tuple(ratios), tuple(offsets))
+    if not draw(st.booleans()):
+        return base, base, 1.0, 0.0
+    scale = draw(st.floats(0.25, 4.0))
+    shift = draw(st.floats(-2.0, 2.0) | st.floats(-1e5, 1e5))
+    spec = Translate(Scale(base, scale), shift)
+    return spec, base, spec.scale, spec.shift
+
+
+@st.composite
+def _piece_end(draw, medium):
+    """An end of a piece of levels 0-8 of the set, in global units, moved
+    by 0-2 slacks and then by up to 3 ulps either way."""
+    spec, base, scale, shift = medium
+    piece = (*base._hull, 0.0, 1.0, 0.0, 1.0, 1.0)
+    for _ in range(draw(st.integers(0, 8))):
+        kids = _children(base._hull, base._rows, 0.0, 1.0, piece)
+        piece = kids[draw(st.integers(0, len(kids) - 1))]
+    x = shift + scale * piece[draw(st.integers(0, 1))]
+    x += draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))) * slack(
+        x, scale)
+    for _ in range(abs(k := draw(st.integers(-3, 3)))):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), medium=_walked_set())
+def test_the_walk_stops_within_the_slack_with_the_old_verdicts(data, medium):
+    # a query within the slack of the hull end of its frame stops there;
+    # the old walk went on until the slack covered the hull, and gave the
+    # same verdict on points and windows at piece ends, ulps and slacks off
+    spec = medium[0]
+    for _ in range(10):
+        x = data.draw(_piece_end(medium))
+        y = data.draw(_piece_end(medium))
+        queries = [(x, x), (y, y), (min(x, y), max(x, y))]
+        got = [spec._isect(lo, hi) for lo, hi in queries]
+        with mock.patch.object(GapIFS, "_walk", _reference_walk):
+            assert got == [spec._isect(lo, hi) for lo, hi in queries], queries
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), medium=_walked_set())
+def test_box_counts_keep_the_old_walks_counts(data, medium):
+    spec = medium[0]
+    x = data.draw(_piece_end(medium))
+    y = data.draw(_piece_end(medium))
+    a, b = (min(x, y), max(x, y)) if x != y else spec.hull()
+    got = box_counts(spec, a, b, 10)
+    with mock.patch.object(GapIFS, "_walk", _reference_walk):
+        assert got == box_counts(spec, a, b, 10), (a, b)
+
+
+def test_a_point_of_f_an_ulp_inside_a_piece_end_stops_at_once():
+    # the level-3 net point 7/9 of the middle-thirds set lies an ulp
+    # inside the end of its piece [2/3, 7/9]; the walk stops where the
+    # slack reaches it, two copies down, not 28 levels down
+    x = net(C, 3, Interval(2.0 / 3.0, 1.0))[3]
+    assert x == 0.7777777777777777
+    frames = []
+    walk = GapIFS._walk
+
+    def spy(self, lo, hi, off=0.0, scale=1.0):
+        frames.append(scale)
+        return walk(self, lo, hi, off, scale)
+
+    with mock.patch.object(GapIFS, "_walk", spy):
+        assert C._isect(x, x)
+    assert len(frames) == 1
+    assert walk(C, x, x) == (2.0 / 3.0, 1.0 / 9.0)
+    assert _reference_walk(C, x, x)[1] < 3.0 ** -27
