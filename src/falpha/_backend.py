@@ -5,13 +5,15 @@ the self-similar measure giving copy i the weight r_i^alpha / sum
 r_j^alpha (Hutchinson 1981).  ``measure`` builds its record on each
 call, in the frame that ``frame`` gives: a ``StaircaseEvaluator`` keeps
 the one it reads, and other callers seldom ask twice for one set at one
-order.  Every descent down the copies reads a record: the staircase,
-the first moment, and the piece walk of ``falpha.calculus``.  Callers
-reach the kernels as module attributes at call time, so a wrapper
-installed here, such as the benchmark's tracer, sees every call.  A
-descent works in the local coordinates of the copy entered: a point
-within ``sets.slack`` of a hull end (``eps``/scale locally) is that end.
-The Lebesgue moments of the staircase need no descent: the same
+order.  Its table has one flat row (offset, ratio, span start, span end,
+weight) per copy, those of ``GapIFS._table`` with the weights put in,
+and every descent down the copies reads them as stored: the staircase,
+the moments, and the piece walks of ``sets._children``.  Callers reach
+the kernels as module attributes at call time, so a wrapper installed
+here, such as the benchmark's tracer, sees every call.  A descent works
+in the local coordinates of the copy entered: a point within
+``sets.slack`` of a hull end (``eps``/scale locally) is that end.  The
+Lebesgue moments of the staircase need no descent: the same
 self-similarity makes them a linear recursion, solved once per set and
 order: a memo of at most ``_MOMENTS_CAP`` entries keys them by what the
 recursion reads, so a wrapped set shares its plain set's entry.
@@ -33,14 +35,13 @@ _MOMENTS_CAP = 64
 
 # A self-similar measure at order alpha, in the frame shift + scale x:
 #   hull    (h0, h1) of the unwrapped set
-#   table   ((offset, ratio, span start, span end), weight) per copy
-#   shares  (start, end) of each copy's span, as shares of the hull
-#   total   sum r^alpha: 1 at the order, below 1 above it
+#   table   (offset, ratio, span start, span end, weight) per copy: the
+#           rows of GapIFS._table, weighted r^alpha / sum r^alpha
 #   mean    mean of the normalised measure, as a share of the hull
 #   eps     sets.slack at the farther hull end, in hull units
-#   side    side_of_order(total)
+#   side    side_of_order(sum r^alpha)
 Measure = collections.namedtuple(
-    "Measure", "scale shift hull table shares total mean eps side")
+    "Measure", "scale shift hull table mean eps side")
 
 
 def side_of_order(total):
@@ -76,20 +77,17 @@ def measure(spec, alpha):
     lam, t, inner = frame(spec)
     if not isinstance(inner, GapIFS):
         return None
-    ratios, copies = inner.ratios, inner._copies
-    ps = [r ** alpha for r in ratios]
+    ps = [r ** alpha for r in inner.ratios]
     total = sum(ps)
-    weights = [p / total for p in ps]
+    table = tuple([(o, r, s0, s1, p / total)
+                   for (o, r, s0, s1, _), p in zip(inner._table, ps)])
     h0, h1 = hull = inner._hull
     width = h1 - h0
-    shares = tuple([((s0 - h0) / width, (s1 - h0) / width)
-                    for _, _, s0, s1 in copies])
     stair_mean = 1.0 - (
-        sum([w * f for w, (f, _) in zip(weights, shares)])
-        / (1.0 - sum([w * r for w, r in zip(weights, ratios)])))
-    return Measure(lam, t, hull, tuple(zip(copies, weights)), shares, total,
-                   1.0 - stair_mean, hull_eps(lam, t, hull),
-                   side_of_order(total))
+        sum([p * ((s0 - h0) / width) for _, _, s0, _, p in table])
+        / (1.0 - sum([p * r for _, r, _, _, p in table])))
+    return Measure(lam, t, hull, table, 1.0 - stair_mean,
+                   hull_eps(lam, t, hull), side_of_order(total))
 
 
 def stair_scaled(hull, table, eps, x):
@@ -104,7 +102,7 @@ def stair_scaled(hull, table, eps, x):
     h0, h1 = hull
     val, w = 0.0, 1.0
     while h0 + eps < x < h1 - eps:
-        for (o, r, s0, s1), p in table:
+        for o, r, s0, s1, p in table:
             if x < s0:
                 return val  # in a gap left of this copy
             if x <= s1:
@@ -129,7 +127,7 @@ def moment_scaled(rec, x):
     x = (x - a) / b
     val, w, eps = 0.0, 1.0, rec.eps
     while h0 + eps < x < h1 - eps:
-        for (o, r, s0, s1), p in rec.table:
+        for o, r, s0, s1, p in rec.table:
             if x < s0:
                 return val  # in a gap left of this copy
             if x <= s1:
@@ -155,19 +153,22 @@ def lebesgue_moments(rec, n):
     C_j^(k-i) p_j^i M_i + sum_j g_j C_(j+1)^k, from M_0 = 1 and
     M_1 = 1 - ``rec.mean``.  Every term is positive, so the floats keep
     their relative accuracy.  The moments depend on the set and the order
-    only, so they are solved once per ``table``, ``shares``, ``mean`` and
-    n and kept, for at most ``_MOMENTS_CAP`` of them, as a tuple that no
+    only, so they are solved once per ``table``, ``hull``, ``mean`` and n
+    and kept, for at most ``_MOMENTS_CAP`` of them, as a tuple that no
     caller can change; the frame (scale, shift, eps) is not read.
     """
-    return _moments(rec.table, rec.shares, rec.mean, n)
+    return _moments(rec.table, rec.hull, rec.mean, n)
 
 
 @functools.lru_cache(maxsize=_MOMENTS_CAP)
-def _moments(table, shares, mean, n):
-    """``lebesgue_moments`` of a record with this ``table``, ``shares``
-    and ``mean``."""
-    cs = list(itertools.accumulate((p for _, p in table), initial=0.0))
-    rps = [(r, p) for (_, r, _, _), p in table]
+def _moments(table, hull, mean, n):
+    """``lebesgue_moments`` of a record with this ``table``, ``hull`` and
+    ``mean``."""
+    h0, h1 = hull
+    shares = [((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
+              for _, _, s0, s1, _ in table]
+    cs = list(itertools.accumulate((p for *_, p in table), initial=0.0))
+    rps = [(r, p) for _, r, _, _, p in table]
     gaps = [(f0 - f1, c) for ((_, f1), (f0, _)), c
             in zip(zip(shares, shares[1:]), cs[1:])]
     # the first copy, at C_0 = 0, adds nothing; the others as r_j, C_j

@@ -205,16 +205,16 @@ def _walk(stair):
     """(top piece, children, reader of S at a piece end, finest length)
     of the walk down the pieces (``_children``) of the measure record of
     ``stair``, or None when there is no record or its staircase is flat:
-    the hull piece, ``_children`` bound to the frame (hull, rows, t, lam)
-    that ``_side`` reads from its ``args``, S from a piece's share
-    (``stair._at``), and the slack at the farther hull end (``rec.eps``)
-    in global units."""
+    the hull piece, ``_children`` bound to the frame (hull, table, t,
+    lam) that ``_side`` reads from its ``args``, the record's rows as they
+    are stored, S from a piece's share (``stair._at``), and the slack at
+    the farther hull end (``rec.eps``) in global units."""
     rec = stair.measure
     if rec is None or rec.side < 0:
         return None
-    rows = [(o, r, p) for (o, r, _, _), p in rec.table]
     return ((*stair.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),
-            functools.partial(_children, rec.hull, rows, rec.shift, rec.scale),
+            functools.partial(_children, rec.hull, rec.table, rec.shift,
+                              rec.scale),
             stair._at, rec.eps * rec.scale)
 
 
@@ -316,7 +316,7 @@ def _halves(u0, u1):
     [u0, u1] (t = u0, lam = u1 - u0), where S is u itself."""
     lam, hull = u1 - u0, _HALVES._hull
     return ((u0, u1, 0.0, 1.0, 0.0, 1.0, 1.0),
-            functools.partial(_children, hull, _HALVES._rows, u0, lam),
+            functools.partial(_children, hull, _HALVES._table, u0, lam),
             _identity, hull_eps(lam, u0, hull) * lam)
 
 
@@ -431,7 +431,7 @@ def _side(f, x, fx, sx, walk, sign, tol, r0, eps, finest):
     ValueError where f is NaN at a far end it reads (``_nan_at``), and
     NoLimit when quotients do not settle."""
     piece, kids, at, _ = walk
-    hull, rows, t, lam = kids.args  # the frame that ``kids`` is bound to
+    hull, table, t, lam = kids.args  # the frame that ``kids`` is bound to
     quots, prev, settled = [], None, None
     while piece is not None:
         k0, k1 = piece[0], piece[1]
@@ -458,7 +458,7 @@ def _side(f, x, fx, sx, walk, sign, tol, r0, eps, finest):
             if settled is None and len(quots) >= 3:
                 raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
             return settled
-        piece = _child(hull, rows, t, lam, piece, x, eps, sign)
+        piece = _child(hull, table, t, lam, piece, x, eps, sign)
     return None
 
 
@@ -489,7 +489,7 @@ def derivative(f, stair, x, tol=1e-3, r0=None):
         r0 = width if r0 is None else r0
         eps = slack(x, rec.scale)
         finest = max(1e-13 * max(width, abs(x)),
-                     2.0 * eps / min([r for (_, r, _, _), _ in rec.table]))
+                     2.0 * eps / min([r for _, r, _, _, _ in rec.table]))
         fx, sx = f(x), stair(x)
         if fx != fx:
             raise _nan_at(x)

@@ -293,10 +293,9 @@ def _check_rows(rows):
                           f"{_MAX_ROWS} allowed")
 
 
-def _table_points(a, b, samples):
-    """max(2, samples) evenly spaced points from a to exactly b; a range
-    so wide that a point overflows is rejected."""
-    n = max(2, samples)
+def _table_points(a, b, n):
+    """n >= 2 evenly spaced points from a to exactly b; a range so wide
+    that a point overflows is rejected."""
     _check_rows(n)
     xs = [a + (b - a) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, xs)):
@@ -370,8 +369,7 @@ def _cmd_differentiate(args, spec, alpha, a, b, out):
 
 
 def _cmd_cantor_g(args, out):
-    n = max(2, args.samples)
-    _check_rows(n)
+    _check_rows(n := args.samples)
     ys = [i / n for i in range(1, n + 1)]
     # g is flat where the staircase is: each plateau's value becomes text once
     fmt = args.format
@@ -419,6 +417,8 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
 
 
 def _cmd_friction(args, spec, alpha, a, b, out):
+    if args.x0 > b:  # the table runs from x0 to B
+        raise _UsageError(f"--x0 {args.x0!r} lies past B = {b!r}")
     params = FrictionParams(spec, alpha, v0=args.v0, x0=args.x0,
                             kappa=args.kappa)
     rows = []
@@ -461,6 +461,8 @@ def main(argv=None):
             args.command = argv[0]
         if args.command is None:
             raise _UsageError("a subcommand is required")
+        if getattr(args, "samples", 2) < 2:  # a table holds both ends
+            raise _UsageError(f"--samples {args.samples} must be at least 2")
         out = sys.stdout
         close = False
         if getattr(args, "output", None):

@@ -139,9 +139,8 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
             return 0.0
         return _tile_cost(b - a, delta, alpha)
     acc = 0.0
-    for o, r, s0, s1 in spec._copies:
-        ov0 = max(a, s0)
-        ov1 = min(b, s1)
+    for o, r, s0, s1, _ in spec._table:
+        ov0, ov1 = max(a, s0), min(b, s1)
         if ov1 <= ov0:
             continue
         if ov0 <= s0 and ov1 >= s1:

@@ -201,7 +201,7 @@ def time_of_flight(params, x, tol=1e-9):
     vel = functools.cache(lambda p: friction_velocity(params, p))
     rec, kappa = params.stair.measure, params.kappa
     uniform = rec is not None and kappa is not None
-    affine = uniform and all(p == r for (_, r, _, _), p in rec.table)
+    affine = uniform and all(p == r for _, r, _, _, p in rec.table)
     moments = (_backend.lebesgue_moments(rec, _SERIES_K + 1)
                if uniform and not affine else None)
 

@@ -51,23 +51,24 @@ def slack(x, scale=1.0):
     return max(1e-15 * scale, 4.0 * math.ulp(x) if math.isfinite(x) else 0.0)
 
 
-def _children(hull, rows, t, lam, piece):
+def _children(hull, table, t, lam, piece):
     """The copies of a piece of a gap IFS F with the hull ``hull``.
 
     A piece is (lo, hi, off, sc, c0, c1, w): its ends in the set t + lam F,
     its frame y -> off + sc y in the units of F, and its staircase shares
-    at lo and hi and weight under the weights p_i of the copies, whose
-    offsets, ratios and weights are the ``rows`` (o_i, r_i, p_i).  Copy i
-    has the frame (off + sc o_i, sc r_i), the ends t + lam (off_i + sc_i h)
-    at the hull ends h, the weight w p_i and the share c0 + w p_0 + ... +
-    w p_(i-1), summed as the staircase descent sums it; the outer copies
-    keep the piece's ends and shares, so every walk reaches an end by the
-    same floats."""
+    at lo and hi and weight under the weights p_i of the copies, read with
+    their offsets o_i and ratios r_i from the rows (o_i, r_i, span start,
+    span end, p_i) of the ``table`` of a ``GapIFS`` or a measure record.
+    Copy i has the frame (off + sc o_i, sc r_i), the ends t + lam (off_i +
+    sc_i h) at the hull ends h, the weight w p_i and the share c0 + w p_0
+    + ... + w p_(i-1), summed as the staircase descent sums it; the outer
+    copies keep the piece's ends and shares, so every walk reaches an end
+    by the same floats."""
     h0, h1 = hull
     lo, hi, off, sc, c, end, w = piece
-    last = len(rows) - 1
+    last = len(table) - 1
     kids = []
-    for i, (o, r, p) in enumerate(rows):
+    for i, (o, r, _, _, p) in enumerate(table):
         o, r, p = off + sc * o, sc * r, w * p
         kids.append((t + lam * (o + r * h0) if i else lo,
                      t + lam * (o + r * h1) if i < last else hi,
@@ -76,7 +77,7 @@ def _children(hull, rows, t, lam, piece):
     return kids
 
 
-def _child(hull, rows, t, lam, piece, x, eps, sign):
+def _child(hull, table, t, lam, piece, x, eps, sign):
     """The copy of a piece that holds x from the left (sign -1: x in
     (lo + eps, hi + eps]) or from the right (sign +1: x in [lo - eps,
     hi - eps)), as ``_children`` builds it, bit for bit, but alone; None
@@ -84,8 +85,8 @@ def _child(hull, rows, t, lam, piece, x, eps, sign):
     their own side."""
     h0, h1 = hull
     lo, hi, off, sc, c, end, w = piece
-    last = len(rows) - 1
-    for i, (o, r, p) in enumerate(rows):
+    last = len(table) - 1
+    for i, (o, r, _, _, p) in enumerate(table):
         o, r, p = off + sc * o, sc * r, w * p
         k0 = t + lam * (o + r * h0) if i else lo
         k1 = t + lam * (o + r * h1) if i < last else hi
@@ -292,6 +293,9 @@ class GapIFS(SetSpec, Record):
 
     Copy i is the image of the attractor under x -> offsets[i] + ratios[i]*x.
     Copies must be sorted by offset and their spans interior-disjoint.
+    It keeps its hull and ``_table``, a measure record's rows (offset,
+    ratio, span start, span end, weight) per copy (``_backend.measure``)
+    with the ratio as the weight: the set's own walks read no share.
     """
 
     _fields = ("ratios", "offsets")
@@ -302,9 +306,8 @@ class GapIFS(SetSpec, Record):
         offsets = tuple(_finite("offsets", o) for o in offsets)
         if len(ratios) != len(offsets) or len(ratios) < 2:
             raise ValueError("need matching ratios/offsets with at least two copies")
-        for r in ratios:
-            if not 0.0 < r < 1.0:
-                raise ValueError("ratios must lie in (0, 1)")
+        if not all(0.0 < r < 1.0 for r in ratios):
+            raise ValueError("ratios must lie in (0, 1)")
         if offsets[0] < -1e-12 or offsets[-1] + ratios[-1] > 1.0 + 1e-12:
             raise ValueError("ratios and offsets must keep the copies in [0, 1]")
         for i in range(len(ratios) - 1):
@@ -312,19 +315,13 @@ class GapIFS(SetSpec, Record):
                 raise ValueError("ratios and offsets give unsorted or overlapping copies")
         # hull endpoints are the fixed points of the outermost maps; snap
         # float dust at integer endpoints (e.g. copies filling out to 1)
-        h0 = offsets[0] / (1.0 - ratios[0])
-        h1 = offsets[-1] / (1.0 - ratios[-1])
-        if abs(h0 - round(h0)) < 1e-12:
-            h0 = float(round(h0))
-        if abs(h1 - round(h1)) < 1e-12:
-            h1 = float(round(h1))
+        h0, h1 = [float(round(h)) if abs(h - round(h)) < 1e-12 else h
+                  for h in (offsets[0] / (1.0 - ratios[0]),
+                            offsets[-1] / (1.0 - ratios[-1]))]
         self.__dict__.update(
             ratios=ratios, offsets=offsets, _hull=(h0, h1),
-            # (offset, ratio, span start, span end) of each copy
-            _copies=tuple([(o, r, o + r * h0, o + r * h1)
-                           for o, r in zip(offsets, ratios)]),
-            # the set's own walks read no share: any weights do
-            _rows=tuple(zip(offsets, ratios, ratios)))
+            _table=tuple([(o, r, o + r * h0, o + r * h1, r)
+                          for o, r in zip(offsets, ratios)]))
 
     def hull(self):
         return self._hull
@@ -353,7 +350,7 @@ class GapIFS(SetSpec, Record):
                 # stops at once, and so does any query of a piece no
                 # longer than twice the slack
                 return (off, scale)
-            for o, r, s0, s1 in self._copies:
+            for o, r, s0, s1, _ in self._table:
                 if y1 < s0 - eps or y0 > s1 + eps:
                     continue
                 if y0 <= s0 or y1 >= s1:
@@ -390,7 +387,7 @@ class GapIFS(SetSpec, Record):
                 return k1 if want_min else k0
             if k1 - k0 < eps:
                 break
-            kids = _children(self._hull, self._rows, 0.0, 1.0, piece)
+            kids = _children(self._hull, self._table, 0.0, 1.0, piece)
         return lo if want_min else hi
 
     def _raw_gaps(self, lo, hi, min_len):
@@ -401,7 +398,7 @@ class GapIFS(SetSpec, Record):
         out = []
         stack = [(*self._hull, 0.0, 1.0, 0.0, 1.0, 1.0)]
         while stack:
-            kids = _children(self._hull, self._rows, 0.0, 1.0, stack.pop())
+            kids = _children(self._hull, self._table, 0.0, 1.0, stack.pop())
             for left, right in zip(kids, kids[1:]):
                 u, v = left[1], right[0]
                 if v - u >= min_len and u < hi and v > lo:
@@ -429,7 +426,7 @@ class GapIFS(SetSpec, Record):
                     # stop here: time and memory stay bounded by the limit
                     raise _too_many(level, limit)
                 continue
-            kids = _children(self._hull, self._rows, 0.0, 1.0, piece)
+            kids = _children(self._hull, self._table, 0.0, 1.0, piece)
             stack.extend((k, d + 1) for k in kids)
         return sorted(out)
 

@@ -164,12 +164,16 @@ def point(base, head, period):
 def lebesgue_moments(rec, n):
     """M_0..M_n of the rescaled staircase of the measure record ``rec``:
     the recursion of ``_backend.lebesgue_moments`` solved in Fractions
-    from M_0 = 1, on the record's weights, ratios and shares."""
-    ps = [Fraction(p) for _, p in rec.table]
-    rs = [Fraction(r) for (_, r, _, _), _ in rec.table]
+    from M_0 = 1, on the record's weights, ratios and span shares, the
+    spans' ends as shares of the hull, taken in floats as the recursion
+    takes them."""
+    ps = [Fraction(p) for *_, p in rec.table]
+    rs = [Fraction(r) for _, r, _, _, _ in rec.table]
     cs = [sum(ps[:j], Fraction(0)) for j in range(len(ps) + 1)]
-    gaps = [Fraction(f0) - Fraction(f1)
-            for (_, f1), (f0, _) in zip(rec.shares, rec.shares[1:])]
+    h0, h1 = rec.hull
+    gaps = [Fraction((s0 - h0) / (h1 - h0)) - Fraction((s1 - h0) / (h1 - h0))
+            for (_, _, _, s1, _), (_, _, s0, _, _)
+            in zip(rec.table, rec.table[1:])]
     moments = [Fraction(1)]
     for k in range(1, n + 1):
         acc = sum(g * c ** k for g, c in zip(gaps, cs[1:]))

@@ -232,6 +232,44 @@ def test_mass_depth_out_of_range_exits_1(capsys, argv):
     assert err.startswith("error: --depth") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("staircase", "--samples", "-5"),
+    ("staircase", "--samples", "1"),
+    ("cantor-g", "--samples", "-1"),
+    ("cantor-g", "--samples", "0"),
+    ("friction", "--samples", "0"),
+    ("friction", "--samples", "1"),
+])
+def test_fewer_than_two_samples_exit_1(capsys, argv):
+    # a table holds both ends of its range: these printed 2 rows and
+    # exited 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--samples" in err
+    assert "at least 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--x0", "2"),
+    ("--x0", "1.0000000000000002"),
+    ("--range", "-1", "0.5", "--x0", "0.75"),
+])
+def test_friction_x0_past_b_exits_1_naming_it(capsys, argv):
+    # the table runs from x0 to B: this failed at the second table point,
+    # a value the user never gave
+    code, out, err = run(capsys, "friction", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --x0") and "past B" in err
+
+
+def test_friction_x0_at_b_is_a_table_of_one_point(capsys):
+    code, out, err = run(capsys, "friction", "--x0", "1", "--samples", "3")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["1.0,1.0,0.0"] * 3
+
+
 @pytest.mark.parametrize("argv, rows", [
     (("--depth", "1"), 1),
     (("--depth", "31"), 31),
@@ -782,7 +820,7 @@ def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
     # the command maps the staircase over its points and writes each
     # plateau value's text once: the bytes _emit writes for the rows of
     # values (x, S(x), S(x) * Gamma(alpha + 1)), or exit code 1 where S
-    # diverges
+    # diverges or there are fewer than 2 samples
     if b < a:
         a, b = b, a
     text = json.dumps(spec_to_json(spec))
@@ -791,13 +829,14 @@ def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
     stair = StaircaseEvaluator(spec, order, a0=a)
     gamma = gamma_factor(order)
     want = io.StringIO()
-    try:
-        rows = [(x, stair.value(x), stair.value(x) * gamma)
-                for x in cli._table_points(a, b, samples)]
-    except ArithmeticError:
-        want_code = 1
-    else:
-        want_code = 0
+    rows = None
+    if samples >= 2:
+        try:
+            rows = [(x, stair.value(x), stair.value(x) * gamma)
+                    for x in cli._table_points(a, b, samples)]
+        except ArithmeticError:
+            pass
+    if rows is not None:
         cli._emit(want, fmt, ("x", "staircase", "scaled_staircase"), rows,
                   {"alpha": order})
     got = io.StringIO()
@@ -806,7 +845,7 @@ def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
         code = main(["staircase", "--set", text, "--alpha", alpha,
                      "--range", repr(a), repr(b), "--samples", str(samples),
                      "--format", fmt])
-    assert code == want_code
+    assert code == (0 if rows is not None else 1)
     assert got.getvalue() == want.getvalue()
 
 
@@ -815,17 +854,20 @@ def test_staircase_tables_are_the_table_of_their_values(spec, a, b, samples,
 @example(samples=243, fmt="json")
 @example(samples=27, fmt="csv")
 def test_cantor_g_tables_are_the_table_of_their_values(samples, fmt):
-    # the bytes _emit writes for the rows (y, g(y), g(y) * Gamma(alpha + 1))
-    n = max(2, samples)
+    # the bytes _emit writes for the rows (y, g(y), g(y) * Gamma(alpha + 1)),
+    # or exit code 1 and no bytes for fewer than 2 samples
+    n = samples
     rows = [(i / n, g_series(i / n), g_series(i / n) * GAMMA_ALPHA1)
             for i in range(1, n + 1)]
     want = io.StringIO()
-    cli._emit(want, fmt, ("y", "g", "scaled_g"), rows,
-              {"alpha": ALPHA, "g1": g_series(1.0)})
+    if n >= 2:
+        cli._emit(want, fmt, ("y", "g", "scaled_g"), rows,
+                  {"alpha": ALPHA, "g1": g_series(1.0)})
     got = io.StringIO()
-    with contextlib.redirect_stdout(got):
+    with contextlib.redirect_stdout(got), \
+            contextlib.redirect_stderr(io.StringIO()):
         code = main(["cantor-g", "--samples", str(samples), "--format", fmt])
-    assert code == 0
+    assert code == (0 if n >= 2 else 1)
     assert got.getvalue() == want.getvalue()
 
 

@@ -66,9 +66,12 @@ def test_g_series_scaled_values():
 
 def test_middle_thirds_record():
     rec = _backend.measure(TernaryCantor(), falpha.ALPHA)
-    assert tuple(p for _, p in rec.table) == (0.5, 0.5)
+    assert tuple(p for *_, p in rec.table) == (0.5, 0.5)
     assert rec.mean == 0.5
-    assert rec.total == 1.0
+    # the weights sum to 1 exactly, and (1/3)^alpha is 1/2: at the order
+    assert sum(p for *_, p in rec.table) == 1.0
+    assert sum(r ** falpha.ALPHA for r in TernaryCantor().ratios) == 1.0
+    assert rec.side == 0
     assert _backend._CANTOR == rec
 
 
@@ -84,17 +87,16 @@ def _one_pass_record(spec, alpha):
         return None
     ps = [r ** alpha for r in base.ratios]
     total = sum(ps)
-    weights = [p / total for p in ps]
     h0, h1 = base.hull()
-    shares = tuple(((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
-                   for _, _, s0, s1 in base._copies)
+    # one row (offset, ratio, span start, span end, weight) per copy
+    table = tuple((o, r, o + r * h0, o + r * h1, p / total)
+                  for o, r, p in zip(base.offsets, base.ratios, ps))
     stair_mean = 1.0 - (
-        sum(w * f for w, (f, _) in zip(weights, shares))
-        / (1.0 - sum(w * r for w, r in zip(weights, base.ratios))))
+        sum(w * ((s0 - h0) / (h1 - h0)) for _, _, s0, _, w in table)
+        / (1.0 - sum(w * r for _, r, _, _, w in table)))
     far = max(abs(t + lam * h0), abs(t + lam * h1))
     return _backend.Measure(
-        lam, t, (h0, h1), tuple(zip(base._copies, weights)), shares, total,
-        1.0 - stair_mean, slack(far, lam) / lam,
+        lam, t, (h0, h1), table, 1.0 - stair_mean, slack(far, lam) / lam,
         _backend.side_of_order(total))
 
 

@@ -27,6 +27,7 @@ from falpha.sets import (
     FullInterval,
     GapIFS,
     Interval,
+    Scale,
     Subdivision,
     TernaryCantor,
     Translate,
@@ -234,6 +235,71 @@ def test_scaling_and_translation_identities():
     rep = verify_scaling_translation(C, 0.0, 1.0, ALPHA, lam=0.7, shift=0.3)
     assert rep.scaling_rel_error < 1e-6
     assert rep.translation_rel_error < 1e-6
+
+
+def _ulps(got, want):
+    """|got - want| in ulps of the larger; 0 for the same float, inf
+    included."""
+    if got == want:
+        return 0.0
+    return abs(got - want) / math.ulp(max(abs(got), abs(want)))
+
+
+def _outcome(call, *args):
+    """call(*args), or the name of the ArithmeticError or ValueError it
+    raises."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+# ends in [-0.25, 1.25] that a power of two down to 2^-1000 maps to a
+# normal float, so exactly: piece ends, and floats not below 2^-20
+_SCALED_ENDS = st.one_of(
+    st.sampled_from((0.0, 0.25, 1.0 / 3.0, 0.4, 2.0 / 3.0, 0.75, 1.0)),
+    st.floats(-0.25, 1.25).map(lambda x: x if abs(x) >= 2.0 ** -20 else 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(-1000, 1000), base=st.sampled_from((C, ASYM)),
+       a=_SCALED_ENDS, b=_SCALED_ENDS, side=st.sampled_from((-1, 0, 0, 1)),
+       delta=st.sampled_from((1e-3, 0.1, 1.0, math.inf)))
+def test_the_scaling_laws_hold_at_every_power_of_two(k, base, a, b, side,
+                                                     delta):
+    # x -> 2^k x maps every point exactly, so on Scale(F, 2^k) the mass,
+    # the coarse mass at a mesh scaled by 2^k and the staircase are
+    # 2^(k alpha) times those on F, within a few ulps of that product,
+    # and the gamma-dimension is that of F; on F's order, below it
+    # (side 1) and above it (side -1)
+    a, b = min(a, b), max(a, b)
+    lam = 2.0 ** k
+    spec = Scale(base, lam)
+    order = similarity_order(base.ratios)
+    alpha = {0: order, 1: 0.5 * order, -1: min(1.0, order + 0.2)}[side]
+    factor = lam ** alpha
+    m0, m1 = mass(base, a, b, alpha), mass(spec, lam * a, lam * b, alpha)
+    assert (m1.verdict, m1.upper_bound_only) == (m0.verdict,
+                                                 m0.upper_bound_only)
+    assert _ulps(m1.value, factor * m0.value) <= 4
+    c0 = coarse_mass(base, a, b, alpha, delta)
+    c1 = coarse_mass(spec, lam * a, lam * b, alpha, lam * delta)
+    assert _ulps(c1, factor * c0) <= 4
+    s0, s1 = StaircaseEvaluator(base, alpha), StaircaseEvaluator(spec, alpha)
+    for x in (a, b):
+        v0, v1 = _outcome(s0.value, x), _outcome(s1.value, lam * x)
+        if isinstance(v0, str):
+            assert v1 == v0
+        else:
+            assert _ulps(v1, factor * v0) <= 4
+    v0, v1 = _outcome(s0.values, [a, b]), _outcome(s1.values,
+                                                   [lam * a, lam * b])
+    if isinstance(v0, str):
+        assert v1 == v0
+    else:
+        assert all(_ulps(u, factor * v) <= 4 for u, v in zip(v1, v0))
+    assert (_outcome(gamma_dimension, spec, lam * a, lam * b)
+            == _outcome(gamma_dimension, base, a, b))
 
 
 @pytest.mark.parametrize("shift", [20.0, 1e5])

@@ -377,7 +377,7 @@ def test_lebesgue_moments_memo_returns_a_fresh_solve(medium, n):
     miss = _backend.lebesgue_moments(rec, n)
     hit = _backend.lebesgue_moments(rec, n)
     assert _backend._moments.cache_info()[:2] == (1, 1)  # (hits, misses)
-    fresh = _backend._moments.__wrapped__(rec.table, rec.shares, rec.mean, n)
+    fresh = _backend._moments.__wrapped__(rec.table, rec.hull, rec.mean, n)
     assert repr(hit) == repr(miss) == repr(fresh)
     assert len(hit) == n + 1
     # the frame is not read: the unwrapped set reads the same entry

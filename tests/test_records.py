@@ -133,7 +133,13 @@ def test_a_record_takes_its_defaults():
 
 def test_a_measure_record_is_a_named_tuple():
     rec = _backend.measure(C, ALPHA)
-    assert isinstance(rec, tuple) and len(rec) == 9
+    assert isinstance(rec, tuple) and len(rec) == 7
+    assert rec._fields == ("scale", "shift", "hull", "table", "mean", "eps",
+                           "side")
+    # one flat row (offset, ratio, span start, span end, weight) per copy,
+    # the set's own rows with the weights put in
+    assert [row[:4] for row in rec.table] == [row[:4] for row in C._table]
+    assert all(len(row) == 5 for row in rec.table)
     assert rec == tuple(rec) and rec.scale == rec[0] == 1.0
     assert repr(rec).startswith("Measure(scale=1.0, shift=0.0, hull=(0.0, 1.0), ")
     assert rec._replace(shift=2.0).shift == 2.0

@@ -442,18 +442,19 @@ def _gap_ifs(draw):
     return GapIFS(tuple(ratios), tuple(offsets))
 
 
-def _hull_and_copies(ratios, offsets):
-    """The hull, copies and rows of a gap IFS, built one at a time, as the
-    set once built them on first read."""
+def _hull_and_table(ratios, offsets):
+    """The hull and copy table of a gap IFS, built one at a time, as the
+    set once built them on first read: a row (offset, ratio, span start,
+    span end, weight) per copy, with the ratio as the weight."""
     lo = offsets[0] / (1.0 - ratios[0])
     hi = offsets[-1] / (1.0 - ratios[-1])
     if abs(lo - round(lo)) < 1e-12:
         lo = float(round(lo))
     if abs(hi - round(hi)) < 1e-12:
         hi = float(round(hi))
-    copies = tuple((o, r, o + r * lo, o + r * hi)
-                   for o, r in zip(offsets, ratios))
-    return (lo, hi), copies, tuple(zip(offsets, ratios, ratios))
+    table = tuple((o, r, o + r * lo, o + r * hi, r)
+                  for o, r in zip(offsets, ratios))
+    return (lo, hi), table
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,9 +463,9 @@ def _hull_and_copies(ratios, offsets):
 @example(spec=GapIFS((0.3, 0.3), (0.05, 0.6999999999999)))
 def test_a_fresh_gap_ifs_has_its_hull_and_copies_bit_for_bit(spec):
     fresh = type(spec)(spec.ratios, spec.offsets)
-    want = _hull_and_copies(spec.ratios, spec.offsets)
+    want = _hull_and_table(spec.ratios, spec.offsets)
     # repr spells every float exactly
-    assert repr((fresh._hull, fresh._copies, fresh._rows)) == repr(want)
+    assert repr((fresh._hull, fresh._table)) == repr(want)
     assert fresh.hull() == want[0]
     # the built parts are not fields: equality, hash and repr read only
     # the maps
@@ -792,7 +793,7 @@ def _reference_walk(self, lo, hi, off=0.0, scale=1.0):
             return None
         if y0 <= h0 or y1 >= h1 or eps >= h1 - h0:
             return (off, scale)
-        for o, r, s0, s1 in self._copies:
+        for o, r, s0, s1, _ in self._table:
             if y1 < s0 - eps or y0 > s1 + eps:
                 continue
             if y0 <= s0 or y1 >= s1:
@@ -835,7 +836,7 @@ def _piece_end(draw, medium):
     spec, base, scale, shift = medium
     piece = (*base._hull, 0.0, 1.0, 0.0, 1.0, 1.0)
     for _ in range(draw(st.integers(0, 8))):
-        kids = _children(base._hull, base._rows, 0.0, 1.0, piece)
+        kids = _children(base._hull, base._table, 0.0, 1.0, piece)
         piece = kids[draw(st.integers(0, len(kids) - 1))]
     x = shift + scale * piece[draw(st.integers(0, 1))]
     x += draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))) * slack(
