@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 
-from falpha.sets import Affine, FullInterval, GapIFS, TernaryCantor, slack
+from falpha.sets import FullInterval, GapIFS, TernaryCantor, slack, unwrap
 
 BACKEND = "python"
 
@@ -54,8 +54,7 @@ def side_of_order(total):
 def frame(spec):
     """(scale, shift, unwrapped set) of spec, as its record reads it: an
     interval is the unit halves, scaled to its ends."""
-    lam, t, inner = ((spec.scale, spec.shift, spec.inner)
-                     if isinstance(spec, Affine) else (1.0, 0.0, spec))
+    lam, t, inner = unwrap(spec)
     if isinstance(inner, FullInterval):
         return lam * (inner.hi - inner.lo), t + lam * inner.lo, _HALVES
     return lam, t, inner

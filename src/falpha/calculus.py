@@ -5,32 +5,32 @@ component, the sup and inf of the integrand over the intersection with F
 are weighted by the staircase increment.  ``integrate`` subdivides along
 the construction pieces of the set (``_bracket``), which also brackets
 the Lebesgue integral of ``physics.time_of_flight``.  Its pieces come
-from ``sets._children``: a whole piece's ends lie in F, bit for bit
-``extremes_in``'s, and carry their staircase values, so a monotone or
-Lipschitz integrand is bounded there with no set query or descent, a
-monotone one by one call per piece (``_piece_bound``).  A heap entry
-carries S at its ends, which the outer copies of a piece keep, so a
-split reads S only at the ends that its copies add.  The value read at
-a piece end enters the evaluator's cache, so an integrand or quotient
-that calls the staircase there runs no descent either.  An integrand
-g(S) of the staircase S it is integrated against is priced by
-substitution instead (``_by_substitution``): the integral of g over
-[S(a), S(b)], by the same walk down the unit halves framed to that
-interval (``_halves``), where S is u itself, widened at a and b by how
-far S rises within twice the slack of each and of the origin.  Where
-that widening alone is at least tol it takes the walk down F.  A NaN or
-an overflow in a piece's bound is refused, never summed into a bracket.
-The derivative is the limit of increment quotients at the far ends of
-the pieces that hold x, and 0 off F; a side of x is vacuous where x ends
-a piece with a gap on that side.  Each side builds only the copy that
-holds x at each step (``sets._child``), down to pieces whose length
-scales with the set's hull, and stops once its quotients have settled
-where x is the near end of its piece: the finer pieces that hold x from
-that side share that end and change nothing.  A NaN of f at x or at a
-far end is refused by name, as the integral refuses it.
+from ``sets._children`` on the evaluator's ``walk``: a whole piece's
+ends lie in F, bit for bit ``extremes_in``'s, and carry their staircase
+values (``_at``), so a monotone or Lipschitz integrand is bounded there
+with no set query or descent, a monotone one by one call per piece
+(``_piece_bound``).  A heap entry carries S at its ends, which the outer
+copies of a piece keep, so a split reads S only at the ends that its
+copies add.  The value read at a piece end enters the evaluator's cache,
+so an integrand or quotient that calls the staircase there runs no
+descent either.  An integrand g(S) of the staircase S it is integrated
+against is priced by substitution instead (``_by_substitution``): the
+integral of g over [S(a), S(b)], by the same walk down the unit halves
+framed to that interval (``_halves``), where S is u itself
+(``_identity``), widened at a and b by how far S rises within twice the
+slack of each and of the origin.  Where that widening alone is at least
+tol it takes the walk down F.  A NaN or an overflow in a piece's bound
+is refused, never summed into a bracket.  The derivative is the limit of
+increment quotients at the far ends of the pieces that hold x, and 0 off
+F; a side of x is vacuous where x ends a piece with a gap on that side.
+Each side goes down the same ``walk``, builds only the copy that holds x
+at each step (``sets._child``), down to pieces whose length scales with
+the set's hull, and stops once its quotients have settled where x is the
+near end of its piece: the finer pieces that hold x from that side share
+that end and change nothing.  A NaN of f at x or at a far end is refused
+by name, as the integral refuses it.
 """
 
-import functools
 import heapq
 import math
 
@@ -201,23 +201,6 @@ def _piece_bound(f, stair):
     return bound
 
 
-def _walk(stair):
-    """(top piece, children, reader of S at a piece end, finest length)
-    of the walk down the pieces (``_children``) of the measure record of
-    ``stair``, or None when there is no record or its staircase is flat:
-    the hull piece, ``_children`` bound to the frame (hull, table, t,
-    lam) that ``_side`` reads from its ``args``, the record's rows as they
-    are stored, S from a piece's share (``stair._at``), and the slack at
-    the farther hull end (``rec.eps``) in global units."""
-    rec = stair.measure
-    if rec is None or rec.side < 0:
-        return None
-    return ((*stair.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),
-            functools.partial(_children, rec.hull, rec.table, rec.shift,
-                              rec.scale),
-            stair._at, rec.eps * rec.scale)
-
-
 def _refuse(what, *xs):
     """Raise for xs that are not all finite: ValueError for a NaN among
     them, else OverflowError."""
@@ -226,31 +209,31 @@ def _refuse(what, *xs):
     raise OverflowError(f"{what} overflows")
 
 
-def _bracket(walk, a, sa, b, sb, tol, bound, flat, max_pieces=math.inf):
-    """(lower, upper, pieces, depth) of an integral over [a, b], where S is
-    sa and sb, by a walk down the pieces of ``walk`` (as ``_walk`` gives
-    it) from the smallest that holds [a, b], or the first below it shorter
-    than the finest length: the piece of widest bracket splits until the
-    width, as upper - lower and summed piece by piece, is at most tol,
-    that piece is shorter than the finest length, or ``max_pieces`` would
-    be passed.  ``bound(u, v, su, sv, whole)`` is (upper, lower) on a
-    piece clipped to [u, v] where S is su and sv; ``flat(u, v, s)`` is
-    exact where S is s throughout: on a gap, off the hull, or above the
-    order, where there is no walk (None).  A heap entry carries S at the
-    ends of its clipped piece, and the outer copies of a piece keep its
-    ends, so a split reads S, by the walk's reader, only at the ends its
-    copies add, and at its own start where float drift let the copy
-    before it overlap it.  A bound that is not finite is refused:
-    ValueError for NaN, OverflowError for an infinity.  depth counts
-    nested splits."""
+def _bracket(walk, at, a, sa, b, sb, tol, bound, flat, max_pieces=math.inf):
+    """(lower, upper, pieces, depth) of an integral over [a, b], where S
+    is sa and sb, by a walk down the pieces of ``walk`` (as
+    ``StaircaseEvaluator.walk`` holds it) from the smallest that holds
+    [a, b], or the first below it shorter than the finest length: the
+    piece of widest bracket splits until the width, as upper - lower and
+    summed piece by piece, is at most tol, that piece is shorter than
+    the finest length, or ``max_pieces`` would be passed.
+    ``bound(u, v, su, sv, whole)`` is (upper, lower) on a piece clipped
+    to [u, v] where S is su and sv; ``flat(u, v, s)`` is exact where S
+    is s throughout: on a gap, off the hull, or above the order, where
+    there is no walk (None).  A heap entry carries S at the ends of its
+    clipped piece, and the outer copies of a piece keep its ends, so a
+    split reads S, by ``at(end, share)``, only at the ends its copies
+    add, and at its own start where float drift let the copy before it
+    overlap it.  A bound that is not finite is refused: ValueError for
+    NaN, OverflowError for an infinity.  depth counts nested splits."""
     if walk is None:
         return (flat(a, b, sa), flat(a, b, sa), 0, 0)
-    hull, kids, at, finest = walk
+    top, (hull, table, t, lam), finest = walk
     exact = upper = lower = width = 0.0
     count = depth = 0
     heap = []
     push, isfinite = heapq.heappush, math.isfinite
-    u, su, v, sv, d, spans = a, sa, b, sb, 0, [hull]
+    u, su, v, sv, d, spans = a, sa, b, sb, 0, [top]
     while True:
         # [u, v], where S is su and sv, as the pieces of depth d met and
         # the flat stretches between them; S at a piece end inside it is
@@ -268,8 +251,8 @@ def _bracket(walk, a, sa, b, sb, tol, bound, flat, max_pieces=math.inf):
             # a clipped piece that lies in one of its copies is that copy,
             # down to the pieces the heap loop would no longer split
             while (u != k0 or q != k1) and k1 - k0 >= finest:
-                kid = next((c for c in kids(piece) if c[0] <= u and q <= c[1]),
-                           None)
+                kid = next((c for c in _children(hull, table, t, lam, piece)
+                            if c[0] <= u and q <= c[1]), None)
                 if kid is None:
                     break
                 piece, k0, k1 = kid, kid[0], kid[1]
@@ -287,8 +270,8 @@ def _bracket(walk, a, sa, b, sb, tol, bound, flat, max_pieces=math.inf):
         if not (heap and (width > tol or upper - lower > tol)):
             break
         _, k0, k1, d, hi, lo, piece, u, su, v, sv = heap[0]
-        if k1 - k0 < finest or (
-                count + len(spans := kids(piece)) - 1 > max_pieces):
+        if k1 - k0 < finest or count + len(spans := _children(
+                hull, table, t, lam, piece)) - 1 > max_pieces:
             break
         heapq.heappop(heap)
         upper, lower, count = upper - hi, lower - lo, count - 1
@@ -312,12 +295,12 @@ def _identity(u, share=None):
 
 
 def _halves(u0, u1):
-    """The walk, as ``_walk`` gives it, down the unit halves framed to
-    [u0, u1] (t = u0, lam = u1 - u0), where S is u itself."""
+    """The walk down the unit halves framed to [u0, u1] (t = u0, lam =
+    u1 - u0), in the shape of ``StaircaseEvaluator.walk``: S is u itself
+    there, read by ``_identity``."""
     lam, hull = u1 - u0, _HALVES._hull
-    return ((u0, u1, 0.0, 1.0, 0.0, 1.0, 1.0),
-            functools.partial(_children, hull, _HALVES._table, u0, lam),
-            _identity, hull_eps(lam, u0, hull) * lam)
+    return ((u0, u1, 0.0, 1.0, 0.0, 1.0, 1.0), (hull, _HALVES._table, u0, lam),
+            hull_eps(lam, u0, hull) * lam)
 
 
 def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
@@ -368,7 +351,7 @@ def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
 
     # an interval has no gap, so the walk prices no flat stretch
     lower, upper, count, depth = _bracket(
-        _halves(ua, ub), ua, ua, ub, ub, tol - 2.0 * pad, bound,
+        _halves(ua, ub), _identity, ua, ua, ub, ub, tol - 2.0 * pad, bound,
         lambda u, v, s: 0.0, max_pieces)
     return (lower - pad, upper + pad, count, depth)
 
@@ -396,8 +379,8 @@ def integrate(f, stair, a, b, tol=1e-4, max_components=20000):
                               res.gap, res.refinement_depth)
     lower, upper, count, depth = _by_substitution(
         f, stair, a, b, tol, max_components) or _bracket(
-        _walk(stair), a, stair(a), b, stair(b), tol, _piece_bound(f, stair),
-        lambda u, v, s: 0.0, max_components)
+        stair.walk, stair._at, a, stair(a), b, stair(b), tol,
+        _piece_bound(f, stair), lambda u, v, s: 0.0, max_components)
     res = IntegralResult(lower, upper, (upper + lower) / 2.0,
                          max(0.0, upper - lower), depth)
     if upper - lower > tol:
@@ -415,23 +398,23 @@ class DerivativeResult(Record):
         self.__dict__.update(value=value, side=side, residual=residual)
 
 
-def _side(f, x, fx, sx, walk, sign, tol, r0, eps, finest):
+def _side(f, x, fx, sx, walk, at, sign, tol, r0, eps, finest):
     """(value, residual) of the quotients on one side of x (sign -1 left,
     +1 right), where f is fx and S is sx, at the far ends of the pieces
-    that hold x from that side, down the ``walk`` of ``_walk``, with S at
-    those ends read from the pieces; None when x ends a piece with a gap
-    on this side, or the side shows no variation.  Each step builds only
-    the copy that holds x (``sets._child``), with the slack ``eps`` of x.
-    The walk stops at pieces shorter than ``finest``, and once the
-    quotients have settled where x is, bit for bit, the near end of its
+    that hold x from that side, down the evaluator's ``walk``, with S at
+    those ends read from the pieces by ``at``; None when x ends a piece
+    with a gap on this side, or the side shows no variation.  Each step
+    builds only the copy that holds x (``sets._child``, on the walk's
+    frame), with the slack ``eps`` of x.  The walk stops at pieces
+    shorter than ``finest``, and once the quotients have settled where x
+    is, bit for bit, the near end of its
     piece: every finer piece that holds x from this side is then an outer
     copy with that near end (``_children`` keeps the parent's ends), and
     changes neither the value nor the side.  An x computed elsewhere may
     miss a piece end by ulps: x is a piece end within ``eps``.  Raises
     ValueError where f is NaN at a far end it reads (``_nan_at``), and
     NoLimit when quotients do not settle."""
-    piece, kids, at, _ = walk
-    hull, table, t, lam = kids.args  # the frame that ``kids`` is bound to
+    piece, (hull, table, t, lam), _ = walk
     quots, prev, settled = [], None, None
     while piece is not None:
         k0, k1 = piece[0], piece[1]
@@ -469,19 +452,20 @@ def derivative(f, stair, x, tol=1e-3, r0=None):
     successive differences are each at most tol / 4; a side is vacuous
     where x ends a piece with a gap on that side.  A settled side stops
     its walk (``_side``) once x is the near end of its piece, which every
-    finer piece that holds x from that side shares.  Both sides share f(x),
-    S(x), the slack of x and the finest piece length: 1e-13 max(W, |x|)
-    for the width W of the set's hull, or twice that slack over the least
-    ratio, below which a copy could be shorter than the slack.  r0
-    defaults to W, so both scale with the set.  tol must be positive, and
-    so must r0 at a point of F.  Raises ValueError where f is NaN at x or
-    at a piece end the walk reads, and NoLimit when the quotients do not
-    settle, the sides disagree beyond tol, or S is flat."""
+    finer piece that holds x from that side shares.  Both sides share the
+    evaluator's ``walk`` (none is built off F), f(x), S(x), the slack of
+    x and the finest piece length: 1e-13 max(W, |x|) for the width W of
+    the set's hull, or twice that slack over the least ratio, below which
+    a copy could be shorter than the slack.  r0 defaults to W, so both
+    scale with the set.  tol must be positive, and so must r0 at a point
+    of F.  Raises ValueError where f is NaN at x or at a piece end the
+    walk reads, and NoLimit when the quotients do not settle, the sides
+    disagree beyond tol, or S is flat."""
     _positive("tol", tol)
     _reject_nan("x", x)
     if not stair.spec._isect(x, x):
         return DerivativeResult(0.0, "off", 0.0)
-    walk = _walk(stair)
+    walk = stair.walk
     left = right = None
     if walk is not None:
         rec = stair.measure
@@ -493,8 +477,8 @@ def derivative(f, stair, x, tol=1e-3, r0=None):
         fx, sx = f(x), stair(x)
         if fx != fx:
             raise _nan_at(x)
-        left = _side(f, x, fx, sx, walk, -1, tol, r0, eps, finest)
-        right = _side(f, x, fx, sx, walk, +1, tol, r0, eps, finest)
+        left = _side(f, x, fx, sx, walk, stair._at, -1, tol, r0, eps, finest)
+        right = _side(f, x, fx, sx, walk, stair._at, +1, tol, r0, eps, finest)
     if left and right:
         mismatch = abs(left[0] - right[0])
         if mismatch > tol * max(1.0, abs(left[0])):

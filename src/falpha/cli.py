@@ -25,6 +25,7 @@ the JSON from a file.
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -463,16 +464,14 @@ def main(argv=None):
             raise _UsageError("a subcommand is required")
         if getattr(args, "samples", 2) < 2:  # a table holds both ends
             raise _UsageError(f"--samples {args.samples} must be at least 2")
-        out = sys.stdout
-        close = False
-        if getattr(args, "output", None):
-            out = open(args.output, "w", encoding="utf-8")
-            close = True
-        try:
-            if args.command == "verify":
-                return _cmd_verify(args, out)
-            if args.command == "cantor-g":
-                return _cmd_cantor_g(args, out)
+        # a file takes only the finished text: a run that fails leaves it
+        path = getattr(args, "output", None)
+        out = io.StringIO() if path else sys.stdout
+        if args.command == "verify":
+            code = _cmd_verify(args, out)
+        elif args.command == "cantor-g":
+            code = _cmd_cantor_g(args, out)
+        else:
             spec = _load_set(args.set_text)
             a, b = args.range
             if b < a:
@@ -487,10 +486,11 @@ def main(argv=None):
                 "diffusion": _cmd_diffusion,
                 "friction": _cmd_friction,
             }[args.command]
-            return handler(args, spec, alpha, a, b, out)
-        finally:
-            if close:
-                out.close()
+            code = handler(args, spec, alpha, a, b, out)
+        if path:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(out.getvalue())
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

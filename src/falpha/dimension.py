@@ -15,7 +15,8 @@ staircase rises on [a, b], F meets [a, b] in a whole small copy of F,
 and elsewhere in at most the points a and b.  So it is the order-jump
 dimension, on intervals and finite sets as well, with one exception:
 {0} union {1/n} has box dimension 1/2 (Falconer, Example 3.5) on a
-window that holds 0 and a point 1/n, and 0 on any other.
+window that holds 0 and a point 1/n, and 0 on any other; a wrapped
+window is mapped into the unwrapped set (``sets.unwrap``) to test that.
 
 ``box_counts`` and ``box_dimension`` are the numeric estimate, for
 comparison: exact counts of base-3 grid boxes meeting F, via the
@@ -28,8 +29,8 @@ import math
 
 from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import (Affine, GapIFS, HarmonicCluster, Record, _count,
-                         _positive, _reject_nan)
+from falpha.sets import (GapIFS, HarmonicCluster, Record, _count, _positive,
+                         _reject_nan, unwrap)
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
@@ -130,13 +131,11 @@ class DimensionReport(Record):
 
 
 def _unwrap(spec, a, b):
-    """(unwrapped set, a, b mapped into it), refusing a window whose
-    width is not finite before or after the mapping.  A wrapper's scale
-    is positive, so the mapped ends keep their order."""
-    u, v = a, b
-    if isinstance(spec, Affine):
-        s, t = spec.scale, spec.shift
-        spec, u, v = spec.inner, (a - t) / s, (b - t) / s
+    """(unwrapped set, a, b mapped into it by ``sets.unwrap``), refusing
+    a window whose width is not finite before or after the mapping.  The
+    scale is positive, so the mapped ends keep their order."""
+    s, t, spec = unwrap(spec)
+    u, v = (a - t) / s, (b - t) / s
     if not (math.isfinite(b - a) and math.isfinite(v - u)):
         raise ValueError(f"window [a, b] = [{a!r}, {b!r}] has no finite width")
     return spec, u, v

@@ -25,7 +25,9 @@ The staircase's closed form on a gap IFS at its order is one descent
 down the copies that contain x (``_backend.stair_scaled``), reading the
 weights r_i^alpha / sum r_j^alpha from the set's measure record; on point
 sets, the interval at order 1 and a gap IFS above its order it is this
-cover with no mesh bound (delta = inf), read from -inf.
+cover with no mesh bound (delta = inf), read from -inf.  A wrapped set
+shift + scale F is read through ``sets.unwrap``: its coarse mass is
+scale^alpha times F's, of a, b and delta mapped into F.
 
 ``mass`` reads its verdict from the set's structure.  The mass on [a, b]
 jumps from infinite to 0 at the gamma-dimension.  A gap IFS has
@@ -47,9 +49,8 @@ import functools
 import math
 
 from falpha import _backend
-from falpha.sets import (Affine, FullInterval, GapIFS, Record, Scale,
-                         TernaryCantor, Translate, _finite, _positive,
-                         _reject_nan)
+from falpha.sets import (FullInterval, GapIFS, Record, Scale, TernaryCantor,
+                         Translate, _finite, _positive, _reject_nan, unwrap)
 
 __all__ = [
     "MassEstimate",
@@ -153,29 +154,23 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
 
 
 def _coarse_scaled(spec, a, b, alpha, delta):
-    """Coarse mass estimate times Gamma(alpha + 1)."""
-    if isinstance(spec, Affine):
-        lam, t = spec.scale, spec.shift
-        return lam ** alpha * _coarse_unwrapped(
-            spec.inner, (a - t) / lam, (b - t) / lam, alpha, delta / lam
-        )
-    return _coarse_unwrapped(spec, a, b, alpha, delta)
-
-
-def _coarse_unwrapped(spec, a, b, alpha, delta):
-    if b - a <= 0.0 or spec.is_discrete():
+    """Coarse mass estimate times Gamma(alpha + 1).  With no wrapper the
+    frame (1.0, 0.0) maps every number, -0.0 and inf too, to itself."""
+    lam, t, inner = unwrap(spec)
+    a, b, delta = (a - t) / lam, (b - t) / lam, delta / lam
+    if b - a <= 0.0 or inner.is_discrete():
         return 0.0
-    if isinstance(spec, FullInterval):
-        length = min(b, spec.hi) - max(a, spec.lo)
-        return _tile_cost(length, delta, alpha)
-    if isinstance(spec, GapIFS):
-        t = sum([r ** alpha for r in spec.ratios])
-        if _backend.side_of_order(t) < 0:
-            # refining one level multiplies the cover cost by t < 1, so the
-            # infimum over admissible subdivisions is 0 at every delta
-            return 0.0
-        return _ifs_partial(spec, a, b, alpha, delta, {})
-    raise TypeError(f"unsupported spec {type(spec).__name__}")
+    if isinstance(inner, FullInterval):
+        cost = _tile_cost(min(b, inner.hi) - max(a, inner.lo), delta, alpha)
+    elif not isinstance(inner, GapIFS):
+        raise TypeError(f"unsupported spec {type(inner).__name__}")
+    elif _backend.side_of_order(sum([r ** alpha for r in inner.ratios])) < 0:
+        # refining one level multiplies the cover cost by sum r^alpha < 1,
+        # so the infimum over admissible subdivisions is 0 at every delta
+        return 0.0
+    else:
+        cost = _ifs_partial(inner, a, b, alpha, delta, {})
+    return lam ** alpha * cost
 
 
 def coarse_mass(spec, a, b, alpha, delta):
@@ -198,7 +193,7 @@ def coarse_mass(spec, a, b, alpha, delta):
 
 
 def _is_upper_bound(spec):
-    inner = spec.inner if isinstance(spec, Affine) else spec
+    inner = unwrap(spec)[2]
     return isinstance(inner, GapIFS) and not isinstance(inner, TernaryCantor)
 
 
@@ -256,12 +251,11 @@ def _closed_form(spec, alpha, rec):
     record ``rec`` of a gap IFS at its order, unit times the share it
     reads, or the cover with no mesh bound where that does not depend on
     the mesh, with no unit."""
-    inner = spec.inner if isinstance(spec, Affine) else spec
 
     def cover(x):
         return _coarse_scaled(spec, -math.inf, x, alpha, math.inf)
 
-    if isinstance(inner, FullInterval):
+    if isinstance(unwrap(spec)[2], FullInterval):
         return (cover, None) if alpha == 1.0 else (None, None)
     if rec is None or rec.side < 0:
         return (cover, None)  # point sets, or above the order
@@ -289,7 +283,8 @@ class StaircaseEvaluator:
     cached by x: each one computed, and each read at a piece end from the
     piece's share (``_at``), which equals the descent there bit for bit.
     The cache holds at most ``_CACHE_CAP`` values: a value that would pass
-    that empties it first, so a long walk keeps its memory bounded."""
+    that empties it first, so a long walk keeps its memory bounded.  The
+    walk down F's pieces that ``calculus`` takes is built once (``walk``)."""
 
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
         _positive("alpha", alpha, 1.0)
@@ -365,6 +360,17 @@ class StaircaseEvaluator:
                                     rec.table, rec.eps)
         return [(w * s - s0) / gamma
                 for s in map(descend, [(x - t) / lam for x in xs])]
+
+    @functools.cached_property
+    def walk(self):
+        """(top piece, frame, finest length) of the walk down F's pieces,
+        or None where S is flat: the hull's piece, the (hull, table, shift,
+        scale) of ``measure`` as ``sets._children`` reads them, and its
+        ``eps`` in global units.  Plain data: ``_at`` reads S beside it."""
+        rec = self.measure
+        return None if rec is None or rec.side < 0 else (
+            (*self.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),
+            (rec.hull, rec.table, rec.shift, rec.scale), rec.eps * rec.scale)
 
     def _at(self, x, share):
         """self(x) at a piece end x where the descent on ``self.measure``

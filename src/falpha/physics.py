@@ -18,7 +18,7 @@ import functools
 import math
 
 from falpha import _backend
-from falpha.calculus import FOnF, _bracket, _walk, derivative, integrate
+from falpha.calculus import FOnF, _bracket, derivative, integrate
 from falpha.mass import StaircaseEvaluator
 from falpha.sets import Record, _finite, _positive, _reject_nan
 
@@ -199,7 +199,8 @@ def time_of_flight(params, x, tol=1e-9):
     if x < x0:
         raise ValueError("x must be at least x0")
     vel = functools.cache(lambda p: friction_velocity(params, p))
-    rec, kappa = params.stair.measure, params.kappa
+    stair, kappa = params.stair, params.kappa
+    rec = stair.measure
     uniform = rec is not None and kappa is not None
     affine = uniform and all(p == r for _, r, _, _, p in rec.table)
     moments = (_backend.lebesgue_moments(rec, _SERIES_K + 1)
@@ -219,9 +220,8 @@ def time_of_flight(params, x, tol=1e-9):
         return ((v - u) / min(vc, vd), (v - u) / max(vc, vd))
 
     def walk(b):
-        stair = params.stair
-        return _bracket(_walk(stair), x0, stair(x0), b, stair(b), tol, bound,
-                        lambda u, v, s: (v - u) / speed(u, s))
+        return _bracket(stair.walk, stair._at, x0, stair(x0), b, stair(b),
+                        tol, bound, lambda u, v, s: (v - u) / speed(u, s))
 
     v_floor = 1e-9 * params.v0
     if vel(x) <= v_floor:

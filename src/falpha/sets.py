@@ -26,6 +26,7 @@ __all__ = [
     "Affine",
     "Translate",
     "Scale",
+    "unwrap",
     "Subdivision",
     "ResolutionExceeded",
     "intersects",
@@ -653,6 +654,14 @@ class Affine(SetSpec, Record):
         return self.inner.is_discrete()
 
 
+def unwrap(spec):
+    """(scale, shift, F) of spec = shift + scale * F, (1.0, 0.0, spec) with
+    no wrapper: the one reader, outside ``Affine``, of how it is stored."""
+    if isinstance(spec, Affine):
+        return spec.scale, spec.shift, spec.inner
+    return 1.0, 0.0, spec
+
+
 def _affine(spec, scale, shift):
     """shift + scale * spec with an Affine spec folded in; a zero scale
     leaves the single point {shift}."""
@@ -775,10 +784,9 @@ def spec_from_json(obj):
 
 def spec_to_json(spec):
     """Inverse of spec_from_json for the supported shapes."""
-    wrap = {}
-    if isinstance(spec, Affine):
-        wrap = {"scale": spec.scale, "translate": spec.shift}
-        spec = spec.inner
+    scale, shift, inner = unwrap(spec)
+    wrap = {} if inner is spec else {"scale": scale, "translate": shift}
+    spec = inner
     if isinstance(spec, TernaryCantor):
         base = {"type": "cantor"}
     elif isinstance(spec, GapIFS):

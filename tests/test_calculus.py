@@ -1,11 +1,14 @@
 """Staircase-weighted integration and quotient differentiation."""
 
 import contextlib
+import functools
+import gc
 import heapq
 import itertools
 import math
 import random
 import re
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -36,6 +39,7 @@ from falpha.sets import (
     Subdivision,
     TernaryCantor,
     Translate,
+    _children,
     gaps,
     net,
     slack,
@@ -458,7 +462,8 @@ def test_nets_and_gaps_end_walked_pieces(medium, level):
     # same frames: every net point and gap end is a walked end, bit for bit
     spec, alpha, _, copies = medium
     assume(copies is not None)
-    hull, kids, _, _ = calculus._walk(StaircaseEvaluator(spec, alpha))
+    hull, frame, _ = StaircaseEvaluator(spec, alpha).walk
+    kids = functools.partial(_children, *frame)
     min_len = spec.resolution(level + 2)
     ends, stack = set(), [(hull, 0)]
     while stack:
@@ -535,7 +540,8 @@ def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
     a0 = h0 + (h1 - h0) * start
     stair = StaircaseEvaluator(spec, alpha, a0=a0)
     fresh = StaircaseEvaluator(spec, alpha, a0=a0)
-    hull, kids, _, _ = calculus._walk(stair)
+    hull, frame, _ = stair.walk
+    kids = functools.partial(_children, *frame)
     stack = [(hull, 0)]
     while stack:
         piece, d = stack.pop()
@@ -546,10 +552,11 @@ def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
             stack.extend((k, d + 1) for k in kids(piece))
 
 
-def _reference_side(f, x, fx, sx, walk, sign, tol, r0, eps, finest):
+def _reference_side(f, x, fx, sx, walk, at, sign, tol, r0, eps, finest):
     """``calculus._side`` with no early stop: the walk goes on down to the
     finest piece that holds x from this side, through every child list."""
-    piece, kids, at, _ = walk
+    piece, frame, _ = walk
+    kids = functools.partial(_children, *frame)
     quots, prev, settled = [], None, None
     while piece is not None:
         k0, k1 = piece[:2]
@@ -620,7 +627,8 @@ def test_a_side_builds_the_copy_that_children_picks(medium, data):
     # of the copies moved by up to 1.5 slacks and then by a few ulps
     spec, alpha = medium
     stair = StaircaseEvaluator(spec, alpha)
-    piece, kids, _, _ = calculus._walk(stair)
+    piece, frame, _ = stair.walk
+    kids = functools.partial(_children, *frame)
     for _ in range(data.draw(st.integers(0, 6), label="level")):
         copies = kids(piece)
         piece = copies[data.draw(st.integers(0, len(copies) - 1))]
@@ -636,18 +644,19 @@ def test_a_side_builds_the_copy_that_children_picks(medium, data):
                 want = next((c for c in copies
                              if (c[0] + eps < x <= c[1] + eps if sign < 0
                                  else c[0] - eps <= x < c[1] - eps)), None)
-                got = calculus._child(*kids.args, piece, x, eps, sign)
+                got = calculus._child(*frame, piece, x, eps, sign)
                 assert repr(got) == repr(want), (x, sign)
 
 
-def _reference_bracket(walk, a, sa, b, sb, tol, bound, flat,
+def _reference_bracket(walk, at, a, sa, b, sb, tol, bound, flat,
                        max_pieces=math.inf):
     """``calculus._bracket`` as it was before its heap entries carried S
     at their ends: each split read S at every piece end it met, from the
     piece.  Kept as the reference for the walk's results."""
     if walk is None:
         return (flat(a, b, sa), flat(a, b, sa), 0, 0)
-    hull, kids, at, finest = walk
+    hull, frame, finest = walk
+    kids = functools.partial(_children, *frame)
     exact = upper = lower = width = 0.0
     count = depth = 0
     heap = []
@@ -723,14 +732,15 @@ def _assert_old_brackets(spec, alpha, a, b, tol):
     gave, by repr, for the integrands 1, x and S down F over [a, b], and
     for the flight's bound from the hull's start to b."""
     stair = StaircaseEvaluator(spec, alpha, a0=spec.hull()[0])
-    walk = calculus._walk(stair)
+    walk = stair.walk
     flat = lambda u, v, s: 0.0
     for fn in (lambda x: 1.0, lambda x: x, stair):
         f = FOnF.monotone(fn)
-        got = calculus._bracket(walk, a, stair(a), b, stair(b), tol,
-                                calculus._piece_bound(f, stair), flat, 3000)
+        got = calculus._bracket(walk, stair._at, a, stair(a), b, stair(b),
+                                tol, calculus._piece_bound(f, stair), flat,
+                                3000)
         want = _reference_bracket(
-            walk, a, stair(a), b, stair(b), tol,
+            walk, stair._at, a, stair(a), b, stair(b), tol,
             lambda u, v, su, sv, whole: _reference_component(
                 f, stair, u, v, whole, (su, sv)), flat, 3000)
         assert repr(got) == repr(want), (a, b)
@@ -1138,10 +1148,11 @@ def test_d_s_is_1_at_a_net_point_at_every_power_of_two(k, base, i):
                                           (math.inf, OverflowError),
                                           (-math.inf, OverflowError)])
 def test_a_bound_that_is_not_finite_is_refused(value, error):
-    walk = calculus._walk(STAIR)
+    walk = STAIR.walk
     for bounds in ((value, 0.0), (0.0, value)):
         with pytest.raises(error, match=r"the bound on \[0\.0, 1\.0\]"):
-            calculus._bracket(walk, 0.0, STAIR(0.0), 1.0, STAIR(1.0), 1e-3,
+            calculus._bracket(walk, STAIR._at, 0.0, STAIR(0.0), 1.0,
+                              STAIR(1.0), 1e-3,
                               lambda u, v, su, sv, whole: bounds,
                               lambda u, v, s: 0.0)
 
@@ -1177,6 +1188,63 @@ def test_a_substitution_builds_no_evaluator(monkeypatch):
     assert built == []
 
 
+def _spy_on_walks(monkeypatch):
+    """The evaluators whose ``walk`` is built, one entry a build."""
+    built = []
+    build = StaircaseEvaluator.walk.func
+
+    def spy(self):
+        built.append(self)
+        return build(self)
+
+    walk = functools.cached_property(spy)
+    walk.__set_name__(StaircaseEvaluator, "walk")
+    monkeypatch.setattr(StaircaseEvaluator, "walk", walk)
+    return built
+
+
+def test_an_evaluator_builds_its_walk_once(monkeypatch):
+    # a table of derivatives, two integrals and a flight on one evaluator
+    # share one walk
+    built = _spy_on_walks(monkeypatch)
+    params = FrictionParams(C, ALPHA, v0=1.0, kappa=0.5)
+    stair = params.stair
+    f = FOnF.monotone(stair)
+    for x in net(C, 3, Interval(0.0, 1.0)):
+        assert derivative(f, stair, x).value == 1.0
+    integrate(FOnF.monotone(lambda x: x), stair, 0.1, 0.9, tol=1e-4)
+    integrate(FOnF.lipschitz(lambda x: x * x, 2.0), stair, 0.0, 1.0,
+              tol=1e-4)
+    time_of_flight(params, 0.7, tol=1e-6)
+    assert built == [stair]
+
+
+def test_a_substitution_and_a_point_off_f_build_no_walk(monkeypatch):
+    built = _spy_on_walks(monkeypatch)
+    stair = StaircaseEvaluator(C, ALPHA)
+    integrate(FOnF.of_stair(lambda u: u ** 2, stair), stair, 0.0, 1.0)
+    assert derivative(FOnF.monotone(stair), stair, 0.5).side == "off"
+    assert built == []
+
+
+def test_an_evaluator_that_has_walked_needs_no_collector():
+    # the walk is plain data and S is read beside it, so no cycle holds
+    # the evaluator and its cache once the last reference goes
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        stair = StaircaseEvaluator(C, ALPHA)
+        integrate(FOnF.monotone(lambda x: x), stair, 0.1, 0.9, tol=1e-4)
+        derivative(FOnF.monotone(stair), stair, 0.25)
+        assert stair.walk is not None and stair._cache
+        ref = weakref.ref(stair)
+        del stair
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @st.composite
 def _spans(draw):
     """(u0, u1) with u0 < u1: near 0, far from 0, and from 1e-300 to
@@ -1191,10 +1259,11 @@ def _spans(draw):
 
 
 def _interval_walk(u0, u1):
-    """(walk, S(u0), S(u1)) of the evaluator on [u0, u1] at order 1 from
-    u0: the reference that the walk of ``_halves`` must match."""
+    """(walk, S reader, S(u0), S(u1)) of the evaluator on [u0, u1] at
+    order 1 from u0: the reference that the walk of ``_halves`` must
+    match."""
     stair = StaircaseEvaluator(FullInterval(u0, u1), 1.0, a0=u0)
-    return calculus._walk(stair), stair(u0), stair(u1)
+    return stair.walk, stair._at, stair(u0), stair(u1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1211,11 +1280,11 @@ def test_the_halves_walk_is_the_interval_evaluators(span, n, tol):
         return (d * ((((u - u0) / w) ** n + ((v - u0) / w) ** n) / 2.0),
                 d * (((u + v) / 2.0 - u0) / w) ** n)
 
-    def bracket(walk, s0, s1):
-        return calculus._bracket(walk, u0, s0, u1, s1, tol * w, bound,
+    def bracket(walk, at, s0, s1):
+        return calculus._bracket(walk, at, u0, s0, u1, s1, tol * w, bound,
                                  lambda u, v, s: 0.0, 2000)
 
-    got = bracket(calculus._halves(u0, u1), u0, u1)
+    got = bracket(calculus._halves(u0, u1), calculus._identity, u0, u1)
     assert repr(got) == repr(bracket(*_interval_walk(u0, u1)))
 
 

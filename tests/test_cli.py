@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -199,6 +200,95 @@ def test_output_file_and_determinism(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+    # a file holds what stdout would, whatever it held before
+    p1.write_bytes(b"a longer text that the table replaces " * 100)
+    for argv in (("staircase",), ("friction", "--format", "json"),
+                 ("verify", "--fast")):
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--output", str(p1)) == (0, "", "")
+        assert p1.read_bytes() == want.encode("utf-8"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("mass", "--depth", "0"),
+    ("friction", "--x0", "2"),
+    ("diffusion", "--x", "0", "1", "0"),
+    ("mass", "--set", '{"type": "bogus"}'),
+])
+def test_a_run_that_fails_leaves_its_output_file_as_it_was(tmp_path, capsys,
+                                                           argv):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"keep\n\x00\xff")
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert path.read_bytes() == b"keep\n\x00\xff"
+
+
+def test_an_unwritable_output_path_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "mass", "--output", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+# sha256 of the stdout of main in process, for each subcommand at its
+# defaults in both formats and the integrands that the walks and the
+# substitution price.  A change that moves an output on purpose updates
+# the digest here and names the rows that moved.
+_DIGESTS = (
+    ("staircase",
+     "93af7443abb8523025d0c6b9da022f25b24894a771d14b45923653ac22014c9f"),
+    ("mass",
+     "ea04e3eb001230e576d36bbdff126643115e1cc80adaa5f7c0cacba8b5a9ee78"),
+    ("dimension",
+     "f2d55585eecf780d6d417071b10a32a154bdf3f4d12cf3fa22cdb9910c91055a"),
+    ("integrate",
+     "b8d60f3231d138bbd552df81849ea88fd4fce31c8b342f1e1baa1a397bb0ae9e"),
+    ("differentiate",
+     "ee0012c5bc634da5a3cfa6c1ef7e58ba03a3add38b59a376b06fc74b5b011955"),
+    ("cantor-g",
+     "c4ebd14cf3af0c5595d456aa393327a65fbada61d0798e800f61cccd2b205a09"),
+    ("diffusion",
+     "97fc155be2a74c10f3edad64823cf0b0ad66dc17cbd51c0480c1ac3a1436b4d6"),
+    ("friction",
+     "94be941c73ae1bfb8145ff98a7b2b6452b4043b3c88609f7257728c9ea2012a9"),
+    ("staircase --format json",
+     "89fb100f20715a7329cc230a273ae70093deba8e87aac2c082a4f859991fdcd9"),
+    ("mass --format json",
+     "0c2076053fb2a70a9c787f2883c69f2ea9670dcccc50612f8072d5b8ce9255ee"),
+    ("dimension --format json",
+     "517978b353688c7c3e861cf6cec3bc109e3759bea75cf7c4c484ffbc2e49ddff"),
+    ("integrate --format json",
+     "9a137ee47ab49225b86e65c81201afffba03bef4a2b2a1aa9e2af9c0112761b7"),
+    ("differentiate --format json",
+     "2922362deddceb2644661429a0ee6df2a5e80619cf922c084aa04d18af47e50f"),
+    ("cantor-g --format json",
+     "99709a7250725d6f1631eb39d70f158c5030b32ac03da226de079f6989c23cd3"),
+    ("diffusion --format json",
+     "740717383a40787d5517358bd22da536153bc9b66fe114b804de19cebbb324a7"),
+    ("friction --format json",
+     "ee2b45a2c342d8fb38f4052229083ac28dbb7338bbfc72c428a536ea6e26bac6"),
+    ("verify --fast",
+     "b7271b38a8b311aa01cacaed95f9ef67306f68f2022ea6fee00d40d0ab394701"),
+    ("integrate --f stair",
+     "db27e60999a44a06e198bc149b6977638f6f92273103ccd6e7f9bc75a4e76694"),
+    ("integrate --f stair2",
+     "11063d4e1818089af93d4fbfdb420abe48ca728b3c489ca3b8da2c693c84f36c"),
+    ("integrate --f stair3",
+     "27bb69be24e655bcb27b2dc49f5220838bbb1269d7735b9d72544711886bd5c8"),
+    ("integrate --f stair4",
+     "73a0c5aecaf2898a46c421e2b9cd6632655b42b2c77e205a8d398c1b2269d592"),
+    ("differentiate --f stair2",
+     "8a8bd71bc4d2317467d8bf44ff3554f66d295366657bcb404fdc82f1869a65a8"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", _DIGESTS)
+def test_the_cli_gives_the_pinned_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 USAGE_ERRORS = (

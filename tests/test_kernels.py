@@ -199,6 +199,36 @@ def _tracing():
     return module
 
 
+def _wrapper_reads(path):
+    """Where the source at ``path`` names ``Affine`` (an import, a name or
+    an attribute) or reads an attribute ``inner``, as file:line name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr, "." + node.attr]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {n}" for n in names
+                  if n in ("Affine", ".inner")]
+    return found
+
+
+def test_only_sets_knows_how_a_wrapper_is_stored():
+    # every other module reads a wrapped set through sets.unwrap; the
+    # package's __init__ only re-exports Affine
+    root = pathlib.Path(falpha.__file__).parent
+    bad = [hit for path in sorted(root.glob("*.py"))
+           if path.name not in ("sets.py", "__init__.py")
+           for hit in _wrapper_reads(path)]
+    assert not bad, bad
+    init = _wrapper_reads(root / "__init__.py")
+    assert len(init) == 1 and init[0].endswith(" Affine"), init
+
+
 def test_every_name_the_benchmark_tracer_wraps_resolves():
     # the traced benchmark wraps these by name: a refactor that renames,
     # moves or reshapes one would blind a layer without failing a run
