@@ -90,9 +90,9 @@ class FOnF(Record):
     ``monotone(stair)`` as g the identity, by substitution: the integral
     of g over [S(a), S(b)], widened at a and b by how far S rises within
     twice the slack of each and of the origin (``_by_substitution``).  A
-    function of another evaluator, a ``monotone`` of a wrapper of
-    ``stair``, a set with no measure record or off its order, or a
-    widening of tol or more takes the walk down F.
+    function of an evaluator with other fields, a ``monotone`` of a
+    wrapper of ``stair``, a set with no measure record or off its order,
+    or a widening of tol or more takes the walk down F.
     """
 
     _fields = ("fn", "hint")
@@ -305,8 +305,8 @@ def _halves(u0, u1):
 
 def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
     """(lower, upper, pieces, depth) of the integral over [a, b] of f = g
-    of the values of ``stair`` (``FOnF.of_stair`` on ``stair``, or
-    ``FOnF.monotone(stair)`` with g the identity): the integral of g over
+    of the values of ``stair`` (``FOnF.of_stair`` on an evaluator equal
+    to it, or ``FOnF.monotone`` of one with g(u) = u): the integral of g over
     [S(a), S(b)], by the walk of ``_bracket`` down the halves of that
     interval (``_halves``), where g convex lies between the midpoint rule
     (Jensen) and the trapezoid (the chord) on each piece.  A descent reads
@@ -323,7 +323,7 @@ def _by_substitution(f, stair, a, b, tol, max_pieces=math.inf):
     if (not isinstance(f, FOnF) or f.hint[:1] != ("monotone",)
             or rec is None or rec.side != 0):
         return None
-    if f.fn is stair:
+    if f.fn == stair:
         g = _identity
     elif f.hint[2:] == (stair,):
         g = f.hint[1]

@@ -29,6 +29,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 
@@ -219,16 +220,16 @@ def _build_parser():
                               "subsets of the line.")
     sub = top.add_subparsers(dest="command", metavar="command")
 
-    def common(p, alpha_default="auto"):
+    def common(p, ranged=True):
         p.add_argument("--set", default="cantor", dest="set_text",
                        help="set description: cantor, harmonic, inline JSON, "
                             "or @file (default: cantor)")
-        p.add_argument("--alpha", default=alpha_default,
-                       help=f"order in (0, 1] or 'auto' "
-                            f"(default: {alpha_default})")
-        p.add_argument("--range", nargs=2, type=_finite, default=(0.0, 1.0),
-                       metavar=("A", "B"), help="interval endpoints "
-                       "(default: 0 1)")
+        p.add_argument("--alpha", default="auto",
+                       help="order in (0, 1] or 'auto' (default: auto)")
+        if ranged:
+            p.add_argument("--range", nargs=2, type=_finite,
+                           default=(0.0, 1.0), metavar=("A", "B"),
+                           help="interval endpoints (default: 0 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None,
                        help="output path (default: stdout)")
@@ -243,9 +244,6 @@ def _build_parser():
 
     p = sub.add_parser("dimension", help="order-jump and box dimension")
     common(p)
-    p.add_argument("--tol", type=_finite, default=0.02,
-                   help="in (0, 0.5]; no effect, since the order is read "
-                        "from the set exactly (default: 0.02)")
 
     p = sub.add_parser("integrate", help="staircase-weighted integral")
     common(p)
@@ -267,16 +265,15 @@ def _build_parser():
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("diffusion", help="density table for fractal time")
-    common(p)
+    common(p, ranged=False)
     p.add_argument("--time", nargs="+", type=_finite, default=(1.0 / 3.0, 1.0),
                    help="evaluation times (default: 1/3 1)")
     p.add_argument("--x", nargs=3, type=_finite, default=(-2.0, 2.0, 0.25),
                    metavar=("LO", "HI", "STEP"), help="space grid")
 
-    p = sub.add_parser("friction", help="velocity and travel-time table")
+    p = sub.add_parser("friction", help="velocity and flight time from A")
     common(p)
     p.add_argument("--v0", type=_finite, default=1.0)
-    p.add_argument("--x0", type=_finite, default=0.0)
     p.add_argument("--kappa", type=_finite, default=0.5)
     p.add_argument("--samples", type=int, default=16)
 
@@ -292,6 +289,15 @@ def _check_rows(rows):
     if rows > _MAX_ROWS:
         raise _UsageError(f"a table of {rows:.3g} rows is more than the "
                           f"{_MAX_ROWS} allowed")
+
+
+def _check_output(path):
+    """Refuse, before the run and creating nothing, an ``--output`` path
+    that is a directory or whose directory is missing or not writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK):
+        raise _UsageError(f"--output {path!r} is not a file in a writable "
+                          "directory")
 
 
 def _table_points(a, b, n):
@@ -338,9 +344,8 @@ def _cmd_mass(args, spec, alpha, a, b, out):
 
 
 def _cmd_dimension(args, spec, alpha, a, b, out):
-    rep = gamma_dimension(spec, a, b, tol=args.tol)
-    rows = [(al, verdict) for al, verdict in rep.alpha_trace]
-    _emit(out, args.format, ("alpha", "verdict"), rows,
+    rep = gamma_dimension(spec, a, b)
+    _emit(out, args.format, ("alpha", "verdict"), rep.alpha_trace,
           meta={"gamma_dim": rep.gamma_dim, "box_dim": rep.box_dim,
                 "bracket_lo": rep.bracket[0], "bracket_hi": rep.bracket[1]})
     return 0
@@ -418,12 +423,9 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
 
 
 def _cmd_friction(args, spec, alpha, a, b, out):
-    if args.x0 > b:  # the table runs from x0 to B
-        raise _UsageError(f"--x0 {args.x0!r} lies past B = {b!r}")
-    params = FrictionParams(spec, alpha, v0=args.v0, x0=args.x0,
-                            kappa=args.kappa)
+    params = FrictionParams(spec, alpha, v0=args.v0, x0=a, kappa=args.kappa)
     rows = []
-    for x in _table_points(args.x0, b, args.samples):
+    for x in _table_points(a, b, args.samples):
         v = friction_velocity(params, x)
         t = time_of_flight(params, x, tol=1e-6)
         rows.append((x, v, t))
@@ -466,6 +468,8 @@ def main(argv=None):
             raise _UsageError(f"--samples {args.samples} must be at least 2")
         # a file takes only the finished text: a run that fails leaves it
         path = getattr(args, "output", None)
+        if path:
+            _check_output(path)
         out = io.StringIO() if path else sys.stdout
         if args.command == "verify":
             code = _cmd_verify(args, out)
@@ -473,7 +477,7 @@ def main(argv=None):
             code = _cmd_cantor_g(args, out)
         else:
             spec = _load_set(args.set_text)
-            a, b = args.range
+            a, b = getattr(args, "range", (0.0, 0.0))  # diffusion has none
             if b < a:
                 raise _UsageError("range endpoints must satisfy A <= B")
             alpha = _resolve_alpha(args.alpha, spec)

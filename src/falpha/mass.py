@@ -267,8 +267,9 @@ def _closed_form(spec, alpha, rec):
                                                 (x - t) / lam), w)
 
 
-class StaircaseEvaluator:
-    """Cumulative mass from a fixed origin a0, as a callable of x.
+class StaircaseEvaluator(Record):
+    """Cumulative mass from a fixed origin a0, as a callable of x: a
+    record, which builds what its fields determine once.
 
     Mode ``auto`` picks a closed form S(x) = Gamma(alpha+1) * mass of
     (-inf, x] once, where one exists: the descent down the copies on a
@@ -286,22 +287,21 @@ class StaircaseEvaluator:
     that empties it first, so a long walk keeps its memory bounded.  The
     walk down F's pieces that ``calculus`` takes is built once (``walk``)."""
 
+    _fields = ("spec", "alpha", "a0", "mode")
+
     def __init__(self, spec, alpha, a0=0.0, mode="auto"):
         _positive("alpha", alpha, 1.0)
         if mode not in ("auto", "numeric"):
             raise ValueError("mode must be 'auto' or 'numeric'")
         _reject_nan("a0", a0)
-        self.spec = spec
-        self.alpha = alpha
-        self.a0 = float(a0)
-        self.mode = mode
-        self._gamma = gamma_factor(alpha)
-        self.measure = _backend.measure(spec, alpha)
-        self._closed, self._unit = (_closed_form(spec, alpha, self.measure)
-                                    if mode == "auto" else (None, None))
-        if self._closed is not None:
-            self._s0 = self._closed(self.a0)
-        self._cache = {}
+        a0, measure = float(a0), _backend.measure(spec, alpha)
+        closed, unit = (_closed_form(spec, alpha, measure)
+                        if mode == "auto" else (None, None))
+        self.__dict__.update(
+            spec=spec, alpha=alpha, a0=a0, mode=mode,
+            _gamma=gamma_factor(alpha), measure=measure, _closed=closed,
+            _unit=unit, _s0=None if closed is None else closed(a0),
+            _cache={})
 
     def increment(self, u, v):
         """Mass of [u, v] (u <= v), nonnegative."""

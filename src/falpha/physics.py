@@ -55,17 +55,14 @@ class Stall(ArithmeticError):
 
 
 class DiffusionParams(Record):
-    """The time set and order of a diffusion, and their staircase; the
-    parameters are mutable, so not hashable."""
+    """The time set and order of a diffusion, and ``stair``, which they
+    determine: their staircase from the time origin 0, built once."""
 
-    _fields = ("time_set", "alpha", "stair")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    _fields = ("time_set", "alpha")
 
     def __init__(self, time_set, alpha):
-        self.time_set, self.alpha = time_set, alpha
-        self.stair = StaircaseEvaluator(time_set, alpha, a0=0.0)
+        self.__dict__.update(time_set=time_set, alpha=alpha,
+                             stair=StaircaseEvaluator(time_set, alpha))
 
 
 def diffusion_variance(params, t):
@@ -122,12 +119,9 @@ def diffusion_residual(params, x, t, tol=1e-3):
 class FrictionParams(Record):
     """A medium and its order, the start velocity v0 and position x0, and
     one friction coefficient on the medium: a uniform ``kappa``, or a
-    general ``k`` (an FOnF); mutable, as DiffusionParams is."""
+    general ``k`` (an FOnF); and their staircase ``stair`` from x0."""
 
-    _fields = ("medium_set", "alpha", "v0", "x0", "kappa", "k", "stair")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    _fields = ("medium_set", "alpha", "v0", "x0", "kappa", "k")
 
     def __init__(self, medium_set, alpha, v0, x0=0.0, kappa=None, k=None):
         # NaN or inf would pass the sign checks and stall or poison the
@@ -138,9 +132,9 @@ class FrictionParams(Record):
             raise ValueError("give exactly one of kappa or k")
         if kappa is not None:
             _finite("kappa", kappa, 0.0)
-        self.medium_set, self.alpha = medium_set, alpha
-        self.v0, self.x0, self.kappa, self.k = v0, x0, kappa, k
-        self.stair = StaircaseEvaluator(medium_set, alpha, a0=x0)
+        self.__dict__.update(
+            medium_set=medium_set, alpha=alpha, v0=v0, x0=x0, kappa=kappa,
+            k=k, stair=StaircaseEvaluator(medium_set, alpha, a0=x0))
 
 
 def friction_velocity(params, x):

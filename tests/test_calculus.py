@@ -790,7 +790,8 @@ def test_a_split_reads_s_only_at_the_ends_its_copies_add():
             reads.append(x)
             return at(x, share)
 
-        stair._at = spy
+        # an evaluator is a frozen record: the spy goes into its dict
+        stair.__dict__["_at"] = spy
         res = integrate(FOnF.monotone(lambda x: x - a), stair, a, b,
                         tol=1e-4 * (b - a))
         assert res.refinement_depth >= 5
@@ -1046,6 +1047,19 @@ def _walked(f, stair, a, b, **kw):
         return repr(exc)
 
 
+def test_a_function_of_an_equal_evaluator_is_priced_by_substitution():
+    # an evaluator is a record: one with the same fields is the same
+    # staircase, so a function of it is priced as a function of stair
+    stair = StaircaseEvaluator(C, ALPHA, a0=0.25)
+    twin = StaircaseEvaluator(C, ALPHA, a0=0.25)
+    assert twin == stair and twin is not stair
+    for make in (FOnF.monotone, lambda s: FOnF.of_stair(lambda u: u * u, s)):
+        got = calculus._by_substitution(make(twin), stair, 0.25, 0.75, 1e-3)
+        assert got is not None
+        assert got == calculus._by_substitution(make(stair), stair, 0.25,
+                                                0.75, 1e-3)
+
+
 def test_a_function_of_another_evaluator_takes_the_walk_down_f():
     # S from a0 = 0 is S from a0 = 1/4 plus S(1/4): both are functions of
     # the staircase, but not of the evaluator integrated against
@@ -1299,7 +1313,7 @@ def test_the_staircase_cache_stays_under_its_cap():
             sizes.append(len(self))
 
     stair = StaircaseEvaluator(C, ALPHA)
-    stair._cache = Sized(stair._cache)
+    stair.__dict__["_cache"] = Sized(stair._cache)
     res = integrate(FOnF.lipschitz(lambda x: x * x, 2.0), stair, 0.0, 1.0,
                     tol=1e-7, max_components=10 ** 6)
     assert res.upper - res.lower <= 1e-7

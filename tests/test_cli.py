@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -212,7 +213,7 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("mass", "--depth", "0"),
-    ("friction", "--x0", "2"),
+    ("friction", "--range", "2", "1"),
     ("diffusion", "--x", "0", "1", "0"),
     ("mass", "--set", '{"type": "bogus"}'),
 ])
@@ -230,6 +231,48 @@ def test_an_unwritable_output_path_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "mass", "--output", str(tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("where", ["dir", "missing/out.txt", "file/out.txt"])
+def test_an_unwritable_output_path_exits_1_before_the_run(tmp_path, capsys,
+                                                          monkeypatch, where):
+    # this ran every check, 3 s, before open refused the directory
+    calls = []
+    monkeypatch.setattr("falpha.verify.run_checks",
+                        lambda fast: calls.append(fast) or [])
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_bytes(b"keep")
+    path = tmp_path / where
+    code, out, err = run(capsys, "verify", "--output", str(path))
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: --output") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "file").read_bytes() == b"keep"
+
+
+def _readme_commands():
+    """The argv of each line of the fenced block under "## Command line"
+    in the README, with ``verify [--fast]`` as ``verify --fast``."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```")[1]
+    lines = block.replace("[--fast]", "--fast").splitlines()[1:]
+    return [line.split()[1:] for line in lines if line.strip()]
+
+
+def test_the_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "staircase", "mass", "dimension", "integrate", "differentiate",
+        "cantor-g", "diffusion", "friction", "verify"]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "diffusion":
+            # --x is LO HI STEP: 0 to 2 by 0.05 at one time
+            rows = [line for line in out.splitlines()
+                    if line[:1] not in ("#", "x")]
+            assert len(rows) == 41, argv
 
 
 # sha256 of the stdout of main in process, for each subcommand at its
@@ -299,6 +342,11 @@ USAGE_ERRORS = (
     ("mass", "--set", "{broken"),
     ("mass", "--set", "@/no/such/file"),
     ("mass", "--range", "1", "0"),
+    # options that changed nothing are gone; friction starts at A <= B
+    ("dimension", "--tol", "0.02"),
+    ("diffusion", "--range", "0", "1"),
+    ("friction", "--x0", "0"),
+    ("friction", "--range", "2", "1"),
 )
 
 
@@ -340,24 +388,22 @@ def test_fewer_than_two_samples_exit_1(capsys, argv):
     assert "at least 2" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("--x0", "2"),
-    ("--x0", "1.0000000000000002"),
-    ("--range", "-1", "0.5", "--x0", "0.75"),
-])
-def test_friction_x0_past_b_exits_1_naming_it(capsys, argv):
-    # the table runs from x0 to B: this failed at the second table point,
-    # a value the user never gave
-    code, out, err = run(capsys, "friction", *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: --x0") and "past B" in err
-
-
 def test_friction_x0_at_b_is_a_table_of_one_point(capsys):
-    code, out, err = run(capsys, "friction", "--x0", "1", "--samples", "3")
+    code, out, err = run(capsys, "friction", "--range", "1", "1",
+                         "--samples", "3")
     assert code == 0
     assert out.splitlines()[-3:] == ["1.0,1.0,0.0"] * 3
+
+
+def test_friction_starts_at_a(capsys):
+    # the particle starts at A: this table started at 0.0, where no
+    # option put it
+    code, out, err = run(capsys, "friction", "--range", "0.5", "1",
+                         "--samples", "3", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [row[0] for row in rows] == [0.5, 0.75, 1.0]
+    assert rows[0][1:] == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("argv, rows", [
@@ -397,9 +443,9 @@ def test_non_finite_set_parameters_exit_1(capsys, text, field):
     (("staircase", "--range", "0", "inf"), "--range"),
     (("friction", "--kappa", "nan"), "--kappa"),
     (("friction", "--v0", "inf"), "--v0"),
-    (("friction", "--x0=-inf"), "--x0"),
+    (("friction", "--range", "inf", "1"), "--range"),
     (("integrate", "--tol", "nan"), "--tol"),
-    (("dimension", "--tol", "inf"), "--tol"),
+    (("differentiate", "--tol", "inf"), "--tol"),
     (("differentiate", "--tol", "nan"), "--tol"),
     (("diffusion", "--x", "-1", "1", "nan"), "--x"),
     (("diffusion", "--time", "nan"), "--time"),
@@ -492,7 +538,7 @@ def test_dimension_of_a_gap_ifs_is_its_order_to_the_last_bit(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("staircase", "--range", "-0.001", "1", "--samples", "2"),
-    ("friction", "--x0", "-0.001", "--samples", "2"),
+    ("friction", "--range", "-0.001", "1", "--samples", "2"),
 ])
 def test_last_table_row_is_at_the_range_end(capsys, argv):
     # a + (b - a) * 1 rounds to 0.9999999999999999 here
@@ -522,8 +568,8 @@ def test_scaled_staircase_uses_gamma_of_the_order(capsys, text, tol):
      ("staircase", "--range", "-0.001", "1", "--samples", "3")),
     (("diffusion", "--x", "-2e0", "2", "0.5", "--time", "1"),
      ("diffusion", "--x", "-2", "2", "0.5", "--time", "1")),
-    (("friction", "--x0", "-1e-3", "--samples", "3"),
-     ("friction", "--x0", "-0.001", "--samples", "3")),
+    (("friction", "--range", "-1e-3", "1", "--samples", "3"),
+     ("friction", "--range", "-0.001", "1", "--samples", "3")),
     (("diffusion", "--time", "1e-1", "-1e-1", "--x", "-1", "1", "1"),
      ("diffusion", "--time", "0.1", "-0.1", "--x", "-1", "1", "1")),
 ])
@@ -968,7 +1014,7 @@ _WRAPPED_ASYM = ('{"type": "gap_ifs", "ratios": [0.4, 0.25], '
 @pytest.mark.parametrize("argv, text, a, b", [
     ((), '{"type": "cantor"}', 0.0, 1.0),
     (("--set", _ASYM), _ASYM, 0.0, 1.0),
-    (("--set", _WRAPPED_ASYM, "--range", "0.2", "1.5", "--x0", "0.2"),
+    (("--set", _WRAPPED_ASYM, "--range", "0.2", "1.5"),
      _WRAPPED_ASYM, 0.2, 1.5),
 ], ids=["cantor", "gap", "wrapped"])
 def test_friction_tables_are_the_table_of_their_values(capsys, argv, text, a,
