@@ -324,6 +324,28 @@ _DIGESTS = (
      "73a0c5aecaf2898a46c421e2b9cd6632655b42b2c77e205a8d398c1b2269d592"),
     ("differentiate --f stair2",
      "8a8bd71bc4d2317467d8bf44ff3554f66d295366657bcb404fdc82f1869a65a8"),
+    # tables of the size that holds tabulate's tail: a wrapped middle-thirds
+    # staircase on a triadic range, a 3-map gap IFS and two g columns, one
+    # of them with points of endless address (y = 1/4 and its images)
+    ("staircase --set {\"type\":\"cantor\",\"scale\":3.0,"
+     "\"translate\":0.2222222222222222} --samples 244 "
+     "--range 0.5555555555555556 2.888888888888889",
+     "7ec7bc735f35db1fd59308bf26c45b3e9ef8ef68b21b629c7c3ff264ddb3e808"),
+    ("staircase --set {\"type\":\"cantor\",\"scale\":3.0,"
+     "\"translate\":0.2222222222222222} --samples 244 "
+     "--range 0.5555555555555556 2.888888888888889 --format json",
+     "01ee3e586cbb77bf10b77fef203c5975d92bae343257f663a44038e9b5982693"),
+    ("staircase --set {\"type\":\"gap_ifs\",\"ratios\":[0.2,0.3,0.25],"
+     "\"offsets\":[0.0,0.35,0.75]} --samples 244",
+     "5de8a36f9fcfadc5ec64494a095fbe9bc0304cbc2515515d24ebc5dff5eca9ea"),
+    ("cantor-g --samples 216",
+     "6d64b6c9fa4dc894815b946c3939fdb5acd2e282fbe5a6796941b121779af5a8"),
+    ("cantor-g --samples 216 --format json",
+     "dfbb3270aa68ea823f6a1af0247eef623665efa76d69c659d0e6d517bdf26e3c"),
+    ("cantor-g --samples 243",
+     "ac10e2db10cf04441d8ac4fb549d4648dd6e281a61093071029d5263fbb450ca"),
+    ("cantor-g --samples 243 --format json",
+     "9f4a2ccc0448f91efdd6c3f315a34a11dd2721b4899eb167d4454d24a4cb184f"),
 )
 
 
