@@ -66,13 +66,16 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse flavor whose usage failures exit with code 1, not 2, and
-    which reads a negative number with an exponent (-1e-3) as a value,
-    not as an option flag."""
+    which reads a negative number with an exponent (-1e-3), and -inf,
+    -infinity and -nan in any case, as a value, not as an option flag:
+    ``_finite`` then refuses the last three by name.  argparse reads the
+    matcher through ``.match``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

@@ -471,6 +471,12 @@ def test_non_finite_set_parameters_exit_1(capsys, text, field):
     (("differentiate", "--tol", "nan"), "--tol"),
     (("diffusion", "--x", "-1", "1", "nan"), "--x"),
     (("diffusion", "--time", "nan"), "--time"),
+    # a negative infinity or NaN is a value, not an option flag
+    (("staircase", "--range", "-inf", "1"), "--range"),
+    (("diffusion", "--time", "-inf"), "--time"),
+    (("diffusion", "--x", "-nan", "1", "0.1"), "--x"),
+    (("mass", "--range", "-Infinity", "1"), "--range"),
+    (("friction", "--kappa", "-NaN"), "--kappa"),
 ])
 def test_non_finite_numeric_options_exit_1(capsys, argv, option):
     code, out, err = run(capsys, *argv)
