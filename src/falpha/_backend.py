@@ -8,21 +8,26 @@ the one it reads, and other callers seldom ask twice for one set at one
 order.  Its table has one flat row (offset, ratio, span start, span end,
 weight) per copy, those of ``GapIFS._table`` with the weights put in,
 and every descent down the copies reads them as stored: the staircase,
-the moments, and the piece walks of ``sets._children``.  Callers reach
-the kernels as module attributes at call time, so a wrapper installed
-here, such as the benchmark's tracer, sees every call.  A descent works
-in the local coordinates of the copy entered: a point within
-``sets.slack`` of a hull end (``eps``/scale locally) is that end.  The
-Lebesgue moments of the staircase need no descent: the same
+the moments, and the piece walks of ``sets._children``.  Each descent
+has a column form, ``stair_column`` and ``moment_column``: one sweep of
+a table's column, in which the points that share a copy share its
+descent, bit for bit the per-point values.  Callers reach the kernels,
+the column forms too, as module attributes at call time, so a wrapper
+installed here, such as the benchmark's tracer, sees every call.  A
+descent works in the local coordinates of the copy entered: a point
+within ``sets.slack`` of a hull end (``eps``/scale locally) is that end.
+The Lebesgue moments of the staircase need no descent: the same
 self-similarity makes them a linear recursion, solved once per set and
 order: a memo of at most ``_MOMENTS_CAP`` entries keys them by what the
 recursion reads, so a wrapped set shares its plain set's entry.
 """
 
+import bisect
 import collections
 import functools
 import itertools
 import math
+import operator
 
 from falpha.sets import FullInterval, GapIFS, TernaryCantor, slack, unwrap
 
@@ -89,17 +94,17 @@ def measure(spec, alpha):
                    hull_eps(lam, t, hull), side_of_order(total))
 
 
-def stair_scaled(hull, table, eps, x):
+def stair_scaled(hull, table, eps, x, val=0.0, w=1.0):
     """Staircase at x of the measure with the ``table`` and ``eps`` of a
     ``Measure``, scaled to rise from 0 to 1 across ``hull``.
 
     Each copy passed on the left of x adds its weight times the running
     weight; entering the copy that contains x multiplies the running
     weight by that copy's weight and zooms x into it.  The loop stops in
-    a gap, or at a hull end.
+    a gap, or at a hull end.  ``val`` and ``w`` carry a descent that
+    ``stair_column`` has taken this far, with x and ``eps`` zoomed in.
     """
     h0, h1 = hull
-    val, w = 0.0, 1.0
     while h0 + eps < x < h1 - eps:
         for o, r, s0, s1, p in table:
             if x < s0:
@@ -115,18 +120,92 @@ def stair_scaled(hull, table, eps, x):
     return val if x <= h0 + eps else val + w
 
 
+def stair_column(hull, table, eps, xs):
+    """``[stair_scaled(hull, table, eps, x) for x in xs]``, bit for bit,
+    by one sweep down the copies of the column in order (``_in_order``).
+
+    At each level ``bisect`` splits a group of points, which share the
+    running value and weight, by the rows of ``table``: the points at or
+    past a hull end, within the slack, or in a gap take the running value
+    as a slice, and each copy's points are zoomed together, with the
+    operations of ``stair_scaled`` on the same operands.  A copy's lone
+    point finishes in ``stair_scaled``, from the running value and
+    weight."""
+    return _in_order(functools.partial(_stair_sweep, hull, table, eps), xs)
+
+
+def _stair_sweep(hull, table, eps, xs):
+    """``stair_column`` of a sorted column."""
+    h0, h1 = hull
+    left, right = bisect.bisect_left, bisect.bisect_right
+    out = [0.0] * len(xs)
+    # (start in out, points zoomed into the group's copy, value, weight,
+    # slack): groups left to split, each of two points or more
+    todo = [(0, xs, 0.0, 1.0, eps)] if xs else []
+    while todo:
+        at, xs, val, w, eps = todo.pop()
+        i, end = 0, len(xs)
+        if xs[0] <= h0 + eps:
+            i = right(xs, h0 + eps)
+            out[at:at + i] = [val] * i
+        if xs[-1] >= h1 - eps:
+            end = max(i, left(xs, h1 - eps))
+            out[at + end:at + len(xs)] = [val + w] * (len(xs) - end)
+        for o, r, s0, s1, p in table:
+            if i == end:
+                break
+            if xs[i] < s0:
+                j = left(xs, s0, i, end)
+                out[at + i:at + j] = [val] * (j - i)  # in a gap left of it
+                i = j
+            j, i = i, right(xs, s1, i, end)
+            wp = w * p
+            if i - j == 1:
+                out[at + j] = stair_scaled(hull, table, eps / r,
+                                           (xs[j] - o) / r, val, wp)
+            elif i > j:
+                todo.append((at + j, [(x - o) / r for x in xs[j:i]], val,
+                             wp, eps / r))
+            val += wp
+        out[at + i:at + end] = [val] * (end - i)  # past the last copy
+    return out
+
+
+def _in_order(sweep, xs):
+    """``sweep(xs)`` for a sweep that reads its column sorted: an unsorted
+    column goes in sorted, and its results come back in its order."""
+    if all(map(operator.le, xs, xs[1:])):
+        return sweep(xs)
+    rank = sorted(range(len(xs)), key=xs.__getitem__)
+    out = [0.0] * len(xs)
+    for i, v in zip(rank, sweep([xs[i] for i in rank])):
+        out[i] = v
+    return out
+
+
+def _mean_point(rec):
+    """The mean of the normalised measure of ``rec``, in its hull."""
+    h0, h1 = rec.hull
+    return h0 + rec.mean * (h1 - h0)
+
+
 def moment_scaled(rec, x):
     """Integral of y over (-inf, x] against the normalised measure of
-    ``rec``: the staircase's descent, carrying the frame y -> a + b * y of
-    the copy entered.  Each copy passed adds its weight times its image
-    of the mean, and a whole hull reached the running weight times its."""
-    h0, h1 = rec.hull
-    m = h0 + rec.mean * (h1 - h0)
+    ``rec``: the staircase's descent (``_moment``), carrying the frame
+    y -> a + b * y of the copy entered."""
     a, b = rec.shift, rec.scale
-    x = (x - a) / b
-    val, w, eps = 0.0, 1.0, rec.eps
+    return _moment(rec.hull, rec.table, _mean_point(rec), (x - a) / b,
+                   0.0, 1.0, rec.eps, a, b)
+
+
+def _moment(hull, table, m, x, val, w, eps, a, b):
+    """``moment_scaled`` at x in the frame of the copy entered, with mean
+    point m, from the running value, weight, slack and frame (a, b).  Each
+    copy passed adds its weight times its image of the mean, and a whole
+    hull reached the running weight times its."""
+    h0, h1 = hull
     while h0 + eps < x < h1 - eps:
-        for o, r, s0, s1, p in rec.table:
+        for o, r, s0, s1, p in table:
             if x < s0:
                 return val  # in a gap left of this copy
             if x <= s1:
@@ -139,6 +218,52 @@ def moment_scaled(rec, x):
         else:
             return val  # past the last copy's end, by float drift
     return val if x <= h0 + eps else val + w * (a + b * m)
+
+
+def moment_column(rec, xs):
+    """``[moment_scaled(rec, x) for x in xs]``, bit for bit: the sweep of
+    ``stair_column`` on the moment descent, each copy's lone point
+    finishing in ``_moment``."""
+    a, b = rec.shift, rec.scale
+    sweep = functools.partial(_moment_sweep, rec.hull, rec.table,
+                              _mean_point(rec), rec.eps, a, b)
+    return _in_order(sweep, [(x - a) / b for x in xs])
+
+
+def _moment_sweep(hull, table, m, eps, a, b, xs):
+    """``moment_column`` of a sorted column, in the frame of ``hull``."""
+    h0, h1 = hull
+    left, right = bisect.bisect_left, bisect.bisect_right
+    out = [0.0] * len(xs)
+    todo = [(0, xs, 0.0, 1.0, eps, a, b)] if xs else []
+    while todo:
+        at, xs, val, w, eps, a, b = todo.pop()
+        i, end = 0, len(xs)
+        if xs[0] <= h0 + eps:
+            i = right(xs, h0 + eps)
+            out[at:at + i] = [val] * i
+        if xs[-1] >= h1 - eps:
+            end = max(i, left(xs, h1 - eps))
+            out[at + end:at + len(xs)] = ([val + w * (a + b * m)]
+                                          * (len(xs) - end))
+        for o, r, s0, s1, p in table:
+            if i == end:
+                break
+            if xs[i] < s0:
+                j = left(xs, s0, i, end)
+                out[at + i:at + j] = [val] * (j - i)  # in a gap left of it
+                i = j
+            j, i = i, right(xs, s1, i, end)
+            wp = w * p
+            if i - j == 1:
+                out[at + j] = _moment(hull, table, m, (xs[j] - o) / r, val,
+                                      wp, eps / r, a + b * o, b * r)
+            elif i > j:
+                todo.append((at + j, [(x - o) / r for x in xs[j:i]], val,
+                             wp, eps / r, a + b * o, b * r))
+            val += wp * (a + b * (o + r * m))
+        out[at + i:at + end] = [val] * (end - i)  # past the last copy
+    return out
 
 
 def lebesgue_moments(rec, n):

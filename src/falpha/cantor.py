@@ -54,10 +54,11 @@ def g_series(y):
 
 def _g_column(ys):
     """``[g_series(y) for y in ys]``, bit for bit, for a table's column of
-    ys in [0, 1], unchecked: one map of the moment descent on the
-    middle-thirds record, read from ``_backend`` at call time."""
-    moment = functools.partial(_backend.moment_scaled, _backend._CANTOR)
-    return [m / GAMMA_ALPHA1 for m in map(moment, ys)]
+    ys in [0, 1], unchecked: one ``moment_column`` sweep on the
+    middle-thirds record, read from ``_backend`` at call time, in which
+    the ys that share a copy share its descent."""
+    return [m / GAMMA_ALPHA1
+            for m in _backend.moment_column(_backend._CANTOR, ys)]
 
 
 def g1_fixed_point():

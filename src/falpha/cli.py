@@ -8,7 +8,8 @@ CSV, json's C encoder for JSON.  A JSON table has the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``; both formats write floats
 in shortest round-trip form.  The staircase and g are flat on every gap,
 so a ``staircase`` or ``cantor-g`` table computes its value column in one
-map and writes each plateau value's text once.
+sorted sweep down the copies, which the points of a copy share, and
+writes each plateau value's text once.
 No table has more than ``_MAX_ROWS`` rows: a larger one is refused, with
 exit code 1, before it is built.
 

@@ -344,11 +344,12 @@ class StaircaseEvaluator(Record):
 
     def values(self, xs):
         """``[self.value(x) for x in xs]``, bit for bit, for a table's
-        column.  On the descent it is one map of ``stair_scaled``, read
+        column.  On the descent it is one ``stair_column`` sweep, read
         from ``_backend`` at call time, with no cached call per point:
-        each x goes in as (x - t) / lam and comes out as (w * s - s0) /
-        gamma, the operations of ``value``, and nothing enters the cache.
-        Elsewhere it maps ``value``."""
+        points that share a copy share its descent, each x goes in as
+        (x - t) / lam and comes out as (w * s - s0) / gamma, the
+        operations of ``value``, and nothing enters the cache.  Elsewhere
+        it maps ``value``."""
         if self._unit is None:
             return list(map(self.value, xs))
         xs = list(xs)
@@ -356,10 +357,9 @@ class StaircaseEvaluator(Record):
             raise ValueError("x must not be NaN")
         rec, w, s0, gamma = self.measure, self._unit, self._s0, self._gamma
         t, lam = rec.shift, rec.scale
-        descend = functools.partial(_backend.stair_scaled, rec.hull,
-                                    rec.table, rec.eps)
-        return [(w * s - s0) / gamma
-                for s in map(descend, [(x - t) / lam for x in xs])]
+        column = _backend.stair_column(rec.hull, rec.table, rec.eps,
+                                       [(x - t) / lam for x in xs])
+        return [(w * s - s0) / gamma for s in column]
 
     @functools.cached_property
     def walk(self):

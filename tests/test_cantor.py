@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from falpha.cantor import (
     ALPHA,
     GAMMA_ALPHA1,
+    _g_column,
     cantor_staircase_exact,
     g1_fixed_point,
     g_series,
@@ -73,6 +75,30 @@ def test_g_series_values():
         assert g_series(3.0 ** -m) == pytest.approx(
             g_series(1.0) / 6.0 ** m, abs=1e-12
         )
+
+
+# piece ends, points of endless address (1/4, 3/4, 1/10) and their
+# neighbours, and points within the descent's slack of 0 and 1
+_G_POINTS = st.sampled_from(
+    (-0.0, 0.0, 1e-16, 1e-15, 1.0 - 1e-16, 1.0, 1 / 9, 2 / 9, 1 / 3, 2 / 3,
+     7 / 9, 8 / 9, 0.25, 0.75, 0.1, math.nextafter(0.25, 1.0),
+     math.nextafter(1 / 3, 0.0)))
+
+
+@example(ys=[], sort=False)
+@example(ys=[0.25], sort=False)
+@example(ys=[i / 216 for i in range(1, 217)], sort=False)
+@settings(max_examples=300, deadline=None)
+@given(ys=st.lists(st.one_of(st.floats(0.0, 1.0), _G_POINTS), max_size=40)
+       .flatmap(lambda ys: st.permutations(
+           ys + ys[:len(ys) // 3] * 2)),
+       sort=st.booleans())
+def test_g_column_is_g_series_bit_for_bit(ys, sort):
+    # g_series, one descent per point, is the reference for the sweep
+    if sort:
+        ys = sorted(ys)
+    want = [g_series(y) for y in ys]
+    assert list(map(repr, _g_column(ys))) == list(map(repr, want))
 
 
 def test_g_series_vs_riemann_stieltjes_bracket():

@@ -1,7 +1,7 @@
 """Kernels: the measure record against a one-pass build, the staircase
 descent against the exact middle-thirds descent at triadic rationals,
 special values, monotonicity, the first-moment descent against an exact
-rational descent, the reported backend name, the imports of the exact
+rational descent, the column sweeps against the per-point descents, the reported backend name, the imports of the exact
 oracle, and the calculus's independence of the staircase evaluator's
 module."""
 
@@ -149,6 +149,49 @@ def test_moment_matches_an_exact_descent(data, base, wraps):
     for x in xs:
         want = exact.walk(spec, alpha, x)[1]
         assert abs(_backend.moment_scaled(rec, x) - want) <= bound, x
+
+
+@st.composite
+def _column(draw, base, lam, t, rec):
+    """A column to sweep on t + lam * base: ``_stair_points``, points
+    within the slack of the hull ends, -0.0 and 0.0, and repeats, sorted
+    or in the order drawn."""
+    xs = draw(_stair_points(base, lam, t))
+    near = st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
+    for h in draw(st.lists(st.sampled_from(rec.hull), max_size=4)):
+        xs.append(rec.shift + rec.scale * (h + draw(near) * rec.eps))
+    xs += draw(st.lists(st.sampled_from((-0.0, 0.0)), max_size=2))
+    if xs:
+        xs += draw(st.lists(st.sampled_from(xs), max_size=6))
+    xs = draw(st.permutations(xs))
+    return sorted(xs) if draw(st.booleans()) else xs
+
+
+@example(data=None, base=C, wraps=[("scale", 3.0), ("translate", -1.0)],
+         far=None)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       base=st.one_of(st.just(C), st.just(_backend._HALVES), _gap_ifs()),
+       wraps=_WRAPS, far=st.one_of(st.none(), st.integers(-30, 60)))
+def test_the_sweeps_are_the_per_point_descents_bit_for_bit(data, base, wraps,
+                                                           far):
+    # the per-point descents are the reference: each sweep makes their
+    # float operations on the same operands, so the same bits, for the
+    # set of 2-4 maps, wrapped, and as Scale(F, 2^k) far from 0 too
+    if far is not None:
+        wraps = wraps + [("scale", 2.0 ** far)]
+    spec, lam, t = _wrap(base, wraps)
+    rec = _backend.measure(spec, similarity_order(base.ratios))
+    xs = ([-1.0 + 3.0 * i / 40 for i in range(41)] if data is None
+          else data.draw(_column(base, lam, t, rec)))
+    local = [(x - rec.shift) / rec.scale for x in xs]
+    want = [_backend.stair_scaled(rec.hull, rec.table, rec.eps, x)
+            for x in local]
+    got = _backend.stair_column(rec.hull, rec.table, rec.eps, local)
+    assert list(map(repr, got)) == list(map(repr, want))
+    want = [_backend.moment_scaled(rec, x) for x in xs]
+    got = _backend.moment_column(rec, xs)
+    assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_kernel_backend_is_python():

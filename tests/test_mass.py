@@ -740,16 +740,16 @@ def test_values_reject_nan(spec, mode):
 
 def test_values_descend_through_the_backend_at_call_time(monkeypatch):
     # a wrapper installed in _backend after the evaluator is built, as the
-    # benchmark's tracer is, sees one descent per point
+    # benchmark's tracer is, sees the column's one sweep
     stair = StaircaseEvaluator(Affine(TernaryCantor(), 3.0, -1.0), ALPHA)
     calls = []
-    descend = _backend.stair_scaled
+    sweep = _backend.stair_column
 
     def counted(*args):
         calls.append(args[-1])
-        return descend(*args)
+        return sweep(*args)
 
-    monkeypatch.setattr(_backend, "stair_scaled", counted)
+    monkeypatch.setattr(_backend, "stair_column", counted)
     xs = [-1.0 + 3.0 * i / 40 for i in range(41)]
     assert stair.values(xs) == [stair.value(x) for x in xs]
-    assert len(calls) == 2 * len(xs)
+    assert calls == [[(x + 1.0) / 3.0 for x in xs]]
