@@ -1,11 +1,13 @@
 """Kernels: the measure record against a one-pass build, the staircase
 descent against the exact middle-thirds descent at triadic rationals,
 special values, monotonicity, the first-moment descent against an exact
-rational descent, the column sweeps against the per-point descents, the reported backend name, the imports of the exact
-oracle, and the calculus's independence of the staircase evaluator's
-module."""
+rational descent, the column sweeps against the per-point descents, the
+descents' pinned bits, the reported backend name, the imports of the
+exact oracle, and the calculus's independence of the staircase
+evaluator's module."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -21,7 +23,7 @@ from falpha.dimension import similarity_order
 from falpha.sets import (FinitePoints, FullInterval, GapIFS, HarmonicCluster,
                          TernaryCantor, slack)
 import exact
-from test_sets import C, _WRAPS, _gap_ifs, _stair_points, _wrap
+from test_sets import ASYM, C, _WRAPS, _gap_ifs, _stair_points, _wrap
 
 
 def test_cantor_scaled_exact_at_triadic_rationals():
@@ -192,6 +194,61 @@ def test_the_sweeps_are_the_per_point_descents_bit_for_bit(data, base, wraps,
     want = [_backend.moment_scaled(rec, x) for x in xs]
     got = _backend.moment_column(rec, xs)
     assert list(map(repr, got)) == list(map(repr, want))
+
+
+# sha256 of the repr of each kernel's outputs on _descent_inputs, taken
+# before the sweeps and the descents were folded together: the test above
+# holds the sweeps to the per-point descents, and this one holds both to
+# the bits they had, so a drift that they share still shows.  A change
+# that moves a value on purpose updates the digest and says why.
+_DESCENT_DIGESTS = {
+    "stair_scaled":
+        "789577fd27ef4585a33e3bd5e417f82dbff7885755aea87ac00193177c1609bc",
+    "moment_scaled":
+        "b7ec7b60231d2ed28ab126cf4876ce6b14744bf479fe292153f20158995a9f2f",
+    "stair_column":
+        "a382a23bdc1e5599c6ab10adb9c77fac379c83279584f086ea8551ff378a37ce",
+    "moment_column":
+        "3f907e1636397a6d3b354e80616573b4d917f37fb69cb22b048375fa21257e2b",
+}
+
+
+def _descent_inputs():
+    """(record, sorted points) for C, {0.4, 0.25}, a 3-map set and the
+    unit halves, each plain, as 3 F + 2/9 and scaled by 2^-40: a grid
+    past both hull ends, the level-6 piece ends, and points within the
+    slack of the hull ends."""
+    bases = (C, ASYM, GapIFS((0.2, 0.3, 0.25), (0.0, 0.35, 0.75)),
+             _backend._HALVES)
+    for base in bases:
+        alpha = similarity_order(base.ratios)
+        for spec in (base, sets.Affine(base, 3.0, 2.0 / 9.0),
+                     sets.Scale(base, 2.0 ** -40)):
+            rec = _backend.measure(spec, alpha)
+            h0, h1 = spec.hull()
+            xs = [h0 + (h1 - h0) * i / 16 for i in range(-8, 25)]
+            xs += sets.net(spec, 6, sets.Interval(h0, h1))
+            xs += [rec.shift + rec.scale * (h + k * rec.eps)
+                   for h in rec.hull
+                   for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+            yield rec, sorted(xs)
+
+
+def test_the_descents_keep_their_pinned_bits():
+    out = {name: [] for name in _DESCENT_DIGESTS}
+    for rec, xs in _descent_inputs():
+        for col in (xs, xs[1::2] + xs[::-2]):  # sorted, then not
+            local = [(x - rec.shift) / rec.scale for x in col]
+            out["stair_column"] += _backend.stair_column(
+                rec.hull, rec.table, rec.eps, local)
+            out["moment_column"] += _backend.moment_column(rec, col)
+        out["stair_scaled"] += [
+            _backend.stair_scaled(rec.hull, rec.table, rec.eps,
+                                  (x - rec.shift) / rec.scale) for x in xs]
+        out["moment_scaled"] += [_backend.moment_scaled(rec, x) for x in xs]
+    got = {name: hashlib.sha256(repr(v).encode("utf-8")).hexdigest()
+           for name, v in out.items()}
+    assert got == _DESCENT_DIGESTS
 
 
 def test_kernel_backend_is_python():
