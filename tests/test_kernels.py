@@ -191,6 +191,10 @@ def test_the_sweeps_are_the_per_point_descents_bit_for_bit(data, base, wraps,
             for x in local]
     got = _backend.stair_column(rec.hull, rec.table, rec.eps, local)
     assert list(map(repr, got)) == list(map(repr, want))
+    # the lean per-point loop is the one descent in the frame (1, 0)
+    got = [_backend._descend(rec.hull, rec.table, 0.0, x, 0.0, 1.0, rec.eps,
+                             1.0, 0.0) for x in local]
+    assert list(map(repr, got)) == list(map(repr, want))
     want = [_backend.moment_scaled(rec, x) for x in xs]
     got = _backend.moment_column(rec, xs)
     assert list(map(repr, got)) == list(map(repr, want))
@@ -327,6 +331,23 @@ def test_only_sets_knows_how_a_wrapper_is_stored():
     assert not bad, bad
     init = _wrapper_reads(root / "__init__.py")
     assert len(init) == 1 and init[0].endswith(" Affine"), init
+
+
+def test_only_the_sweep_bisects():
+    # the staircase and the first moment share one column sweep, so a
+    # function other than _sweep that reads the bisect module is a second
+    path = pathlib.Path(_backend.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"bisect"} | {alias.asname or alias.name
+                          for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom)
+                          and node.module == "bisect"
+                          for alias in node.names}
+    users = {f.name for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(n, ast.Name) and n.id in names
+                     for n in ast.walk(f))}
+    assert users == {"_sweep"}, users
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():
