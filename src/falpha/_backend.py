@@ -133,6 +133,18 @@ def stair_column(hull, table, eps, xs):
                                        1.0, 0.0), xs)
 
 
+def _in_order(sweep, xs):
+    """``sweep(xs)`` for a sweep that reads its column sorted: an unsorted
+    column goes in sorted, and its results come back in its order."""
+    if all(map(operator.le, xs, xs[1:])):
+        return sweep(xs)
+    rank = sorted(range(len(xs)), key=xs.__getitem__)
+    out = [0.0] * len(xs)
+    for i, v in zip(rank, sweep([xs[i] for i in rank])):
+        out[i] = v
+    return out
+
+
 def _mean_point(rec):
     """The mean of the normalised measure of ``rec``, in its hull."""
     h0, h1 = rec.hull
@@ -145,15 +157,6 @@ def moment_scaled(rec, x):
     a, b = rec.shift, rec.scale
     return _descend(rec.hull, rec.table, _mean_point(rec), (x - a) / b,
                     0.0, 1.0, rec.eps, a, b)
-
-
-def moment_column(rec, xs):
-    """``[moment_scaled(rec, x) for x in xs]``, bit for bit: ``_sweep``
-    in the record's frame."""
-    a, b = rec.shift, rec.scale
-    sweep = functools.partial(_sweep, rec.hull, rec.table,
-                              _mean_point(rec), rec.eps, a, b)
-    return _in_order(sweep, [(x - a) / b for x in xs])
 
 
 def _descend(hull, table, m, x, val, w, eps, a, b):
@@ -179,6 +182,15 @@ def _descend(hull, table, m, x, val, w, eps, a, b):
         else:
             return val  # past the last copy's end, by float drift
     return val if x <= h0 + eps else val + w * (a + b * m)
+
+
+def moment_column(rec, xs):
+    """``[moment_scaled(rec, x) for x in xs]``, bit for bit: ``_sweep``
+    in the record's frame."""
+    a, b = rec.shift, rec.scale
+    sweep = functools.partial(_sweep, rec.hull, rec.table,
+                              _mean_point(rec), rec.eps, a, b)
+    return _in_order(sweep, [(x - a) / b for x in xs])
 
 
 def _sweep(hull, table, m, eps, a, b, xs):
@@ -224,18 +236,6 @@ def _sweep(hull, table, m, eps, a, b, xs):
                              wp, eps / r, a + b * o, b * r))
             val += wp * (a + b * (o + r * m))
         out[at + i:at + end] = [val] * (end - i)  # past the last copy
-    return out
-
-
-def _in_order(sweep, xs):
-    """``sweep(xs)`` for a sweep that reads its column sorted: an unsorted
-    column goes in sorted, and its results come back in its order."""
-    if all(map(operator.le, xs, xs[1:])):
-        return sweep(xs)
-    rank = sorted(range(len(xs)), key=xs.__getitem__)
-    out = [0.0] * len(xs)
-    for i, v in zip(rank, sweep([xs[i] for i in rank])):
-        out[i] = v
     return out
 
 

@@ -200,11 +200,10 @@ def test_the_sweeps_are_the_per_point_descents_bit_for_bit(data, base, wraps,
     assert list(map(repr, got)) == list(map(repr, want))
 
 
-# sha256 of the repr of each kernel's outputs on _descent_inputs, taken
-# before the sweeps and the descents were folded together: the test above
-# holds the sweeps to the per-point descents, and this one holds both to
-# the bits they had, so a drift that they share still shows.  A change
-# that moves a value on purpose updates the digest and says why.
+# sha256 of the repr of each kernel's outputs on _descent_inputs: the
+# test above holds the sweeps to the per-point descents, and this one
+# holds both to fixed bits, so a drift that they share still shows.  A
+# change that moves a value on purpose updates the digest and says why.
 _DESCENT_DIGESTS = {
     "stair_scaled":
         "789577fd27ef4585a33e3bd5e417f82dbff7885755aea87ac00193177c1609bc",
