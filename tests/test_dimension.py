@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from falpha import _backend, dimension
+from falpha import _backend, cli, dimension
 from falpha.cantor import ALPHA
 from falpha.dimension import (
     _order,
@@ -396,3 +396,45 @@ def test_similarity_order_stops_early_with_the_same_bits(ratios):
     got = similarity_order(ratios)
     want = _similarity_order_200_steps(ratios)
     assert got.hex() == want.hex()
+    # the memo hands back the bits of the uncached core, however the
+    # ratios come and however often
+    bare = dimension._similarity_order.__wrapped__(
+        tuple(float(r) for r in ratios))
+    assert bare.hex() == want.hex()
+    for arg in (ratios, list(ratios), tuple(ratios)):
+        assert similarity_order(arg).hex() == bare.hex()
+
+
+@pytest.mark.parametrize("ratios", [(1.5,), (0.5, math.nan), ()])
+def test_a_refused_ratio_tuple_is_refused_again_and_not_kept(ratios):
+    kept = dimension._similarity_order.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="ratios"):
+            similarity_order(ratios)
+    assert dimension._similarity_order.cache_info().currsize == kept
+
+
+def test_each_ratio_tuple_is_solved_once(monkeypatch, capsys):
+    order = similarity_order(C.ratios)
+    calls = []
+    band = dimension._uncertain_band
+    monkeypatch.setattr(dimension, "_uncertain_band",
+                        lambda ratios: calls.append(ratios) or band(ratios))
+    dimension._similarity_order.cache_clear()
+    for k in range(10):
+        spec = TernaryCantor() if k % 2 == 0 else Affine(
+            TernaryCantor(), 0.5 + k, k - 5.0)
+        assert gamma_dimension(spec, *spec.hull()).gamma_dim == order
+    assert len(calls) == 1
+    # --alpha auto and gamma_dimension read the one order
+    dimension._similarity_order.cache_clear()
+    calls.clear()
+    assert cli.main(["dimension"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_the_order_memo_keeps_at_most_64_tuples():
+    for k in range(100):
+        similarity_order((0.2 + k / 1000.0, 0.3))
+    assert dimension._similarity_order.cache_info().currsize <= 64
