@@ -7,7 +7,10 @@ above it, and is finite and positive at it wherever the staircase rises
 Hutchinson 1981, Falconer, *Fractal Geometry*, Thm 9.3).  An interval is
 the gap IFS of its two halves, of order 1; a point set has mass 0 at
 every order.  So one verdict, at the set's order, gives the dimension:
-that order where the staircase rises on [a, b], else 0.
+that order where the staircase rises on [a, b], else 0.  The order is
+solved once per tuple of ratios and kept, for at most 64 tuples
+(``similarity_order``), so ``gamma_dimension``, the CLI's ``--alpha
+auto`` and ``verify`` solve each set's order once per process.
 
 The box dimension is read from structure too.  Under the open set
 condition a gap IFS has dim_B F = s (Falconer, Thm 9.3); where the
@@ -25,15 +28,19 @@ resumes its parent's walk down the copies rather than starting again
 from the top), and their least-squares slope.
 """
 
+import functools
 import math
 
 from falpha import _backend
 from falpha.mass import _side_of_order
-from falpha.sets import (GapIFS, HarmonicCluster, Record, _count, _positive,
-                         _reject_nan, unwrap)
+from falpha.sets import (FullInterval, GapIFS, HarmonicCluster, Record,
+                         _count, _positive, _reject_nan, unwrap)
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
+
+# distinct ratio tuples whose similarity order is kept
+_ORDER_CAP = 64
 
 
 def similarity_order(ratios):
@@ -41,8 +48,15 @@ def similarity_order(ratios):
     attractor with separated pieces.  The result has the bits of a plain
     bisection on [0, 1]; the bisection sums the powers only at midpoints
     in a band around the root (``_uncertain_band``), and takes the side
-    that sum would give at every other one."""
-    ratios = [float(r) for r in ratios]
+    that sum would give at every other one.  The order depends on the
+    ratios alone, so it is solved once per tuple of float ratios and kept,
+    for at most ``_ORDER_CAP`` tuples; a refused tuple is not kept."""
+    return _similarity_order(tuple([float(r) for r in ratios]))
+
+
+@functools.lru_cache(maxsize=_ORDER_CAP)
+def _similarity_order(ratios):
+    """``similarity_order`` of a tuple of floats."""
     if not ratios or any(not 0.0 < r < 1.0 for r in ratios):
         raise ValueError("ratios must lie in (0, 1)")
 
@@ -174,7 +188,9 @@ def box_counts(spec, a, b, max_depth=12):
     narrower than the rounding of the window's width); computed by pruned
     recursion.  Each box resumes the walk down the copies from the frame
     in which its parent's walk stopped, and so meets F exactly when a walk
-    from the top says it does.  A point window is one box at every depth;
+    from the top says it does.  A box inside an interval F is not visited:
+    it and its 3^j descendants at each depth d + j meet F, and are counted
+    as such.  A point window is one box at every depth;
     a reversed window, or one whose width is not finite, is refused."""
     _count("max_depth", max_depth, 0, 34)
     if a > b:
@@ -185,8 +201,15 @@ def box_counts(spec, a, b, max_depth=12):
         return [int(spec._isect(a, b))] * (max_depth + 1)
     counts = [0] * (max_depth + 1)
     walk = spec._walk
+    # an interval holds every box inside it, and each box's three children
+    # lie inside it too, so those boxes are counted without a visit
+    full = spec.hull() if isinstance(spec, FullInterval) else None
 
     def visit(lo, hi, off, scale, d):
+        if full and full[0] <= lo and hi <= full[1]:
+            for j in range(max_depth - d + 1):
+                counts[d + j] += 3 ** j
+            return
         frame = walk(lo, hi, off, scale)
         if frame is None:
             return

@@ -148,21 +148,55 @@ def _window(draw, hull):
     return h0 + (h1 - h0) * p, h0 + (h1 - h0) * q
 
 
+@st.composite
+def _deep_window(draw, hull, depth):
+    """A window to count boxes in down to ``depth``: one of ``_window``'s
+    to depth 7; past it, one across a hull end with at most a share
+    3^(7 - depth) of its width inside the hull, so that at most some 3^7
+    boxes meet F at each depth, while the boxes that straddle the end are
+    cut down to ``depth``."""
+    if depth <= 7:
+        return draw(_window(hull))
+    h0, h1 = hull
+    width = (h1 - h0) * draw(st.floats(0.1, 2.0))
+    inside = width * draw(st.floats(0.0, 1.0)) * 3.0 ** (7 - depth)
+    if draw(st.booleans()):
+        return h1 - inside, h1 - inside + width
+    return h0 + inside - width, h0 + inside
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), base=_any_set(), wraps=st.lists(
     st.one_of(st.tuples(st.just("scale"), st.floats(0.25, 4.0)),
               st.tuples(st.just("translate"), st.floats(-2.0, 2.0))),
-    max_size=3), depth=st.integers(0, 7))
+    max_size=3), depth=st.integers(0, 12))
 def test_box_counts_resume_as_if_each_box_walked_from_the_top(
         data, base, wraps, depth):
+    # every spec kind, plain and wrapped: a box inside an interval is
+    # counted with its descendants, unvisited, as if each were walked
     spec = base
     for kind, value in wraps:
         spec = Scale(spec, value) if kind == "scale" else Translate(spec, value)
-    a, b = data.draw(_window(spec.hull()))
+    a, b = data.draw(_deep_window(spec.hull(), depth))
     want = _box_counts_from_the_top(spec, a, b, depth)
     if a == b:
         want = [want[0]] * (depth + 1)
     assert box_counts(spec, a, b, depth) == want
+
+
+def test_box_counts_visit_no_box_inside_an_interval(monkeypatch):
+    calls = []
+    walk = FullInterval._walk
+    monkeypatch.setattr(FullInterval, "_walk", lambda self, *args: (
+        calls.append(args) or walk(self, *args)))
+    spec = FullInterval(0.0, 1.0)
+    assert box_counts(spec, 0.0, 1.0, 12) == [3 ** k for k in range(13)]
+    assert calls == []
+    # past an end, only the boxes that straddle it are visited
+    spec = Affine(spec, 2.0, 0.5)
+    want = _box_counts_from_the_top(spec, 0.0, 3.0, 12)
+    assert box_counts(spec, 0.0, 3.0, 12) == want
+    assert 0 < len(calls) <= 3 * 2 * 13
 
 
 def test_box_counts_resume_at_the_edge_of_the_slack():

@@ -3,8 +3,8 @@ descent against the exact middle-thirds descent at triadic rationals,
 special values, monotonicity, the first-moment descent against an exact
 rational descent, the column sweeps against the per-point descents, the
 descents' pinned bits, the reported backend name, the imports of the
-exact oracle, and the calculus's independence of the staircase
-evaluator's module."""
+exact oracle, the calculus's independence of the staircase evaluator's
+module, and a cap on every memo."""
 
 import ast
 import hashlib
@@ -347,6 +347,52 @@ def test_only_the_sweep_bisects():
              and any(isinstance(n, ast.Name) and n.id in names
                      for n in ast.walk(f))}
     assert users == {"_sweep"}, users
+
+
+def _unbounded_memos(path):
+    """The module-level functions of the source at ``path`` that take
+    parameters and carry ``functools.cache``, or ``lru_cache`` with a
+    ``maxsize`` that is not a literal int or a module-level name bound to
+    one, as file:line name.  A bare ``lru_cache`` keeps its default, 128."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    ints = {t.id: node.value.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for f in tree.body:
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = f.args
+        if not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg
+                or a.kwarg):
+            continue
+        for dec in f.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            named = call.func if call else dec
+            name = getattr(named, "attr", getattr(named, "id", None))
+            size = 128
+            if name == "lru_cache" and call:
+                given = call.args[:1] + [k.value for k in call.keywords
+                                         if k.arg == "maxsize"]
+                if given:
+                    node = given[0]
+                    size = (node.value if isinstance(node, ast.Constant)
+                            else ints.get(getattr(node, "id", None)))
+            if name == "cache" or (name == "lru_cache"
+                                   and type(size) is not int):
+                found.append(f"{path.name}:{f.lineno} {f.name}")
+    return found
+
+
+def test_every_memo_is_bounded():
+    # a memo on a function of inputs grows with its callers' inputs for the
+    # life of the process unless it is capped; one with no parameters
+    # (cli._build_parser, cantor.power_bound_constants) holds one value
+    root = pathlib.Path(falpha.__file__).parent
+    bad = [hit for path in sorted(root.glob("*.py"))
+           for hit in _unbounded_memos(path)]
+    assert not bad, bad
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():
