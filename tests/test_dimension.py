@@ -1,5 +1,5 @@
 """Dimension estimators: the order jump and the box dimension read from
-structure, and box counting."""
+structure, box counting, and the capped memo of the similarity order."""
 
 import math
 import re
