@@ -4,11 +4,15 @@ On a gap IFS at its order the staircase is the distribution function of
 the self-similar measure giving copy i the weight r_i^alpha / sum
 r_j^alpha (Hutchinson 1981).  ``measure`` builds its record on each
 call, in the frame that ``frame`` gives: a ``StaircaseEvaluator`` keeps
-the one it reads, and other callers seldom ask twice for one set at one
-order.  Its table has one flat row (offset, ratio, span start, span end,
-weight) per copy, those of ``GapIFS._table`` with the weights put in,
-and every descent down the copies reads them as stored: the staircase,
-the moments, and the piece walks of ``sets._children``.  The staircase
+the one it reads, ``mass`` passes the one it builds to the cover at the
+order, and other callers seldom ask twice for one set at one order.  Its
+table has one flat row (offset, ratio, span start, span end, weight) per
+copy, those of ``GapIFS._table`` with the weights put in, and every
+descent down the copies reads them as stored: the staircase, the
+moments, and the piece walks of ``sets._children``.  The record keeps
+no mean, which only the moments read: ``_mean`` computes it from the
+table, once per moment descent or column (``_mean_point``) and once per
+entry of the Lebesgue moments' memo.  The staircase
 and the first moment are one descent of a + b y against the measure,
 ``_descend``: the staircase at the frame (1, 0), the moment at the
 record's (shift, scale); ``stair_scaled`` is it at (1, 0) written out
@@ -38,7 +42,7 @@ from falpha.sets import FullInterval, GapIFS, TernaryCantor, slack, unwrap
 BACKEND = "python"
 
 _HALVES = GapIFS((0.5, 0.5), (0.0, 0.5))  # their attractor is [0, 1]
-# distinct (set, order, n) whose Lebesgue moments are kept
+# distinct (table, hull, n) whose Lebesgue moments are kept
 _MOMENTS_CAP = 64
 
 
@@ -46,11 +50,11 @@ _MOMENTS_CAP = 64
 #   hull    (h0, h1) of the unwrapped set
 #   table   (offset, ratio, span start, span end, weight) per copy: the
 #           rows of GapIFS._table, weighted r^alpha / sum r^alpha
-#   mean    mean of the normalised measure, as a share of the hull
 #   eps     sets.slack at the farther hull end, in hull units
 #   side    side_of_order(sum r^alpha)
-Measure = collections.namedtuple(
-    "Measure", "scale shift hull table mean eps side")
+# The mean of the measure is not kept: only the moments read it, and
+# ``_mean`` computes it from the table and hull where they do.
+Measure = collections.namedtuple("Measure", "scale shift hull table eps side")
 
 
 def side_of_order(total):
@@ -78,10 +82,9 @@ def hull_eps(lam, t, hull):
 
 def measure(spec, alpha):
     """The record of spec at order alpha (an interval is its two halves),
-    or None for point sets and the harmonic cluster.  The mean M solves
-    M = sum p_j (f_j + r_j M) for weights p_j, ratios r_j and start shares
-    f_j; 1 - M, the Lebesgue mean of the rescaled staircase, is computed
-    first, so the two are complements in floats too."""
+    or None for point sets and the harmonic cluster: the frame, the
+    weighted table, the slack and the side of the order, with no mean
+    (``_mean`` gives it to the moments)."""
     lam, t, inner = frame(spec)
     if not isinstance(inner, GapIFS):
         return None
@@ -89,13 +92,23 @@ def measure(spec, alpha):
     total = sum(ps)
     table = tuple([(o, r, s0, s1, p / total)
                    for (o, r, s0, s1, _), p in zip(inner._table, ps)])
-    h0, h1 = hull = inner._hull
+    hull = inner._hull
+    return Measure(lam, t, hull, table, hull_eps(lam, t, hull),
+                   side_of_order(total))
+
+
+def _mean(table, hull):
+    """The mean M of the normalised measure with this ``table``, as a
+    share of its ``hull``.  M solves M = sum p_j (f_j + r_j M) for weights
+    p_j, ratios r_j and start shares f_j; 1 - M, the Lebesgue mean of the
+    rescaled staircase, is computed first, so the two are complements in
+    floats too."""
+    h0, h1 = hull
     width = h1 - h0
     stair_mean = 1.0 - (
         sum([p * ((s0 - h0) / width) for _, _, s0, _, p in table])
         / (1.0 - sum([p * r for _, r, _, _, p in table])))
-    return Measure(lam, t, hull, table, 1.0 - stair_mean,
-                   hull_eps(lam, t, hull), side_of_order(total))
+    return 1.0 - stair_mean
 
 
 def stair_scaled(hull, table, eps, x):
@@ -146,9 +159,10 @@ def _in_order(sweep, xs):
 
 
 def _mean_point(rec):
-    """The mean of the normalised measure of ``rec``, in its hull."""
+    """The mean of the normalised measure of ``rec``, in its hull,
+    computed from its table by ``_mean``."""
     h0, h1 = rec.hull
-    return h0 + rec.mean * (h1 - h0)
+    return h0 + _mean(rec.table, rec.hull) * (h1 - h0)
 
 
 def moment_scaled(rec, x):
@@ -248,19 +262,20 @@ def lebesgue_moments(rec, n):
     after it, g_j of the hull long, s is C_(j+1).  Expanding the power:
     M_k (1 - sum_j r_j p_j^k) = sum_j r_j sum_(i<k) binom(k, i)
     C_j^(k-i) p_j^i M_i + sum_j g_j C_(j+1)^k, from M_0 = 1 and
-    M_1 = 1 - ``rec.mean``.  Every term is positive, so the floats keep
-    their relative accuracy.  The moments depend on the set and the order
-    only, so they are solved once per ``table``, ``hull``, ``mean`` and n
-    and kept, for at most ``_MOMENTS_CAP`` of them, as a tuple that no
-    caller can change; the frame (scale, shift, eps) is not read.
+    M_1 = 1 - M, with M the measure's mean share (``_mean``).  Every term
+    is positive, so the floats keep their relative accuracy.  The moments
+    depend on the set and the order only, so they are solved once per
+    ``table``, ``hull`` and n and kept, for at most ``_MOMENTS_CAP`` of
+    them, as a tuple that no caller can change; the frame (scale, shift,
+    eps) is not read.
     """
-    return _moments(rec.table, rec.hull, rec.mean, n)
+    return _moments(rec.table, rec.hull, n)
 
 
 @functools.lru_cache(maxsize=_MOMENTS_CAP)
-def _moments(table, hull, mean, n):
-    """``lebesgue_moments`` of a record with this ``table``, ``hull`` and
-    ``mean``."""
+def _moments(table, hull, n):
+    """``lebesgue_moments`` of a record with this ``table`` and ``hull``,
+    the key of its memo: the mean is computed here, once per entry."""
     h0, h1 = hull
     shares = [((s0 - h0) / (h1 - h0), (s1 - h0) / (h1 - h0))
               for _, _, s0, s1, _ in table]
@@ -271,7 +286,7 @@ def _moments(table, hull, mean, n):
     # the first copy, at C_0 = 0, adds nothing; the others as r_j, C_j
     # and p_j / C_j, the ratio of the Horner sum below
     right = [(r, c, p / c) for (r, p), c in zip(rps[1:], cs[1:])]
-    moments = [1.0, 1.0 - mean]
+    moments = [1.0, 1.0 - _mean(table, hull)]
     for k in range(2, n + 1):
         # C_j^k sum_(i<k) binom(k, i) (p_j / C_j)^i M_i by Horner's rule
         terms = [math.comb(k, i) * m for i, m in enumerate(moments)][::-1]

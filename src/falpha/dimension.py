@@ -122,10 +122,10 @@ def _uncertain_band(ratios):
 
 
 def _order(spec):
-    """The order of spec: the similarity order of the gap IFS its measure
-    record reads (an interval's halves give 1), or 1 for a point set,
-    which has no record."""
-    inner = _backend.frame(spec)[2]
+    """The order of spec: the similarity order of the gap IFS it wraps,
+    or 1 for an interval (the order of the halves its measure record
+    reads) and for a point set, which has no record."""
+    inner = unwrap(spec)[2]
     if isinstance(inner, GapIFS):
         return similarity_order(inner.ratios)
     return 1.0

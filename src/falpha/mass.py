@@ -42,7 +42,9 @@ does meets it in infinitely many points.  Where S does not rise the mass
 is 0; where it rises, it diverges below the order and is positive at it.
 There the mass is the limit of coarse_mass as delta -> 0, and refining a
 cover multiplies its cost by sum r_i^s = 1, so coarse_mass does not
-depend on delta: the value is the cover with no mesh bound.
+depend on delta: the value is the cover with no mesh bound.  That cover
+(``_mass_at_order``) reads the record the verdict was read from, which
+``mass`` builds once and a ``StaircaseEvaluator`` keeps, for its slack.
 """
 
 import functools
@@ -192,6 +194,16 @@ def coarse_mass(spec, a, b, alpha, delta):
     return _coarse_scaled(spec, a, b, alpha, delta) / gamma_factor(alpha)
 
 
+def _mass_at_order(spec, rec, a, b, alpha):
+    """``coarse_mass(spec, a, b, alpha, inf)`` for a <= b, neither NaN,
+    on the measure record ``rec`` of spec at alpha, which the caller
+    holds: the slack guard reads the record's scale and eps, so the spec
+    is not framed again."""
+    if (b - a) / rec.scale <= rec.eps:
+        return 0.0
+    return _coarse_scaled(spec, a, b, alpha, math.inf) / gamma_factor(alpha)
+
+
 def _is_upper_bound(spec):
     inner = unwrap(spec)[2]
     return isinstance(inner, GapIFS) and not isinstance(inner, TernaryCantor)
@@ -238,10 +250,11 @@ def mass(spec, a, b, alpha):
     if a > b:
         raise ValueError("need a <= b")
     flag = _is_upper_bound(spec)
-    side = _side_of_order(_backend.measure(spec, alpha), a, b)
+    rec = _backend.measure(spec, alpha)
+    side = _side_of_order(rec, a, b)
     if side > 0:
         return MassEstimate(alpha, math.inf, "diverging", flag)
-    value = coarse_mass(spec, a, b, alpha, math.inf) if side == 0 else 0.0
+    value = _mass_at_order(spec, rec, a, b, alpha) if side == 0 else 0.0
     return MassEstimate(alpha, value, "converged", flag)
 
 
@@ -318,7 +331,7 @@ class StaircaseEvaluator(Record):
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"
             )
         if side == 0:
-            return coarse_mass(self.spec, u, v, self.alpha, math.inf)
+            return _mass_at_order(self.spec, self.measure, u, v, self.alpha)
         return 0.0
 
     def value(self, x):

@@ -192,13 +192,18 @@ def time_of_flight(params, x, tol=1e-9):
     x0 = params.x0
     if x < x0:
         raise ValueError("x must be at least x0")
-    vel = functools.cache(lambda p: friction_velocity(params, p))
     stair, kappa = params.stair, params.kappa
+    vel = functools.partial(friction_velocity, params)
+    if kappa is None:
+        # adjacent pieces share ends, and each velocity is an integral
+        vel = functools.cache(vel)
     rec = stair.measure
     uniform = rec is not None and kappa is not None
     affine = uniform and all(p == r for _, r, _, _, p in rec.table)
+    # only a walk at the order prices whole pieces: above it S is flat,
+    # and below it S diverges wherever F has a whole piece
     moments = (_backend.lebesgue_moments(rec, _SERIES_K + 1)
-               if uniform and not affine else None)
+               if uniform and rec.side == 0 and not affine else None)
 
     def speed(p, s):  # S at p is s; a general k integrates from x0 again
         return vel(p) if kappa is None else params.v0 - kappa * s

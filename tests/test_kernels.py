@@ -69,7 +69,7 @@ def test_g_series_scaled_values():
 def test_middle_thirds_record():
     rec = _backend.measure(TernaryCantor(), falpha.ALPHA)
     assert tuple(p for *_, p in rec.table) == (0.5, 0.5)
-    assert rec.mean == 0.5
+    assert _backend._mean(rec.table, rec.hull) == 0.5
     # the weights sum to 1 exactly, and (1/3)^alpha is 1/2: at the order
     assert sum(p for *_, p in rec.table) == 1.0
     assert sum(r ** falpha.ALPHA for r in TernaryCantor().ratios) == 1.0
@@ -78,15 +78,17 @@ def test_middle_thirds_record():
 
 
 def _one_pass_record(spec, alpha):
-    """The measure record of spec at alpha built in one pass from the
-    spec alone: the frame composed from the wrapper and the interval's
-    ends, the table from the unwrapped set or from fresh unit halves."""
+    """(record, mean): the measure record of spec at alpha built in one
+    pass from the spec alone, the frame composed from the wrapper and the
+    interval's ends, the table from the unwrapped set or from fresh unit
+    halves; and the mean share of its measure, which the record does not
+    keep.  (None, None) for a set with no record."""
     base, lam, t = exact.unwrap(spec)
     if isinstance(base, FullInterval):
         lam, t = lam * (base.hi - base.lo), t + lam * base.lo
         base = GapIFS((0.5, 0.5), (0.0, 0.5))
     if not isinstance(base, GapIFS):
-        return None
+        return None, None
     ps = [r ** alpha for r in base.ratios]
     total = sum(ps)
     h0, h1 = base.hull()
@@ -98,8 +100,8 @@ def _one_pass_record(spec, alpha):
         / (1.0 - sum(w * r for _, r, _, _, w in table)))
     far = max(abs(t + lam * h0), abs(t + lam * h1))
     return _backend.Measure(
-        lam, t, (h0, h1), table, 1.0 - stair_mean, slack(far, lam) / lam,
-        _backend.side_of_order(total))
+        lam, t, (h0, h1), table, slack(far, lam) / lam,
+        _backend.side_of_order(total)), 1.0 - stair_mean
 
 
 _BASES = st.one_of(
@@ -116,8 +118,11 @@ _BASES = st.one_of(
 def test_record_is_the_one_pass_build(base, wraps, alpha):
     # an interval is the unit halves framed by its ends, at every order
     spec, _, _ = _wrap(base, wraps)
-    assert repr(_backend.measure(spec, alpha)) == repr(
-        _one_pass_record(spec, alpha))
+    rec = _backend.measure(spec, alpha)
+    want, mean = _one_pass_record(spec, alpha)
+    assert repr(rec) == repr(want)
+    if rec is not None:
+        assert repr(_backend._mean(rec.table, rec.hull)) == repr(mean)
 
 
 def test_g_series_scaled_just_right_of_two_thirds():

@@ -488,15 +488,16 @@ def test_nan_ends_and_mesh_are_rejected(call, args, name):
 
 def test_mass_covers_only_at_the_order(monkeypatch):
     # the verdict comes from the set's structure; only the value at the
-    # order needs a cover, and one with no mesh bound
-    cover = mass_module.coarse_mass
+    # order needs a cover, and one with no mesh bound, on the record that
+    # the verdict was read from
+    cover = mass_module._mass_at_order
     calls = []
 
     def counted(*args):
         calls.append(args)
         return cover(*args)
 
-    monkeypatch.setattr(mass_module, "coarse_mass", counted)
+    monkeypatch.setattr(mass_module, "_mass_at_order", counted)
     order = similarity_order(ASYM.ratios)
     for spec, alpha in ((C, 0.5), (C, 0.8), (ASYM, 0.5), (ASYM, 0.9),
                         (FullInterval(0.0, 1.0), 0.5),
@@ -507,8 +508,29 @@ def test_mass_covers_only_at_the_order(monkeypatch):
         StaircaseEvaluator(ASYM, 0.5).increment(0.0, 1.0)
     assert StaircaseEvaluator(ASYM, 0.5).increment(0.5, 0.7) == 0.0
     assert calls == []
-    mass(ASYM, 0.0, 1.0, order)
-    assert calls == [(ASYM, 0.0, 1.0, order, math.inf)]
+    got = mass(ASYM, 0.0, 1.0, order).value
+    assert calls == [(ASYM, _backend.measure(ASYM, order), 0.0, 1.0, order)]
+    assert repr(got) == repr(coarse_mass(ASYM, 0.0, 1.0, order, math.inf))
+
+
+def test_each_call_builds_one_record_and_frames_the_spec_once(monkeypatch):
+    # the cover at the order reads the record that the verdict was read
+    # from, and gamma_dimension takes the order from the unwrapped set:
+    # no call builds a record, frames the spec or takes its slack twice
+    calls = []
+    for name in ("measure", "frame", "hull_eps"):
+        def spied(*args, name=name, real=getattr(_backend, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(_backend, name, spied)
+    order = similarity_order(ASYM.ratios)
+    runs = (lambda: mass(ASYM, 0.0, 1.0, order).value,
+            lambda: StaircaseEvaluator(ASYM, order, mode="numeric")(0.7),
+            lambda: gamma_dimension(C, 0.0, 1.0).gamma_dim)
+    for run in runs:
+        calls.clear()
+        assert run() > 0.0
+        assert sorted(calls) == ["frame", "hull_eps", "measure"]
 
 
 @settings(max_examples=100, deadline=None)

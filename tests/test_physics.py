@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from falpha import _backend
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import similarity_order
+from falpha.mass import DivergingMass
 from falpha.physics import (
     DegenerateTime,
     DiffusionParams,
@@ -354,7 +355,7 @@ def test_lebesgue_moments_match_an_exact_solve(medium):
     assert len(got) == 10
     for g, w in zip(got, want):
         assert abs(g - w) <= 32 * math.ulp(w)
-    assert got[1] == 1.0 - rec.mean
+    assert got[1] == 1.0 - _backend._mean(rec.table, rec.hull)
     # s^k falls with k where 0 <= s <= 1
     assert all(a >= b for a, b in zip(got, got[1:]))
 
@@ -377,7 +378,7 @@ def test_lebesgue_moments_memo_returns_a_fresh_solve(medium, n):
     miss = _backend.lebesgue_moments(rec, n)
     hit = _backend.lebesgue_moments(rec, n)
     assert _backend._moments.cache_info()[:2] == (1, 1)  # (hits, misses)
-    fresh = _backend._moments.__wrapped__(rec.table, rec.hull, rec.mean, n)
+    fresh = _backend._moments.__wrapped__(rec.table, rec.hull, n)
     assert repr(hit) == repr(miss) == repr(fresh)
     assert len(hit) == n + 1
     # the frame is not read: the unwrapped set reads the same entry
@@ -401,6 +402,30 @@ def test_lebesgue_moments_memo_stays_under_its_cap():
         sizes.append(_backend._moments.cache_info().currsize)
     assert sizes[:3] == [1, 2, 3]
     assert max(sizes) == sizes[-1] == _backend._MOMENTS_CAP
+
+
+def test_a_flight_solves_the_moments_only_at_the_order(monkeypatch):
+    # above the order S is flat and no walk prices a piece, and below it a
+    # flight over a whole piece diverges: only a flight at the order reads
+    # the Lebesgue moments
+    solve = _backend.lebesgue_moments
+    seen = []
+
+    def spied(rec, n):
+        seen.append((rec.side, n))
+        return solve(rec, n)
+
+    monkeypatch.setattr(_backend, "lebesgue_moments", spied)
+    flights = {(0.9, 0.1, 0.8): "0.7000000000000001",
+               (0.3, 0.35, 0.6): "0.25",
+               (ALPHA, 0.1, 0.8): "0.8115460139474681"}
+    for (alpha, x0, x), want in flights.items():
+        p = FrictionParams(C, alpha, v0=1.0, x0=x0, kappa=0.45)
+        assert repr(time_of_flight(p, x)) == want
+    with pytest.raises(DivergingMass):
+        time_of_flight(FrictionParams(C, 0.3, v0=1.0, x0=0.1, kappa=0.45),
+                       0.8)
+    assert seen == [(0, _SERIES_K + 1)]
 
 
 @pytest.mark.parametrize("medium", [

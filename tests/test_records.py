@@ -168,9 +168,8 @@ def test_only_record_assigns_setattr_delattr_or_hash():
 
 def test_a_measure_record_is_a_named_tuple():
     rec = _backend.measure(C, ALPHA)
-    assert isinstance(rec, tuple) and len(rec) == 7
-    assert rec._fields == ("scale", "shift", "hull", "table", "mean", "eps",
-                           "side")
+    assert isinstance(rec, tuple) and len(rec) == 6
+    assert rec._fields == ("scale", "shift", "hull", "table", "eps", "side")
     # one flat row (offset, ratio, span start, span end, weight) per copy,
     # the set's own rows with the weights put in
     assert [row[:4] for row in rec.table] == [row[:4] for row in C._table]
