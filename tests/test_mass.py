@@ -602,12 +602,19 @@ def test_results_on_a_wrapped_two_map_set_repeat_bit_for_bit():
 
 
 def test_numeric_increment_is_the_mass_at_the_order():
-    order = similarity_order(ASYM.ratios)
-    numeric = StaircaseEvaluator(ASYM, order, mode="numeric")
-    for u, v in ((0.0, 1.0), (0.1, 0.8), (0.75, 0.9)):
-        value = mass(ASYM, u, v, order).value
-        assert repr(numeric.increment(u, v)) == repr(value) == repr(
-            coarse_mass(ASYM, u, v, order, math.inf))
+    cases = [
+        (ASYM, ((0.0, 1.0), (0.1, 0.8), (0.75, 0.9))),
+        # far from 0 the record's slack, 4 ulps of 2.25 over the scale, is
+        # wider than the cover's own 1e-15: S rises across the first
+        # span, and the slack makes it a point
+        (Affine(C, 0.25, 2.0), ((2.1875, 2.1875 + 2.0 ** -50), (2.0, 2.25)))]
+    for spec, spans in cases:
+        order = _order(spec)
+        numeric = StaircaseEvaluator(spec, order, mode="numeric")
+        for u, v in spans:
+            value = mass(spec, u, v, order).value
+            assert repr(numeric.increment(u, v)) == repr(value) == repr(
+                coarse_mass(spec, u, v, order, math.inf))
 
 
 _NARROW = FullInterval(0.0, 1e-3)
