@@ -346,6 +346,41 @@ _DIGESTS = (
      "ac10e2db10cf04441d8ac4fb549d4648dd6e281a61093071029d5263fbb450ca"),
     ("cantor-g --samples 243 --format json",
      "9f4a2ccc0448f91efdd6c3f315a34a11dd2721b4899eb167d4454d24a4cb184f"),
+    # the closed forms that are the cover with no mesh bound: the ramp on
+    # an interval at order 1, point sets, and a gap IFS above its order
+    ("staircase --set {\"type\":\"interval\",\"lo\":0.0,\"hi\":2.0} "
+     "--range -0.5 2.5 --samples 9",
+     "08497c94e5c5ee5ca4f8d22e514eb960d837b3f39374a794f6f2865174944b95"),
+    ("staircase --set {\"type\":\"interval\",\"lo\":0.0,\"hi\":2.0} "
+     "--range -0.5 2.5 --samples 9 --format json",
+     "f50a40b7bddb1d3822132efd1c3e58eaede867b405867385554b420d19924a61"),
+    ("staircase --set harmonic --samples 5",
+     "f89605ea299e8316872fef6ebccf0b6926810600f6396de9ca71f53b7d8d20b7"),
+    ("staircase --set {\"type\":\"finite\",\"points\":[0.2,0.5]} "
+     "--samples 5",
+     "f89605ea299e8316872fef6ebccf0b6926810600f6396de9ca71f53b7d8d20b7"),
+    ("staircase --set {\"type\":\"gap_ifs\",\"ratios\":[0.4,0.25],"
+     "\"offsets\":[0.0,0.75]} --alpha 0.9 --samples 9",
+     "d6c4f9484fd707280029eeeac0527bdce46bcecf39d25c94dc2a494c32cf57f9"),
+    # the finite-delta ladder off the middle-thirds set: below, at and
+    # above the order, on an interval, {0.4, 0.25} and a point set
+    ("mass --set {\"type\":\"interval\",\"lo\":0.0,\"hi\":2.0} "
+     "--range -0.5 2.5 --alpha 1",
+     "d2e6bdeec4a374f3153ba4180e6f819c91a326ed14c384dc6205656c64c5d8a8"),
+    ("mass --set {\"type\":\"interval\",\"lo\":0.0,\"hi\":2.0} "
+     "--range -0.5 2.5 --alpha 0.5",
+     "ea4628adc562f5ecbc68163a9f949ed6ca0bd62cb3333588f53b7449ba6bee83"),
+    ("mass --set {\"type\":\"gap_ifs\",\"ratios\":[0.4,0.25],"
+     "\"offsets\":[0.0,0.75]}",
+     "2549bf777be687eb38a5e3ed8c584931e953cdb45417197a3dd7e174b34a99e6"),
+    ("mass --set {\"type\":\"gap_ifs\",\"ratios\":[0.4,0.25],"
+     "\"offsets\":[0.0,0.75]} --alpha 0.5",
+     "3463028797a06ed999af606ba16420b7d9a5f7553b2238f780aa4c5ab680d158"),
+    ("mass --set {\"type\":\"gap_ifs\",\"ratios\":[0.4,0.25],"
+     "\"offsets\":[0.0,0.75]} --alpha 0.9",
+     "606d348d65110f31fe42e22b4af2aba6cac4c591d818c82771696f7c5e6494a9"),
+    ("mass --set harmonic --alpha 0.5",
+     "476e1877f57cd86f3a6262331fcdf629725bf95d1837e645e3f3d7e84c7c7645"),
 )
 
 
