@@ -291,7 +291,11 @@ def _build_parser():
 
 def _check_rows(rows):
     if rows > _MAX_ROWS:
-        raise _UsageError(f"a table of {rows:.3g} rows is more than the "
+        # an int count reads as it is; the diffusion grid's float estimate,
+        # perhaps inf, in 3 digits from 10 times the cap on, else rounded up
+        if isinstance(rows, float):
+            rows = f"{rows:.3g}" if rows >= 10 * _MAX_ROWS else math.ceil(rows)
+        raise _UsageError(f"a table of {rows} rows is more than the "
                           f"{_MAX_ROWS} allowed")
 
 

@@ -42,9 +42,11 @@ does meets it in infinitely many points.  Where S does not rise the mass
 is 0; where it rises, it diverges below the order and is positive at it.
 There the mass is the limit of coarse_mass as delta -> 0, and refining a
 cover multiplies its cost by sum r_i^s = 1, so coarse_mass does not
-depend on delta: the value is the cover with no mesh bound.  That cover
-(``_mass_at_order``) reads the record the verdict was read from, which
-``mass`` builds once and a ``StaircaseEvaluator`` keeps, for its slack.
+depend on delta: the value is the cover with no mesh bound.  Every cover
+is one routine, ``_cover``, which reads its slack and its side of the
+order from the measure record that its caller holds: ``mass`` passes the
+one its verdict was read from, and a ``StaircaseEvaluator`` the one it
+keeps.
 """
 
 import functools
@@ -155,31 +157,33 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
     return acc
 
 
-def _coarse_scaled(spec, a, b, alpha, delta):
-    """Coarse mass estimate times Gamma(alpha + 1).  With no wrapper the
-    frame (1.0, 0.0) maps every number, -0.0 and inf too, to itself."""
+def _cover(spec, rec, a, b, alpha, delta):
+    """Gamma(alpha + 1) times ``coarse_mass(spec, a, b, alpha, delta)``
+    for a <= b, neither NaN, on the measure record ``rec`` of spec at
+    alpha that the caller holds (None for point sets): a span within its
+    ``eps`` is a point, and above its order the cover is 0.  With no
+    wrapper the frame (1.0, 0.0) maps every number, -0.0 and inf too, to
+    itself."""
+    if rec is not None and ((b - a) / rec.scale <= rec.eps or rec.side < 0):
+        return 0.0
     lam, t, inner = unwrap(spec)
     a, b, delta = (a - t) / lam, (b - t) / lam, delta / lam
     if b - a <= 0.0 or inner.is_discrete():
         return 0.0
     if isinstance(inner, FullInterval):
         cost = _tile_cost(min(b, inner.hi) - max(a, inner.lo), delta, alpha)
-    elif not isinstance(inner, GapIFS):
-        raise TypeError(f"unsupported spec {type(inner).__name__}")
-    elif _backend.side_of_order(sum([r ** alpha for r in inner.ratios])) < 0:
-        # refining one level multiplies the cover cost by sum r^alpha < 1,
-        # so the infimum over admissible subdivisions is 0 at every delta
-        return 0.0
-    else:
+    elif isinstance(inner, GapIFS):
         cost = _ifs_partial(inner, a, b, alpha, delta, {})
+    else:
+        raise TypeError(f"unsupported spec {type(inner).__name__}")
     return lam ** alpha * cost
 
 
 def coarse_mass(spec, a, b, alpha, delta):
     """Infimum estimate of the flagged sum over subdivisions of [a, b]
-    with mesh <= delta.  A span no wider than the ``eps`` of the set's
-    measure record, in the units of its hull, is a point, with no mass,
-    as ``mass`` reads it at and above the order."""
+    with mesh <= delta: ``_cover`` on the set's measure record, so a span
+    no wider than the record's ``eps``, in the units of its hull, is a
+    point, with no mass, as ``mass`` reads it at and above the order."""
     _positive("alpha", alpha, 1.0)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -187,21 +191,8 @@ def coarse_mass(spec, a, b, alpha, delta):
     _positive("delta", delta)
     if a > b:
         raise ValueError("need a <= b")
-    lam, t, inner = _backend.frame(spec)
-    if (isinstance(inner, GapIFS)
-            and (b - a) / lam <= _backend.hull_eps(lam, t, inner._hull)):
-        return 0.0
-    return _coarse_scaled(spec, a, b, alpha, delta) / gamma_factor(alpha)
-
-
-def _mass_at_order(spec, rec, a, b, alpha):
-    """``coarse_mass(spec, a, b, alpha, inf)`` for a <= b, neither NaN,
-    on the measure record ``rec`` of spec at alpha, which the caller
-    holds: the slack guard reads the record's scale and eps, so the spec
-    is not framed again."""
-    if (b - a) / rec.scale <= rec.eps:
-        return 0.0
-    return _coarse_scaled(spec, a, b, alpha, math.inf) / gamma_factor(alpha)
+    return (_cover(spec, _backend.measure(spec, alpha), a, b, alpha, delta)
+            / gamma_factor(alpha))
 
 
 def _is_upper_bound(spec):
@@ -254,7 +245,8 @@ def mass(spec, a, b, alpha):
     side = _side_of_order(rec, a, b)
     if side > 0:
         return MassEstimate(alpha, math.inf, "diverging", flag)
-    value = _mass_at_order(spec, rec, a, b, alpha) if side == 0 else 0.0
+    value = (_cover(spec, rec, a, b, alpha, math.inf) / gamma_factor(alpha)
+             if side == 0 else 0.0)
     return MassEstimate(alpha, value, "converged", flag)
 
 
@@ -266,7 +258,7 @@ def _closed_form(spec, alpha, rec):
     the mesh, with no unit."""
 
     def cover(x):
-        return _coarse_scaled(spec, -math.inf, x, alpha, math.inf)
+        return _cover(spec, rec, -math.inf, x, alpha, math.inf)
 
     if isinstance(unwrap(spec)[2], FullInterval):
         return (cover, None) if alpha == 1.0 else (None, None)
@@ -331,7 +323,8 @@ class StaircaseEvaluator(Record):
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"
             )
         if side == 0:
-            return _mass_at_order(self.spec, self.measure, u, v, self.alpha)
+            return _cover(self.spec, self.measure, u, v, self.alpha,
+                          math.inf) / self._gamma
         return 0.0
 
     def value(self, x):

@@ -212,6 +212,22 @@ def test_derivative_no_limit_on_mismatched_sides():
         derivative(FOnF.net_sampled(jumpy), STAIR, 0.25)
 
 
+def test_derivative_no_limit_where_settled_sides_disagree():
+    # |S(x) - S(1/4)| has quotients that settle at -1 on the left and +1
+    # on the right of 1/4, a two-sided point of the set
+    s0 = STAIR(0.25)
+    f = FOnF.net_sampled(lambda x: abs(STAIR(x) - s0))
+    with pytest.raises(NoLimit, match=r"one-sided values at x=0\.25 "
+                                      r"disagree by 2\.000e\+00"):
+        derivative(f, STAIR, 0.25)
+
+
+def test_derivative_no_limit_where_r0_reaches_no_piece_end():
+    with pytest.raises(NoLimit, match="no staircase variation reachable on "
+                                      r"either side of x=0\.25"):
+        derivative(FOnF.monotone(STAIR), STAIR, 0.25, r0=1e-300)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
 def test_non_positive_tol_rejected(tol):
     f = FOnF.monotone(lambda x: x)

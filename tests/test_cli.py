@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -722,6 +723,43 @@ def test_diffusion_grid_step_that_does_not_advance_exits_1():
     assert done.stderr.startswith("error:") and "advance" in done.stderr
 
 
+def test_a_grid_step_lost_past_the_first_point_exits_1(capsys):
+    # 1 advances 9007199254740990 but not 2^53, which the grid reaches
+    # after two steps: the check inside the loop refuses it
+    code, out, err = run(capsys, "diffusion", "--x", "9007199254740990",
+                         "9007199254740996", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: x grid step 1.0 does not advance past "
+                   "9007199254740992.0\n")
+
+
+def test_a_numeric_option_that_is_not_a_number_exits_1(capsys):
+    code, out, err = run(capsys, "integrate", "--tol", "abc")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--tol" in err and "'abc'" in err
+
+
+def test_verify_with_a_failing_check_exits_2(capsys, monkeypatch, tmp_path):
+    from falpha import verify
+
+    def failing():
+        return verify.CheckResult("made.to.fail", False, 1.0, "as made")
+
+    monkeypatch.setattr(verify, "_FAST", verify._FAST + (failing,))
+    k = len(verify._FAST) - 1
+    code, out, err = run(capsys, "verify", "--fast")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-2:] == ["FAIL made.to.fail: as made",
+                          f"{k}/{k + 1} checks passed"]
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    # the report of a failing run is still written
+    path = tmp_path / "report.txt"
+    assert run(capsys, "verify", "--fast", "--output", str(path)) == (2, "",
+                                                                      "")
+    assert path.read_text(encoding="utf-8") == out
+
+
 TABLES = (
     ("staircase", "--samples", "5"),
     ("cantor-g", "--samples", "4"),
@@ -797,6 +835,23 @@ def test_oversized_tables_exit_1_before_they_are_built(argv):
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and "rows" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("staircase", "--samples", "1000001"),
+    ("cantor-g", "--samples", "1000001"),
+    ("friction", "--samples", "1000001"),
+    ("diffusion", "--x", "0", "1", "1e-6", "--time", "1", "2"),
+    ("diffusion", "--x", "0", "1000000", "1", "--time", "1"),
+    ("diffusion", "--x", "0", "1e308", "1e-300"),
+])
+def test_the_row_cap_names_a_count_above_it(capsys, argv):
+    # in 3 digits, every count from 1,000,001 to 1,004,999 read 1e+06
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    count = re.fullmatch(r"error: a table of (\S+) rows is more than the "
+                         r"1000000 allowed\n", err).group(1)
+    assert float(count) > 1000000
 
 
 def test_differentiate_refuses_a_net_too_large_to_tabulate():

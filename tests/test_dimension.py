@@ -40,6 +40,8 @@ def test_cantor_gamma_dimension():
 
 def test_cantor_box_dimension():
     assert abs(box_dimension(C, 0.0, 1.0) - ALPHA) <= 0.03
+    # a window that F misses counts no box at any depth
+    assert box_dimension(C, 0.4, 0.6, 8) == 0.0
 
 
 def test_box_counts_cantor():

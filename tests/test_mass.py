@@ -12,6 +12,7 @@ from falpha import _backend
 from falpha.cantor import ALPHA, GAMMA_ALPHA1
 from falpha.dimension import _order, gamma_dimension, similarity_order
 from falpha.mass import (
+    _CACHE_CAP,
     DivergingMass,
     StaircaseEvaluator,
     coarse_mass,
@@ -29,6 +30,7 @@ from falpha.sets import (
     GapIFS,
     Interval,
     Scale,
+    SetSpec,
     Subdivision,
     TernaryCantor,
     Translate,
@@ -208,6 +210,33 @@ def test_staircase_numeric_mode_agrees():
     numeric = StaircaseEvaluator(C, ALPHA, a0=0.0, mode="numeric")
     for x in net(C, 4, Interval(0.0, 1.0)):
         assert numeric(x) == pytest.approx(auto(x), rel=1e-3, abs=1e-9)
+
+
+def test_a_staircase_mode_other_than_auto_or_numeric_is_refused():
+    with pytest.raises(ValueError, match="mode must be 'auto' or 'numeric'"):
+        StaircaseEvaluator(C, ALPHA, mode="exact")
+
+
+def test_the_cover_refuses_a_set_kind_it_does_not_know():
+    # a set with no measure record that is not a point set has no cover
+    class Unknown(SetSpec):
+        pass
+
+    with pytest.raises(TypeError, match="unsupported spec Unknown"):
+        coarse_mass(Unknown(), 0.0, 1.0, 0.5, 0.1)
+    with pytest.raises(TypeError, match="unsupported spec Unknown"):
+        StaircaseEvaluator(Unknown(), 0.5)
+
+
+def test_the_value_cache_empties_when_full():
+    # value's own cap, not _at's: 2^16 + 5 distinct x fill the cache once,
+    # and the last 5 are all it holds after
+    xs = [i / (_CACHE_CAP + 5) for i in range(_CACHE_CAP + 5)]
+    stair = StaircaseEvaluator(FullInterval(0.0, 1.0), 1.0)
+    got = list(map(repr, map(stair, xs)))
+    assert list(stair._cache) == xs[-5:]
+    fresh = StaircaseEvaluator(FullInterval(0.0, 1.0), 1.0)
+    assert got == [repr(fresh(x)) for x in reversed(xs)][::-1]
 
 
 def test_staircase_raises_on_divergence():
@@ -490,14 +519,14 @@ def test_mass_covers_only_at_the_order(monkeypatch):
     # the verdict comes from the set's structure; only the value at the
     # order needs a cover, and one with no mesh bound, on the record that
     # the verdict was read from
-    cover = mass_module._mass_at_order
+    cover = mass_module._cover
     calls = []
 
     def counted(*args):
         calls.append(args)
         return cover(*args)
 
-    monkeypatch.setattr(mass_module, "_mass_at_order", counted)
+    monkeypatch.setattr(mass_module, "_cover", counted)
     order = similarity_order(ASYM.ratios)
     for spec, alpha in ((C, 0.5), (C, 0.8), (ASYM, 0.5), (ASYM, 0.9),
                         (FullInterval(0.0, 1.0), 0.5),
@@ -509,7 +538,8 @@ def test_mass_covers_only_at_the_order(monkeypatch):
     assert StaircaseEvaluator(ASYM, 0.5).increment(0.5, 0.7) == 0.0
     assert calls == []
     got = mass(ASYM, 0.0, 1.0, order).value
-    assert calls == [(ASYM, _backend.measure(ASYM, order), 0.0, 1.0, order)]
+    assert calls == [(ASYM, _backend.measure(ASYM, order), 0.0, 1.0, order,
+                      math.inf)]
     assert repr(got) == repr(coarse_mass(ASYM, 0.0, 1.0, order, math.inf))
 
 

@@ -22,6 +22,7 @@ from falpha.sets import (
     Interval,
     ResolutionExceeded,
     Scale,
+    SetSpec,
     Subdivision,
     TernaryCantor,
     Translate,
@@ -193,6 +194,8 @@ def test_finite_points():
     assert not intersects(F, Interval(0.2, 0.4))
     assert F.extremes_in(0.0, 1.0) == (0.1, 0.9)
     assert FinitePoints(()).hull() is None
+    assert Scale(FinitePoints(()), 2.0).hull() is None
+    assert Scale(FinitePoints((1.0,)), 2.0).is_discrete()
     with pytest.raises(ValueError):
         FinitePoints((0.5, 0.5))
 
@@ -388,6 +391,8 @@ def test_gapifs_validation():
         GapIFS((0.6, 0.6), (0.0, 0.4))  # overlapping pieces
     with pytest.raises(ValueError):
         GapIFS((0.5,), (0.0,))  # fewer than two maps
+    with pytest.raises(ValueError, match="ratios must be a number"):
+        GapIFS(("a", 0.5), (0.0, 0.5))
 
 
 def test_points_of_change_on_cantor():
@@ -422,6 +427,17 @@ def test_json_round_trip():
         spec_from_json({"type": "nope"})
     with pytest.raises(ValueError):
         spec_from_json([1, 2, 3])
+    with pytest.raises(ValueError, match="needs the field 'offsets'"):
+        spec_from_json({"type": "gap_ifs", "ratios": [0.4, 0.25]})
+    with pytest.raises(ValueError, match="ratios must be a list"):
+        spec_from_json({"type": "gap_ifs", "ratios": 0.4,
+                        "offsets": [0.0, 0.75]})
+
+    class Unknown(SetSpec):
+        pass
+
+    with pytest.raises(ValueError, match="cannot serialize Unknown"):
+        spec_to_json(Unknown())
 
 
 @st.composite
