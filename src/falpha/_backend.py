@@ -3,9 +3,14 @@
 On a gap IFS at its order the staircase is the distribution function of
 the self-similar measure giving copy i the weight r_i^alpha / sum
 r_j^alpha (Hutchinson 1981).  ``measure`` builds its record on each
-call, in the frame that ``frame`` gives: a ``StaircaseEvaluator`` keeps
-the one it reads, ``mass`` passes the one it builds to the cover at the
-order, and other callers seldom ask twice for one set at one order.  Its
+call, in the frame that ``frame`` gives, and a record is built only where
+a value at the order is computed: a ``StaircaseEvaluator`` keeps the one
+it reads, ``mass`` builds one at the order only, for its cover, and other
+callers seldom ask twice for one set at one order.  Verdicts off the
+order read the set's own table: ``weigh``, the first step of
+``measure``, gives the frame and the side of the order, and
+``stair_rises`` whether the staircase rises, from the branches of the
+descents, which read no weight.  The record's
 table has one flat row (offset, ratio, span start, span end, weight) per
 copy, those of ``GapIFS._table`` with the weights put in, and every
 descent down the copies reads them as stored: the staircase, the
@@ -80,21 +85,39 @@ def hull_eps(lam, t, hull):
     return slack(max(abs(t + lam * h0), abs(t + lam * h1)), lam) / lam
 
 
-def measure(spec, alpha):
+def weigh(spec, alpha):
+    """(scale, shift, unwrapped set, powers, total, side) of spec at order
+    alpha, the first step of ``measure``: the frame, r^alpha per copy of
+    the gap IFS it reads and their sum, and ``side_of_order`` of that sum;
+    no powers, no total and the side -1 for point sets and the harmonic
+    cluster."""
+    lam, t, inner = frame(spec)
+    if not isinstance(inner, GapIFS):
+        return lam, t, inner, None, None, -1
+    ps = [r ** alpha for r in inner.ratios]
+    total = sum(ps)
+    return lam, t, inner, ps, total, side_of_order(total)
+
+
+def measure(spec, alpha, weighed=None):
     """The record of spec at order alpha (an interval is its two halves),
     or None for point sets and the harmonic cluster: the frame, the
     weighted table, the slack and the side of the order, with no mean
-    (``_mean`` gives it to the moments)."""
-    lam, t, inner = frame(spec)
-    if not isinstance(inner, GapIFS):
-        return None
-    ps = [r ** alpha for r in inner.ratios]
-    total = sum(ps)
+    (``_mean`` gives it to the moments).  It is built from ``weighed``,
+    what ``weigh`` gave for spec at alpha, where the caller holds that."""
+    if weighed is None:  # ``weigh`` written out, for the evaluator's build
+        lam, t, inner = frame(spec)
+        if not isinstance(inner, GapIFS):
+            return None
+        ps = [r ** alpha for r in inner.ratios]
+        total = sum(ps)
+        side = side_of_order(total)
+    else:
+        lam, t, inner, ps, total, side = weighed
     table = tuple([(o, r, s0, s1, p / total)
                    for (o, r, s0, s1, _), p in zip(inner._table, ps)])
     hull = inner._hull
-    return Measure(lam, t, hull, table, hull_eps(lam, t, hull),
-                   side_of_order(total))
+    return Measure(lam, t, hull, table, hull_eps(lam, t, hull), side)
 
 
 def _mean(table, hull):
@@ -137,6 +160,83 @@ def stair_scaled(hull, table, eps, x):
         else:
             return val  # past the last copy's end, by float drift
     return val if x <= h0 + eps else val + w
+
+
+def stair_rises(hull, table, eps, x, y):
+    """Whether ``stair_scaled`` on ``hull``, ``table`` and ``eps`` rises
+    from x to y >= x in exact sums, read from the branches of the two
+    descents and not from their floats: offsets, ratios, spans and slack,
+    never a weight.  So it is the rise for every measure that gives the
+    copies positive weights summing to 1, and it reads a measure record's
+    table and the set's own ``GapIFS._table`` alike.
+
+    The descents share their path down to the level where they part.
+    There each has the running value, plus the running weight times the
+    weights of the copies it passes and its share of the copy it enters.
+    So S rises unless y stops in x's gap, or enters the copy after it at
+    the low end (``_gains``), or x is at the high end of the copy it
+    enters (``_short_of_high``) and y in the gap after that copy, or at
+    the low end of the next.  A float sum drops a copy once the running
+    weight falls below half an ulp of the running value, which a set with
+    a ratio of a few hundredths or less reaches inside the slack's depth:
+    comparing the sums can then miss a whole copy of F between x and y."""
+    h0, h1 = hull
+    while h0 + eps < x < h1 - eps:
+        if not y < h1 - eps:
+            return _short_of_high(hull, table, eps, x)
+        copies = iter(table)
+        for row in copies:
+            o, r, s0, s1, _ = row
+            if x < s0:
+                return _gains(hull, table, eps, y, row)
+            if x <= s1:
+                break
+        else:
+            return False  # both past the last copy, by float drift
+        if y > s1:
+            if _short_of_high(hull, table, eps / r, (x - o) / r):
+                return True
+            for row in copies:
+                return _gains(hull, table, eps, y, row)
+            return False  # y past the last copy, at x's value
+        x, y, eps = (x - o) / r, (y - o) / r, eps / r
+    # at the low end S(x) is the running value; at the high end so is S(y)
+    if not x <= h0 + eps:
+        return False
+    if not h0 + eps < y < h1 - eps:
+        return not y <= h0 + eps
+    return _gains(hull, table, eps, y, table[0])
+
+
+def _gains(hull, table, eps, y, row):
+    """Whether the descent at y, inside this level's slack, passes a copy
+    or reaches the high end from the gap left of the copy ``row`` on: the
+    staircase at y exceeds its value in that gap."""
+    h0, h1 = hull
+    o, r, s0, s1, _ = row
+    while s0 <= y <= s1:
+        y, eps = (y - o) / r, eps / r
+        if not h0 + eps < y < h1 - eps:
+            return not y <= h0 + eps
+        o, r, s0, s1, _ = table[0]
+    return y > s1
+
+
+def _short_of_high(hull, table, eps, x):
+    """Whether the descent at x stops short of the high end: the
+    staircase at x is below its value there."""
+    h0, h1 = hull
+    last = len(table) - 1
+    while h0 + eps < x < h1 - eps:
+        for k, (o, r, s0, s1, _) in enumerate(table):
+            if x <= s1:
+                break
+        else:
+            return False  # past the last copy, by float drift
+        if x < s0 or k < last:
+            return True
+        x, eps = (x - o) / r, eps / r
+    return x <= h0 + eps
 
 
 def stair_column(hull, table, eps, xs):

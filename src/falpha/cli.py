@@ -11,7 +11,7 @@ so a ``staircase`` or ``cantor-g`` table computes its value column in one
 sorted sweep down the copies, which the points of a copy share, and
 writes each plateau value's text once.
 No table has more than ``_MAX_ROWS`` rows: a larger one is refused, with
-exit code 1, before it is built.
+exit code 1, before its values are computed.
 
 ``main`` may be called any number of times in one process.  The parser
 is built on the first call, not at import, and reused by every later
@@ -402,13 +402,18 @@ def _cmd_diffusion(args, spec, alpha, a, b, out):
     # a step lost to rounding at lo is named before the grid's size
     if lo + step == lo:
         raise _UsageError(f"x grid step {step} does not advance past {lo}")
-    _check_rows(len(args.time) * ((hi - lo) / step + 1.0))
+    # a grid far past the cap is refused on its float size, unbuilt; any
+    # other is counted as the loop makes it
+    rows = len(args.time) * ((hi - lo) / step + 1.0)
+    if rows > 2 * _MAX_ROWS:
+        _check_rows(rows)
     xs, x = [], lo
     while x <= hi + 1e-12:
         if xs and x == xs[-1]:
             raise _UsageError(f"x grid step {step} does not advance past {x}")
         xs.append(x)
         x += step
+    _check_rows(len(args.time) * len(xs))
     # each x and each time becomes text once: a time's rows share its
     # text, and each time's block shares the texts of the x grid
     fmt = args.format

@@ -34,19 +34,22 @@ jumps from infinite to 0 at the gamma-dimension.  A gap IFS has
 interior-disjoint copies, so the open set condition holds: the jump sits
 at the similarity order s (sum r_i^s = 1), and H^s(F) > 0 (Hutchinson
 1981; Falconer, Thm 9.3).  An interval is the gap IFS of its two halves.
-With no measure record (point sets), or above the order (sum r^alpha <
-1), the mass is 0.  Otherwise the record's staircase S has all weights
-positive, so its measure has support F and no atoms: S(b) > S(a), by one
-descent at each end, exactly when F meets (a, b), and a perfect set that
-does meets it in infinitely many points.  Where S does not rise the mass
-is 0; where it rises, it diverges below the order and is positive at it.
-There the mass is the limit of coarse_mass as delta -> 0, and refining a
-cover multiplies its cost by sum r_i^s = 1, so coarse_mass does not
-depend on delta: the value is the cover with no mesh bound.  Every cover
-is one routine, ``_cover``, which reads its slack and its side of the
-order from the measure record that its caller holds: ``mass`` passes the
-one its verdict was read from, and a ``StaircaseEvaluator`` the one it
-keeps.
+Point sets, which have no measure record, have mass 0, and so does any
+set above the order (sum r^alpha < 1).  Otherwise a staircase S whose
+weights are all positive has a measure with support F and no atoms: S(b)
+> S(a) exactly when F meets (a, b), and a perfect set that does meets it
+in infinitely many points.  Whether S rises is read from the branches of
+the descents at a and b (``_backend.stair_rises``), not from their sums,
+so no weight is read: off the order the set's own table answers, and no
+record is built.  Where S does not rise the mass is 0; where it rises,
+it diverges below the order and is positive at it.  There the mass is
+the limit of coarse_mass as delta -> 0, and refining a cover multiplies
+its cost by sum r_i^s = 1, so coarse_mass does not depend on delta: the
+value is the cover with no mesh bound.  Every cover is one routine,
+``_cover``, which reads its slack and its side of the order from the
+measure record that its caller holds.  A record is built only where a
+value at the order is computed: by ``mass`` at the order, for its cover,
+and by a ``StaircaseEvaluator``, which keeps it.
 """
 
 import functools
@@ -195,9 +198,17 @@ def coarse_mass(spec, a, b, alpha, delta):
             / gamma_factor(alpha))
 
 
-def _is_upper_bound(spec):
-    inner = unwrap(spec)[2]
-    return isinstance(inner, GapIFS) and not isinstance(inner, TernaryCantor)
+# the middle-thirds maps, on which the mass is exact
+_THIRDS = TernaryCantor()
+
+
+def _is_upper_bound(inner):
+    """Whether the mass of a set whose frame reads the set ``inner`` is an
+    upper bound only: a gap IFS other than the middle-thirds maps, however
+    it is written, and other than the halves an interval is read as."""
+    return (isinstance(inner, GapIFS) and inner is not _backend._HALVES
+            and (inner.ratios != _THIRDS.ratios
+                 or inner.offsets != _THIRDS.offsets))
 
 
 class MassEstimate(Record):
@@ -217,36 +228,53 @@ class MassEstimate(Record):
         return math.isinf(self.value)
 
 
-def _side_of_order(rec, a, b):
-    """1 where the mass on [a, b] of the set with the measure record
-    ``rec`` diverges, 0 where it is positive and finite, -1 where it is 0:
-    the record's side of the order where its staircase rises from a to b,
-    else -1."""
-    if rec is None or rec.side < 0:
+def _side_of_order(scale, shift, hull, table, eps, side, a, b):
+    """1 where the mass on [a, b] diverges, 0 where it is positive and
+    finite, -1 where it is 0: ``side``, the side of the order, where the
+    staircase on ``hull``, ``table`` and ``eps`` in the frame (shift,
+    scale) rises from a to b, else -1.  The arguments are a measure
+    record's fields, in its order, and the rise (``_backend.stair_rises``)
+    reads no weight: a record's table and the set's own ``GapIFS._table``
+    give one verdict."""
+    if side < 0:
         return -1
-    t, lam, eps = rec.shift, rec.scale, rec.eps
-    stair = _backend.stair_scaled
-    rises = (stair(rec.hull, rec.table, eps, (b - t) / lam)
-             > stair(rec.hull, rec.table, eps, (a - t) / lam))
-    return rec.side if rises else -1
+    rises = _backend.stair_rises(hull, table, eps, (a - shift) / scale,
+                                 (b - shift) / scale)
+    return side if rises else -1
+
+
+def _side_on_set(weighed, a, b):
+    """``_side_of_order`` on the set's own table, for what
+    ``_backend.weigh`` gave: no record is built."""
+    lam, t, inner, _, _, side = weighed
+    if side < 0:
+        return -1
+    hull = inner._hull
+    return _side_of_order(lam, t, hull, inner._table,
+                          _backend.hull_eps(lam, t, hull), side, a, b)
 
 
 def mass(spec, a, b, alpha):
     """The mass of F on [a, b] at order alpha, read from the set's
-    structure (``_side_of_order``); at the order, the cover with no mesh
-    bound."""
+    structure: 0 above the order, and below it by ``_side_of_order`` on
+    the set's own table; at the order, where the measure record is built,
+    the cover with no mesh bound where the staircase rises."""
     _positive("alpha", alpha, 1.0)
     _reject_nan("a", a)
     _reject_nan("b", b)
     if a > b:
         raise ValueError("need a <= b")
-    flag = _is_upper_bound(spec)
-    rec = _backend.measure(spec, alpha)
-    side = _side_of_order(rec, a, b)
-    if side > 0:
+    weighed = _backend.weigh(spec, alpha)
+    _, _, inner, _, _, side = weighed
+    flag = _is_upper_bound(inner)
+    if side > 0 and _side_on_set(weighed, a, b) > 0:
         return MassEstimate(alpha, math.inf, "diverging", flag)
-    value = (_cover(spec, rec, a, b, alpha, math.inf) / gamma_factor(alpha)
-             if side == 0 else 0.0)
+    value = 0.0
+    if side == 0:
+        rec = _backend.measure(spec, alpha, weighed)
+        if _side_of_order(*rec, a, b) == 0:
+            value = (_cover(spec, rec, a, b, alpha, math.inf)
+                     / gamma_factor(alpha))
     return MassEstimate(alpha, value, "converged", flag)
 
 
@@ -317,7 +345,8 @@ class StaircaseEvaluator(Record):
         if self._closed is not None:
             # S is monotone; the max absorbs rounding when u and v are close
             return max(0.0, self._closed(v) - self._closed(u)) / self._gamma
-        side = _side_of_order(self.measure, u, v)
+        rec = self.measure
+        side = -1 if rec is None else _side_of_order(*rec, u, v)
         if side > 0:
             raise DivergingMass(
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"

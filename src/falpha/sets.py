@@ -198,9 +198,6 @@ class Interval(Record):
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
 
 class Subdivision(Record):
     """Strictly increasing breakpoints spanning [points[0], points[-1]]."""
@@ -215,14 +212,6 @@ class Subdivision(Record):
             if not p < q:
                 raise ValueError("subdivision points must be strictly increasing")
         self.__dict__.update(points=pts)
-
-    @property
-    def a(self):
-        return self.points[0]
-
-    @property
-    def b(self):
-        return self.points[-1]
 
     @property
     def mesh(self):

@@ -61,6 +61,30 @@ def descent(rs, os_, ps):
     return at
 
 
+def branch_stair(hull, table, eps, x, weights):
+    """The staircase of a descent on ``hull``, ``table`` and ``eps`` at x,
+    taking the float branches of ``_backend.stair_scaled`` (x and the
+    slack zoomed in floats, as the kernel zooms them) and summing in
+    exact rationals the probability weights proportional to ``weights``,
+    one per copy: no copy's weight is lost to rounding, and a piece end
+    reads the same from either side."""
+    ps = [Fraction(p) for p in weights]
+    ps = [p / sum(ps) for p in ps]
+    h0, h1 = hull
+    val, w = Fraction(0), Fraction(1)
+    while h0 + eps < x < h1 - eps:
+        for (o, r, s0, s1, _), p in zip(table, ps):
+            if x < s0:
+                return val
+            if x <= s1:
+                x, w, eps = (x - o) / r, w * p, eps / r
+                break
+            val += w * p
+        else:
+            return val
+    return val if x <= h0 + eps else val + w
+
+
 def weights(base, alpha):
     """The shares p_i of the copies of the gap IFS ``base`` at the order
     alpha: r_i^alpha each rounded once to a float, over their sum."""

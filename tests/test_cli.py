@@ -854,6 +854,23 @@ def test_the_row_cap_names_a_count_above_it(capsys, argv):
     assert float(count) > 1000000
 
 
+def test_the_diffusion_grid_is_counted_as_it_is_made(capsys, monkeypatch):
+    # 0 to 9.2 by 1 is 10.2 steps in floats but 10 points, and 0 to 10 by
+    # 1 is 11: the cap reads the points the grid loop makes
+    monkeypatch.setattr(cli, "_MAX_ROWS", 10)
+    code, out, err = run(capsys, "diffusion", "--x", "0", "9.2", "1",
+                         "--time", "1")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == [
+        f"{float(i)}" for i in range(10)]
+    for times, rows in ((("1",), 11), (("1", "2"), 22)):
+        code, out, err = run(capsys, "diffusion", "--x", "0", "10", "1",
+                             "--time", *times)
+        assert (code, out) == (1, "")
+        assert err == (f"error: a table of {rows} rows is more than the 10 "
+                       "allowed\n")
+
+
 def test_differentiate_refuses_a_net_too_large_to_tabulate():
     # 2 * 4^16 net points: the enumeration stops past the row limit rather
     # than listing them all until memory runs out

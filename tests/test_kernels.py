@@ -1,7 +1,8 @@
 """Kernels: the measure record against a one-pass build, the staircase
 descent against the exact middle-thirds descent at triadic rationals,
 special values, monotonicity, the first-moment descent against an exact
-rational descent, the column sweeps against the per-point descents, the
+rational descent, the staircase's rise against exact sums over the
+descents' branches, the column sweeps against the per-point descents, the
 descents' pinned bits, the reported backend name, the imports of the
 exact oracle, the calculus's independence of the staircase evaluator's
 module, and a cap on every memo."""
@@ -23,7 +24,8 @@ from falpha.dimension import similarity_order
 from falpha.sets import (FinitePoints, FullInterval, GapIFS, HarmonicCluster,
                          TernaryCantor, slack)
 import exact
-from test_sets import ASYM, C, _WRAPS, _gap_ifs, _stair_points, _wrap
+from test_sets import (ASYM, C, _WRAPS, _gap_ifs, _rise_spans,
+                       _stair_points, _thin_ifs, _wrap)
 
 
 def test_cantor_scaled_exact_at_triadic_rationals():
@@ -156,6 +158,43 @@ def test_moment_matches_an_exact_descent(data, base, wraps):
     for x in xs:
         want = exact.walk(spec, alpha, x)[1]
         assert abs(_backend.moment_scaled(rec, x) - want) <= bound, x
+
+
+# a span 6 slacks wide, from the gap left of a copy 0.6^54 0.3 long deep
+# in a set with a copy of ratio 1e-4, to past that copy's first copy: the
+# float sums of the set's own table read no rise
+_THIN = GapIFS((1e-4, 0.6, 0.3), (0.0, 0.05, 0.7))
+_THIN_SPAN = (0.7374999999999816, 0.7374999999999878)
+
+
+@example(data=None, base=_THIN, wraps=[])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.one_of(st.just(C), _gap_ifs(), _thin_ifs()),
+       wraps=_WRAPS)
+def test_the_rise_is_that_of_exact_sums_over_the_descents(data, base, wraps):
+    # stair_rises reads no weight: at every order, on the set's own
+    # ratios and on equal weights, it is the rise of the exact sums over
+    # the branches that the float descents take
+    spec, lam, t = _wrap(base, wraps)
+    order = similarity_order(base.ratios)
+    rec = _backend.measure(spec, order)
+    x, y = (_THIN_SPAN if data is None else
+            data.draw(_rise_spans(base, lam, t, rec.eps)))
+    x, y = ((v - rec.shift) / rec.scale for v in (x, y))
+    tables = [rec.table, base._table, [(*row[:4], 1.0) for row in rec.table]]
+    tables += [_backend.measure(spec, alpha).table
+               for alpha in (0.3 * order, min(1.0, 1.5 * order))]
+    for table in tables:
+        ps = [p for *_, p in table]
+        want = (exact.branch_stair(rec.hull, table, rec.eps, y, ps)
+                > exact.branch_stair(rec.hull, table, rec.eps, x, ps))
+        got = _backend.stair_rises(rec.hull, table, rec.eps, x, y)
+        assert got == want, (x, y, ps)
+    if data is None:
+        # the float sums on the set's own table drop the copy
+        stair = [_backend.stair_scaled(rec.hull, base._table, rec.eps, v)
+                 for v in (x, y)]
+        assert want and stair[0] == stair[1]
 
 
 @st.composite

@@ -40,7 +40,7 @@ from falpha.sets import (
     spec_to_json,
 )
 import exact
-from test_sets import _gap_ifs
+from test_sets import _gap_ifs, _rise_spans, _thin_ifs
 
 mass_module = importlib.import_module("falpha.mass")
 
@@ -545,8 +545,10 @@ def test_mass_covers_only_at_the_order(monkeypatch):
 
 def test_each_call_builds_one_record_and_frames_the_spec_once(monkeypatch):
     # the cover at the order reads the record that the verdict was read
-    # from, and gamma_dimension takes the order from the unwrapped set:
-    # no call builds a record, frames the spec or takes its slack twice
+    # from, and gamma_dimension takes the order from the unwrapped set and
+    # its verdict from the set's own table: no call builds a record,
+    # frames the spec or takes its slack twice, and gamma_dimension builds
+    # none
     calls = []
     for name in ("measure", "frame", "hull_eps"):
         def spied(*args, name=name, real=getattr(_backend, name)):
@@ -554,13 +556,119 @@ def test_each_call_builds_one_record_and_frames_the_spec_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(_backend, name, spied)
     order = similarity_order(ASYM.ratios)
-    runs = (lambda: mass(ASYM, 0.0, 1.0, order).value,
-            lambda: StaircaseEvaluator(ASYM, order, mode="numeric")(0.7),
-            lambda: gamma_dimension(C, 0.0, 1.0).gamma_dim)
-    for run in runs:
+    record = ["frame", "hull_eps", "measure"]
+    runs = ((lambda: mass(ASYM, 0.0, 1.0, order).value, record),
+            (lambda: StaircaseEvaluator(ASYM, order, mode="numeric")(0.7),
+             record),
+            (lambda: gamma_dimension(C, 0.0, 1.0).gamma_dim,
+             ["frame", "hull_eps"]))
+    for run, want in runs:
         calls.clear()
         assert run() > 0.0
-        assert sorted(calls) == ["frame", "hull_eps", "measure"]
+        assert sorted(calls) == want
+
+
+def test_verdicts_off_the_order_build_no_record(monkeypatch):
+    # above and below the order, mass reads the side of the order and the
+    # set's own table, and gamma_dimension does at the set's order: each
+    # frames the spec once and builds no measure record
+    calls = []
+    for name in ("measure", "frame"):
+        def spied(*args, name=name, real=getattr(_backend, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(_backend, name, spied)
+    order = similarity_order(ASYM.ratios)
+    wrapped = Affine(ASYM, 3.0, -1.0)
+    runs = ((lambda: mass(ASYM, 0.0, 1.0, 0.5 * order).verdict,
+             "diverging"),
+            (lambda: mass(wrapped, -1.0, 2.0, 0.5 * order).verdict,
+             "diverging"),
+            (lambda: mass(ASYM, 0.45, 0.7, 0.5 * order).value, 0.0),
+            (lambda: mass(ASYM, 0.0, 1.0, 0.5 + 0.5 * order).value, 0.0),
+            (lambda: mass(C, 0.0, 1.0, 0.9).value, 0.0),
+            (lambda: mass(FullInterval(0.0, 2.0), 0.5, 1.0, 0.5).verdict,
+             "diverging"),
+            (lambda: gamma_dimension(C, 0.0, 1.0).gamma_dim,
+             similarity_order(C.ratios)),
+            (lambda: gamma_dimension(wrapped, -1.0, 2.0).gamma_dim, order),
+            (lambda: gamma_dimension(ASYM, 0.4, 0.7).gamma_dim, 0.0),
+            (lambda: gamma_dimension(FinitePoints((0.5,)), 0.0, 1.0)
+             .gamma_dim, 0.0))
+    for run, want in runs:
+        calls.clear()
+        assert run() == want
+        assert calls == ["frame"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.one_of(_gap_ifs(), _thin_ifs(), st.just(C)),
+       wrap=_WRAP, where=st.sampled_from((0.3, 0.9, 1.0, 1.1, 1.5)))
+def test_the_record_and_the_set_table_give_one_verdict(data, base, wrap,
+                                                       where):
+    # below, at and above the order, on spans with ends at piece ends a
+    # few ulps either side and spans narrower than the slack: the rise
+    # rule on the measure record's table and on the set's own table
+    spec, _, order = _medium(base, wrap)
+    lam, t = wrap or (1.0, 0.0)
+    alpha = order if where == 1.0 else min(1.0, where * order)
+    weighed = _backend.weigh(spec, alpha)
+    rec = _backend.measure(spec, alpha, weighed)
+    spans = st.lists(_rise_spans(base, lam, t, rec.eps), min_size=1,
+                     max_size=10)
+    for a, b in data.draw(spans):
+        side = mass_module._side_of_order(*rec, a, b)
+        assert mass_module._side_on_set(weighed, a, b) == side, (a, b)
+        # the verdict at every order is the one at the order, on its side
+        at = mass_module._side_on_set(_backend.weigh(spec, order), a, b)
+        assert side == (-1 if at < 0 else rec.side), (a, b)
+        got = mass(spec, a, b, alpha)
+        assert got.verdict == ("diverging" if side > 0 else "converged")
+
+
+def test_a_copy_far_below_the_ulp_of_the_staircase_is_not_lost():
+    # a span 6 slacks wide, from the gap left of a deep copy of F to past
+    # that copy's first copy, of ratio 1e-4: the float sums of the
+    # staircase dropped that first copy at some orders below the order
+    # and not at others; it is a whole copy of F, so the mass diverges
+    # at every order below the order and is positive at it
+    thin = GapIFS((1e-4, 0.6, 0.3), (0.0, 0.05, 0.7))
+    o, r = 0.7, 0.3
+    while r * 0.6 > 1e-13:
+        o, r = o + r * 0.05, r * 0.6
+    a, b = o - 4e-15, o + 0.02 * r
+    order = similarity_order(thin.ratios)
+    for alpha in (0.01, 0.1, 0.3, 0.5, 0.8):
+        assert mass(thin, a, b, alpha).verdict == "diverging"
+    assert mass(thin, a, b, order).value > 0.0
+    assert gamma_dimension(thin, a, b).gamma_dim == order
+    with pytest.raises(DivergingMass):
+        StaircaseEvaluator(thin, 0.3, mode="numeric").increment(a, b)
+
+
+def test_the_upper_bound_flag_follows_the_maps_not_the_class():
+    # the middle-thirds maps written as a GapIFS, plain, wrapped or from
+    # JSON, are the middle-thirds set: their mass is exact, and its value
+    # is TernaryCantor's bit for bit
+    thirds = GapIFS((1.0 / 3.0, 1.0 / 3.0), (0.0, 2.0 / 3.0))
+    doc = {"type": "gap_ifs", "ratios": [1.0 / 3.0, 1.0 / 3.0],
+           "offsets": [0.0, 2.0 / 3.0]}
+    wrap = {"scale": 2.0, "translate": 0.5}
+    exact_ones = ((thirds, C), (Affine(thirds, 2.0, 0.5), Affine(C, 2.0, 0.5)),
+                  (spec_from_json(doc), C),
+                  (spec_from_json({**doc, **wrap}), Affine(C, 2.0, 0.5)))
+    for spec, cantor in exact_ones:
+        h0, h1 = spec.hull()
+        for alpha in (0.5, ALPHA, 0.9):
+            got = mass(spec, h0, h1, alpha)
+            assert got.upper_bound_only is False
+            assert repr(got) == repr(mass(cantor, h0, h1, alpha))
+    for spec in (FullInterval(0.0, 1.0), FinitePoints((0.5,))):
+        assert mass(spec, 0.0, 1.0, 0.5).upper_bound_only is False
+    halves = GapIFS((0.5, 0.5), (0.0, 0.5))
+    for spec in (ASYM, Affine(ASYM, 2.0, 0.5), halves,
+                 spec_from_json({**doc, "offsets": [0.0, 0.6]})):
+        assert mass(spec, 0.0, 1.0, 0.5).upper_bound_only is True
 
 
 @settings(max_examples=100, deadline=None)

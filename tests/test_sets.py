@@ -671,6 +671,65 @@ def _stair_points(draw, base, lam, shift):
     return [shift + lam * y for y in out]
 
 
+@st.composite
+def _thin_ifs(draw):
+    """A gap IFS on [0, 1] of three maps, one of ratio under 1/20, in any
+    order: deep in it, within the slack's depth, a float sum of the
+    staircase can drop a whole copy."""
+    tiny = draw(st.sampled_from((1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01,
+                                 0.03, 0.05)))
+    ratios = draw(st.permutations((tiny,
+                                   draw(st.floats(0.3, 0.6)),
+                                   draw(st.floats(0.1, 0.3)))))
+    hole = (1.0 - sum(ratios)) * draw(st.floats(0.1, 0.9))
+    offsets = (0.0, ratios[0] + hole, 1.0 - ratios[2])
+    return GapIFS(ratios, offsets)
+
+
+@st.composite
+def _rise_spans(draw, base, lam, shift, eps):
+    """Spans x <= y on shift + lam * base, for a staircase rise, about a
+    piece down to 80 levels, cut where it is 1e-15 to 1e-10 of the hull
+    long, near the slack's depth: ends of its sub-pieces a few ulps either side; an
+    end and a point within twice the slack ``eps`` (in base units) or a
+    few thousand ulps of it; or, where float sums drop a copy, from just
+    left of a sub-piece to the gap after it, or after a first copy within
+    it."""
+    m = len(base.ratios)
+    digits = st.lists(st.integers(0, m - 1), max_size=3)
+    cut = draw(st.sampled_from((1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)))
+    common, size, n = [], 1.0, draw(st.integers(0, 80))
+    for i in draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)):
+        size *= base.ratios[i]
+        if size < cut:
+            break
+        common.append(i)
+
+    def point(head, last):
+        return shift + lam * float(exact.point(base, common + head, (last,)))
+
+    def end(head, last):
+        x = point(head, last)
+        return x + draw(st.integers(-8, 8)) * math.ulp(x)
+
+    kind = draw(st.integers(0, 5))
+    if kind >= 3:
+        head = draw(digits) + [draw(st.integers(0, m - 2))]
+        x = point(head, 0)
+        x -= draw(st.integers(1, 8)) * math.ulp(x)
+        head += [0] * draw(st.integers(0, 2))
+        y = (point(head, m - 1) + point(head[:-1] + [head[-1] + 1], 0)) / 2.0
+        return min(x, y), max(x, y)
+    x = end(draw(digits), draw(st.sampled_from((0, m - 1))))
+    if kind == 0:
+        y = end(draw(digits), draw(st.sampled_from((0, m - 1))))
+    elif kind == 1:
+        y = x + draw(st.floats(0.0, 2.0)) * eps * lam
+    else:
+        y = x + draw(st.integers(0, 4000)) * math.ulp(x)
+    return min(x, y), max(x, y)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), base=st.one_of(st.just(C), _gap_ifs()), wraps=_WRAPS)
 def test_staircase_matches_an_exact_descent(data, base, wraps):
