@@ -196,9 +196,9 @@ def stair_rises(hull, table, eps, x, y):
         if y > s1:
             if _short_of_high(hull, table, eps / r, (x - o) / r):
                 return True
-            for row in copies:
-                return _gains(hull, table, eps, y, row)
-            return False  # y past the last copy, at x's value
+            # x at the high end of its copy: y rises only from the next
+            row = next(copies, None)
+            return row is not None and _gains(hull, table, eps, y, row)
         x, y, eps = (x - o) / r, (y - o) / r, eps / r
     # at the low end S(x) is the running value; at the high end so is S(y)
     if not x <= h0 + eps:
