@@ -690,11 +690,11 @@ def _thin_ifs(draw):
 def _rise_spans(draw, base, lam, shift, eps):
     """Spans x <= y on shift + lam * base, for a staircase rise, about a
     piece down to 80 levels, cut where it is 1e-15 to 1e-10 of the hull
-    long, near the slack's depth: ends of its sub-pieces a few ulps either side; an
-    end and a point within twice the slack ``eps`` (in base units) or a
-    few thousand ulps of it; or, where float sums drop a copy, from just
-    left of a sub-piece to the gap after it, or after a first copy within
-    it."""
+    long, near the slack's depth: ends of its sub-pieces a few ulps
+    either side; an end and a point within twice the slack ``eps`` (in
+    base units) or a few thousand ulps of it; or, where float sums drop a
+    copy, from just left of a sub-piece to the gap after it, or after a
+    first copy within it."""
     m = len(base.ratios)
     digits = st.lists(st.integers(0, m - 1), max_size=3)
     cut = draw(st.sampled_from((1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)))
