@@ -3,15 +3,13 @@
 On a gap IFS at its order the staircase is the distribution function of
 the self-similar measure giving copy i the weight r_i^alpha / sum
 r_j^alpha (Hutchinson 1981).  ``measure`` builds its record on each
-call, in the frame that ``frame`` gives, and a record is built only where
-a value at the order is computed: a ``StaircaseEvaluator`` keeps the one
-it reads, ``mass`` builds one at the order only, for its cover, and other
-callers seldom ask twice for one set at one order.  Verdicts off the
-order read the set's own table: ``weigh``, the first step of
-``measure``, gives the frame and the side of the order, and
-``stair_rises`` whether the staircase rises, from the branches of the
-descents, which read no weight.  The record's
-table has one flat row (offset, ratio, span start, span end, weight) per
+call, in the frame that ``frame`` gives, and only where something reads
+its weights: a ``StaircaseEvaluator`` keeps the one it reads, and other
+callers seldom ask twice for one set at one order.  Verdicts read the
+set's own table: ``weigh`` gives the frame and the side of the order,
+and ``stair_rises`` whether the staircase rises, from the branches of
+the descents, which read no weight; so ``mass``, ``coarse_mass`` and
+``gamma_dimension`` build no record.  The record's table has one flat row (offset, ratio, span start, span end, weight) per
 copy, those of ``GapIFS._table`` with the weights put in, and every
 descent down the copies reads them as stored: the staircase, the
 moments, and the piece walks of ``sets._children``.  The record keeps
@@ -86,38 +84,32 @@ def hull_eps(lam, t, hull):
 
 
 def weigh(spec, alpha):
-    """(scale, shift, unwrapped set, powers, total, side) of spec at order
-    alpha, the first step of ``measure``: the frame, r^alpha per copy of
-    the gap IFS it reads and their sum, and ``side_of_order`` of that sum;
-    no powers, no total and the side -1 for point sets and the harmonic
-    cluster."""
+    """(scale, shift, unwrapped set, side) of spec at order alpha: the
+    frame that ``measure`` reads and ``side_of_order`` of sum r^alpha over
+    the copies of the gap IFS there, with no table; the side is -1 for
+    point sets and the harmonic cluster."""
     lam, t, inner = frame(spec)
     if not isinstance(inner, GapIFS):
-        return lam, t, inner, None, None, -1
-    ps = [r ** alpha for r in inner.ratios]
-    total = sum(ps)
-    return lam, t, inner, ps, total, side_of_order(total)
+        return lam, t, inner, -1
+    total = sum([r ** alpha for r in inner.ratios])
+    return lam, t, inner, side_of_order(total)
 
 
-def measure(spec, alpha, weighed=None):
+def measure(spec, alpha):
     """The record of spec at order alpha (an interval is its two halves),
     or None for point sets and the harmonic cluster: the frame, the
     weighted table, the slack and the side of the order, with no mean
-    (``_mean`` gives it to the moments).  It is built from ``weighed``,
-    what ``weigh`` gave for spec at alpha, where the caller holds that."""
-    if weighed is None:  # ``weigh`` written out, for the evaluator's build
-        lam, t, inner = frame(spec)
-        if not isinstance(inner, GapIFS):
-            return None
-        ps = [r ** alpha for r in inner.ratios]
-        total = sum(ps)
-        side = side_of_order(total)
-    else:
-        lam, t, inner, ps, total, side = weighed
+    (``_mean`` gives it to the moments)."""
+    lam, t, inner = frame(spec)
+    if not isinstance(inner, GapIFS):
+        return None
+    ps = [r ** alpha for r in inner.ratios]
+    total = sum(ps)
     table = tuple([(o, r, s0, s1, p / total)
                    for (o, r, s0, s1, _), p in zip(inner._table, ps)])
     hull = inner._hull
-    return Measure(lam, t, hull, table, hull_eps(lam, t, hull), side)
+    return Measure(lam, t, hull, table, hull_eps(lam, t, hull),
+                   side_of_order(total))
 
 
 def _mean(table, hull):

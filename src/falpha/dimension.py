@@ -3,7 +3,7 @@
 The order-jump dimension is read from the set's structure.  On a gap IFS
 the mass of ``falpha.mass`` diverges below the similarity order s, is 0
 above it, and is finite and positive at it wherever the staircase rises
-(``mass._side_of_order``, on the set's own table, with no measure
+(``mass._side_on_set``, on the set's own table, with no measure
 record; the open set condition puts the jump at s:
 Hutchinson 1981, Falconer, *Fractal Geometry*, Thm 9.3).  An interval is
 the gap IFS of its two halves, of order 1; a point set has mass 0 at
@@ -177,7 +177,7 @@ def gamma_dimension(spec, a, b, tol=0.02, box_depth=12):
     inner, u, v = _unwrap(spec, a, b)
     order = _order(spec)
     verdict = ("zero", "positive", "diverging")[
-        _side_on_set(_backend.weigh(spec, order), a, b) + 1]
+        _side_on_set(*_backend.weigh(spec, order), a, b)[0] + 1]
     dim = order if verdict == "positive" else 0.0
     box = 0.5 if isinstance(inner, HarmonicCluster) and u <= 0.0 < v else dim
     return DimensionReport(dim, box, ((order, verdict),), (dim, dim))

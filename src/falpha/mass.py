@@ -40,16 +40,16 @@ weights are all positive has a measure with support F and no atoms: S(b)
 > S(a) exactly when F meets (a, b), and a perfect set that does meets it
 in infinitely many points.  Whether S rises is read from the branches of
 the descents at a and b (``_backend.stair_rises``), not from their sums,
-so no weight is read: off the order the set's own table answers, and no
-record is built.  Where S does not rise the mass is 0; where it rises,
-it diverges below the order and is positive at it.  There the mass is
+so no weight is read and the set's own table answers.  Where S does not
+rise the mass is 0; where it rises, it diverges below the order and is
+positive at it.  There the mass is
 the limit of coarse_mass as delta -> 0, and refining a cover multiplies
 its cost by sum r_i^s = 1, so coarse_mass does not depend on delta: the
 value is the cover with no mesh bound.  Every cover is one routine,
-``_cover``, which reads its slack and its side of the order from the
-measure record that its caller holds.  A record is built only where a
-value at the order is computed: by ``mass`` at the order, for its cover,
-and by a ``StaircaseEvaluator``, which keeps it.
+``_cover``, which takes the frame's scale, its slack and the side of the
+order: ``mass`` and ``coarse_mass`` take them from ``_backend.weigh``
+and ``hull_eps`` and build no measure record, and a
+``StaircaseEvaluator`` from the record that it keeps for its descent.
 """
 
 import functools
@@ -160,14 +160,15 @@ def _ifs_partial(spec, a, b, alpha, delta, memo, scale=1.0):
     return acc
 
 
-def _cover(spec, rec, a, b, alpha, delta):
+def _cover(spec, scale, eps, side, a, b, alpha, delta):
     """Gamma(alpha + 1) times ``coarse_mass(spec, a, b, alpha, delta)``
-    for a <= b, neither NaN, on the measure record ``rec`` of spec at
-    alpha that the caller holds (None for point sets): a span within its
-    ``eps`` is a point, and above its order the cover is 0.  With no
-    wrapper the frame (1.0, 0.0) maps every number, -0.0 and inf too, to
-    itself."""
-    if rec is not None and ((b - a) / rec.scale <= rec.eps or rec.side < 0):
+    for a <= b, neither NaN, where spec at alpha has the frame scale
+    ``scale``, the slack ``eps`` and the side of the order ``side``, as
+    its measure record reads them (eps None where it has none: point
+    sets): a span within ``eps`` is a point, and above the order the
+    cover is 0.  With no wrapper the frame (1.0, 0.0) maps every number,
+    -0.0 and inf too, to itself."""
+    if eps is not None and ((b - a) / scale <= eps or side < 0):
         return 0.0
     lam, t, inner = unwrap(spec)
     a, b, delta = (a - t) / lam, (b - t) / lam, delta / lam
@@ -184,9 +185,9 @@ def _cover(spec, rec, a, b, alpha, delta):
 
 def coarse_mass(spec, a, b, alpha, delta):
     """Infimum estimate of the flagged sum over subdivisions of [a, b]
-    with mesh <= delta: ``_cover`` on the set's measure record, so a span
-    no wider than the record's ``eps``, in the units of its hull, is a
-    point, with no mass, as ``mass`` reads it at and above the order."""
+    with mesh <= delta: ``_cover`` in the set's frame, so a span no wider
+    than its slack ``eps``, in the units of its hull, is a point, with no
+    mass, as ``mass`` reads it at and above the order."""
     _positive("alpha", alpha, 1.0)
     _reject_nan("a", a)
     _reject_nan("b", b)
@@ -194,7 +195,10 @@ def coarse_mass(spec, a, b, alpha, delta):
     _positive("delta", delta)
     if a > b:
         raise ValueError("need a <= b")
-    return (_cover(spec, _backend.measure(spec, alpha), a, b, alpha, delta)
+    lam, t, inner, side = _backend.weigh(spec, alpha)
+    eps = (_backend.hull_eps(lam, t, inner._hull)
+           if isinstance(inner, GapIFS) else None)
+    return (_cover(spec, lam, eps, side, a, b, alpha, delta)
             / gamma_factor(alpha))
 
 
@@ -229,52 +233,47 @@ class MassEstimate(Record):
 
 
 def _side_of_order(scale, shift, hull, table, eps, side, a, b):
-    """1 where the mass on [a, b] diverges, 0 where it is positive and
-    finite, -1 where it is 0: ``side``, the side of the order, where the
-    staircase on ``hull``, ``table`` and ``eps`` in the frame (shift,
-    scale) rises from a to b, else -1.  The arguments are a measure
-    record's fields, in its order, and the rise (``_backend.stair_rises``)
-    reads no weight: a record's table and the set's own ``GapIFS._table``
-    give one verdict."""
-    if side < 0:
-        return -1
+    """``side``, the side of the order of a gap IFS, where its staircase
+    on ``hull``, ``table`` and ``eps`` in the frame (shift, scale) rises
+    from a to b, else -1: 1 where the mass on [a, b] diverges, 0 where it
+    is positive and finite, -1 where it is 0.  The arguments are a
+    measure record's fields, in its order, and the rise
+    (``_backend.stair_rises``) reads no weight: a record's table and the
+    set's own ``GapIFS._table`` give one verdict."""
     rises = _backend.stair_rises(hull, table, eps, (a - shift) / scale,
                                  (b - shift) / scale)
     return side if rises else -1
 
 
-def _side_on_set(weighed, a, b):
-    """``_side_of_order`` on the set's own table, for what
-    ``_backend.weigh`` gave: no record is built."""
-    lam, t, inner, _, _, side = weighed
+def _side_on_set(scale, shift, inner, side, a, b):
+    """(``_side_of_order`` on the set's own table, slack) for what
+    ``_backend.weigh`` gave, with no record: (-1, None) above the order
+    and on sets with no record."""
     if side < 0:
-        return -1
+        return -1, None
     hull = inner._hull
-    return _side_of_order(lam, t, hull, inner._table,
-                          _backend.hull_eps(lam, t, hull), side, a, b)
+    eps = _backend.hull_eps(scale, shift, hull)
+    return _side_of_order(scale, shift, hull, inner._table, eps, side, a,
+                          b), eps
 
 
 def mass(spec, a, b, alpha):
     """The mass of F on [a, b] at order alpha, read from the set's
-    structure: 0 above the order, and below it by ``_side_of_order`` on
-    the set's own table; at the order, where the measure record is built,
-    the cover with no mesh bound where the staircase rises."""
+    structure by ``_side_on_set``, with no measure record: infinite or 0
+    off the order, and at it the cover with no mesh bound where the
+    staircase rises."""
     _positive("alpha", alpha, 1.0)
     _reject_nan("a", a)
     _reject_nan("b", b)
     if a > b:
         raise ValueError("need a <= b")
-    weighed = _backend.weigh(spec, alpha)
-    _, _, inner, _, _, side = weighed
+    lam, t, inner, side = _backend.weigh(spec, alpha)
     flag = _is_upper_bound(inner)
-    if side > 0 and _side_on_set(weighed, a, b) > 0:
+    side, eps = _side_on_set(lam, t, inner, side, a, b)
+    if side > 0:
         return MassEstimate(alpha, math.inf, "diverging", flag)
-    value = 0.0
-    if side == 0:
-        rec = _backend.measure(spec, alpha, weighed)
-        if _side_of_order(*rec, a, b) == 0:
-            value = (_cover(spec, rec, a, b, alpha, math.inf)
-                     / gamma_factor(alpha))
+    value = (_cover(spec, lam, eps, 0, a, b, alpha, math.inf)
+             / gamma_factor(alpha) if side == 0 else 0.0)
     return MassEstimate(alpha, value, "converged", flag)
 
 
@@ -284,17 +283,18 @@ def _closed_form(spec, alpha, rec):
     record ``rec`` of a gap IFS at its order, unit times the share it
     reads, or the cover with no mesh bound where that does not depend on
     the mesh, with no unit."""
+    # a point set has no record, and its cover no slack guard
+    lam, t, hull, table, eps, side = rec or (1.0, 0.0, None, None, None, -1)
 
     def cover(x):
-        return _cover(spec, rec, -math.inf, x, alpha, math.inf)
+        return _cover(spec, lam, eps, side, -math.inf, x, alpha, math.inf)
 
     if isinstance(unwrap(spec)[2], FullInterval):
         return (cover, None) if alpha == 1.0 else (None, None)
-    if rec is None or rec.side < 0:
+    if side < 0:
         return (cover, None)  # point sets, or above the order
-    if rec.side > 0:
+    if side > 0:
         return (None, None)
-    hull, table, eps, lam, t = rec.hull, rec.table, rec.eps, rec.scale, rec.shift
     w = (lam * (hull[1] - hull[0])) ** alpha
     return (lambda x: w * _backend.stair_scaled(hull, table, eps,
                                                 (x - t) / lam), w)
@@ -346,13 +346,14 @@ class StaircaseEvaluator(Record):
             # S is monotone; the max absorbs rounding when u and v are close
             return max(0.0, self._closed(v) - self._closed(u)) / self._gamma
         rec = self.measure
-        side = -1 if rec is None else _side_of_order(*rec, u, v)
+        side = (-1 if rec is None or rec.side < 0
+                else _side_of_order(*rec, u, v))
         if side > 0:
             raise DivergingMass(
                 f"mass of [{u}, {v}] diverges at order {self.alpha}"
             )
         if side == 0:
-            return _cover(self.spec, self.measure, u, v, self.alpha,
+            return _cover(self.spec, rec.scale, rec.eps, 0, u, v, self.alpha,
                           math.inf) / self._gamma
         return 0.0
 

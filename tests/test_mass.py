@@ -517,8 +517,8 @@ def test_nan_ends_and_mesh_are_rejected(call, args, name):
 
 def test_mass_covers_only_at_the_order(monkeypatch):
     # the verdict comes from the set's structure; only the value at the
-    # order needs a cover, and one with no mesh bound, on the record that
-    # the verdict was read from
+    # order needs a cover, and one with no mesh bound, in the frame and
+    # with the slack that the verdict was read in
     cover = mass_module._cover
     calls = []
 
@@ -538,17 +538,17 @@ def test_mass_covers_only_at_the_order(monkeypatch):
     assert StaircaseEvaluator(ASYM, 0.5).increment(0.5, 0.7) == 0.0
     assert calls == []
     got = mass(ASYM, 0.0, 1.0, order).value
-    assert calls == [(ASYM, _backend.measure(ASYM, order), 0.0, 1.0, order,
+    rec = _backend.measure(ASYM, order)
+    assert calls == [(ASYM, rec.scale, rec.eps, 0, 0.0, 1.0, order,
                       math.inf)]
     assert repr(got) == repr(coarse_mass(ASYM, 0.0, 1.0, order, math.inf))
 
 
 def test_each_call_builds_one_record_and_frames_the_spec_once(monkeypatch):
-    # the cover at the order reads the record that the verdict was read
-    # from, and gamma_dimension takes the order from the unwrapped set and
-    # its verdict from the set's own table: no call builds a record,
-    # frames the spec or takes its slack twice, and gamma_dimension builds
-    # none
+    # mass at the order reads its verdict and its cover from the set's
+    # own table, as gamma_dimension does its verdict, and only the
+    # evaluator builds a record: no call builds a record, frames the spec
+    # or takes its slack twice
     calls = []
     for name in ("measure", "frame", "hull_eps"):
         def spied(*args, name=name, real=getattr(_backend, name)):
@@ -556,10 +556,9 @@ def test_each_call_builds_one_record_and_frames_the_spec_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(_backend, name, spied)
     order = similarity_order(ASYM.ratios)
-    record = ["frame", "hull_eps", "measure"]
-    runs = ((lambda: mass(ASYM, 0.0, 1.0, order).value, record),
+    runs = ((lambda: mass(ASYM, 0.0, 1.0, order).value, ["frame", "hull_eps"]),
             (lambda: StaircaseEvaluator(ASYM, order, mode="numeric")(0.7),
-             record),
+             ["frame", "hull_eps", "measure"]),
             (lambda: gamma_dimension(C, 0.0, 1.0).gamma_dim,
              ["frame", "hull_eps"]))
     for run, want in runs:
@@ -613,14 +612,14 @@ def test_the_record_and_the_set_table_give_one_verdict(data, base, wrap,
     lam, t = wrap or (1.0, 0.0)
     alpha = order if where == 1.0 else min(1.0, where * order)
     weighed = _backend.weigh(spec, alpha)
-    rec = _backend.measure(spec, alpha, weighed)
+    rec = _backend.measure(spec, alpha)
     spans = st.lists(_rise_spans(base, lam, t, rec.eps), min_size=1,
                      max_size=10)
     for a, b in data.draw(spans):
         side = mass_module._side_of_order(*rec, a, b)
-        assert mass_module._side_on_set(weighed, a, b) == side, (a, b)
+        assert mass_module._side_on_set(*weighed, a, b)[0] == side, (a, b)
         # the verdict at every order is the one at the order, on its side
-        at = mass_module._side_on_set(_backend.weigh(spec, order), a, b)
+        at = mass_module._side_on_set(*_backend.weigh(spec, order), a, b)[0]
         assert side == (-1 if at < 0 else rec.side), (a, b)
         got = mass(spec, a, b, alpha)
         assert got.verdict == ("diverging" if side > 0 else "converged")
