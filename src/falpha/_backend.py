@@ -9,8 +9,9 @@ callers seldom ask twice for one set at one order.  Verdicts read the
 set's own table: ``weigh`` gives the frame and the side of the order,
 and ``stair_rises`` whether the staircase rises, from the branches of
 the descents, which read no weight; so ``mass``, ``coarse_mass`` and
-``gamma_dimension`` build no record.  The record's table has one flat row (offset, ratio, span start, span end, weight) per
-copy, those of ``GapIFS._table`` with the weights put in, and every
+``gamma_dimension`` build no record.  The record's table has one flat
+row (offset, ratio, span start, span end, weight) per copy, those of
+``GapIFS._table`` with the weights put in, and every
 descent down the copies reads them as stored: the staircase, the
 moments, and the piece walks of ``sets._children``.  The record keeps
 no mean, which only the moments read: ``_mean`` computes it from the

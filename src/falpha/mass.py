@@ -42,10 +42,10 @@ in infinitely many points.  Whether S rises is read from the branches of
 the descents at a and b (``_backend.stair_rises``), not from their sums,
 so no weight is read and the set's own table answers.  Where S does not
 rise the mass is 0; where it rises, it diverges below the order and is
-positive at it.  There the mass is
-the limit of coarse_mass as delta -> 0, and refining a cover multiplies
-its cost by sum r_i^s = 1, so coarse_mass does not depend on delta: the
-value is the cover with no mesh bound.  Every cover is one routine,
+positive at it.  There the mass is the limit of coarse_mass as delta ->
+0, and refining a cover multiplies its cost by sum r_i^s = 1, so
+coarse_mass does not depend on delta: the value is the cover with no
+mesh bound.  Every cover is one routine,
 ``_cover``, which takes the frame's scale, its slack and the side of the
 order: ``mass`` and ``coarse_mass`` take them from ``_backend.weigh``
 and ``hull_eps`` and build no measure record, and a
