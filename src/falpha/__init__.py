@@ -37,7 +37,6 @@ from falpha.mass import (
     coarse_mass,
     mass,
     sigma_alpha,
-    staircase,
     verify_scaling_translation,
 )
 from falpha.physics import (

@@ -66,7 +66,6 @@ __all__ = [
     "sigma_alpha",
     "coarse_mass",
     "mass",
-    "staircase",
     "verify_scaling_translation",
     "gamma_factor",
 ]
@@ -226,10 +225,6 @@ class MassEstimate(Record):
     def __init__(self, alpha, value, verdict, upper_bound_only=False):
         self.__dict__.update(alpha=alpha, value=value, verdict=verdict,
                              upper_bound_only=upper_bound_only)
-
-    @property
-    def is_infinite(self):
-        return math.isinf(self.value)
 
 
 def _side_of_order(scale, shift, hull, table, eps, side, a, b):
@@ -421,15 +416,6 @@ class StaircaseEvaluator(Record):
             cache.clear()
         cache[x] = got
         return got
-
-    def scaled(self, x):
-        """Gamma(alpha+1) times the staircase value."""
-        return self.value(x) * self._gamma
-
-
-def staircase(evaluator, x):
-    """Staircase value at x (function-call form of StaircaseEvaluator)."""
-    return evaluator.value(x)
 
 
 class ScalingReport(Record):

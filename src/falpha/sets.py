@@ -231,7 +231,8 @@ class Subdivision(Record):
         _count("n", n, 1)
         if not _finite("a", a) < _finite("b", b) or not math.isfinite((b - a) * n):
             raise ValueError(f"need a < b and a finite (b - a) n, got {a!r}, {b!r}")
-        return Subdivision(tuple(a + (b - a) * i / n for i in range(n + 1)))
+        pts = [a + (b - a) * i / n for i in range(n)]
+        return Subdivision((*pts, b))  # a + (b - a) need not round to b
 
 
 class SetSpec:
@@ -267,9 +268,6 @@ class SetSpec:
         """The sorted points of the level-``level`` net of F in [lo, hi];
         ResolutionExceeded when there are more than ``limit`` of them.
         ``net`` checks level and limit; this does not."""
-        raise NotImplementedError
-
-    def resolution(self, level):
         raise NotImplementedError
 
     def is_discrete(self):
@@ -420,10 +418,6 @@ class GapIFS(SetSpec, Record):
             stack.extend((k, d + 1) for k in kids)
         return sorted(out)
 
-    def resolution(self, level):
-        h0, h1 = self._hull
-        return (h1 - h0) * max(self.ratios) ** level
-
 
 class TernaryCantor(GapIFS):
     """The middle-thirds set on [0, 1]."""
@@ -466,9 +460,6 @@ class FinitePoints(SetSpec, Record):
     def net_points(self, level, lo, hi, limit=math.inf):
         return _capped([p for p in self.points if lo <= p <= hi], level,
                        limit)
-
-    def resolution(self, level):
-        return 0.0
 
     def is_discrete(self):
         return True
@@ -540,9 +531,6 @@ class HarmonicCluster(SetSpec, Record):
         pts = [0.0] + [1.0 / n for n in range(count, 0, -1)]
         return _capped([p for p in pts if lo <= p <= hi], level, limit)
 
-    def resolution(self, level):
-        return 2.0 ** -level
-
     def is_discrete(self):
         return True
 
@@ -572,9 +560,6 @@ class FullInterval(SetSpec, Record):
         step = (self.hi - self.lo) / n
         pts = [self.lo + i * step for i in range(n + 1)]
         return _capped([p for p in pts if lo <= p <= hi], level, limit)
-
-    def resolution(self, level):
-        return (self.hi - self.lo) / 2 ** level
 
 
 class Affine(SetSpec, Record):
@@ -635,9 +620,6 @@ class Affine(SetSpec, Record):
         s, t = self.scale, self.shift
         pts = self.inner.net_points(level, *self._window(lo, hi, 0.0), limit)
         return [min(hi, max(lo, p * s + t)) for p in pts]
-
-    def resolution(self, level):
-        return self.inner.resolution(level) * self.scale
 
     def is_discrete(self):
         return self.inner.is_discrete()
@@ -707,10 +689,10 @@ def gaps(spec, interval, min_len=0.0):
 
 
 def net(spec, level, interval, limit=math.inf):
-    """Finite sample of F in ``interval``, dense to within resolution(level),
-    for an int level in [0, MAX_LEVEL]; ResolutionExceeded above it, and
-    when the net has more than ``limit`` (at least 0) points, raised before
-    more than about ``limit`` of them are listed."""
+    """Finite sample of F in ``interval``: the ends of F's pieces ``level``
+    maps deep (on a gap IFS each is at most hull width * max(ratios)^level
+    long), for an int level in [0, MAX_LEVEL]; ResolutionExceeded above it,
+    and past ``limit`` (at least 0) points, before many more are listed."""
     _count("level", level, 0, MAX_LEVEL)
     _reject_nan("limit", limit, 0)
     return spec.net_points(level, interval.lo, interval.hi, limit)

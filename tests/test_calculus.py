@@ -43,6 +43,7 @@ from falpha.sets import (
     gaps,
     net,
     slack,
+    unwrap,
 )
 from falpha.physics import FrictionParams, time_of_flight
 
@@ -480,7 +481,9 @@ def test_nets_and_gaps_end_walked_pieces(medium, level):
     assume(copies is not None)
     hull, frame, _ = StaircaseEvaluator(spec, alpha).walk
     kids = functools.partial(_children, *frame)
-    min_len = spec.resolution(level + 2)
+    scale, _, base = unwrap(spec)
+    h0, h1 = base.hull()
+    min_len = (h1 - h0) * max(base.ratios) ** (level + 2) * scale
     ends, stack = set(), [(hull, 0)]
     while stack:
         piece, d = stack.pop()

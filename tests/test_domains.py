@@ -39,7 +39,7 @@ from falpha import (
     diffusion_residual, diffusion_variance, friction_velocity, g_series,
     gamma_dimension, gaps, integrate, is_point_of_change, mass, net,
     power_rule_derivative, power_rule_integral, sigma_alpha, similarity_order,
-    spec_from_json, staircase, staircase_power_bounds, time_of_flight,
+    spec_from_json, staircase_power_bounds, time_of_flight,
     verify_scaling_translation)
 from falpha.calculus import NoConvergence
 from falpha.dimension import box_counts
@@ -233,9 +233,6 @@ DOMAINS = [
         lambda v: _stair().increment(v, 1.0)),
     Row("StaircaseEvaluator.increment", "v", NUMBER,
         lambda v: _stair().increment(0.0, v)),
-    Row("StaircaseEvaluator.scaled", "x", NUMBER,
-        lambda v: _stair().scaled(v)),
-    Row("staircase", "x", NUMBER, lambda v: staircase(_stair(), v)),
     Row("verify_scaling_translation", "a", NUMBER,
         lambda v: verify_scaling_translation(C, v, 1.0, ALPHA, 2.0),
         inf=True),

@@ -5,7 +5,8 @@ rational descent, the staircase's rise against exact sums over the
 descents' branches, the column sweeps against the per-point descents, the
 descents' pinned bits, the reported backend name, the imports of the
 exact oracle, the calculus's independence of the staircase evaluator's
-module, and a cap on every memo."""
+module, a cap on every memo, the names the benchmark reads, and a reader
+for every name the package exports."""
 
 import ast
 import hashlib
@@ -13,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -458,6 +460,69 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     assert callable(calculus.FOnF.__dict__["__call__"])
     assert calculus._children is sets._children
     inspect.signature(calculus.sup_inf_on).bind(None, None, None, 10)
+
+
+def test_every_name_the_benchmark_reads_on_falpha_resolves():
+    # the workloads read the package as ``fa`` or ``ctx.fa``: a deletion
+    # or a dropped keyword there fails here, not in a benchmark run
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    read = set()
+    for name in ("workloads.py", "run.py"):
+        tree = ast.parse((bench / name).read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and (getattr(node.value, "id", None) == "fa"
+                      or getattr(node.value, "attr", None) == "fa")}
+    assert {"mass", "gamma_dimension", "kernel_backend"} <= read
+    assert not [n for n in sorted(read) if not hasattr(falpha, n)]
+    inspect.signature(falpha.gamma_dimension).bind(C, 0.0, 1.0, tol=0.02,
+                                                   box_depth=8)
+    inspect.signature(StaircaseEvaluator).bind(C, 0.5, mode="numeric")
+
+
+def _loads(tree):
+    """The names that ``tree`` loads, as a Name or an Attribute, outside
+    a function or class of the same name."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owners = owners | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if (name is not None and isinstance(node.ctx, ast.Load)
+                and name not in owners):
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_name_falpha_exports_has_a_reader():
+    # a name that only repeats another, with no reader in the package or
+    # the benchmark, is a concept to learn and keep for nothing; the
+    # paper's literal definitions are listed in the README instead
+    root = pathlib.Path(falpha.__file__).parent
+    repo = root.parent.parent
+
+    def read(folder):
+        return set().union(*(_loads(ast.parse(p.read_text(encoding="utf-8")))
+                             for p in folder.glob("*.py")))
+
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Definitions computed literally\n", 1)[1]
+    literal = {name for line in section.split("\n#", 1)[0].splitlines()
+               if line.startswith("- ")
+               for name in re.findall(r"`(\w+)`", line.split(":", 1)[0])}
+    tree = ast.parse((root / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readers = read(root) | read(repo / "perfbench") | literal
+    assert not [n for n in exported if n not in readers]
 
 
 def test_the_benchmark_tracer_counts_the_calculus_layers():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from falpha.sets import (
     _children,
@@ -34,7 +34,7 @@ from falpha.sets import (
     spec_from_json,
     spec_to_json,
 )
-from falpha.mass import StaircaseEvaluator, coarse_mass, mass
+from falpha.mass import StaircaseEvaluator, coarse_mass, gamma_factor, mass
 from falpha.cantor import ALPHA
 from falpha.dimension import box_counts, similarity_order
 
@@ -59,6 +59,18 @@ def test_subdivision():
     assert not s.refines(finer)
     with pytest.raises(ValueError):
         Subdivision((0.0, 0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6), n=st.integers(1, 64))
+@example(a=0.2724341222768736, b=3.85345950693213, n=3)
+def test_a_uniform_subdivision_ends_at_b(a, b, n):
+    # a + (b - a) need not round to b: in the example it is
+    # 3.8534595069321305, for about 6% of random (a, b, n) it is an ulp off
+    assume(b - a >= 1e-3)
+    got = Subdivision.uniform(a, b, n).points
+    assert got[-1] == b and len(got) == n + 1
+    assert got[:-1] == tuple(a + (b - a) * i / n for i in range(n))
 
 
 def test_cantor_hull_and_membership():
@@ -524,7 +536,9 @@ def test_affine_net_points_are_members_far_from_0(base, level, scale, shift):
     hull = Interval(*spec.hull())
     assert all(spec._isect(p, p) for p in net(spec, level, hull))
     # the slack does not grow the set: gap midpoints stay out of it
-    for g in gaps(spec, hull, min_len=spec.resolution(level)):
+    h0, h1 = base.hull()
+    min_len = (h1 - h0) * max(base.ratios) ** level * scale
+    for g in gaps(spec, hull, min_len=min_len):
         mid = (g.lo + g.hi) / 2.0
         assert not spec._isect(mid, mid)
 
@@ -742,7 +756,8 @@ def test_staircase_matches_an_exact_descent(data, base, wraps):
     # float drift and its 1e-15 slack at hull ends stay well inside it
     bound = 2.0 * (1e-13 * lam) ** alpha
     for x in data.draw(_stair_points(base, lam, t)):
-        assert abs(stair.scaled(x) - exact.stair(spec, alpha, x)) <= bound, x
+        got = stair.value(x) * gamma_factor(alpha)
+        assert abs(got - exact.stair(spec, alpha, x)) <= bound, x
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(3, 4), Fraction(1, 10),
@@ -750,7 +765,8 @@ def test_staircase_matches_an_exact_descent(data, base, wraps):
 def test_cantor_staircase_at_points_with_endless_expansions(x):
     stair = StaircaseEvaluator(C, ALPHA)
     want = exact.stair(C, ALPHA, float(x))
-    assert abs(stair.scaled(float(x)) - want) <= 2.0 * 1e-13 ** ALPHA
+    scaled = stair.value(float(x)) * gamma_factor(ALPHA)
+    assert abs(scaled - want) <= 2.0 * 1e-13 ** ALPHA
     # the oracle itself, on the exact middle-thirds set at the rational
     # x, against the Cantor function there
     got = exact.cantor(x)
