@@ -8,27 +8,32 @@ the Lebesgue integral of ``physics.time_of_flight``.  Its pieces come
 from ``sets._children`` on the evaluator's ``walk``: a whole piece's
 ends lie in F, bit for bit ``extremes_in``'s, and carry their staircase
 values (``_at``), so a monotone or Lipschitz integrand is bounded there
-with no set query or descent, a monotone one by one call per piece
-(``_piece_bound``).  A heap entry carries S at its ends, which the outer
-copies of a piece keep, so a split reads S only at the ends that its
-copies add.  The value read at a piece end enters the evaluator's cache,
-so an integrand or quotient that calls the staircase there runs no
-descent either.  An integrand g(S) of the staircase S it is integrated
-against is priced by substitution instead (``_by_substitution``): the
-integral of g over [S(a), S(b)], by the same walk down the unit halves
-framed to that interval (``_halves``), where S is u itself
-(``_identity``), widened at a and b by how far S rises within twice the
-slack of each and of the origin.  Where that widening alone is at least
-tol it takes the walk down F.  A NaN or an overflow in a piece's bound
-is refused, never summed into a bracket.  The derivative is the limit of
-increment quotients at the far ends of the pieces that hold x, and 0 off
-F; a side of x is vacuous where x ends a piece with a gap on that side.
-Each side goes down the same ``walk``, builds only the copy that holds x
-at each step (``sets._child``), down to pieces whose length scales with
-the set's hull, and stops once its quotients have settled where x is the
-near end of its piece: the finer pieces that hold x from that side share
-that end and change nothing.  A NaN of f at x or at a far end is refused
-by name, as the integral refuses it.
+with no set query or descent, a monotone one by its function at the
+piece's ends (``_piece_bound``).  A heap entry carries S at its ends,
+which the outer copies of a piece keep, so a split reads S only at the
+ends that its copies add.  The value read at a piece end enters the
+evaluator's cache, so an integrand or quotient that calls the staircase
+there runs no descent either.  An integrand g(S) of the staircase S it
+is integrated against is priced by substitution instead
+(``_by_substitution``): the integral of g over [S(a), S(b)], by the same
+walk down the unit halves framed to that interval (``_halves``), where S
+is u itself (``_identity``), widened at a and b by how far S rises
+within twice the slack of each and of the origin.  Where that widening
+alone is at least tol it takes the walk down F.  A NaN or an overflow in
+a piece's bound is refused, never summed into a bracket.  The derivative
+is the limit of increment quotients at the far ends of the pieces that
+hold x, and 0 off F; a side of x is vacuous where x ends a piece with a
+gap on that side.  One descent down the same ``walk`` builds only the
+copy that holds x at each step (``sets._child``), and serves both sides
+while x lies strictly inside it; the sides part only where x comes
+within its slack of a copy end (``_descent``).  A vacuous side reads no
+S and no f there, so a NaN of f on it is never read and never refused.
+A live side replays its quotients over the shared pieces, goes on down
+to pieces whose length scales with the set's hull, and stops once its
+quotients have settled where x is the near end of its piece: the finer
+pieces that hold x from that side share that end and change nothing.  A
+NaN of f at x or at a far end that a side reads is refused by name, as
+the integral refuses it.
 """
 
 import heapq
@@ -180,20 +185,24 @@ def _piece_bound(f, stair):
     [u, v], where S is su and sv, with no read of f where S is flat.  On a
     whole construction piece its ends are the extremes of F in it, as
     ``extremes_in`` returns them, so a monotone or Lipschitz f is bounded
-    there with no set query (``_by_ends``; a monotone f inline, by one
-    call per piece); a clipped piece asks ``sup_inf_on``."""
+    there with no set query (``_by_ends``; a monotone f inline, by its
+    function at the two ends, read past the ``FOnF`` wrapper); a clipped
+    piece asks ``sup_inf_on``."""
     spec = stair.spec
     monotone = isinstance(f, FOnF) and f.hint[:1] == ("monotone",)
+    fn = f.fn if monotone else None
 
     def bound(u, v, su, sv, whole):
         ds = sv - su
         if ds == 0.0:
             return (0.0, 0.0)
         if whole and monotone:
-            f0, f1 = f(u), f(v)
+            f0, f1 = fn(u), fn(v)
             if f0 != f0 or f1 != f1:
                 raise _nan_at(u if f0 != f0 else v)
-            return (max(f0, f1) * ds, min(f0, f1) * ds)
+            # max and min of the two, the first of equals, with no call
+            return ((f1 if f1 > f0 else f0) * ds,
+                    (f1 if f1 < f0 else f0) * ds)
         m_hi, m_lo = (_by_ends(f, u, v) if whole
                       else sup_inf_on(f, spec, Interval(u, v)))
         return (m_hi * ds, m_lo * ds)
@@ -398,23 +407,53 @@ class DerivativeResult(Record):
         self.__dict__.update(value=value, side=side, residual=residual)
 
 
-def _side(f, x, fx, sx, walk, at, sign, tol, r0, eps, finest):
-    """(value, residual) of the quotients on one side of x (sign -1 left,
-    +1 right), where f is fx and S is sx, at the far ends of the pieces
-    that hold x from that side, down the evaluator's ``walk``, with S at
-    those ends read from the pieces by ``at``; None when x ends a piece
-    with a gap on this side, or the side shows no variation.  Each step
-    builds only the copy that holds x (``sets._child``, on the walk's
-    frame), with the slack ``eps`` of x.  The walk stops at pieces
-    shorter than ``finest``, and once the quotients have settled where x
-    is, bit for bit, the near end of its
-    piece: every finer piece that holds x from this side is then an outer
-    copy with that near end (``_children`` keeps the parent's ends), and
-    changes neither the value nor the side.  An x computed elsewhere may
-    miss a piece end by ulps: x is a piece end within ``eps``.  Raises
+def _descent(frame, piece, x, eps, finest):
+    """(left path, right path, share): the pieces that hold x from each
+    side, from ``piece`` down, as far as they are shared, with the first
+    copy of each side's own below them.  One ``sets._child`` per step,
+    from the left, finds the copy that holds x; where x lies strictly
+    inside it, more than ``eps`` from either end, it holds x from the
+    right too, since the copies start in order, and the descent goes on
+    there.  The sides part where x comes within the slack of a copy end:
+    a side whose copy is None there (x ends the piece with a gap on that
+    side) has the path None, and where x is that end bit for bit,
+    ``share`` is the staircase share there, else None.  Both paths end at
+    the first piece shorter than ``finest``, where no side goes on."""
+    hull, table, t, lam = frame
+    path = [piece]
+    while piece[1] - piece[0] >= finest:
+        kid = _child(hull, table, t, lam, piece, x, eps, -1)
+        if kid is None or x >= kid[1] - eps:
+            right = _child(hull, table, t, lam, piece, x, eps, 1)
+            share = (kid[5] if kid is not None and x == kid[1] else
+                     right[4] if right is not None and x == right[0] else None)
+            return (kid and path + [kid], right and path + [right], share)
+        path.append(kid)
+        piece = kid
+    return (path, path, None)
+
+
+def _side(f, x, fx, sx, at, sign, tol, r0, path, frame, eps, finest):
+    """(value, residual) of the quotients on one side of x (sign -1
+    left, +1 right), where f is fx and S is sx, at the far ends of the
+    pieces that hold x from that side, with S at those ends read from
+    the pieces by ``at``; None where the side shows no variation.  Its
+    pieces are those of ``path`` (``_descent``), the shared descent
+    replayed, and below them the copy that holds x at each step
+    (``sets._child``, on the walk's ``frame``), with the slack ``eps``
+    of x.  A side that ends at a gap has no path and is never walked: it
+    reads no S and no f, so a NaN of f on it is not refused.  The walk
+    stops at pieces shorter than ``finest``, and once the quotients have
+    settled where x is, bit for bit, the near end of its piece: every
+    finer piece that holds x from this side is then an outer copy with
+    that near end (``_children`` keeps the parent's ends), and changes
+    neither the value nor the side.  An x computed elsewhere may miss a
+    piece end by ulps: x is a piece end within ``eps``.  Raises
     ValueError where f is NaN at a far end it reads (``_nan_at``), and
     NoLimit when quotients do not settle."""
-    piece, (hull, table, t, lam), _ = walk
+    hull, table, t, lam = frame
+    i, n = 0, len(path)
+    piece = path[0]
     quots, prev, settled = [], None, None
     while piece is not None:
         k0, k1 = piece[0], piece[1]
@@ -441,7 +480,9 @@ def _side(f, x, fx, sx, walk, at, sign, tol, r0, eps, finest):
             if settled is None and len(quots) >= 3:
                 raise NoLimit(f"quotients at x={x} oscillate beyond tol={tol}")
             return settled
-        piece = _child(hull, table, t, lam, piece, x, eps, sign)
+        i += 1
+        piece = path[i] if i < n else _child(hull, table, t, lam, piece, x,
+                                             eps, sign)
     return None
 
 
@@ -450,17 +491,24 @@ def derivative(f, stair, x, tol=1e-3, r0=None):
     of x takes (f(y) - f(x)) / (S(y) - S(x)) at the far ends y of the
     construction pieces that hold x, none farther than r0 from x, until two
     successive differences are each at most tol / 4; a side is vacuous
-    where x ends a piece with a gap on that side.  A settled side stops
-    its walk (``_side``) once x is the near end of its piece, which every
-    finer piece that holds x from that side shares.  Both sides share the
-    evaluator's ``walk`` (none is built off F), f(x), S(x), the slack of
-    x and the finest piece length: 1e-13 max(W, |x|) for the width W of
-    the set's hull, or twice that slack over the least ratio, below which
-    a copy could be shorter than the slack.  r0 defaults to W, so both
-    scale with the set.  tol must be positive, and so must r0 at a point
-    of F.  Raises ValueError where f is NaN at x or at a piece end the
-    walk reads, and NoLimit when the quotients do not settle, the sides
-    disagree beyond tol, or S is flat."""
+    where x ends a piece with a gap on that side.  One descent down the
+    evaluator's ``walk`` (none is built off F) finds the pieces that hold
+    x from both sides, and parts only where x comes within its slack of a
+    copy end (``_descent``); a vacuous side reads no S and no f, so a NaN
+    of f there is never read, and each other side replays its quotients
+    over the shared pieces (``_side``).  Where x is, bit for bit, the
+    copy end at which the sides part, S(x) is that end's share, read with
+    no descent.  A settled side stops once x is the near end of its
+    piece, which every finer piece that holds x from that side shares.
+    Both sides share f(x), S(x), the slack of x and the finest piece
+    length: 1e-13 max(W, |x|) for the width W of the set's hull, or twice
+    that slack over the least ratio, below which a copy could be shorter
+    than the slack; W and the least ratio are the evaluator's, read once
+    (``_reach``).  r0 defaults to W, so both scale with the set.  tol
+    must be positive, and so must r0 at a point of F.  Raises ValueError
+    where f is NaN at x or at a piece end a side reads, and NoLimit when
+    the quotients do not settle, the sides disagree beyond tol, or S is
+    flat."""
     _positive("tol", tol)
     _reject_nan("x", x)
     if not stair.spec._isect(x, x):
@@ -468,17 +516,22 @@ def derivative(f, stair, x, tol=1e-3, r0=None):
     walk = stair.walk
     left = right = None
     if walk is not None:
-        rec = stair.measure
-        width = rec.scale * (rec.hull[1] - rec.hull[0])
+        width, least = stair._reach
         r0 = width if r0 is None else r0
-        eps = slack(x, rec.scale)
-        finest = max(1e-13 * max(width, abs(x)),
-                     2.0 * eps / min([r for _, r, _, _, _ in rec.table]))
-        fx, sx = f(x), stair(x)
+        eps = slack(x, stair.measure.scale)
+        finest = max(1e-13 * max(width, abs(x)), 2.0 * eps / least)
+        top, frame, _ = walk
+        lpath, rpath, share = _descent(frame, top, x, eps, finest)
+        at = stair._at
+        # where x is the copy end at which the sides part, S(x) is its share
+        sx = stair(x) if share is None else at(x, share)
+        fx = f(x)
         if fx != fx:
             raise _nan_at(x)
-        left = _side(f, x, fx, sx, walk, stair._at, -1, tol, r0, eps, finest)
-        right = _side(f, x, fx, sx, walk, stair._at, +1, tol, r0, eps, finest)
+        left = lpath and _side(f, x, fx, sx, at, -1, tol, r0, lpath, frame,
+                               eps, finest)
+        right = rpath and _side(f, x, fx, sx, at, 1, tol, r0, rpath, frame,
+                                eps, finest)
     if left and right:
         mismatch = abs(left[0] - right[0])
         if mismatch > tol * max(1.0, abs(left[0])):

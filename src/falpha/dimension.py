@@ -35,13 +35,20 @@ import math
 from falpha import _backend
 from falpha.mass import _side_on_set
 from falpha.sets import (FullInterval, GapIFS, HarmonicCluster, Record,
-                         _count, _positive, _reject_nan, unwrap)
+                         ResolutionExceeded, _count, _positive, _reject_nan,
+                         unwrap)
 
 __all__ = ["DimensionReport", "gamma_dimension", "box_dimension",
            "similarity_order"]
 
 # distinct ratio tuples whose similarity order is kept
 _ORDER_CAP = 64
+
+# boxes that box_counts visits before it refuses: a visit takes about a
+# microsecond, so a count stops within about a quarter second.  The
+# middle-thirds set counts down to depth 15, and a gap IFS of order up to
+# about 0.87 down to depth 12
+_MAX_VISITS = 2 ** 18
 
 
 def similarity_order(ratios):
@@ -192,7 +199,10 @@ def box_counts(spec, a, b, max_depth=12):
     from the top says it does.  A box inside an interval F is not visited:
     it and its 3^j descendants at each depth d + j meet F, and are counted
     as such.  A point window is one box at every depth;
-    a reversed window, or one whose width is not finite, is refused."""
+    a reversed window, or one whose width is not finite, is refused.
+    Each depth multiplies the boxes by about 3^dim, so past
+    ``_MAX_VISITS`` visits the count raises ResolutionExceeded, naming
+    ``max_depth``, rather than run for hours."""
     _count("max_depth", max_depth, 0, 34)
     if a > b:
         raise ValueError("need a <= b")
@@ -201,16 +211,22 @@ def box_counts(spec, a, b, max_depth=12):
     if point:
         return [int(spec._isect(a, b))] * (max_depth + 1)
     counts = [0] * (max_depth + 1)
+    visits = 0
     walk = spec._walk
     # an interval holds every box inside it, and each box's three children
     # lie inside it too, so those boxes are counted without a visit
     full = spec.hull() if isinstance(spec, FullInterval) else None
 
     def visit(lo, hi, off, scale, d):
+        nonlocal visits
         if full and full[0] <= lo and hi <= full[1]:
             for j in range(max_depth - d + 1):
                 counts[d + j] += 3 ** j
             return
+        visits += 1
+        if visits > _MAX_VISITS:
+            raise ResolutionExceeded(
+                f"max_depth {max_depth} visits more than {_MAX_VISITS} boxes")
         frame = walk(lo, hi, off, scale)
         if frame is None:
             return

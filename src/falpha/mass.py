@@ -403,6 +403,15 @@ class StaircaseEvaluator(Record):
             (*self.spec.hull(), 0.0, 1.0, 0.0, 1.0, 1.0),
             (rec.hull, rec.table, rec.shift, rec.scale), rec.eps * rec.scale)
 
+    @functools.cached_property
+    def _reach(self):
+        """(W, least ratio) of ``measure`` where there is a ``walk``: the
+        width W of the set's hull in global units and the least ratio of
+        its copies, which ``calculus.derivative`` reads at every x."""
+        rec = self.measure
+        return (rec.scale * (rec.hull[1] - rec.hull[0]),
+                min([r for _, r, _, _, _ in rec.table]))
+
     def _at(self, x, share):
         """self(x) at a piece end x where the descent on ``self.measure``
         reads ``share``, by no descent where S is that descent.  The value

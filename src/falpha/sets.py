@@ -67,14 +67,18 @@ def _children(hull, table, t, lam, piece):
     by the same floats."""
     h0, h1 = hull
     lo, hi, off, sc, c, end, w = piece
-    last = len(table) - 1
-    kids = []
-    for i, (o, r, _, _, p) in enumerate(table):
+    o, r, _, _, p = table[0]
+    o, r, p = off + sc * o, sc * r, w * p
+    kids = [(lo, t + lam * (o + r * h1), o, r, c, c + p, p)]
+    c += p
+    for o, r, _, _, p in table[1:-1]:
         o, r, p = off + sc * o, sc * r, w * p
-        kids.append((t + lam * (o + r * h0) if i else lo,
-                     t + lam * (o + r * h1) if i < last else hi,
-                     o, r, c, c + p if i < last else end, p))
+        kids.append((t + lam * (o + r * h0), t + lam * (o + r * h1),
+                     o, r, c, c + p, p))
         c += p
+    o, r, _, _, p = table[-1]
+    o, r = off + sc * o, sc * r
+    kids.append((t + lam * (o + r * h0), hi, o, r, c, end, w * p))
     return kids
 
 
@@ -83,17 +87,18 @@ def _child(hull, table, t, lam, piece, x, eps, sign):
     (lo + eps, hi + eps]) or from the right (sign +1: x in [lo - eps,
     hi - eps)), as ``_children`` builds it, bit for bit, but alone; None
     where no copy does.  Touching copies each hold their shared end, from
-    their own side."""
+    their own side.  Each copy's far end is read first: a copy that ends
+    before x is passed without its start."""
     h0, h1 = hull
     lo, hi, off, sc, c, end, w = piece
     last = len(table) - 1
     for i, (o, r, _, _, p) in enumerate(table):
         o, r, p = off + sc * o, sc * r, w * p
-        k0 = t + lam * (o + r * h0) if i else lo
         k1 = t + lam * (o + r * h1) if i < last else hi
-        if (k0 + eps < x <= k1 + eps if sign < 0
-                else k0 - eps <= x < k1 - eps):
-            return (k0, k1, o, r, c, c + p if i < last else end, p)
+        if x <= k1 + eps if sign < 0 else x < k1 - eps:
+            k0 = t + lam * (o + r * h0) if i else lo
+            if k0 + eps < x if sign < 0 else k0 - eps <= x:
+                return (k0, k1, o, r, c, c + p if i < last else end, p)
         c += p
     return None
 

@@ -571,10 +571,12 @@ def test_piece_ends_enter_the_cache_as_their_descent(medium, start):
             stack.extend((k, d + 1) for k in kids(piece))
 
 
-def _reference_side(f, x, fx, sx, walk, at, sign, tol, r0, eps, finest):
-    """``calculus._side`` with no early stop: the walk goes on down to the
-    finest piece that holds x from this side, through every child list."""
-    piece, frame, _ = walk
+def _reference_side(f, x, fx, sx, at, sign, tol, r0, path, frame, eps,
+                    finest):
+    """``calculus._side`` with no early stop and no shared prefix: the
+    walk starts at the top of ``path`` and goes on down to the finest
+    piece that holds x from this side, through every child list."""
+    piece = path[0]
     kids = functools.partial(_children, *frame)
     quots, prev, settled = [], None, None
     while piece is not None:
@@ -602,6 +604,8 @@ def _reference_side(f, x, fx, sx, walk, at, sign, tol, r0, eps, finest):
 @settings(max_examples=25, deadline=None)
 @given(medium=_walked_media(), level=st.integers(1, 3))
 def test_a_settled_side_stops_with_what_the_whole_walk_gives(medium, level):
+    # each side walks alone from the top, with no descent shared with the
+    # other side and no early stop, and gives the same result or NoLimit
     spec, alpha = medium
     stair = StaircaseEvaluator(spec, alpha)
     fs = (FOnF.monotone(stair), FOnF.monotone(lambda y: stair(y) ** 2))
@@ -612,11 +616,35 @@ def test_a_settled_side_stops_with_what_the_whole_walk_gives(medium, level):
         except NoLimit as exc:
             return str(exc)
 
+    def alone(frame, piece, x, eps, finest):
+        return ([piece], [piece], None)
+
     for x in net(spec, level, Interval(*spec.hull())):
         for f in fs:
             got = outcome(f, x)
-            with mock.patch.object(calculus, "_side", _reference_side):
+            with mock.patch.object(calculus, "_side", _reference_side), \
+                    mock.patch.object(calculus, "_descent", alone):
                 assert got == outcome(f, x), x
+
+
+@pytest.mark.parametrize("spec", [C, ASYM])
+def test_a_side_that_ends_at_a_gap_reads_nothing(monkeypatch, spec):
+    # every level-3 net point ends a piece with a gap on one side (or lies
+    # at a hull end): that side reads no S and no f, so every read but
+    # those at x lies on the side the result names
+    stair = StaircaseEvaluator(spec, similarity_order(spec.ratios))
+    reads = []
+    at = StaircaseEvaluator._at
+    monkeypatch.setattr(StaircaseEvaluator, "_at", lambda self, y, share: (
+        reads.append(y) or at(self, y, share)))
+    f = FOnF.monotone(lambda y: reads.append(y) or stair(y))
+    for x in net(spec, 3, Interval(*spec.hull())):
+        reads.clear()
+        d = derivative(f, stair, x)
+        assert d.side in ("left", "right"), x
+        away = [y for y in reads if y != x]
+        assert away == [y for y in away if (y < x) == (d.side == "left")]
+        assert away, x
 
 
 def test_a_settled_side_stops_at_its_shared_near_end(monkeypatch):

@@ -382,6 +382,20 @@ _DIGESTS = (
      "606d348d65110f31fe42e22b4af2aba6cac4c591d818c82771696f7c5e6494a9"),
     ("mass --set harmonic --alpha 0.5",
      "476e1877f57cd86f3a6262331fcdf629725bf95d1837e645e3f3d7e84c7c7645"),
+    # derivatives off the middle-thirds set and on a wrapped copy of it:
+    # every net point ends a piece with a gap on one side
+    ("differentiate --set {\"type\":\"gap_ifs\",\"ratios\":[0.4,0.25],"
+     "\"offsets\":[0.0,0.75]}",
+     "b5b4eb1db5fba70f312b1b16233c0c8134f85804c718a2797b731094f3e049fb"),
+    ("differentiate --set {\"type\":\"gap_ifs\",\"ratios\":[0.4,0.25],"
+     "\"offsets\":[0.0,0.75]} --f stair2",
+     "83e6eda2af1d84424eaa9ebfc18b6dc463f808ba344f59af88fb42c2b9517113"),
+    ("differentiate --set {\"type\":\"cantor\",\"scale\":3.0,"
+     "\"translate\":0.2222222222222222} --range 0 4",
+     "73cf1102354af1991fa2036033063bd56add5bd89f670f9fb56402650abb63dd"),
+    ("differentiate --set {\"type\":\"cantor\",\"scale\":3.0,"
+     "\"translate\":0.2222222222222222} --range 0 4 --f stair2",
+     "c792d6583ac6a714f48a1346a4920f660962482916172154c356b40c8d7ef010"),
 )
 
 

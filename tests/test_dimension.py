@@ -3,6 +3,7 @@ structure, box counting, and the capped memo of the similarity order."""
 
 import math
 import re
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from falpha.sets import (
     FullInterval,
     GapIFS,
     HarmonicCluster,
+    ResolutionExceeded,
     Scale,
     TernaryCantor,
     Translate,
@@ -184,6 +186,18 @@ def test_box_counts_resume_as_if_each_box_walked_from_the_top(
     if a == b:
         want = [want[0]] * (depth + 1)
     assert box_counts(spec, a, b, depth) == want
+
+
+def test_a_box_count_too_deep_to_finish_refuses_within_a_second():
+    # depth 34 on the middle-thirds set would visit some 3 * 2^34 boxes,
+    # for about a day and a half; the visit cap stops it, naming max_depth
+    for count in (box_counts, box_dimension):
+        start = time.process_time()
+        with pytest.raises(ResolutionExceeded, match="max_depth 34"):
+            count(C, 0.0, 1.0, 34)
+        assert time.process_time() - start < 1.0
+    assert box_counts(C, 0.0, 1.0, 12) == [
+        1, 3, 8, 18, 38, 78, 158, 318, 638, 1278, 2558, 5118, 10238]
 
 
 def test_box_counts_visit_no_box_inside_an_interval(monkeypatch):

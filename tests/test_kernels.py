@@ -505,7 +505,9 @@ def _loads(tree):
 def test_every_name_falpha_exports_has_a_reader():
     # a name that only repeats another, with no reader in the package or
     # the benchmark, is a concept to learn and keep for nothing; the
-    # paper's literal definitions are listed in the README instead
+    # paper's literal definitions are listed in the README instead.  And
+    # the README's "Library overview" names every export: a span in
+    # backticks names the identifier it starts with
     root = pathlib.Path(falpha.__file__).parent
     repo = root.parent.parent
 
@@ -523,6 +525,9 @@ def test_every_name_falpha_exports_has_a_reader():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     readers = read(root) | read(repo / "perfbench") | literal
     assert not [n for n in exported if n not in readers]
+    overview = readme.split("\n## Library overview\n", 1)[1]
+    named = set(re.findall(r"`(\w+)[^`]*`", overview.split("\n## ", 1)[0]))
+    assert not [n for n in exported if n not in named]
 
 
 def test_the_benchmark_tracer_counts_the_calculus_layers():
